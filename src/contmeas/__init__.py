@@ -8,24 +8,18 @@ from .errors import (AliasingError, ConfigError, ContmeasError,
                      ContractivityError, DimensionMismatchError,
                      IntegrationError, InversionQualityError, ValidationError)
 from .fock import (SystemOperator, TruncatedSpace, guard_band_leakage,
-                   ladder_a, ladder_a_dag, ladder_b, ladder_b_dag,
-                   number_a, number_b)
-from .signals import (ZERO, Constant, FieldProfile, Harmonic,
-                      PiecewiseConstant, TestFunction, TimeSignal, Windowed)
+                   ladder_a, ladder_a_dag, ladder_b, ladder_b_dag)
+from .signals import (ZERO, Constant, FieldProfile, Harmonic, TestFunction,
+                      TimeSignal)
 from .model import (DpoParams, ModelSpec, check_dissipativity,
-                    check_S_unitary, derived_N, dpo_laser_field, dpo_model,
+                    check_S_unitary, dpo_laser_field, dpo_model,
                     trivial_model)
 from .measurement import ObservableSpec, dpo_observables
-from .generator import (GeneratorContext, apply_generator, channel_operator,
-                        drift_operator, generator_at, kernel_coefficients,
-                        scalar_rate)
+from .generator import GeneratorContext, generator_at, scalar_rate
 from .evolution import (EvolutionConfig, EvolutionResult, composition_check,
                         evolve, is_state)
-from .statistics import (GridAxis, IncrementGrid, charfunc_along,
-                         counting_axis, counting_distribution,
-                         derivative_at_zero, diffusive_axis,
+from .statistics import (GridAxis, IncrementGrid, counting_axis,
+                         counting_distribution, diffusive_axis,
                          homodyne_distribution, invert_counting,
-                         invert_homodyne, joint_charfunc, moments,
-                         suggested_kappa_max)
-from .oracle import (dense_expm_propagate, duality_check, midpoint_time_map,
-                     system_free_charfunc)
+                         invert_homodyne, joint_charfunc)
+from .oracle import dense_expm_propagate, duality_check, system_free_charfunc

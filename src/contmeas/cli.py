@@ -15,8 +15,8 @@ Exit codes: 0 success, 2 config error, 3 validation failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -26,13 +26,11 @@ from .config import (build_evolution, build_field, build_initial_state,
                      build_kappa, build_model, build_observables, load_config)
 from .errors import (ConfigError, IntegrationError, InversionQualityError,
                      ValidationError)
-from .evolution import EvolutionConfig, evolve
+from .evolution import evolve
 from .fock import guard_band_leakage
 from .generator import GeneratorContext
-from .measurement import ObservableSpec
 from .model import check_dissipativity, check_S_unitary
-from .oracle import (dense_expm_propagate, duality_check, midpoint_time_map,
-                     DENSE_DIM_LIMIT)
+from .oracle import DENSE_DIM_LIMIT, dense_expm_propagate, duality_check
 from .signals import TestFunction
 from .statistics import counting_distribution, homodyne_distribution
 
@@ -242,11 +240,8 @@ def cmd_oracle_compare(run: Run, out):
             f"oracle-compare needs dim <= {DENSE_DIM_LIMIT}; shrink the "
             "truncation")
     ctx = run.context()
-    breaks = ctx.breakpoints(t_end)
-    frozen = EvolutionConfig(dt=run.evo.dt, method=run.evo.method,
-                             rtol=run.evo.rtol, atol=run.evo.atol,
-                             contractivity_check="off",
-                             time_map=midpoint_time_map(breaks, t_end))
+    frozen = dataclasses.replace(run.evo, contractivity_check="off",
+                                 freeze=True)
     engine = evolve(ctx, run.rho0, t_end, frozen).final
     reference = dense_expm_propagate(run.model, run.obs, run.field,
                                      run.kappa, run.rho0, t_end)
@@ -279,16 +274,9 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON run config")
     parser.add_argument("--out", default=None, help="output file (default stdout)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS thread count")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for randomized checks")
     args = parser.parse_args(argv)
-
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
 
     try:
         cfg = load_config(args.config)

@@ -1,17 +1,21 @@
 """Integration of the reduced evolution equation  d tau / dt = A_t[tau].
 
 The coefficients are smooth except at finitely many breakpoints (edges of
-the field window, steps of the test function, signal windows).  The
-stepper never straddles a breakpoint: the interval is split into smooth
-segments and each segment is covered by whole steps, with the last RK
-stage of a step that ends a segment taking the left limit of the
-coefficients.  Inside a segment everything is smooth, so classical
-fourth-order Runge-Kutta keeps its full order.
+the field window, steps of the test function).  The stepper never
+straddles a breakpoint: the interval is split into smooth segments and
+each segment is covered by whole steps, with the last RK stage of a step
+that ends a segment taking the left limit of the coefficients.  Inside a
+segment everything is smooth, so classical fourth-order Runge-Kutta keeps
+its full order.
+
+When every coefficient is constant between breakpoints, or when
+`EvolutionConfig.freeze` asks for it, each segment instead uses one
+generator frozen at the segment midpoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +33,7 @@ class EvolutionConfig:
     max_steps: int = 2_000_000
     contractivity_check: str = "auto"   # "auto", "on", "off"
     contractivity_tol: float = 1e-6
-    time_map: object = None      # optional hook (t, side) -> t' for stage times
+    freeze: bool = False         # hold each segment at its midpoint value
 
     def __post_init__(self):
         if self.method not in ("rk4", "adaptive"):
@@ -59,13 +63,7 @@ def is_state(rho: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(evals.min() > -tol)
 
 
-def _segments(ctx: GeneratorContext, t_end: float):
-    pts = [0.0] + ctx.breakpoints(t_end) + [t_end]
-    return [(lo, hi) for lo, hi in zip(pts[:-1], pts[1:]) if hi > lo]
-
-
-def _rk4_step(ctx, t, h, tau, last_in_segment, time_map, frozen=None,
-              t_stop=None):
+def _rk4_step(ctx, t, h, tau, last_in_segment, frozen=None, t_stop=None):
     """One classical RK4 step; `t_stop` pins the final stage time to the
     exact segment edge so accumulated rounding never crosses a breakpoint."""
     if frozen is not None:
@@ -74,14 +72,13 @@ def _rk4_step(ctx, t, h, tau, last_in_segment, time_map, frozen=None,
         k3 = frozen.apply(tau + 0.5 * h * k2)
         k4 = frozen.apply(tau + h * k3)
         return tau + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    tm = time_map if time_map is not None else (lambda x, side: x)
     t4 = (t + h) if t_stop is None else t_stop
-    k1 = generator_at(ctx, tm(t, 1), side=1).apply(tau)
-    g_mid = generator_at(ctx, tm(t + 0.5 * h, 1), side=1)
+    k1 = generator_at(ctx, t, side=1).apply(tau)
+    g_mid = generator_at(ctx, t + 0.5 * h, side=1)
     k2 = g_mid.apply(tau + 0.5 * h * k1)
     k3 = g_mid.apply(tau + 0.5 * h * k2)
     end_side = -1 if last_in_segment else 1
-    k4 = generator_at(ctx, tm(t4, end_side), side=end_side).apply(tau + h * k3)
+    k4 = generator_at(ctx, t4, side=end_side).apply(tau + h * k3)
     return tau + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -100,10 +97,10 @@ def evolve(ctx: GeneratorContext, rho0: np.ndarray, t_end: float,
     check = config.contractivity_check == "on" or (
         config.contractivity_check == "auto" and is_state(tau))
 
-    static = config.time_map is None and context_is_piecewise_static(ctx)
+    static = config.freeze or context_is_piecewise_static(ctx)
     n_steps = 0
     max_abs_trace = abs(np.trace(tau))
-    for lo, hi in _segments(ctx, t_end):
+    for lo, hi in ctx.segments(t_end):
         frozen = generator_at(ctx, 0.5 * (lo + hi)) if static else None
         if config.method == "rk4":
             count = max(1, int(np.ceil((hi - lo) / config.dt - 1e-12)))
@@ -111,8 +108,8 @@ def evolve(ctx: GeneratorContext, rho0: np.ndarray, t_end: float,
             for j in range(count):
                 t = lo + j * h
                 last = j == count - 1
-                tau = _rk4_step(ctx, t, h, tau, last, config.time_map,
-                                frozen, t_stop=hi if last else None)
+                tau = _rk4_step(ctx, t, h, tau, last, frozen,
+                                t_stop=hi if last else None)
                 n_steps += 1
                 if n_steps > config.max_steps:
                     raise IntegrationError("step budget exhausted")
@@ -138,11 +135,10 @@ def _adaptive_segment(ctx, tau, lo, hi, config, n_steps, frozen=None):
         h = min(h, hi - t)
         last = (t + h >= hi - 1e-14 * max(1.0, hi))
         stop = hi if last else None
-        big = _rk4_step(ctx, t, h, tau, last, config.time_map, frozen,
-                        t_stop=stop)
-        half = _rk4_step(ctx, t, 0.5 * h, tau, False, config.time_map, frozen)
-        small = _rk4_step(ctx, t + 0.5 * h, 0.5 * h, half, last,
-                          config.time_map, frozen, t_stop=stop)
+        big = _rk4_step(ctx, t, h, tau, last, frozen, t_stop=stop)
+        half = _rk4_step(ctx, t, 0.5 * h, tau, False, frozen)
+        small = _rk4_step(ctx, t + 0.5 * h, 0.5 * h, half, last, frozen,
+                          t_stop=stop)
         err = np.max(np.abs(big - small)) / 15.0
         scale = config.atol + config.rtol * max(1.0, float(np.max(np.abs(small))))
         if err <= scale:
@@ -175,10 +171,7 @@ def composition_check(ctx: GeneratorContext, rho0: np.ndarray, s: float,
     one_shot = evolve(ctx, rho0, t, config).final
     mid = evolve(ctx, rho0, s, config).final
     two_leg = evolve(ctx.shifted(s), mid, t - s, config).final
-    fine = EvolutionConfig(dt=0.5 * config.dt, method=config.method,
-                           rtol=config.rtol, atol=config.atol,
-                           contractivity_check="off",
-                           time_map=config.time_map)
+    fine = replace(config, dt=0.5 * config.dt, contractivity_check="off")
     refined = evolve(ctx, rho0, t, fine).final
     return {
         "deviation": float(np.max(np.abs(one_shot - two_leg))),

@@ -37,9 +37,6 @@ class TruncatedSpace:
                              f"({self.n_max}, {self.m_max})")
         return n * (self.m_max + 1) + m
 
-    def unravel(self, idx: int) -> tuple[int, int]:
-        return divmod(idx, self.m_max + 1)
-
     def basis_vector(self, n: int, m: int) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
         v[self.index(n, m)] = 1.0
@@ -79,10 +76,6 @@ class SystemOperator:
         return cls(space, mat)
 
     @classmethod
-    def identity(cls, space: TruncatedSpace) -> "SystemOperator":
-        return cls(space, sp.identity(space.dim, dtype=complex, format="csr"))
-
-    @classmethod
     def zero(cls, space: TruncatedSpace) -> "SystemOperator":
         return cls(space, sp.csr_matrix((space.dim, space.dim), dtype=complex))
 
@@ -92,59 +85,18 @@ class SystemOperator:
     def nnz(self) -> int:
         return self.matrix.nnz
 
-    def entry(self, row: int, col: int) -> complex:
-        return complex(self.matrix[row, col])
-
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def max_abs(self) -> float:
-        if self.matrix.nnz == 0:
-            return 0.0
-        return float(np.max(np.abs(self.matrix.data)))
-
     # -- algebra -----------------------------------------------------------
-
-    def _check_space(self, other: "SystemOperator"):
-        if other.space != self.space:
-            raise DimensionMismatchError("operands live on different spaces")
-
-    def adjoint(self) -> "SystemOperator":
-        return SystemOperator(self.space, self.matrix.conj().T.tocsr())
-
-    def add(self, other: "SystemOperator") -> "SystemOperator":
-        self._check_space(other)
-        return SystemOperator(self.space, self.matrix + other.matrix)
 
     def scale(self, scalar: complex) -> "SystemOperator":
         return SystemOperator(self.space, self.matrix * complex(scalar))
-
-    def matmul(self, other: "SystemOperator") -> "SystemOperator":
-        self._check_space(other)
-        return SystemOperator(self.space, self.matrix @ other.matrix)
-
-    def commutator(self, other: "SystemOperator") -> "SystemOperator":
-        self._check_space(other)
-        return SystemOperator(
-            self.space, self.matrix @ other.matrix - other.matrix @ self.matrix)
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        self._check_space(other)
-        return SystemOperator(self.space, self.matrix - other.matrix)
-
-    def __neg__(self):
-        return self.scale(-1.0)
 
     def __mul__(self, scalar):
         return self.scale(scalar)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return self.matmul(other)
 
     # -- matrix-free applications -----------------------------------------
 
@@ -153,20 +105,8 @@ class SystemOperator:
             raise DimensionMismatchError("vector length does not match space")
         return self.matrix @ v
 
-    def apply_to_density_left(self, rho: np.ndarray) -> np.ndarray:
-        """X @ rho without densifying X."""
-        if rho.shape != (self.space.dim, self.space.dim):
-            raise DimensionMismatchError("density shape does not match space")
-        return self.matrix @ rho
 
-    def apply_to_density_right(self, rho: np.ndarray) -> np.ndarray:
-        """rho @ X without densifying X."""
-        if rho.shape != (self.space.dim, self.space.dim):
-            raise DimensionMismatchError("density shape does not match space")
-        return (self.matrix.T @ rho.T).T
-
-
-# -- ladder and number operators ------------------------------------------
+# -- ladder operators ----------------------------------------------------
 
 
 def ladder_a(space: TruncatedSpace) -> SystemOperator:
@@ -200,24 +140,6 @@ def ladder_b_dag(space: TruncatedSpace) -> SystemOperator:
     for n in range(space.n_max + 1):
         for m in range(space.m_max):
             entries[(space.index(n, m + 1), space.index(n, m))] = np.sqrt(m + 1)
-    return SystemOperator.from_entries(space, entries)
-
-
-def number_a(space: TruncatedSpace) -> SystemOperator:
-    entries = {}
-    for n in range(space.n_max + 1):
-        for m in range(space.m_max + 1):
-            if n:
-                entries[(space.index(n, m), space.index(n, m))] = float(n)
-    return SystemOperator.from_entries(space, entries)
-
-
-def number_b(space: TruncatedSpace) -> SystemOperator:
-    entries = {}
-    for n in range(space.n_max + 1):
-        for m in range(space.m_max + 1):
-            if m:
-                entries[(space.index(n, m), space.index(n, m))] = float(m)
     return SystemOperator.from_entries(space, entries)
 
 

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fock import SystemOperator
 from .measurement import ObservableSpec
 from .model import ModelSpec
-from .signals import FieldProfile, TestFunction
+from .signals import Constant, FieldProfile, TestFunction, segments
 
 
 class _OperatorCache:
@@ -69,12 +68,9 @@ class GeneratorContext:
                                   "components")
         object.__setattr__(self, "_cache", _OperatorCache(self.model))
 
-    def breakpoints(self, horizon: float):
-        pts = set()
-        pts.update(b for b in self.field.breakpoints() if 0.0 < b < horizon)
-        pts.update(b for b in self.kappa.breakpoints() if 0.0 < b < horizon)
-        pts.update(b for b in self.observables.all_breakpoints() if b < horizon)
-        return sorted(pts)
+    def segments(self, t_end: float) -> list[tuple[float, float]]:
+        """Smooth pieces of [0, t_end] of the whole generator."""
+        return segments(t_end, self.field, self.kappa, self.observables)
 
     def shifted(self, s: float) -> "GeneratorContext":
         return GeneratorContext(
@@ -84,37 +80,11 @@ class GeneratorContext:
             kappa=self.kappa.shifted(s))
 
 
-def channel_operator(model: ModelSpec, i: int, lam: np.ndarray) -> SystemOperator:
-    """B_i(lambda) = R_i + (S lambda)_i * I  (i is 0-based here)."""
-    mu = complex(model.S[i] @ np.asarray(lam, dtype=complex))
-    out = model.R[i]
-    if mu != 0:
-        out = out + SystemOperator.identity(model.space).scale(mu)
-    return out
-
-
-def drift_operator(model: ModelSpec, lam: np.ndarray,
-                   r: np.ndarray) -> SystemOperator:
-    """K(lambda, r) = K - sum_ij R_i^dag S_ij lam_j - (|lam|^2/2) I
-    + sum_i conj(r_i) B_i(lambda)."""
-    lam = np.asarray(lam, dtype=complex)
-    r = np.asarray(r, dtype=complex)
-    out = model.K
-    slam = model.S @ lam
-    for i in range(model.d):
-        if slam[i] != 0:
-            out = out - model.R[i].adjoint().scale(slam[i])
-        if r[i] != 0:
-            out = out + channel_operator(model, i, lam).scale(np.conj(r[i]))
-    norm2 = float(np.real(np.vdot(lam, lam)))
-    if norm2 != 0:
-        out = out - SystemOperator.identity(model.space).scale(0.5 * norm2)
-    return out
-
-
 def scalar_rate(obs: ObservableSpec, kappa: np.ndarray, t: float,
                 side: int = 1) -> complex:
-    """Pointwise rate whose time integral is ObservableSpec.scalar_term."""
+    """State-independent scalar rate of the generator at time t:
+    sum_i (s_i - 1)|b_i|^2 + i sum_a kappa_a c^a
+    - (1/2) sum_ab kappa_a <h^a(t), h^b(t)> kappa_b."""
     kappa = np.asarray(kappa, dtype=float)
     s = obs.kernel_diagonal(kappa)
     acc = 0j
@@ -130,26 +100,6 @@ def scalar_rate(obs: ObservableSpec, kappa: np.ndarray, t: float,
                            for i in range(obs.d)] for alpha in range(obs.m)])
         acc -= 0.5 * (kappa @ (hvals.conj() @ hvals.T) @ kappa)
     return complex(acc)
-
-
-def kernel_coefficients(obs: ObservableSpec, kappa: np.ndarray, t: float,
-                        side: int = 1) -> np.ndarray:
-    """(d+1)x(d+1) coefficient table of the measurement kernel.
-
-    Row/column 0 is the scalar slot: [0,0] the scalar rate, [j,0] the
-    vector r_j, [0,j] = -conj(r_j) s_j, and the channel block diagonal
-    s_i - 1.  Satisfies conj(G(t; -kappa)) = G(t; kappa)^T.
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    d = obs.d
-    s = obs.kernel_diagonal(kappa)
-    r = obs.r_vector(kappa, t, side)
-    G = np.zeros((d + 1, d + 1), dtype=complex)
-    G[0, 0] = scalar_rate(obs, kappa, t, side)
-    G[1:, 0] = r
-    G[0, 1:] = -np.conj(r) * s
-    G[np.arange(1, d + 1), np.arange(1, d + 1)] = s - 1.0
-    return G
 
 
 def _rmul(M, X: np.ndarray) -> np.ndarray:
@@ -262,17 +212,8 @@ def generator_at(ctx: GeneratorContext, t: float, side: int = 1) -> FrozenGenera
     return FrozenGenerator(ctx._cache, lam, mu, r_plus, r_minus, s, rate)
 
 
-def apply_generator(ctx: GeneratorContext, t: float, tau: np.ndarray,
-                    side: int = 1) -> np.ndarray:
-    """One evaluation of the generator on a matrix."""
-    return generator_at(ctx, t, side).apply(tau)
-
-
 def context_is_piecewise_static(ctx: GeneratorContext) -> bool:
     """True when all coefficients are constant between breakpoints, so a
     frozen generator built at a segment midpoint is exact on the segment."""
-    from .signals import Constant
-    sigs = list(ctx.field.signals)
-    sigs += [s for row in ctx.observables.h for s in row]
-    sigs += list(ctx.observables.b) + list(ctx.observables.c)
+    sigs = ctx.field.signals + ctx.observables.signals
     return all(isinstance(s, Constant) for s in sigs)

@@ -16,27 +16,18 @@ s_i(kappa), and inversion reduces to FFTs per observable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .signals import ZERO, Constant, Harmonic, TimeSignal
-
-
-def _merged_breakpoints(signals, horizon: float, extra=()):
-    pts = {0.0, float(horizon)}
-    for sig in signals:
-        pts.update(b for b in sig.breakpoints() if 0.0 < b < horizon)
-    pts.update(b for b in extra if 0.0 < b < horizon)
-    return sorted(pts)
+from .signals import ZERO, Constant, Harmonic, TimeSignal, segments
 
 
 def _sample_times(signals, horizon: float, per_segment: int = 5):
     """Sample points covering every smooth segment of the given signals."""
-    breaks = _merged_breakpoints(signals, horizon)
     out = []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
+    for lo, hi in segments(horizon, *signals):
         out.extend(np.linspace(lo, hi, per_segment + 2)[1:-1])
     return np.asarray(out)
 
@@ -88,8 +79,7 @@ class ObservableSpec:
         return cls(m=m, d=d, horizon=horizon, eigenvalues=ev, h=h, b=b, c=c)
 
     def _check_compatibility(self):
-        all_sigs = [s for row in self.h for s in row] + list(self.b) + list(self.c)
-        times = _sample_times(all_sigs, self.horizon)
+        times = _sample_times(self.signals, self.horizon)
         # projective and quadrature parts of the family must not overlap
         for alpha in range(self.m):
             for beta in range(self.m):
@@ -149,29 +139,6 @@ class ObservableSpec:
                 gram[beta, alpha] = np.conj(acc)
         return gram
 
-    def scalar_term(self, kappa: np.ndarray, upto: float | None = None) -> complex:
-        """State-independent log-amplitude
-
-            <b|(S(kappa)-1)b> + i sum_a kappa_a int c^a
-            - (1/2) sum_ab kappa_a <h^a|h^b> kappa_b
-
-        over [0, upto].
-        """
-        T = self.horizon if upto is None else float(upto)
-        kappa = np.asarray(kappa, dtype=float)
-        s = self.kernel_diagonal(kappa)
-        acc = 0j
-        for i in range(self.d):
-            if self.b[i] is ZERO or s[i] == 1.0:
-                continue
-            acc += (s[i] - 1.0) * _inner(self.b[i], self.b[i], T)
-        for alpha in range(self.m):
-            if kappa[alpha] != 0 and self.c[alpha] is not ZERO:
-                acc += 1j * kappa[alpha] * _integral(self.c[alpha], T)
-        gram = self.h_gram(T)
-        acc -= 0.5 * (kappa @ gram @ kappa)
-        return complex(acc)
-
     def shifted(self, s: float) -> "ObservableSpec":
         """Same observables viewed from time s (horizon shrinks by s)."""
         if not 0.0 <= s < self.horizon:
@@ -183,29 +150,23 @@ class ObservableSpec:
             b=tuple(sig.shifted(s) for sig in self.b),
             c=tuple(sig.shifted(s) for sig in self.c))
 
-    def all_breakpoints(self):
-        sigs = [s for row in self.h for s in row] + list(self.b) + list(self.c)
-        pts = set()
-        for sig in sigs:
-            pts.update(b for b in sig.breakpoints() if 0.0 < b < self.horizon)
-        return sorted(pts)
+    @property
+    def signals(self) -> tuple:
+        """Every signal of the family: h row by row, then b, then c."""
+        return (tuple(s for row in self.h for s in row) + tuple(self.b)
+                + tuple(self.c))
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return tuple(b for sig in self.signals for b in sig.breakpoints())
 
 
 # -- scalar quadrature helpers ----------------------------------------------
-
-def _segments(sig_a: TimeSignal, sig_b: TimeSignal, T: float):
-    pts = {0.0, T}
-    pts.update(b for b in sig_a.breakpoints() if 0.0 < b < T)
-    pts.update(b for b in sig_b.breakpoints() if 0.0 < b < T)
-    pts = sorted(pts)
-    return zip(pts[:-1], pts[1:])
-
 
 def _inner(sig_a: TimeSignal, sig_b: TimeSignal, T: float) -> complex:
     """int_0^T conj(a(t)) b(t) dt, exact on the signal classes we ship."""
     from scipy.integrate import quad
     total = 0j
-    for lo, hi in _segments(sig_a, sig_b, T):
+    for lo, hi in segments(T, sig_a, sig_b):
         closed = _closed_form_inner(sig_a, sig_b, lo, hi)
         if closed is not None:
             total += closed
@@ -219,8 +180,8 @@ def _inner(sig_a: TimeSignal, sig_b: TimeSignal, T: float) -> complex:
 
 def _closed_form_inner(sig_a, sig_b, lo, hi):
     """Exact segment integral for constants and harmonics, else None."""
-    ca = _as_harmonic(sig_a, 0.5 * (lo + hi))
-    cb = _as_harmonic(sig_b, 0.5 * (lo + hi))
+    ca = _as_harmonic(sig_a)
+    cb = _as_harmonic(sig_b)
     if ca is None or cb is None:
         return None
     (aa, pa, wa), (ab, pb, wb) = ca, cb
@@ -231,24 +192,13 @@ def _closed_form_inner(sig_a, sig_b, lo, hi):
     return amp * (np.exp(1j * w * hi) - np.exp(1j * w * lo)) / (1j * w)
 
 
-def _as_harmonic(sig, t_mid):
-    """(amplitude, phase, frequency) if sig is harmonic-like on the segment."""
+def _as_harmonic(sig):
+    """(amplitude, phase, frequency) for constants and harmonics, else None."""
     if isinstance(sig, Harmonic):
         return sig.amplitude, sig.phase, sig.frequency
     if isinstance(sig, Constant):
-        return sig.value(t_mid), 0.0, 0.0
-    inner = getattr(sig, "inner", None)
-    start = getattr(sig, "start", None)
-    stop = getattr(sig, "stop", None)
-    if inner is not None and start is not None:
-        if start <= t_mid < stop:
-            return _as_harmonic(inner, t_mid)
-        return 0.0, 0.0, 0.0
+        return sig.value(0.0), 0.0, 0.0
     return None
-
-
-def _integral(sig: TimeSignal, T: float) -> complex:
-    return _inner(Constant(1.0), sig, T)
 
 
 def dpo_observables(params, horizon: float) -> ObservableSpec:

@@ -9,7 +9,7 @@ photocounter channels and one homodyne channel (d = 8 channels total).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -233,18 +233,6 @@ def check_S_unitary(model: ModelSpec) -> float:
     dev1 = np.max(np.abs(S.conj().T @ S - eye)) if model.d else 0.0
     dev2 = np.max(np.abs(S @ S.conj().T - eye)) if model.d else 0.0
     return float(max(dev1, dev2))
-
-
-def derived_N(model: ModelSpec, j: int) -> SystemOperator:
-    """Annihilation-side coefficient N_j = -sum_k R_k^dagger S_{kj} (j is 1-based)."""
-    if not 1 <= j <= model.d:
-        raise IndexError(f"channel index {j} out of range 1..{model.d}")
-    out = SystemOperator.zero(model.space)
-    for k in range(model.d):
-        s = model.S[k, j - 1]
-        if s != 0:
-            out = out + model.R[k].adjoint().scale(-s)
-    return out
 
 
 def dpo_laser_field(params: DpoParams, horizon: float):

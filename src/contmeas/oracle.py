@@ -25,17 +25,9 @@ from .evolution import EvolutionConfig, evolve
 from .generator import GeneratorContext, generator_at
 from .measurement import ObservableSpec
 from .model import ModelSpec
-from .signals import FieldProfile, TestFunction
+from .signals import FieldProfile, TestFunction, segments
 
 DENSE_DIM_LIMIT = 12
-
-
-def _all_breakpoints(obs, field, kappa, t_end):
-    pts = {0.0, float(t_end)}
-    pts.update(b for b in field.breakpoints() if 0.0 < b < t_end)
-    pts.update(b for b in kappa.breakpoints() if 0.0 < b < t_end)
-    pts.update(b for b in obs.all_breakpoints() if 0.0 < b < t_end)
-    return sorted(pts)
 
 
 def system_free_charfunc(obs: ObservableSpec, field: FieldProfile,
@@ -64,8 +56,7 @@ def system_free_charfunc(obs: ObservableSpec, field: FieldProfile,
         return acc
 
     total = 0j
-    pts = _all_breakpoints(obs, field, kappa, t_end)
-    for lo, hi in zip(pts[:-1], pts[1:]):
+    for lo, hi in segments(t_end, obs, field, kappa):
         re, _ = quad(lambda t: np.real(integrand(t)), lo, hi, limit=200)
         im, _ = quad(lambda t: np.imag(integrand(t)), lo, hi, limit=200)
         total += re + 1j * im
@@ -122,34 +113,17 @@ def dense_expm_propagate(model: ModelSpec, obs: ObservableSpec,
                          n_sub: int = 1) -> np.ndarray:
     """Freeze the coefficients at the midpoint of each smooth segment and
     propagate vec(tau) by scipy's matrix exponential.  Matches the engine
-    run with the same midpoint time map."""
+    run with `EvolutionConfig(freeze=True)`."""
     dim = model.space.dim
     if dim > DENSE_DIM_LIMIT:
         raise ValidationError(f"dense oracle limited to dim <= {DENSE_DIM_LIMIT}")
     vec = np.array(rho0, dtype=complex).reshape(-1, order="F")
-    pts = _all_breakpoints(obs, field, kappa, t_end)
-    for lo, hi in zip(pts[:-1], pts[1:]):
+    for lo, hi in segments(t_end, obs, field, kappa):
         sub = np.linspace(lo, hi, n_sub + 1)
         for a, b in zip(sub[:-1], sub[1:]):
             M = _dense_superoperator(model, obs, field, kappa, 0.5 * (a + b))
             vec = expm(M * (b - a)) @ vec
     return vec.reshape(dim, dim, order="F")
-
-
-def midpoint_time_map(breaks, t_end: float):
-    """Snap a time to the midpoint of its smooth segment; pairs an engine
-    run with the frozen-coefficient dense oracle."""
-    pts = [0.0] + [b for b in sorted(breaks) if 0.0 < b < t_end] + [float(t_end)]
-    pts = np.asarray(pts)
-    mids = 0.5 * (pts[:-1] + pts[1:])
-
-    def tmap(t: float, side: int = 1) -> float:
-        sd = "right" if side > 0 else "left"
-        idx = int(np.searchsorted(pts, t, side=sd)) - 1
-        idx = min(max(idx, 0), len(mids) - 1)
-        return float(mids[idx])
-
-    return tmap
 
 
 def duality_check(ctx: GeneratorContext, rho0: np.ndarray, X: np.ndarray,
@@ -165,9 +139,8 @@ def duality_check(ctx: GeneratorContext, rho0: np.ndarray, X: np.ndarray,
     forward = evolve(ctx, rho0, t, config).final
     lhs = complex(np.trace(X @ forward))
 
-    pts = [0.0] + ctx.breakpoints(t) + [float(t)]
     Y = np.array(X, dtype=complex)
-    for hi, lo in zip(pts[:0:-1], pts[-2::-1]):
+    for lo, hi in reversed(ctx.segments(t)):
         count = max(1, int(np.ceil((hi - lo) / config.dt - 1e-12)))
         h = (hi - lo) / count
         for j in range(count):

@@ -1,5 +1,5 @@
-"""Time-dependent scalar signals, piecewise-constant test functions and
-field profiles.
+"""Time-dependent scalar signals, piecewise-constant test functions,
+field profiles and the smooth segments between their breakpoints.
 
 Signals are evaluated pointwise; `side=+1` takes the right-continuous
 value at a breakpoint, `side=-1` the limit from the left.  The integrator
@@ -68,57 +68,6 @@ class Harmonic(TimeSignal):
         return f"Harmonic({self.amplitude}, {self.phase}, {self.frequency})"
 
 
-class Windowed(TimeSignal):
-    """Inner signal on [start, stop), zero elsewhere."""
-
-    def __init__(self, inner: TimeSignal, start: float = 0.0,
-                 stop: float = math.inf):
-        self.inner = inner
-        self.start = float(start)
-        self.stop = float(stop)
-
-    def value(self, t, side=1):
-        if side > 0:
-            inside = self.start <= t < self.stop
-        else:
-            inside = self.start < t <= self.stop
-        return self.inner.value(t, side) if inside else 0.0j
-
-    def shifted(self, s):
-        return Windowed(self.inner.shifted(s), self.start - s, self.stop - s)
-
-    def breakpoints(self):
-        pts = [self.start]
-        if math.isfinite(self.stop):
-            pts.append(self.stop)
-        return tuple(pts) + self.inner.breakpoints()
-
-
-class PiecewiseConstant(TimeSignal):
-    """Tabulated signal: values[l] on [breaks[l], breaks[l+1]), zero outside."""
-
-    def __init__(self, breaks, values):
-        self.breaks = np.asarray(breaks, dtype=float)
-        self.values = np.asarray(values, dtype=complex)
-        if self.breaks.ndim != 1 or len(self.breaks) != len(self.values) + 1:
-            raise ValueError("need len(breaks) == len(values) + 1")
-        if np.any(np.diff(self.breaks) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-
-    def value(self, t, side=1):
-        sd = "right" if side > 0 else "left"
-        idx = int(np.searchsorted(self.breaks, t, side=sd)) - 1
-        if 0 <= idx < len(self.values):
-            return complex(self.values[idx])
-        return 0.0j
-
-    def shifted(self, s):
-        return PiecewiseConstant(self.breaks - s, self.values)
-
-    def breakpoints(self):
-        return tuple(self.breaks)
-
-
 class TestFunction:
     """Piecewise-constant R^m-valued test function, zero outside its span.
 
@@ -145,10 +94,6 @@ class TestFunction:
         return self.values.shape[1]
 
     @property
-    def end(self) -> float:
-        return float(self.breaks[-1])
-
-    @property
     def is_zero(self) -> bool:
         return self.values.size == 0 or not np.any(self.values)
 
@@ -165,27 +110,15 @@ class TestFunction:
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(self.breaks)
 
-    def scale(self, factor: float) -> "TestFunction":
-        return TestFunction(self.breaks, self.values * factor)
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def _combine(self, other: "TestFunction", sign: float) -> "TestFunction":
+    def __sub__(self, other: "TestFunction") -> "TestFunction":
         if other.m != self.m:
             raise ValueError("test functions have different m")
         breaks = np.union1d(self.breaks, other.breaks)
         mids = 0.5 * (breaks[:-1] + breaks[1:])
-        vals = np.array([self.value(t) + sign * other.value(t) for t in mids])
+        vals = np.array([self.value(t) - other.value(t) for t in mids])
         if vals.size == 0:
             vals = vals.reshape(0, self.m)
         return TestFunction(breaks, vals)
-
-    def __add__(self, other):
-        return self._combine(other, +1.0)
-
-    def __sub__(self, other):
-        return self._combine(other, -1.0)
 
 
 class FieldProfile:
@@ -195,20 +128,9 @@ class FieldProfile:
         self.signals = tuple(signals)
         self.window = float(window)
 
-    @classmethod
-    def zero(cls, d: int) -> "FieldProfile":
-        return cls((ZERO,) * d, 0.0)
-
     @property
     def d(self) -> int:
         return len(self.signals)
-
-    @property
-    def is_zero(self) -> bool:
-        if self.window <= 0:
-            return True
-        return all(isinstance(s, Constant) and s.value(0.0) == 0
-                   for s in self.signals)
 
     def value(self, t: float, side: int = 1) -> np.ndarray:
         if side > 0:
@@ -230,3 +152,14 @@ class FieldProfile:
         for sig in self.signals:
             pts.extend(sig.breakpoints())
         return tuple(pts)
+
+
+def segments(t_end: float, *sources) -> list[tuple[float, float]]:
+    """Smooth pieces (lo, hi) of [0, t_end], split at every breakpoint of
+    the given signals, test functions, field profiles or observables."""
+    t_end = float(t_end)
+    pts = {0.0, t_end}
+    for src in sources:
+        pts.update(b for b in src.breakpoints() if 0.0 < b < t_end)
+    pts = sorted(pts)
+    return [(lo, hi) for lo, hi in zip(pts[:-1], pts[1:])]

@@ -10,7 +10,8 @@ Counting observables have integer outcomes, so their marginal is
 recovered by a discrete Fourier transform over kappa in [0, 2 pi).
 Diffusive (homodyne) observables have densities, recovered by a
 truncated continuous Fourier transform; the tail of the characteristic
-function must have decayed at the truncation edge.
+function must have decayed at the truncation edge, and the x window must
+be narrower than the period 2 pi / (kappa spacing) of the quadrature.
 """
 
 from __future__ import annotations
@@ -120,17 +121,6 @@ def joint_charfunc(model: ModelSpec, obs: ObservableSpec, field: FieldProfile,
     return out
 
 
-def charfunc_along(model: ModelSpec, obs: ObservableSpec, field: FieldProfile,
-                   rho0: np.ndarray, observable: int, t_end: float,
-                   kappas: np.ndarray,
-                   config: EvolutionConfig | None = None) -> np.ndarray:
-    """Single-increment characteristic function: observable accumulated
-    over [0, t_end], evaluated at the given kappa values."""
-    axis = GridAxis(0, observable, "diffusive", np.asarray(kappas, dtype=float))
-    grid = IncrementGrid((0.0, float(t_end)), (axis,))
-    return joint_charfunc(model, obs, field, rho0, grid, config)
-
-
 # -- inversion ----------------------------------------------------------------
 
 def invert_counting(phi: np.ndarray) -> np.ndarray:
@@ -159,7 +149,11 @@ def invert_counting(phi: np.ndarray) -> np.ndarray:
 def invert_homodyne(kappas: np.ndarray, phi: np.ndarray,
                     x: np.ndarray) -> np.ndarray:
     """Density p(x) = (1/2 pi) int phi(kappa) exp(-i kappa x) d kappa
-    by trapezoid quadrature on the symmetric kappa grid."""
+    by trapezoid quadrature on the symmetric kappa grid.
+
+    The quadrature makes the result periodic in x with period
+    2 pi / (kappa spacing), so the x window must be narrower than that.
+    """
     kappas = np.asarray(kappas, dtype=float)
     phi = np.asarray(phi, dtype=complex)
     x = np.asarray(x, dtype=float)
@@ -168,6 +162,13 @@ def invert_homodyne(kappas: np.ndarray, phi: np.ndarray,
         raise AliasingError(
             f"characteristic function has not decayed at the grid edge "
             f"(|phi| = {edge:.3e}); increase kappa_max")
+    period = 2.0 * np.pi * (len(kappas) - 1) / (kappas[-1] - kappas[0])
+    width = float(np.ptp(x)) if x.size else 0.0
+    if width >= period:
+        raise AliasingError(
+            f"x window of width {width:.6g} is not narrower than the "
+            f"period 2 pi / dkappa = {period:.6g}; raise n_points or "
+            f"narrow the x window")
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     kernel = np.exp(-1j * np.outer(x, kappas))
     vals = trapezoid(kernel * phi[None, :], kappas, axis=1) / (2.0 * np.pi)
@@ -176,66 +177,6 @@ def invert_homodyne(kappas: np.ndarray, phi: np.ndarray,
         raise InversionQualityError(
             f"imaginary residue {residue:.3e} in homodyne inversion")
     return vals.real
-
-
-# -- moments from derivatives at kappa = 0 ------------------------------------
-
-_STENCILS = {
-    1: ((-2, -1, 1, 2), (1 / 12, -2 / 3, 2 / 3, -1 / 12)),
-    2: ((-2, -1, 0, 1, 2), (-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12)),
-    3: ((-3, -2, -1, 1, 2, 3), (1 / 8, -1, 13 / 8, -13 / 8, 1, -1 / 8)),
-    4: ((-3, -2, -1, 0, 1, 2, 3), (-1 / 6, 2, -13 / 2, 28 / 3, -13 / 2, 2, -1 / 6)),
-}
-
-
-def derivative_at_zero(sample, order: int, h: float) -> complex:
-    """Fourth-order central difference; `sample` maps kappa to phi(kappa)."""
-    offsets, coeffs = _STENCILS[order]
-    acc = 0j
-    for off, c in zip(offsets, coeffs):
-        acc += c * (sample(off * h) if off != 0 else sample(0.0))
-    return acc / h ** order
-
-
-def moments(model: ModelSpec, obs: ObservableSpec, field: FieldProfile,
-            rho0: np.ndarray, observable: int, t_end: float,
-            orders=(1, 2), h: float | None = None,
-            config: EvolutionConfig | None = None) -> dict:
-    """Raw moments of one increment from characteristic derivatives.
-
-    moment_k = phi^(k)(0) / i^k.  Each derivative is recomputed at half
-    step; the pair gives a consistency estimate alongside the value.
-    """
-    cache = {}
-
-    def sample(kappa: float) -> complex:
-        if kappa not in cache:
-            cache[kappa] = charfunc_along(model, obs, field, rho0,
-                                          observable, t_end,
-                                          np.array([kappa]), config)[0]
-        return cache[kappa]
-
-    if h is None:
-        h = 1e-2
-    out = {}
-    for k in orders:
-        if k not in _STENCILS:
-            raise ValidationError(f"moment order {k} not supported (1..4)")
-        d_full = derivative_at_zero(sample, k, h)
-        d_half = derivative_at_zero(sample, k, 0.5 * h)
-        mom = d_half / 1j ** k
-        out[k] = {
-            "value": complex(mom),
-            "richardson_error": float(abs(d_full - d_half) / 15.0),
-        }
-    return out
-
-
-def suggested_kappa_max(sigma: float, factor: float = 12.0) -> float:
-    """Grid half-width from an estimated standard deviation."""
-    if sigma <= 0:
-        raise ValidationError("sigma must be positive")
-    return factor / sigma
 
 
 def counting_distribution(model: ModelSpec, obs: ObservableSpec,

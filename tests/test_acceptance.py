@@ -15,12 +15,11 @@ import pytest
 import helpers
 from contmeas import (Constant, DpoParams, EvolutionConfig, FieldProfile,
                       GeneratorContext, ObservableSpec, TestFunction,
-                      TruncatedSpace, ZERO, apply_generator,
-                      check_dissipativity, composition_check,
-                      counting_distribution, dense_expm_propagate,
-                      dpo_laser_field, dpo_model, dpo_observables,
-                      duality_check, evolve, homodyne_distribution,
-                      ladder_b, midpoint_time_map, trivial_model)
+                      TruncatedSpace, ZERO, check_dissipativity,
+                      composition_check, counting_distribution,
+                      dense_expm_propagate, dpo_laser_field, dpo_model,
+                      dpo_observables, duality_check, evolve, generator_at,
+                      homodyne_distribution, ladder_b, trivial_model)
 
 
 _CAPSYS = None
@@ -94,7 +93,7 @@ def test_criterion_02_generator_matches_master_equation():
     for _ in range(100):
         rho = helpers.random_hermitian(model.space.dim, rng)
         t = rng.uniform(0.0, 3.9)
-        lhs = apply_generator(ctx, t, rho)
+        lhs = generator_at(ctx, t).apply(rho)
         rhs = helpers.master_equation_rhs(params, n_max, m_max, t, rho)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     report(2, "max generator vs master-equation deviation, 100 samples",
@@ -244,9 +243,8 @@ def test_criterion_09_independent_oracles():
                            kappa=kappa)
     rho0 = vacuum(model.space.dim)
     reference = dense_expm_propagate(model, obs, field, kappa, rho0, T)
-    tmap = midpoint_time_map(ctx.breakpoints(T), T)
     engine = evolve(ctx, rho0, T,
-                    EvolutionConfig(dt=2e-3, time_map=tmap,
+                    EvolutionConfig(dt=2e-3, freeze=True,
                                     contractivity_check="off")).final
     expm_dev = float(np.max(np.abs(engine - reference)))
     report(9, "engine vs dense matrix exponential", expm_dev, 1e-8)

@@ -1,5 +1,6 @@
 import csv
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -131,6 +132,24 @@ def test_oracle_compare(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["dense_expm_deviation"] < 1e-8
     assert report["duality_residual"] < 1e-7
+
+
+def test_threads_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", write(tmp_path, dpo_config()),
+              "--threads", "1"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_homodyne_window_wider_than_period_exit_5(tmp_path, capsys):
+    # kappa spacing 1 gives the period 2 pi, narrower than x in [-4, 4]
+    shipped = pathlib.Path(__file__).parent.parent / "configs"
+    cfg = json.loads((shipped / "dpo_homodyne.json").read_text())
+    cfg["run"].update(kappa_max=8.0, n_points=17, x_points=17)
+    code = main(["homodyne", "--config", write(tmp_path, cfg)])
+    assert code == 5
+    assert "narrow the x window" in capsys.readouterr().err
 
 
 def test_bad_run_key_rejected(tmp_path, capsys):

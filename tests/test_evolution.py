@@ -3,11 +3,13 @@ import pytest
 
 import helpers
 from contmeas import (Constant, ContractivityError, EvolutionConfig,
-                      FieldProfile, GeneratorContext, IntegrationError,
+                      FieldProfile, GeneratorContext, Harmonic,
+                      IntegrationError,
                       ModelSpec, ObservableSpec, SystemOperator, TestFunction,
                       TruncatedSpace, ZERO, composition_check,
                       dpo_laser_field, dpo_model, dpo_observables, evolve,
                       is_state, trivial_model)
+from contmeas.generator import context_is_piecewise_static
 
 
 def dpo_context(seed=0, n_max=6, m_max=4, horizon=3.0, kappa=None):
@@ -106,6 +108,16 @@ def test_composition_check_reports_small_deviation():
     assert abs(np.trace(report["two_leg"])) <= 1.0 + 1e-9
 
 
+def test_composition_check_refinement_keeps_step_budget():
+    # the step-halved reference run inherits max_steps from the caller:
+    # 280 steps cover the plain runs at dt 5e-3, not the refined one
+    kappa = TestFunction([0.0, 0.6, 1.4], [[0.3, 0.0, 0.5], [0.2, 0.4, 0.0]])
+    ctx, params, rng = dpo_context(seed=5, n_max=2, m_max=2, kappa=kappa)
+    with pytest.raises(IntegrationError):
+        composition_check(ctx, vacuum(ctx.model.space.dim), 0.6, 1.4,
+                          EvolutionConfig(dt=5e-3, max_steps=280))
+
+
 def test_is_state():
     rng = np.random.default_rng(6)
     rho = helpers.random_density(5, rng)
@@ -139,17 +151,21 @@ def test_bad_inputs_rejected():
 
 def test_static_fast_path_matches_generic():
     # trivial model with constant field: the frozen-generator path must
-    # give the same answer as the stage-by-stage evaluation
+    # give the same answer as the stage-by-stage evaluation, forced here
+    # by writing the same field as a zero-frequency harmonic
     model = trivial_model(1)
     obs = ObservableSpec.counting_only(1, 2.0, np.array([[1.0]]))
-    field = FieldProfile((Constant(0.7 + 0.2j),), 2.0)
     kappa = TestFunction([0.0, 1.0, 2.0], [[0.5], [1.1]])
-    ctx = GeneratorContext(model=model, observables=obs, field=field,
-                           kappa=kappa)
     rho0 = np.array([[1.0 + 0j]])
+    ctx = GeneratorContext(model=model, observables=obs, kappa=kappa,
+                           field=FieldProfile((Constant(0.7 + 0.2j),), 2.0))
+    generic = GeneratorContext(model=model, observables=obs, kappa=kappa,
+                               field=FieldProfile((Harmonic(0.7 + 0.2j),),
+                                                  2.0))
+    assert context_is_piecewise_static(ctx)
+    assert not context_is_piecewise_static(generic)
     fast = evolve(ctx, rho0, 2.0, EvolutionConfig(dt=1e-3))
-    slow = evolve(ctx, rho0, 2.0,
-                  EvolutionConfig(dt=1e-3, time_map=lambda t, side: t))
+    slow = evolve(generic, rho0, 2.0, EvolutionConfig(dt=1e-3))
     assert abs(fast.final[0, 0] - slow.final[0, 0]) < 1e-12
     # closed form: counting with intensity |f|^2 gives the Poisson
     # characteristic function exp((e^{i kappa} - 1) |f|^2 T) per window

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from contmeas import (DimensionMismatchError, SystemOperator, TruncatedSpace,
-                      guard_band_leakage, ladder_a, ladder_a_dag, ladder_b,
-                      ladder_b_dag, number_a, number_b)
+from contmeas import (DimensionMismatchError, DpoParams, SystemOperator,
+                      TruncatedSpace, dpo_model, guard_band_leakage, ladder_a,
+                      ladder_a_dag, ladder_b, ladder_b_dag)
+from contmeas.generator import _OperatorCache, _rmul
 
 
 def test_index_unravel_roundtrip():
@@ -13,7 +14,7 @@ def test_index_unravel_roundtrip():
     for n in range(6):
         for m in range(4):
             idx = sp.index(n, m)
-            assert sp.unravel(idx) == (n, m)
+            assert divmod(idx, sp.m_max + 1) == (n, m)
             seen.add(idx)
     assert seen == set(range(sp.dim))
 
@@ -47,8 +48,8 @@ def test_raising_drops_top_row():
 
 def test_commutator_on_interior():
     sp = TruncatedSpace(6, 5)
-    a, ad = ladder_a(sp), ladder_a_dag(sp)
-    comm = a.commutator(ad).to_dense()
+    a, ad = ladder_a(sp).to_dense(), ladder_a_dag(sp).to_dense()
+    comm = a @ ad - ad @ a
     for n in range(6):       # identity except on the top ladder rung
         for m in range(6):
             idx = sp.index(n, m)
@@ -56,46 +57,54 @@ def test_commutator_on_interior():
 
 
 def test_number_operators():
+    # a^dag a and b^dag b count the quanta of each mode, cutoff included
     sp = TruncatedSpace(3, 3)
-    na = number_a(sp).to_dense()
-    nb = number_b(sp).to_dense()
+    na = ladder_a_dag(sp).to_dense() @ ladder_a(sp).to_dense()
+    nb = ladder_b_dag(sp).to_dense() @ ladder_b(sp).to_dense()
     for n in range(4):
         for m in range(4):
             idx = sp.index(n, m)
-            assert na[idx, idx] == n
-            assert nb[idx, idx] == m
+            assert na[idx, idx] == pytest.approx(n)
+            assert nb[idx, idx] == pytest.approx(m)
 
 
 def test_adjoint_matches_dense():
-    sp = TruncatedSpace(3, 2)
-    a = ladder_a(sp)
-    assert np.max(np.abs(a.adjoint().to_dense() - a.to_dense().conj().T)) == 0
+    # the generator's cached adjoints of K and the R_i
+    params = DpoParams.from_splittings(omega_c=1.0, g=0.3, kappa=0.5,
+                                       kappa_p=1.0, nbar=0.2, nbar_p=0.1)
+    model = dpo_model(params, TruncatedSpace(3, 2))
+    cache = _OperatorCache(model)
+    assert np.max(np.abs(cache.K_dag.toarray()
+                         - model.K.to_dense().conj().T)) == 0
+    for R, R_dag in zip(model.R, cache.R_dag):
+        assert np.max(np.abs(R_dag.toarray() - R.to_dense().conj().T)) == 0
 
 
 def test_density_applications_match_dense():
     rng = np.random.default_rng(3)
     sp = TruncatedSpace(3, 3)
-    X = ladder_a(sp) + 0.3j * ladder_b_dag(sp)
+    X = ladder_a(sp).matrix + 0.3j * ladder_b_dag(sp).matrix
     rho = rng.standard_normal((sp.dim, sp.dim)) \
         + 1j * rng.standard_normal((sp.dim, sp.dim))
-    Xd = X.to_dense()
-    assert np.allclose(X.apply_to_density_left(rho), Xd @ rho, atol=1e-14)
-    assert np.allclose(X.apply_to_density_right(rho), rho @ Xd, atol=1e-14)
+    Xd = X.toarray()
+    assert np.allclose(X @ rho, Xd @ rho, atol=1e-14)
+    assert np.allclose(_rmul(X, rho), rho @ Xd, atol=1e-14)
 
 
 def test_algebra_operators():
     sp = TruncatedSpace(2, 2)
-    a, b = ladder_a(sp), ladder_b(sp)
-    combo = (2.0 * a - b @ a + (-a)).to_dense()
-    ref = 2.0 * a.to_dense() - b.to_dense() @ a.to_dense() - a.to_dense()
-    assert np.allclose(combo, ref, atol=1e-15)
+    a = ladder_a(sp)
+    assert np.allclose((2.0 * a).to_dense(), 2.0 * a.to_dense(), atol=1e-15)
+    assert np.allclose((a * 0.5j).to_dense(), 0.5j * a.to_dense(),
+                       atol=1e-15)
+    assert (0.0 * a).nnz == 0   # exact zeros are dropped
 
 
 def test_space_mismatch_raises():
     a1 = ladder_a(TruncatedSpace(2, 2))
     a2 = ladder_a(TruncatedSpace(3, 2))
     with pytest.raises(DimensionMismatchError):
-        a1 + a2
+        SystemOperator(a1.space, a2.matrix)
     with pytest.raises(DimensionMismatchError):
         a1.apply_to_vector(np.zeros(16))
 
@@ -103,9 +112,10 @@ def test_space_mismatch_raises():
 def test_from_entries_and_entry():
     sp = TruncatedSpace(2, 1)
     op = SystemOperator.from_entries(sp, {(0, 1): 2.5j, (3, 3): -1.0})
-    assert op.entry(0, 1) == 2.5j
-    assert op.entry(3, 3) == -1.0
-    assert op.entry(1, 0) == 0.0
+    dense = op.to_dense()
+    assert dense[0, 1] == 2.5j
+    assert dense[3, 3] == -1.0
+    assert dense[1, 0] == 0.0
     assert op.nnz == 2
 
 

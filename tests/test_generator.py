@@ -4,10 +4,10 @@ import pytest
 import helpers
 from contmeas import (Constant, DpoParams, FieldProfile, GeneratorContext,
                       TestFunction, TruncatedSpace, ValidationError, ZERO,
-                      apply_generator, channel_operator, dpo_laser_field,
-                      dpo_model, dpo_observables, drift_operator,
-                      generator_at, kernel_coefficients, scalar_rate)
+                      dpo_laser_field, dpo_model, dpo_observables,
+                      generator_at, scalar_rate)
 from contmeas.generator import context_is_piecewise_static
+from contmeas.oracle import _dense_superoperator
 
 
 def build_setup(seed=0, n_max=4, m_max=3, horizon=2.0):
@@ -26,27 +26,19 @@ def random_kappa(rng, horizon, m=3):
 
 
 def test_slow_assembly_agrees_with_weights():
-    """Brute-force operator assembly from the drift/channel formulas must
-    match the weight-based fast path entrywise."""
+    """The oracle's dense superoperator, assembled from the drift and
+    channel formulas, must match the weight-based fast path entrywise."""
     rng, params, model, obs, field = build_setup(seed=2)
     kappa = random_kappa(rng, 2.0)
     ctx = GeneratorContext(model=model, observables=obs, field=field,
                            kappa=kappa)
+    dim = model.space.dim
     for t in (0.3, 0.9, 1.7):
-        k = kappa.value(t)
-        lam = field.value(t)
-        s = obs.kernel_diagonal(k)
-        r_p = obs.r_vector(k, t)
-        r_m = obs.r_vector(-k, t)
-        K_l = drift_operator(model, lam, r_m).to_dense()
-        K_r = drift_operator(model, lam, r_p).to_dense()
-        B = [channel_operator(model, i, lam).to_dense() for i in range(8)]
-        rate = scalar_rate(obs, k, t)
-        tau = helpers.random_hermitian(model.space.dim, rng)
-        slow = K_l @ tau + tau @ K_r.conj().T + rate * tau
-        for i in range(8):
-            slow += s[i] * (B[i] @ tau @ B[i].conj().T)
-        fast = apply_generator(ctx, t, tau)
+        assert np.any(kappa.value(t))
+        tau = helpers.random_hermitian(dim, rng)
+        M = _dense_superoperator(model, obs, field, kappa, t)
+        slow = (M @ tau.reshape(-1, order="F")).reshape(dim, dim, order="F")
+        fast = generator_at(ctx, t).apply(tau)
         assert np.max(np.abs(slow - fast)) < 1e-12
 
 
@@ -81,7 +73,7 @@ def test_trace_annihilated_without_test_function():
         rho[~mask, :] = 0.0
         rho[:, ~mask] = 0.0
         rho = rho / np.trace(rho)
-        out = apply_generator(ctx, rng.uniform(0, 1.9), rho)
+        out = generator_at(ctx, rng.uniform(0, 1.9)).apply(rho)
         assert abs(np.trace(out)) < 1e-12
 
 
@@ -90,7 +82,7 @@ def test_hermiticity_preserved_without_test_function():
     ctx = GeneratorContext(model=model, observables=obs, field=field,
                            kappa=TestFunction.zero(3))
     rho = helpers.random_hermitian(model.space.dim, rng)
-    out = apply_generator(ctx, 0.4, rho)
+    out = generator_at(ctx, 0.4).apply(rho)
     assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
 
@@ -107,12 +99,14 @@ def test_generator_matches_master_equation():
     for _ in range(5):
         rho = helpers.random_hermitian(model.space.dim, rng)
         t = rng.uniform(0, 2.9)
-        lhs = apply_generator(ctx, t, rho)
+        lhs = generator_at(ctx, t).apply(rho)
         rhs = helpers.master_equation_rhs(params, n_max, m_max, t, rho)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_kernel_coefficient_symmetry():
+    # the kernel coefficients (scalar rate c, vector r, diagonal s) obey
+    # conj(c(-k)) = c(k), conj(r(-k)) = -conj(r(k)) s(k), conj(s(-k)) = s(k)
     obs = dpo_observables(DpoParams.from_splittings(
         omega_c=1.1, g=0.3, kappa=0.4, kappa_p=0.9, theta3=0.2,
         lambda_drive=0.05), horizon=2.0)
@@ -120,23 +114,39 @@ def test_kernel_coefficient_symmetry():
     for _ in range(200):
         kappa = rng.uniform(-3, 3, 3)
         t = rng.uniform(0, 2.0)
-        G_plus = kernel_coefficients(obs, kappa, t)
-        G_minus = kernel_coefficients(obs, -kappa, t)
-        assert np.max(np.abs(np.conj(G_minus) - G_plus.T)) < 1e-12
+        s = obs.kernel_diagonal(kappa)
+        assert np.allclose(np.conj(obs.kernel_diagonal(-kappa)), s,
+                           rtol=0, atol=1e-12)
+        assert np.allclose(np.conj(obs.r_vector(-kappa, t)),
+                           -np.conj(obs.r_vector(kappa, t)) * s,
+                           rtol=0, atol=1e-12)
+        assert abs(np.conj(scalar_rate(obs, -kappa, t))
+                   - scalar_rate(obs, kappa, t)) < 1e-12
 
 
 def test_kernel_coefficient_layout():
-    obs = dpo_observables(DpoParams.from_splittings(
-        omega_c=1.0, g=0.3, kappa=0.4, kappa_p=0.9), horizon=1.0)
+    # generator_at folds s, r(+/-kappa) and the scalar rate into the
+    # weights in the layout documented on FrozenGenerator
+    rng, params, model, obs, field = build_setup(seed=3)
     kappa = np.array([0.5, -0.2, 0.8])
+    ctx = GeneratorContext(model=model, observables=obs, field=field,
+                           kappa=TestFunction([0.0, 1.0], [kappa]))
     t = 0.3
-    G = kernel_coefficients(obs, kappa, t)
+    g = generator_at(ctx, t)
+    lam = field.value(t)
+    mu = model.S @ lam
     s = obs.kernel_diagonal(kappa)
-    r = obs.r_vector(kappa, t)
-    assert np.allclose(np.diag(G)[1:], s - 1.0)
-    assert np.allclose(G[1:, 0], r)
-    assert np.allclose(G[0, 1:], -np.conj(r) * s)
-    assert G[0, 0] == pytest.approx(scalar_rate(obs, kappa, t))
+    r_p = obs.r_vector(kappa, t)
+    r_m = obs.r_vector(-kappa, t)
+    assert np.allclose(g.s, s)
+    assert np.allclose(g.w_left, np.conj(r_m) + s * np.conj(mu))
+    assert np.allclose(g.w_left_dag, -mu)
+    assert np.allclose(g.w_right, -np.conj(mu))
+    assert np.allclose(g.w_right_dag, r_p + s * mu)
+    scalar = (-np.vdot(lam, lam).real + np.conj(r_m) @ mu
+              + r_p @ np.conj(mu) + s @ np.abs(mu) ** 2
+              + scalar_rate(obs, kappa, t))
+    assert g.scalar == pytest.approx(scalar, abs=1e-12)
 
 
 def test_context_validation():
@@ -155,11 +165,13 @@ def test_context_breakpoints_and_shift():
     kappa = TestFunction([0.0, 0.5, 1.5], [[0.1, 0, 0], [0, 0.2, 0]])
     ctx = GeneratorContext(model=model, observables=obs, field=field,
                            kappa=kappa)
-    assert set(ctx.breakpoints(1.8)) == {0.5, 1.5}
+    assert ctx.segments(1.8) == [(0.0, 0.5), (0.5, 1.5), (1.5, 1.8)]
+    assert ctx.segments(2.5) == [(0.0, 0.5), (0.5, 1.5), (1.5, 2.0),
+                                 (2.0, 2.5)]   # field window ends at 2
     moved = ctx.shifted(0.5)
     tau = np.eye(model.space.dim, dtype=complex)
-    a = apply_generator(ctx, 1.0, tau)
-    b = apply_generator(moved, 0.5, tau)
+    a = generator_at(ctx, 1.0).apply(tau)
+    b = generator_at(moved, 0.5).apply(tau)
     assert np.max(np.abs(a - b)) < 1e-12
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import helpers
 from contmeas import (DpoParams, ModelSpec, TruncatedSpace, ValidationError,
-                      check_dissipativity, check_S_unitary, derived_N,
+                      check_dissipativity, check_S_unitary,
                       dpo_laser_field, dpo_model, trivial_model)
 
 
@@ -61,13 +61,13 @@ def test_drift_coupling_entries():
     g = 0.4
     p = default_params(g=g)
     model = dpo_model(p, sp)
-    K = model.K
+    K = model.K.to_dense()
     # |0,1> gains from the two-photon down-conversion into |2,0>
-    assert K.entry(sp.index(2, 0), sp.index(0, 1)) == pytest.approx(
+    assert K[sp.index(2, 0), sp.index(0, 1)] == pytest.approx(
         g / 2 * np.sqrt(2))
-    assert K.entry(sp.index(4, 1), sp.index(2, 2)) == pytest.approx(
+    assert K[sp.index(4, 1), sp.index(2, 2)] == pytest.approx(
         g / 2 * np.sqrt(4 * 3 * 2))
-    assert K.entry(sp.index(1, 2), sp.index(3, 1)) == pytest.approx(
+    assert K[sp.index(1, 2), sp.index(3, 1)] == pytest.approx(
         -g / 2 * np.sqrt(2 * 2 * 3))
 
 
@@ -79,7 +79,8 @@ def test_drift_diagonal():
     expected = -(p.kappa * p.nbar + p.kappa_p * p.nbar_p
                  + 1j * p.omega_c * n + p.kappa * (2 * p.nbar + 1) * n
                  + 2j * p.omega_c * m + p.kappa_p * (2 * p.nbar_p + 1) * m)
-    assert model.K.entry(sp.index(n, m), sp.index(n, m)) == pytest.approx(expected)
+    diag = model.K.to_dense()[sp.index(n, m), sp.index(n, m)]
+    assert diag == pytest.approx(expected)
 
 
 def test_drift_matches_independent_dense():
@@ -121,16 +122,13 @@ def test_guard_too_large_raises():
         check_dissipativity(model, guard=3)
 
 
-def test_scattering_unitary_and_derived_N():
+def test_scattering_unitary():
     p = default_params()
     model = dpo_model(p, TruncatedSpace(3, 3))
     assert check_S_unitary(model) == 0.0
-    # S is the identity, so N_j = -R_j^dag
-    for j in range(1, 9):
-        dev = (derived_N(model, j) + model.R[j - 1].adjoint()).max_abs()
-        assert dev == 0.0
-    with pytest.raises(IndexError):
-        derived_N(model, 9)
+    doubled = ModelSpec(space=model.space, d=8, K=model.K, R=model.R,
+                        S=2.0 * np.eye(8))
+    assert check_S_unitary(doubled) == pytest.approx(3.0)
 
 
 def test_model_spec_validation():

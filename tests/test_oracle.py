@@ -7,7 +7,7 @@ from contmeas import (Constant, EvolutionConfig, FieldProfile,
                       TestFunction, TruncatedSpace, ValidationError, ZERO,
                       dense_expm_propagate, dpo_laser_field, dpo_model,
                       dpo_observables, duality_check, evolve,
-                      midpoint_time_map, system_free_charfunc, trivial_model)
+                      system_free_charfunc, trivial_model)
 
 
 def small_dpo(seed, n_max=2, m_max=2, horizon=2.0):
@@ -43,7 +43,7 @@ def test_system_free_matches_engine():
         assert abs(engine - exact) < 1e-9
 
 
-def test_dense_expm_matches_engine_with_time_map():
+def test_dense_expm_matches_frozen_engine():
     model, obs, field, rng = small_dpo(seed=3)
     kappa = TestFunction([0.0, 0.7, 1.4, 2.0],
                          [[0.4, -0.2, 0.3], [0.1, 0.5, 0.0],
@@ -52,13 +52,10 @@ def test_dense_expm_matches_engine_with_time_map():
     rho0[0, 0] = 1.0
     t_end = 2.0
     oracle = dense_expm_propagate(model, obs, field, kappa, rho0, t_end)
-    breaks = (list(kappa.breakpoints()) + list(field.breakpoints())
-              + list(obs.all_breakpoints()))
-    tmap = midpoint_time_map(breaks, t_end)
     ctx = GeneratorContext(model=model, observables=obs, field=field,
                            kappa=kappa)
     engine = evolve(ctx, rho0, t_end,
-                    EvolutionConfig(dt=2e-3, time_map=tmap,
+                    EvolutionConfig(dt=2e-3, freeze=True,
                                     contractivity_check="off")).final
     assert np.max(np.abs(engine - oracle)) < 1e-9
 
@@ -82,15 +79,3 @@ def test_duality_residual_small():
     out = duality_check(ctx, rho0, X, 1.7, EvolutionConfig(dt=1e-3))
     assert out["residual"] < 1e-9
     assert abs(out["forward"] - out["backward"]) == out["residual"]
-
-
-def test_midpoint_time_map_sides():
-    tmap = midpoint_time_map([1.0, 2.0], 3.0)
-    assert tmap(0.2, 1) == pytest.approx(0.5)
-    assert tmap(1.5, 1) == pytest.approx(1.5)
-    assert tmap(2.7, 1) == pytest.approx(2.5)
-    # exactly on a breakpoint: the side picks the segment
-    assert tmap(1.0, 1) == pytest.approx(1.5)
-    assert tmap(1.0, -1) == pytest.approx(0.5)
-    assert tmap(3.0, -1) == pytest.approx(2.5)
-    assert tmap(0.0, 1) == pytest.approx(0.5)

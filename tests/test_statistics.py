@@ -5,11 +5,9 @@ import pytest
 
 from contmeas import (AliasingError, Constant, EvolutionConfig, FieldProfile,
                       GridAxis, IncrementGrid, InversionQualityError,
-                      ObservableSpec, ValidationError, ZERO, counting_axis,
-                      counting_distribution, charfunc_along, derivative_at_zero,
-                      diffusive_axis, homodyne_distribution, invert_counting,
-                      invert_homodyne, joint_charfunc, moments,
-                      suggested_kappa_max, trivial_model)
+                      ObservableSpec, ValidationError, counting_axis,
+                      counting_distribution, diffusive_axis, invert_counting,
+                      invert_homodyne, joint_charfunc, trivial_model)
 
 
 def poisson_setup(amplitude=np.sqrt(2.0), horizon=1.0):
@@ -93,12 +91,16 @@ def test_invert_homodyne_detects_aliasing():
         invert_homodyne(kappas, phi, np.linspace(-3, 3, 11))
 
 
-def test_derivative_stencils_on_polynomials():
-    f = lambda k: 1.0 + 2.0 * k + 0.5 * k ** 2 - k ** 3 + 0.25 * k ** 4
-    exact = {1: 2.0, 2: 1.0, 3: -6.0, 4: 6.0}
-    for order, val in exact.items():
-        d = derivative_at_zero(f, order, 0.1)
-        assert abs(d - val) < 1e-9 * max(1.0, abs(val))
+def test_invert_homodyne_rejects_window_wider_than_period():
+    # spacing 1 gives the period 2 pi: the density repeats every 6.28
+    kappas = np.linspace(-8.0, 8.0, 17)
+    phi = np.exp(-0.5 * kappas ** 2)
+    dens = invert_homodyne(kappas, phi, np.linspace(-3.0, 3.0, 13))
+    assert dens[6] == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), abs=1e-7)
+    with pytest.raises(AliasingError, match="n_points"):
+        invert_homodyne(kappas, phi, np.linspace(-4.0, 4.0, 17))
+    with pytest.raises(AliasingError):
+        invert_homodyne(kappas, phi, np.array([0.0, 2.0 * np.pi]))
 
 
 def test_counting_distribution_is_poisson():
@@ -115,13 +117,11 @@ def test_counting_distribution_is_poisson():
 def test_moments_of_poisson_count():
     model, obs, field, rho0 = poisson_setup()
     mu = 2.0
-    out = moments(model, obs, field, rho0, 1, 1.0, orders=(1, 2),
-                  config=EvolutionConfig(dt=2e-3))
-    m1 = out[1]["value"]
-    m2 = out[2]["value"]
-    assert abs(m1 - mu) < 1e-6
-    assert abs(m2 - (mu + mu ** 2)) < 1e-5
-    assert out[1]["richardson_error"] < 1e-6
+    p = counting_distribution(model, obs, field, rho0, 1, 1.0, n_points=64,
+                              config=EvolutionConfig(dt=2e-3))
+    n = np.arange(len(p))
+    assert abs(n @ p - mu) < 1e-6
+    assert abs(n ** 2 @ p - (mu + mu ** 2)) < 1e-5
 
 
 def test_joint_charfunc_factorizes_disjoint_windows():
@@ -137,14 +137,10 @@ def test_joint_charfunc_factorizes_disjoint_windows():
     assert abs(phi[1, 1] - phi[1, 0] * phi[0, 1]) < 1e-9
 
 
-def test_suggested_kappa_max():
-    assert suggested_kappa_max(2.0) == pytest.approx(6.0)
-    with pytest.raises(ValidationError):
-        suggested_kappa_max(0.0)
-
-
 def test_charfunc_along_at_zero_is_trace():
     model, obs, field, rho0 = poisson_setup()
-    phi = charfunc_along(model, obs, field, rho0, 1, 1.0,
-                         np.array([0.0]), EvolutionConfig(dt=1e-2))
+    axis = GridAxis(0, 1, "diffusive", np.array([0.0]))
+    phi = joint_charfunc(model, obs, field, rho0,
+                         IncrementGrid((0.0, 1.0), (axis,)),
+                         EvolutionConfig(dt=1e-2))
     assert abs(phi[0] - 1.0) < 1e-12
