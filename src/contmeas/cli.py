@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .config import (build_evolution, build_field, build_initial_state,
-                     build_kappa, build_model, build_observables, load_config)
+                     build_kappa, build_model, build_observables, build_run,
+                     load_config)
 from .errors import (ConfigError, IntegrationError, InversionQualityError,
                      ValidationError)
 from .evolution import evolve
@@ -75,32 +76,23 @@ class Run:
         self.evo = build_evolution(cfg.get("evolution"))
         self.rho0 = build_initial_state(cfg.get("initial_state"), self.model)
         self.kappa = build_kappa(cfg.get("kappa"), self.obs.m)
-        run = cfg.get("run") or {}
-        if not isinstance(run, dict):
-            raise ConfigError("run: expected an object")
-        allowed = {"t_end", "observable", "n_points", "kappa_max",
-                   "x_min", "x_max", "x_points", "guard"}
-        bad = set(run) - allowed
-        if bad:
-            raise ConfigError(f"run: unknown keys {sorted(bad)}")
-        self.run = run
+        self.run = build_run(cfg.get("run"))
         self.seed = 0 if seed is None else seed
 
     def t_end(self) -> float:
         t = self.run.get("t_end", self.obs.horizon)
-        t = float(t)
         if not 0 < t <= self.obs.horizon:
             raise ConfigError("run.t_end must lie in (0, horizon]")
         return t
 
     def observable(self) -> int:
         idx = self.run.get("observable")
-        if not isinstance(idx, int) or not 1 <= idx <= self.obs.m:
+        if idx is None or idx > self.obs.m:
             raise ConfigError(f"run.observable must be 1..{self.obs.m}")
         return idx
 
     def guard(self) -> int:
-        return int(self.run.get("guard", 2))
+        return self.run.get("guard", 2)
 
     def context(self, kappa=None) -> GeneratorContext:
         return GeneratorContext(model=self.model, observables=self.obs,
@@ -206,7 +198,7 @@ def cmd_charfunc(run: Run, out):
 
 def cmd_counts(run: Run, out):
     t_end = run.t_end()
-    n_points = int(run.run.get("n_points", 256))
+    n_points = run.run.get("n_points", 256)
     p = counting_distribution(run.model, run.obs, run.field, run.rho0,
                               run.observable(), t_end, n_points, run.evo)
     header = dict(run.header())
@@ -217,11 +209,11 @@ def cmd_counts(run: Run, out):
 
 def cmd_homodyne(run: Run, out):
     t_end = run.t_end()
-    n_points = int(run.run.get("n_points", 257))
-    kappa_max = float(run.run.get("kappa_max", 12.0))
-    x_min = float(run.run.get("x_min", -6.0))
-    x_max = float(run.run.get("x_max", 6.0))
-    x_points = int(run.run.get("x_points", 201))
+    n_points = run.run.get("n_points", 257)
+    kappa_max = run.run.get("kappa_max", 12.0)
+    x_min = run.run.get("x_min", -6.0)
+    x_max = run.run.get("x_max", 6.0)
+    x_points = run.run.get("x_points", 201)
     x = np.linspace(x_min, x_max, x_points)
     p = homodyne_distribution(run.model, run.obs, run.field, run.rho0,
                               run.observable(), t_end, kappa_max, x,

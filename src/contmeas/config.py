@@ -2,13 +2,14 @@
 
 Complex numbers are written as two-element arrays [re, im].  Unknown keys
 are rejected so that typos fail loudly instead of silently using a
-default.
+default, and every number must be finite.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -37,13 +38,36 @@ def load_config(path: str) -> dict:
     return data
 
 
+def _real(node, where: str) -> float:
+    """A finite JSON number; booleans, strings and NaN/Infinity fail."""
+    if (isinstance(node, bool) or not isinstance(node, (int, float))
+            or not math.isfinite(node)):
+        raise ConfigError(f"{where}: expected a finite number, got {node!r}")
+    return float(node)
+
+
+def _integer(node, where: str, minimum: int = 0) -> int:
+    """A JSON integer no smaller than `minimum`."""
+    if isinstance(node, bool) or not isinstance(node, int) or node < minimum:
+        raise ConfigError(f"{where}: expected an integer >= {minimum}, "
+                          f"got {node!r}")
+    return node
+
+
 def _complex(node, where: str) -> complex:
-    if isinstance(node, (int, float)):
-        return complex(node)
-    if (isinstance(node, list) and len(node) == 2
-            and all(isinstance(x, (int, float)) for x in node)):
-        return complex(node[0], node[1])
-    raise ConfigError(f"{where}: expected a number or [re, im] pair")
+    """A finite number or a finite [re, im] pair."""
+    pair = node if isinstance(node, list) and len(node) == 2 else (node, 0.0)
+    return complex(*(_real(x, where) for x in pair))
+
+
+def _rows(node, where: str, width: int) -> np.ndarray:
+    """Non-empty list of rows of `width` finite numbers, as an array."""
+    if (not isinstance(node, list) or not node
+            or not all(isinstance(r, list) and len(r) == width for r in node)):
+        raise ConfigError(f"{where}: expected rows of {width} numbers")
+    return np.array([[_real(x, f"{where}[{a}][{i}]")
+                      for i, x in enumerate(row)]
+                     for a, row in enumerate(node)])
 
 
 def _take(node: dict, where: str, required=(), optional=()):
@@ -64,15 +88,13 @@ def build_model(cfg: dict):
                  optional=("truncation", "params", "d"))
     kind = node["type"]
     if kind == "trivial":
-        d = node.get("d")
-        if not isinstance(d, int) or d < 1:
-            raise ConfigError("model: trivial model needs integer d >= 1")
-        return trivial_model(d), None
+        return trivial_model(_integer(node.get("d"), "model.d", 1)), None
     if kind != "dpo":
         raise ConfigError(f"model: unknown type {kind!r}")
     tr = _take(node.get("truncation", {}), "model.truncation",
                required=("n_max", "m_max"))
-    space = TruncatedSpace(int(tr["n_max"]), int(tr["m_max"]))
+    space = TruncatedSpace(_integer(tr["n_max"], "model.truncation.n_max"),
+                           _integer(tr["m_max"], "model.truncation.m_max"))
     p = _take(node.get("params", {}), "model.params",
               required=("omega_c", "g", "kappa", "nbar", "kappa_p", "nbar_p",
                         "alpha", "beta"),
@@ -80,13 +102,13 @@ def build_model(cfg: dict):
     for key in ("alpha", "beta"):
         if not isinstance(p[key], list) or len(p[key]) != 4:
             raise ConfigError(f"model.params.{key}: expected 4 entries")
+    real = {key: _real(p.get(key, 0.0), f"model.params.{key}")
+            for key in ("omega_c", "g", "kappa", "nbar", "kappa_p", "nbar_p",
+                        "theta3")}
     params = DpoParams(
-        omega_c=float(p["omega_c"]), g=float(p["g"]),
-        kappa=float(p["kappa"]), nbar=float(p["nbar"]),
-        kappa_p=float(p["kappa_p"]), nbar_p=float(p["nbar_p"]),
+        **real,
         alpha=tuple(_complex(x, "model.params.alpha") for x in p["alpha"]),
         beta=tuple(_complex(x, "model.params.beta") for x in p["beta"]),
-        theta3=float(p.get("theta3", 0.0)),
         lambda_drive=_complex(p.get("lambda_drive", 0.0),
                               "model.params.lambda_drive"))
     try:
@@ -102,19 +124,15 @@ def build_model(cfg: dict):
 def build_observables(cfg: dict, model: ModelSpec, params) -> ObservableSpec:
     node = _take(cfg, "observables", required=("type", "horizon"),
                  optional=("eigenvalues",))
-    horizon = float(node["horizon"])
+    horizon = _real(node["horizon"], "observables.horizon")
     if node["type"] == "dpo":
         if params is None:
             raise ConfigError("observables: dpo observables need a dpo model")
         return dpo_observables(params, horizon)
     if node["type"] == "counting":
-        ev = node.get("eigenvalues")
-        if ev is None:
+        if "eigenvalues" not in node:
             raise ConfigError("observables: counting type needs eigenvalues")
-        ev = np.asarray(ev, dtype=float)
-        if ev.ndim != 2 or ev.shape[1] != model.d:
-            raise ConfigError(f"observables.eigenvalues: expected shape "
-                              f"(m, {model.d})")
+        ev = _rows(node["eigenvalues"], "observables.eigenvalues", model.d)
         return ObservableSpec.counting_only(model.d, horizon, ev)
     raise ConfigError(f"observables: unknown type {node['type']!r}")
 
@@ -135,8 +153,8 @@ def _build_signal(node, where: str):
         return Constant(value)
     if kind == "harmonic":
         amp = _complex(node.pop("amplitude", 1.0), where)
-        phase = float(node.pop("phase", 0.0))
-        freq = float(node.pop("frequency", 0.0))
+        phase = _real(node.pop("phase", 0.0), where)
+        freq = _real(node.pop("frequency", 0.0), where)
         if node:
             raise ConfigError(f"{where}: unknown keys {sorted(node)}")
         return Harmonic(amp, phase, freq)
@@ -148,7 +166,7 @@ def build_field(cfg, model: ModelSpec, params, horizon: float) -> FieldProfile:
         return FieldProfile((ZERO,) * model.d, horizon)
     node = _take(cfg, "field", required=("type",),
                  optional=("window", "signals"))
-    window = float(node.get("window", horizon))
+    window = _real(node.get("window", horizon), "field.window")
     if node["type"] == "laser":
         if params is None:
             raise ConfigError("field: laser profile needs a dpo model")
@@ -166,17 +184,15 @@ def build_evolution(cfg) -> EvolutionConfig:
     if cfg is None:
         return EvolutionConfig()
     node = _take(cfg, "evolution", optional=(
-        "dt", "method", "rtol", "atol", "max_steps", "contractivity_check",
-        "contractivity_tol"))
+        "dt", "max_steps", "contractivity_check", "contractivity_tol"))
     try:
         return EvolutionConfig(
-            dt=float(node.get("dt", 1e-2)),
-            method=node.get("method", "rk4"),
-            rtol=float(node.get("rtol", 1e-8)),
-            atol=float(node.get("atol", 1e-10)),
-            max_steps=int(node.get("max_steps", 2_000_000)),
+            dt=_real(node.get("dt", 1e-2), "evolution.dt"),
+            max_steps=_integer(node.get("max_steps", 2_000_000),
+                               "evolution.max_steps", 1),
             contractivity_check=node.get("contractivity_check", "auto"),
-            contractivity_tol=float(node.get("contractivity_tol", 1e-6)))
+            contractivity_tol=_real(node.get("contractivity_tol", 1e-6),
+                                    "evolution.contractivity_tol"))
     except ValueError as exc:
         raise ConfigError(f"evolution: {exc}") from exc
 
@@ -192,8 +208,8 @@ def build_initial_state(cfg, model: ModelSpec) -> np.ndarray:
         rho[space.index(0, 0), space.index(0, 0)] = 1.0
         return rho
     if node["type"] == "fock":
-        n = int(node.get("n", 0))
-        m = int(node.get("m", 0))
+        n = _integer(node.get("n", 0), "initial_state.n")
+        m = _integer(node.get("m", 0), "initial_state.m")
         if not (0 <= n <= space.n_max and 0 <= m <= space.m_max):
             raise ConfigError("initial_state: occupation outside truncation")
         rho[space.index(n, m), space.index(n, m)] = 1.0
@@ -206,10 +222,23 @@ def build_kappa(cfg, m: int) -> TestFunction:
         return TestFunction.zero(m)
     node = _take(cfg, "kappa", required=("breakpoints", "values"))
     breaks = node["breakpoints"]
-    values = np.asarray(node["values"], dtype=float)
-    if values.ndim != 2 or values.shape[1] != m:
-        raise ConfigError(f"kappa.values: expected shape (n_intervals, {m})")
+    if not isinstance(breaks, list):
+        raise ConfigError("kappa.breakpoints: expected a list")
+    breaks = [_real(b, f"kappa.breakpoints[{i}]")
+              for i, b in enumerate(breaks)]
+    values = _rows(node["values"], "kappa.values", m)
     try:
-        return TestFunction(np.asarray(breaks, dtype=float), values)
+        return TestFunction(breaks, values)
     except ValueError as exc:
         raise ConfigError(f"kappa: {exc}") from exc
+
+
+def build_run(cfg) -> dict:
+    """The `run` section, each integer key checked against its least value
+    and every other key as a finite number."""
+    integers = {"observable": 1, "n_points": 1, "x_points": 1, "guard": 0}
+    reals = ("t_end", "kappa_max", "x_min", "x_max")
+    node = _take(cfg or {}, "run", optional=(*integers, *reals))
+    return {key: _integer(val, f"run.{key}", integers[key])
+            if key in integers else _real(val, f"run.{key}")
+            for key, val in node.items()}

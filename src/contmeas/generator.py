@@ -18,7 +18,8 @@ direction of the chosen observables.
 Expanding B_i(lam) = R_i + (S lam)_i reduces every application to a fixed
 set of sparse products K tau, R_i tau, tau R_i^dag, R_i tau R_i^dag with
 time-dependent scalar weights, so the sparse operators are built once per
-context and only the weights are recomputed per integrator stage.
+model (`ModelSpec.operators`) and only the weights are recomputed per
+integrator stage.
 """
 
 from __future__ import annotations
@@ -31,21 +32,6 @@ from .errors import ValidationError
 from .measurement import ObservableSpec
 from .model import ModelSpec
 from .signals import Constant, FieldProfile, TestFunction, segments
-
-
-class _OperatorCache:
-    """Sparse matrices of the model, shared by all frozen generators."""
-
-    __slots__ = ("K", "K_dag", "R", "R_dag", "R_nonzero", "K_nonzero", "dim")
-
-    def __init__(self, model: ModelSpec):
-        self.K_nonzero = model.K.nnz > 0
-        self.K = model.K.matrix
-        self.K_dag = model.K.matrix.conj().T.tocsr()
-        self.R = [op.matrix for op in model.R]
-        self.R_dag = [op.matrix.conj().T.tocsr() for op in model.R]
-        self.R_nonzero = [op.nnz > 0 for op in model.R]
-        self.dim = model.space.dim
 
 
 @dataclass(frozen=True)
@@ -66,18 +52,12 @@ class GeneratorContext:
         if self.kappa.m != self.observables.m:
             raise ValidationError(f"test function needs {self.observables.m} "
                                   "components")
-        object.__setattr__(self, "_cache", _OperatorCache(self.model))
 
-    def segments(self, t_end: float) -> list[tuple[float, float]]:
-        """Smooth pieces of [0, t_end] of the whole generator."""
-        return segments(t_end, self.field, self.kappa, self.observables)
-
-    def shifted(self, s: float) -> "GeneratorContext":
-        return GeneratorContext(
-            model=self.model,
-            observables=self.observables.shifted(s),
-            field=self.field.shifted(s),
-            kappa=self.kappa.shifted(s))
+    def segments(self, t_end: float,
+                 start: float = 0.0) -> list[tuple[float, float]]:
+        """Smooth pieces of [start, t_end] of the whole generator."""
+        return segments(t_end, self.field, self.kappa, self.observables,
+                        start=start)
 
 
 def scalar_rate(obs: ObservableSpec, kappa: np.ndarray, t: float,
@@ -124,8 +104,7 @@ class FrozenGenerator:
     __slots__ = ("cache", "w_left", "w_left_dag", "w_right", "w_right_dag",
                  "s", "scalar")
 
-    def __init__(self, cache: _OperatorCache, lam, mu, r_plus, r_minus, s,
-                 rate):
+    def __init__(self, cache, lam, mu, r_plus, r_minus, s, rate):
         self.cache = cache
         self.s = np.asarray(s, dtype=complex)
         mu = np.asarray(mu, dtype=complex)
@@ -209,7 +188,8 @@ def generator_at(ctx: GeneratorContext, t: float, side: int = 1) -> FrozenGenera
         r_minus = np.zeros(obs.d, dtype=complex)
         rate = 0j
     mu = ctx.model.S @ lam
-    return FrozenGenerator(ctx._cache, lam, mu, r_plus, r_minus, s, rate)
+    return FrozenGenerator(ctx.model.operators, lam, mu, r_plus, r_minus, s,
+                           rate)
 
 
 def context_is_piecewise_static(ctx: GeneratorContext) -> bool:

@@ -123,9 +123,8 @@ class ObservableSpec:
             out[i] = 1j * acc + (s[i] - 1.0) * self.b[i].value(t, side)
         return out
 
-    def h_gram(self, upto: float | None = None) -> np.ndarray:
-        """Gram matrix <h^alpha | h^beta> over [0, upto] (default horizon)."""
-        T = self.horizon if upto is None else float(upto)
+    def h_gram(self) -> np.ndarray:
+        """Gram matrix <h^alpha | h^beta> over [0, horizon]."""
         gram = np.zeros((self.m, self.m), dtype=complex)
         for alpha in range(self.m):
             for beta in range(alpha, self.m):
@@ -134,21 +133,10 @@ class ObservableSpec:
                     sa, sb = self.h[alpha][i], self.h[beta][i]
                     if sa is ZERO or sb is ZERO:
                         continue
-                    acc += _inner(sa, sb, T)
+                    acc += _inner(sa, sb, self.horizon)
                 gram[alpha, beta] = acc
                 gram[beta, alpha] = np.conj(acc)
         return gram
-
-    def shifted(self, s: float) -> "ObservableSpec":
-        """Same observables viewed from time s (horizon shrinks by s)."""
-        if not 0.0 <= s < self.horizon:
-            raise ValidationError("shift must lie inside the horizon")
-        return ObservableSpec(
-            m=self.m, d=self.d, horizon=self.horizon - s,
-            eigenvalues=self.eigenvalues,
-            h=tuple(tuple(sig.shifted(s) for sig in row) for row in self.h),
-            b=tuple(sig.shifted(s) for sig in self.b),
-            c=tuple(sig.shifted(s) for sig in self.c))
 
     @property
     def signals(self) -> tuple:

@@ -9,6 +9,7 @@ photocounter channels and one homodyne channel (d = 8 channels total).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,20 @@ import numpy as np
 from .errors import ValidationError
 from .fock import (SystemOperator, TruncatedSpace, ladder_a, ladder_a_dag,
                    ladder_b, ladder_b_dag)
+
+
+class _OperatorCache:
+    """Sparse matrices of the model, shared by all frozen generators."""
+
+    __slots__ = ("K", "K_dag", "R", "R_dag", "R_nonzero", "K_nonzero")
+
+    def __init__(self, model: "ModelSpec"):
+        self.K_nonzero = model.K.nnz > 0
+        self.K = model.K.matrix
+        self.K_dag = model.K.matrix.conj().T.tocsr()
+        self.R = [op.matrix for op in model.R]
+        self.R_dag = [op.matrix.conj().T.tocsr() for op in model.R]
+        self.R_nonzero = [op.nnz > 0 for op in model.R]
 
 
 @dataclass(frozen=True)
@@ -42,6 +57,11 @@ class ModelSpec:
                 raise ValidationError("channel operator on wrong space")
         if self.K.space != self.space:
             raise ValidationError("K on wrong space")
+
+    @functools.cached_property
+    def operators(self) -> _OperatorCache:
+        """Sparse K, R_i and their adjoints, built on first use."""
+        return _OperatorCache(self)
 
 
 @dataclass(frozen=True)

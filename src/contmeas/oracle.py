@@ -109,8 +109,7 @@ def _dense_superoperator(model: ModelSpec, obs: ObservableSpec,
 
 def dense_expm_propagate(model: ModelSpec, obs: ObservableSpec,
                          field: FieldProfile, kappa: TestFunction,
-                         rho0: np.ndarray, t_end: float,
-                         n_sub: int = 1) -> np.ndarray:
+                         rho0: np.ndarray, t_end: float) -> np.ndarray:
     """Freeze the coefficients at the midpoint of each smooth segment and
     propagate vec(tau) by scipy's matrix exponential.  Matches the engine
     run with `EvolutionConfig(freeze=True)`."""
@@ -119,10 +118,8 @@ def dense_expm_propagate(model: ModelSpec, obs: ObservableSpec,
         raise ValidationError(f"dense oracle limited to dim <= {DENSE_DIM_LIMIT}")
     vec = np.array(rho0, dtype=complex).reshape(-1, order="F")
     for lo, hi in segments(t_end, obs, field, kappa):
-        sub = np.linspace(lo, hi, n_sub + 1)
-        for a, b in zip(sub[:-1], sub[1:]):
-            M = _dense_superoperator(model, obs, field, kappa, 0.5 * (a + b))
-            vec = expm(M * (b - a)) @ vec
+        M = _dense_superoperator(model, obs, field, kappa, 0.5 * (lo + hi))
+        vec = expm(M * (hi - lo)) @ vec
     return vec.reshape(dim, dim, order="F")
 
 

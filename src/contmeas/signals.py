@@ -22,10 +22,6 @@ class TimeSignal(abc.ABC):
     def value(self, t: float, side: int = 1) -> complex:
         ...
 
-    @abc.abstractmethod
-    def shifted(self, s: float) -> "TimeSignal":
-        """Signal t -> self(t + s)."""
-
     def breakpoints(self) -> tuple[float, ...]:
         """Times where the signal is non-smooth."""
         return ()
@@ -37,9 +33,6 @@ class Constant(TimeSignal):
 
     def value(self, t, side=1):
         return self._value
-
-    def shifted(self, s):
-        return self
 
     def __repr__(self):
         return f"Constant({self._value})"
@@ -59,10 +52,6 @@ class Harmonic(TimeSignal):
 
     def value(self, t, side=1):
         return self.amplitude * np.exp(1j * (self.phase + self.frequency * t))
-
-    def shifted(self, s):
-        return Harmonic(self.amplitude, self.phase + self.frequency * s,
-                        self.frequency)
 
     def __repr__(self):
         return f"Harmonic({self.amplitude}, {self.phase}, {self.frequency})"
@@ -104,9 +93,6 @@ class TestFunction:
             return self.values[idx].copy()
         return np.zeros(self.m)
 
-    def shifted(self, s: float) -> "TestFunction":
-        return TestFunction(self.breaks - s, self.values)
-
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(self.breaks)
 
@@ -141,10 +127,6 @@ class FieldProfile:
             return np.zeros(self.d, dtype=complex)
         return np.array([s.value(t, side) for s in self.signals], dtype=complex)
 
-    def shifted(self, s: float) -> "FieldProfile":
-        return FieldProfile(tuple(sig.shifted(s) for sig in self.signals),
-                            self.window - s)
-
     def breakpoints(self) -> tuple[float, ...]:
         pts = [0.0]
         if math.isfinite(self.window):
@@ -154,12 +136,13 @@ class FieldProfile:
         return tuple(pts)
 
 
-def segments(t_end: float, *sources) -> list[tuple[float, float]]:
-    """Smooth pieces (lo, hi) of [0, t_end], split at every breakpoint of
-    the given signals, test functions, field profiles or observables."""
-    t_end = float(t_end)
-    pts = {0.0, t_end}
+def segments(t_end: float, *sources,
+             start: float = 0.0) -> list[tuple[float, float]]:
+    """Smooth pieces (lo, hi) of [start, t_end], split at the breakpoints
+    inside it of the given signals, test functions, fields or observables."""
+    start, t_end = float(start), float(t_end)
+    pts = {start, t_end}
     for src in sources:
-        pts.update(b for b in src.breakpoints() if 0.0 < b < t_end)
+        pts.update(b for b in src.breakpoints() if start < b < t_end)
     pts = sorted(pts)
-    return [(lo, hi) for lo, hi in zip(pts[:-1], pts[1:])]
+    return list(zip(pts[:-1], pts[1:]))

@@ -166,7 +166,7 @@ def test_criterion_05_positive_definiteness():
 
 def test_criterion_06_composition():
     """Propagating to t in one shot agrees with stopping at s and
-    continuing the time-shifted problem."""
+    continuing from s to t."""
     params = standard_params()
     model = dpo_model(params, TruncatedSpace(6, 4))
     obs = dpo_observables(params, 1.4)

@@ -157,3 +157,48 @@ def test_bad_run_key_rejected(tmp_path, capsys):
     cfg["run"]["banana"] = 1
     code = main(["counts", "--config", write(tmp_path, cfg)])
     assert code == 2
+
+
+def _set(cfg, path, value):
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+NAN = float("nan")
+MALFORMED = [
+    # (config, dotted key, value, subcommand, exit code)
+    ("dpo", "model.truncation.n_max", -1, "validate", 2),
+    ("dpo", "model.truncation.n_max", "x", "validate", 2),
+    ("counting", "observables.eigenvalues", "x", "validate", 2),
+    ("dpo", "run.guard", "x", "validate", 2),
+    ("counting", "run.n_points", "x", "counts", 2),
+    ("counting", "evolution.dt", NAN, "counts", 2),
+    ("dpo", "observables.horizon", NAN, "validate", 2),
+    ("counting", "field.window", NAN, "counts", 2),
+    ("dpo", "model.params.g", NAN, "charfunc", 2),
+    ("dpo", "kappa.values", [[NAN, 0.0, 0.0]], "charfunc", 2),
+    ("dpo", "evolution.method", "adaptive", "validate", 2),
+]
+
+
+@pytest.mark.parametrize("base, key, value, command, code", MALFORMED)
+def test_malformed_config_exit_code(tmp_path, capsys, base, key, value,
+                                    command, code):
+    cfg = dpo_config(kappa={"breakpoints": [0.0, 1.0],
+                            "values": [[0.1, 0.0, 0.0]]}) \
+        if base == "dpo" else counting_config()
+    _set(cfg, key.split("."), value)
+    assert main([command, "--config", write(tmp_path, cfg)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert key.split(".")[-1] in err
+
+
+@pytest.mark.parametrize(
+    "path", sorted((pathlib.Path(__file__).parent.parent / "configs")
+                   .glob("*.json")), ids=lambda p: p.name)
+def test_shipped_config_validates(path, capsys):
+    assert main(["validate", "--config", str(path)]) == 0

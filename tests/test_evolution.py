@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from contmeas import (Constant, ContractivityError, EvolutionConfig,
@@ -8,7 +10,7 @@ from contmeas import (Constant, ContractivityError, EvolutionConfig,
                       ModelSpec, ObservableSpec, SystemOperator, TestFunction,
                       TruncatedSpace, ZERO, composition_check,
                       dpo_laser_field, dpo_model, dpo_observables, evolve,
-                      is_state, trivial_model)
+                      is_state, system_free_charfunc, trivial_model)
 from contmeas.generator import context_is_piecewise_static
 
 
@@ -85,18 +87,6 @@ def test_contractivity_violation_detected():
     assert abs(res.trace - np.exp(2.0)) < 1e-6
 
 
-def test_adaptive_matches_fixed_step():
-    kappa = TestFunction([0.0, 1.0], [[0.4, 0.2, -0.3]])
-    ctx, params, rng = dpo_context(seed=4, kappa=kappa)
-    rho0 = vacuum(ctx.model.space.dim)
-    fixed = evolve(ctx, rho0, 1.0, EvolutionConfig(dt=1e-3))
-    adaptive = evolve(ctx, rho0, 1.0,
-                      EvolutionConfig(dt=0.05, method="adaptive",
-                                      rtol=1e-10, atol=1e-12))
-    assert np.max(np.abs(fixed.final - adaptive.final)) < 1e-8
-    assert adaptive.n_steps != fixed.n_steps
-
-
 def test_composition_check_reports_small_deviation():
     kappa = TestFunction([0.0, 0.6, 1.4], [[0.3, 0.0, 0.5], [0.2, 0.4, 0.0]])
     ctx, params, rng = dpo_context(seed=5, kappa=kappa)
@@ -130,8 +120,6 @@ def test_is_state():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        EvolutionConfig(method="euler")
     with pytest.raises(ValueError):
         EvolutionConfig(dt=0.0)
     with pytest.raises(ValueError):
@@ -172,3 +160,45 @@ def test_static_fast_path_matches_generic():
     mu = abs(0.7 + 0.2j) ** 2
     exact = np.exp((np.exp(0.5j) - 1) * mu + (np.exp(1.1j) - 1) * mu)
     assert abs(fast.final[0, 0] - exact) < 1e-10
+
+
+def system_free_context(kappa):
+    """System-free model with a counted channel 1 and a homodyne channel 2
+    whose weight and field rotate at different frequencies, so the
+    generator depends on absolute time."""
+    obs = ObservableSpec(m=1, d=2, horizon=2.0,
+                         eigenvalues=np.array([[1.0, 0.0]]),
+                         h=((ZERO, Harmonic(1.0, 0.0, 2.0)),),
+                         b=(ZERO, ZERO), c=(ZERO,))
+    field = FieldProfile((Constant(0.6), Harmonic(0.5, 0.3, -1.0)), 2.0)
+    return GeneratorContext(model=trivial_model(2), observables=obs,
+                            field=field, kappa=kappa)
+
+
+STEP_KAPPA = TestFunction([0.0, 1.0, 2.0], [[0.7], [-1.9]])
+
+
+def test_evolve_from_start_time():
+    # tau(1) = 1 continued to t = 2 sees only the second step of kappa
+    ctx = system_free_context(STEP_KAPPA)
+    res = evolve(ctx, np.array([[1.0 + 0j]]), 2.0, EvolutionConfig(dt=1e-3),
+                 t_start=1.0)
+    exact = system_free_charfunc(ctx.observables, ctx.field,
+                                 TestFunction([1.0, 2.0], [[-1.9]]), 2.0)
+    assert res.n_steps == 1000
+    assert abs(res.trace - exact) < 1e-12
+    with pytest.raises(IntegrationError):
+        evolve(ctx, np.array([[1.0 + 0j]]), 1.0, t_start=1.5)
+
+
+@given(s=st.floats(min_value=0.0, max_value=2.0, exclude_min=True,
+                   exclude_max=True))
+@example(s=1.0)
+@example(s=float(np.nextafter(1.0, 0.0)))
+@example(s=float(np.nextafter(1.0, 2.0)))
+@settings(max_examples=100, deadline=None)
+def test_composition_at_any_split(s):
+    ctx = system_free_context(STEP_KAPPA)
+    rep = composition_check(ctx, np.array([[1.0 + 0j]]), s, 2.0,
+                            EvolutionConfig(dt=1e-2))
+    assert rep["deviation"] <= 10 * rep["step_halving_estimate"]

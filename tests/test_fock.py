@@ -4,7 +4,7 @@ import pytest
 from contmeas import (DimensionMismatchError, DpoParams, SystemOperator,
                       TruncatedSpace, dpo_model, guard_band_leakage, ladder_a,
                       ladder_a_dag, ladder_b, ladder_b_dag)
-from contmeas.generator import _OperatorCache, _rmul
+from contmeas.generator import _rmul
 
 
 def test_index_unravel_roundtrip():
@@ -69,11 +69,12 @@ def test_number_operators():
 
 
 def test_adjoint_matches_dense():
-    # the generator's cached adjoints of K and the R_i
+    # the model's cached adjoints of K and the R_i, built once per model
     params = DpoParams.from_splittings(omega_c=1.0, g=0.3, kappa=0.5,
                                        kappa_p=1.0, nbar=0.2, nbar_p=0.1)
     model = dpo_model(params, TruncatedSpace(3, 2))
-    cache = _OperatorCache(model)
+    cache = model.operators
+    assert model.operators is cache
     assert np.max(np.abs(cache.K_dag.toarray()
                          - model.K.to_dense().conj().T)) == 0
     for R, R_dag in zip(model.R, cache.R_dag):

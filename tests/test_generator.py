@@ -160,7 +160,7 @@ def test_context_validation():
                          kappa=TestFunction.zero(3))
 
 
-def test_context_breakpoints_and_shift():
+def test_context_segments():
     rng, params, model, obs, field = build_setup(horizon=2.0)
     kappa = TestFunction([0.0, 0.5, 1.5], [[0.1, 0, 0], [0, 0.2, 0]])
     ctx = GeneratorContext(model=model, observables=obs, field=field,
@@ -168,11 +168,10 @@ def test_context_breakpoints_and_shift():
     assert ctx.segments(1.8) == [(0.0, 0.5), (0.5, 1.5), (1.5, 1.8)]
     assert ctx.segments(2.5) == [(0.0, 0.5), (0.5, 1.5), (1.5, 2.0),
                                  (2.0, 2.5)]   # field window ends at 2
-    moved = ctx.shifted(0.5)
-    tau = np.eye(model.space.dim, dtype=complex)
-    a = generator_at(ctx, 1.0).apply(tau)
-    b = generator_at(moved, 0.5).apply(tau)
-    assert np.max(np.abs(a - b)) < 1e-12
+    assert ctx.segments(1.8, start=0.5) == [(0.5, 1.5), (1.5, 1.8)]
+    assert ctx.segments(2.5, start=1.0) == [(1.0, 1.5), (1.5, 2.0),
+                                            (2.0, 2.5)]
+    assert ctx.segments(1.2, start=0.7) == [(0.7, 1.2)]
 
 
 def test_static_detection():

@@ -114,13 +114,3 @@ def test_scalar_term_counting_reference_field():
                          h=((ZERO,),), b=(Constant(2.0),), c=(ZERO,))
     val = 1.5 * scalar_rate(obs, np.array([0.9]), 0.4)
     assert val == pytest.approx((np.exp(0.9j) - 1.0) * 4.0 * 1.5)
-
-
-def test_shifted_observables():
-    obs = dpo_observables(make_params(), horizon=4.0)
-    moved = obs.shifted(1.0)
-    assert moved.horizon == pytest.approx(3.0)
-    t = 0.8
-    assert moved.h[2][2].value(t) == pytest.approx(obs.h[2][2].value(t + 1.0))
-    with pytest.raises(ValidationError):
-        obs.shifted(4.5)

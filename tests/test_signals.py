@@ -1,28 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from contmeas import ZERO, Constant, FieldProfile, Harmonic, TestFunction
 from contmeas.signals import segments
-
-finite = st.floats(min_value=-50.0, max_value=50.0,
-                   allow_nan=False, allow_infinity=False)
 
 
 def test_constant():
     c = Constant(2.0 - 1.0j)
     assert c.value(0.3) == 2.0 - 1.0j
-    assert c.shifted(5.0).value(-1.0) == 2.0 - 1.0j
     assert ZERO.value(1.0) == 0.0
-
-
-@given(amp=finite, phase=finite, freq=finite, t=finite, s=finite)
-@settings(max_examples=200, deadline=None)
-def test_harmonic_shift_property(amp, phase, freq, t, s):
-    sig = Harmonic(amp, phase, freq)
-    assert sig.shifted(s).value(t) == pytest.approx(sig.value(t + s),
-                                                    rel=1e-9, abs=1e-9)
 
 
 def test_harmonic_value():
@@ -54,7 +40,7 @@ def test_test_function_zero():
     assert np.allclose((TestFunction.zero(1) - k).value(0.5), [-2.0])
 
 
-def test_test_function_shift_and_combine():
+def test_test_function_combine():
     k1 = TestFunction([0.0, 1.0, 2.0], [[1.0], [2.0]])
     k2 = TestFunction([0.5, 1.5], [[10.0]])
     total = k1 - k2
@@ -66,18 +52,6 @@ def test_test_function_shift_and_combine():
         k1 - TestFunction.zero(2)
     diff = k1 - k1
     assert np.allclose([diff.value(t) for t in (0.3, 1.5)], 0.0)
-    moved = k1.shifted(0.5)
-    assert np.allclose(moved.value(0.0), [1.0])
-    assert np.allclose(moved.value(0.75), [2.0])
-    assert np.allclose(moved.value(-0.75), [0.0])
-
-
-@given(s=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
-       t=st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
-@settings(max_examples=200, deadline=None)
-def test_test_function_shift_property(s, t):
-    k = TestFunction([0.0, 1.0, 2.0], [[1.0, -1.0], [0.25, 3.0]])
-    assert np.allclose(k.shifted(s).value(t), k.value(t + s))
 
 
 def test_field_profile():
@@ -88,9 +62,6 @@ def test_field_profile():
     assert np.allclose(f.value(2.0, side=+1), [0.0, 0.0])
     assert np.allclose(f.value(2.0, side=-1), [1.0 + 2.0j, 0.0])
     assert np.allclose(f.value(-0.5), [0.0, 0.0])
-    moved = f.shifted(0.5)
-    assert np.allclose(moved.value(1.0), [1.0 + 2.0j, 0.0])
-    assert np.allclose(moved.value(1.6), [0.0, 0.0])
 
 
 def test_segments_merge_breakpoints():
@@ -101,3 +72,10 @@ def test_segments_merge_breakpoints():
     assert segments(0.4, k, f) == [(0.0, 0.4)]
     assert segments(2.0) == [(0.0, 2.0)]
     assert segments(0.0, k, f) == []
+    # a start splits [start, t_end] at the breakpoints strictly inside it
+    assert segments(2.0, k, f, start=0.5) == [(0.5, 1.5), (1.5, 2.0)]
+    assert segments(2.0, k, f, start=0.7) == [(0.7, 1.5), (1.5, 2.0)]
+    assert segments(1.5, k, f, start=0.5) == [(0.5, 1.5)]
+    assert segments(3.5, k, start=1.0) == [(1.0, 1.5), (1.5, 3.0),
+                                           (3.0, 3.5)]
+    assert segments(1.0, k, f, start=1.0) == []
