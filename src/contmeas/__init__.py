@@ -18,8 +18,8 @@ from .measurement import ObservableSpec, dpo_observables
 from .generator import GeneratorContext, generator_at, scalar_rate
 from .evolution import (EvolutionConfig, EvolutionResult, composition_check,
                         evolve, is_state)
-from .statistics import (GridAxis, IncrementGrid, counting_axis,
-                         counting_distribution, diffusive_axis,
-                         homodyne_distribution, invert_counting,
-                         invert_homodyne, joint_charfunc)
+from .statistics import (counting_axis, counting_distribution,
+                         diffusive_axis, homodyne_distribution,
+                         invert_counting, invert_homodyne, joint_charfunc,
+                         on_interval)
 from .oracle import dense_expm_propagate, duality_check, system_free_charfunc

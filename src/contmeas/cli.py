@@ -9,7 +9,8 @@ Subcommands:
     oracle-compare  engine vs dense-exponential and duality cross-checks
 
 Exit codes: 0 success, 2 config error, 3 validation failure,
-4 integration failure, 5 inversion-quality failure.
+4 integration failure (including a state that is no longer finite),
+5 inversion-quality failure.
 """
 
 from __future__ import annotations

@@ -73,10 +73,16 @@ def _rk4_step(gen, t, h, tau, t_stop=None):
     return tau + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evolve(ctx: GeneratorContext, rho0: np.ndarray, t_end: float,
            config: EvolutionConfig | None = None,
            t_start: float = 0.0) -> EvolutionResult:
-    """Propagate tau(t_start) = rho0 to time t_end."""
+    """Propagate tau(t_start) = rho0 to time t_end.
+
+    A state that is no longer finite at the end of a segment raises
+    IntegrationError whatever `contractivity_check` says; numpy's
+    overflow warnings on the way there are silenced in its favour.
+    """
     if config is None:
         config = EvolutionConfig()
     dim = ctx.model.space.dim
@@ -108,6 +114,9 @@ def evolve(ctx: GeneratorContext, rho0: np.ndarray, t_end: float,
             if n_steps > config.max_steps:
                 raise IntegrationError("step budget exhausted")
         tr = abs(np.trace(tau))
+        if not (np.isfinite(tr) and np.isfinite(tau).all()):
+            raise IntegrationError(f"non-finite state at t = {hi:.6g}; "
+                                   "the step is too large")
         max_abs_trace = max(max_abs_trace, tr)
         if check and tr > 1.0 + config.contractivity_tol:
             raise ContractivityError(

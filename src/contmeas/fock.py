@@ -120,11 +120,7 @@ def ladder_a(space: TruncatedSpace) -> SystemOperator:
 
 def ladder_a_dag(space: TruncatedSpace) -> SystemOperator:
     """Creator of the first mode; the row leaving the truncation is dropped."""
-    entries = {}
-    for n in range(space.n_max):
-        for m in range(space.m_max + 1):
-            entries[(space.index(n + 1, m), space.index(n, m))] = np.sqrt(n + 1)
-    return SystemOperator.from_entries(space, entries)
+    return SystemOperator(space, ladder_a(space).matrix.T)
 
 
 def ladder_b(space: TruncatedSpace) -> SystemOperator:
@@ -136,11 +132,7 @@ def ladder_b(space: TruncatedSpace) -> SystemOperator:
 
 
 def ladder_b_dag(space: TruncatedSpace) -> SystemOperator:
-    entries = {}
-    for n in range(space.n_max + 1):
-        for m in range(space.m_max):
-            entries[(space.index(n, m + 1), space.index(n, m))] = np.sqrt(m + 1)
-    return SystemOperator.from_entries(space, entries)
+    return SystemOperator(space, ladder_b(space).matrix.T)
 
 
 def guard_band_leakage(space: TruncatedSpace, rho: np.ndarray,

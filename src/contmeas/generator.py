@@ -120,55 +120,45 @@ class FrozenGenerator:
 
     def apply(self, tau: np.ndarray) -> np.ndarray:
         c = self.cache
-        if c.K_nonzero:
-            out = c.K @ tau
-            out += _rmul(c.K_dag, tau)
-        else:
-            out = np.zeros_like(tau)
-        if self.scalar != 0:
-            out += self.scalar * tau
-        for i in range(len(c.R)):
-            if c.R_nonzero[i]:
-                Rt = c.R[i] @ tau
-                if self.s[i] != 0:
-                    out += self.s[i] * _rmul(c.R_dag[i], Rt)
-                if self.w_left[i] != 0:
-                    out += self.w_left[i] * Rt
-                if self.w_left_dag[i] != 0:
-                    out += self.w_left_dag[i] * (c.R_dag[i] @ tau)
-                if self.w_right[i] != 0:
-                    out += self.w_right[i] * _rmul(c.R[i], tau)
-                if self.w_right_dag[i] != 0:
-                    out += self.w_right_dag[i] * _rmul(c.R_dag[i], tau)
-        return out
+        return self._apply(tau, c.K, c.K_dag, c.R, c.R_dag, self.w_left,
+                           self.w_left_dag, self.w_right, self.w_right_dag)
 
     def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
         """Dual map under the pairing Tr(X tau):
 
             X -> K(lam, r_+)^dag X + X K(lam, r_-)
-                 + sum_i s_i B_i^dag X B_i + scalar * X.
+                 + sum_i s_i B_i^dag X B_i + scalar * X,
+
+        which is `apply` on K^dag and R_i^dag with the weights of left and
+        right products exchanged.
         """
         c = self.cache
+        return self._apply(X, c.K_dag, c.K, c.R_dag, c.R, self.w_right_dag,
+                           self.w_right, self.w_left_dag, self.w_left)
+
+    def _apply(self, tau, K, K_dag, R, R_dag, w_left, w_left_dag, w_right,
+               w_right_dag):
+        c = self.cache
         if c.K_nonzero:
-            out = c.K_dag @ X
-            out += _rmul(c.K, X)
+            out = K @ tau
+            out += _rmul(K_dag, tau)
         else:
-            out = np.zeros_like(X)
+            out = np.zeros_like(tau)
         if self.scalar != 0:
-            out += self.scalar * X
-        for i in range(len(c.R)):
+            out += self.scalar * tau
+        for i in range(len(R)):
             if c.R_nonzero[i]:
-                XR = _rmul(c.R[i], X)
+                Rt = R[i] @ tau
                 if self.s[i] != 0:
-                    out += self.s[i] * (c.R_dag[i] @ XR)
-                if self.w_left[i] != 0:
-                    out += self.w_left[i] * XR
-                if self.w_left_dag[i] != 0:
-                    out += self.w_left_dag[i] * _rmul(c.R_dag[i], X)
-                if self.w_right[i] != 0:
-                    out += self.w_right[i] * (c.R[i] @ X)
-                if self.w_right_dag[i] != 0:
-                    out += self.w_right_dag[i] * (c.R_dag[i] @ X)
+                    out += self.s[i] * _rmul(R_dag[i], Rt)
+                if w_left[i] != 0:
+                    out += w_left[i] * Rt
+                if w_left_dag[i] != 0:
+                    out += w_left_dag[i] * (R_dag[i] @ tau)
+                if w_right[i] != 0:
+                    out += w_right[i] * _rmul(R[i], tau)
+                if w_right_dag[i] != 0:
+                    out += w_right_dag[i] * _rmul(R_dag[i], tau)
         return out
 
 

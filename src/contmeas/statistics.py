@@ -1,10 +1,11 @@
 """From characteristic functions to measured statistics.
 
-The characteristic function of a batch of increments is obtained by one
-propagation per point of a kappa grid: each grid point defines a
-piecewise-constant test function (the kappa value held on its time
-interval, for its observable), the evolution is run to the final
-breakpoint, and the trace of the result is the characteristic value.
+A kappa sweep is a list of piecewise-constant test functions; each is
+propagated to the final time and the trace of the result is its
+characteristic value.  For a marginal, `on_interval` builds one test
+function per kappa sample, holding it on [0, t_end] for one observable;
+joint statistics over several windows come from passing multi-interval
+test functions instead.
 
 Counting observables have integer outcomes, so their marginal is
 recovered by a discrete Fourier transform over kappa in [0, 2 pi).
@@ -16,9 +17,7 @@ be narrower than the period 2 pi / (kappa spacing) of the quadrature.
 
 from __future__ import annotations
 
-import itertools
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,90 +33,44 @@ NEGATIVE_PROB_TOL = 1e-7
 DECAY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class GridAxis:
-    """One increment: observable `observable` (1-based) accumulated over
-    time interval number `interval` of the grid, sampled at `samples`."""
-
-    interval: int
-    observable: int
-    kind: str          # "counting" or "diffusive"
-    samples: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples",
-                           np.asarray(self.samples, dtype=float))
-        if self.kind not in ("counting", "diffusive"):
-            raise ValidationError(f"unknown axis kind {self.kind!r}")
-
-
-def counting_axis(interval: int, observable: int, n_points: int = 256) -> GridAxis:
-    """Uniform kappa grid on [0, 2 pi), endpoint excluded; n a power of two."""
+def counting_axis(n_points: int = 256) -> np.ndarray:
+    """Uniform kappa samples on [0, 2 pi), endpoint excluded; n a power
+    of two."""
     if n_points < 2 or n_points & (n_points - 1):
         raise ValidationError("n_points must be a power of two")
-    samples = 2.0 * np.pi * np.arange(n_points) / n_points
-    return GridAxis(interval, observable, "counting", samples)
+    return 2.0 * np.pi * np.arange(n_points) / n_points
 
 
-def diffusive_axis(interval: int, observable: int, kappa_max: float,
-                   n_points: int = 256) -> GridAxis:
-    """Symmetric kappa grid on [-kappa_max, kappa_max], endpoints included."""
+def diffusive_axis(kappa_max: float, n_points: int = 256) -> np.ndarray:
+    """Symmetric kappa samples on [-kappa_max, kappa_max], endpoints
+    included; an even or too-small count is raised to the next odd one."""
     if kappa_max <= 0:
         raise ValidationError("kappa_max must be positive")
     if n_points < 3 or n_points % 2 == 0:
         n_points += 1
-    samples = np.linspace(-kappa_max, kappa_max, n_points)
-    return GridAxis(interval, observable, "diffusive", samples)
+    return np.linspace(-kappa_max, kappa_max, n_points)
 
 
-@dataclass(frozen=True)
-class IncrementGrid:
-    """Time breakpoints 0 = t_0 < ... < t_L and one axis per increment."""
-
-    breakpoints: tuple
-    axes: tuple
-
-    def __post_init__(self):
-        bp = tuple(float(t) for t in self.breakpoints)
-        if len(bp) < 2 or bp[0] != 0.0:
-            raise ValidationError("breakpoints must start at 0 and contain "
-                                  "at least one interval")
-        if any(hi <= lo for lo, hi in zip(bp[:-1], bp[1:])):
-            raise ValidationError("breakpoints must be strictly increasing")
-        object.__setattr__(self, "breakpoints", bp)
-        for ax in self.axes:
-            if not 0 <= ax.interval < len(bp) - 1:
-                raise ValidationError(f"axis interval {ax.interval} out of range")
-
-    @property
-    def t_end(self) -> float:
-        return self.breakpoints[-1]
-
-    def shape(self):
-        return tuple(len(ax.samples) for ax in self.axes)
-
-    def test_function(self, m: int, kappa_values) -> TestFunction:
-        """Piecewise-constant test function with component
-        (axis.observable - 1) equal to kappa on the axis interval."""
-        n_int = len(self.breakpoints) - 1
-        values = np.zeros((n_int, m))
-        for ax, kap in zip(self.axes, kappa_values):
-            values[ax.interval, ax.observable - 1] += kap
-        return TestFunction(np.asarray(self.breakpoints), values)
+def on_interval(m: int, observable: int, t_end: float,
+                kappas) -> list[TestFunction]:
+    """One test function per kappa: component `observable` (1-based) of m
+    held at kappa on [0, t_end], every other component zero."""
+    values = np.zeros((len(kappas), 1, m))
+    values[:, 0, observable - 1] = kappas
+    return [TestFunction((0.0, float(t_end)), v) for v in values]
 
 
 def joint_charfunc(model: ModelSpec, obs: ObservableSpec, field: FieldProfile,
-                   rho0: np.ndarray, grid: IncrementGrid,
+                   rho0: np.ndarray, kappas: list[TestFunction],
+                   t_end: float,
                    config: EvolutionConfig | None = None) -> np.ndarray:
-    """Characteristic function on the full grid, one propagation per point."""
-    shape = grid.shape()
-    out = np.empty(shape, dtype=complex)
-    for idx in itertools.product(*(range(n) for n in shape)):
-        kappas = [ax.samples[i] for ax, i in zip(grid.axes, idx)]
-        k = grid.test_function(obs.m, kappas)
+    """Characteristic values at t_end of a sequence of test functions, one
+    propagation each, as a 1-D complex array in their order."""
+    out = np.empty(len(kappas), dtype=complex)
+    for j, kappa in enumerate(kappas):
         ctx = GeneratorContext(model=model, observables=obs, field=field,
-                               kappa=k)
-        out[idx] = evolve(ctx, rho0, grid.t_end, config).trace
+                               kappa=kappa)
+        out[j] = evolve(ctx, rho0, t_end, config).trace
     return out
 
 
@@ -183,10 +136,9 @@ def counting_distribution(model: ModelSpec, obs: ObservableSpec,
                           field: FieldProfile, rho0: np.ndarray,
                           observable: int, t_end: float, n_points: int = 256,
                           config: EvolutionConfig | None = None) -> np.ndarray:
-    axis = counting_axis(0, observable, n_points)
-    grid = IncrementGrid((0.0, float(t_end)), (axis,))
-    phi = joint_charfunc(model, obs, field, rho0, grid, config)
-    return invert_counting(phi)
+    kappas = on_interval(obs.m, observable, t_end, counting_axis(n_points))
+    return invert_counting(joint_charfunc(model, obs, field, rho0, kappas,
+                                          t_end, config))
 
 
 def homodyne_distribution(model: ModelSpec, obs: ObservableSpec,
@@ -194,7 +146,7 @@ def homodyne_distribution(model: ModelSpec, obs: ObservableSpec,
                           observable: int, t_end: float, kappa_max: float,
                           x: np.ndarray, n_points: int = 257,
                           config: EvolutionConfig | None = None) -> np.ndarray:
-    axis = diffusive_axis(0, observable, kappa_max, n_points)
-    grid = IncrementGrid((0.0, float(t_end)), (axis,))
-    phi = joint_charfunc(model, obs, field, rho0, grid, config)
-    return invert_homodyne(axis.samples, phi, x)
+    samples = diffusive_axis(kappa_max, n_points)
+    kappas = on_interval(obs.m, observable, t_end, samples)
+    phi = joint_charfunc(model, obs, field, rho0, kappas, t_end, config)
+    return invert_homodyne(samples, phi, x)

@@ -197,6 +197,33 @@ def test_malformed_config_exit_code(tmp_path, capsys, base, key, value,
     assert key.split(".")[-1] in err
 
 
+DIVERGING = [
+    # (subcommand, contractivity_check; None leaves the default "auto")
+    ("charfunc", "off"),
+    ("evolve", "off"),
+    ("charfunc", None),
+    ("evolve", None),
+]
+
+
+@pytest.mark.parametrize("command, check", DIVERGING)
+def test_diverging_run_exit_4(tmp_path, capsys, recwarn, command, check):
+    # dt 2.0 is far outside the RK4 stability region, so tau overflows to
+    # NaN; with NaN every |trace| comparison is False, so only an explicit
+    # finiteness check stops it, with the contractivity check on "auto" too
+    evolution = {"dt": 2.0}
+    if check is not None:
+        evolution["contractivity_check"] = check
+    cfg = dpo_config(kappa={"breakpoints": [0, 400], "values": [[0.1, 0, 0]]},
+                     evolution=evolution, run={"t_end": 400})
+    cfg["observables"]["horizon"] = 400
+    assert main([command, "--config", write(tmp_path, cfg)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("integration failure:")
+    assert "NaN" not in captured.out and "Infinity" not in captured.out
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize(
     "path", sorted((pathlib.Path(__file__).parent.parent / "configs")
                    .glob("*.json")), ids=lambda p: p.name)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from contmeas import (AliasingError, Constant, EvolutionConfig, FieldProfile,
-                      GridAxis, IncrementGrid, InversionQualityError,
-                      ObservableSpec, ValidationError, counting_axis,
-                      counting_distribution, diffusive_axis, invert_counting,
-                      invert_homodyne, joint_charfunc, trivial_model)
+                      InversionQualityError, ObservableSpec, TestFunction,
+                      ValidationError, counting_axis, counting_distribution,
+                      diffusive_axis, invert_counting, invert_homodyne,
+                      joint_charfunc, on_interval, trivial_model)
 
 
 def poisson_setup(amplitude=np.sqrt(2.0), horizon=1.0):
@@ -22,31 +22,24 @@ def poisson_setup(amplitude=np.sqrt(2.0), horizon=1.0):
 
 def test_axis_validation():
     with pytest.raises(ValidationError):
-        counting_axis(0, 1, n_points=100)        # not a power of two
+        counting_axis(n_points=100)              # not a power of two
     with pytest.raises(ValidationError):
-        diffusive_axis(0, 1, kappa_max=-1.0)
-    with pytest.raises(ValidationError):
-        GridAxis(0, 1, "ballistic", np.zeros(3))
-    ax = diffusive_axis(0, 1, 4.0, n_points=10)  # even count is bumped to odd
-    assert len(ax.samples) == 11
-    assert ax.samples[5] == 0.0
+        diffusive_axis(kappa_max=-1.0)
+    samples = diffusive_axis(4.0, n_points=10)   # even count is bumped to odd
+    assert len(samples) == 11
+    assert samples[5] == 0.0
 
 
-def test_grid_validation_and_test_function():
-    ax1 = counting_axis(0, 1, 4)
-    ax2 = counting_axis(1, 2, 4)
-    with pytest.raises(ValidationError):
-        IncrementGrid((0.5, 1.0), (ax1,))
-    with pytest.raises(ValidationError):
-        IncrementGrid((0.0, 1.0, 1.0), (ax1,))
-    with pytest.raises(ValidationError):
-        IncrementGrid((0.0, 1.0), (ax2,))        # interval 1 does not exist
-    grid = IncrementGrid((0.0, 0.5, 2.0), (ax1, ax2))
-    assert grid.t_end == 2.0
-    assert grid.shape() == (4, 4)
-    k = grid.test_function(3, [0.7, -0.3])
-    assert np.allclose(k.value(0.2), [0.7, 0.0, 0.0])
-    assert np.allclose(k.value(1.0), [0.0, -0.3, 0.0])
+def test_on_interval_test_functions():
+    ks = on_interval(3, 2, 1.5, [0.7, -0.3])
+    assert len(ks) == 2
+    for k, kap in zip(ks, [0.7, -0.3]):
+        assert k.m == 3
+        assert k.breakpoints() == (0.0, 1.5)
+        assert np.array_equal(k.value(0.2), [0.0, kap, 0.0])
+        assert np.array_equal(k.value(1.5, side=-1), [0.0, kap, 0.0])
+        assert np.array_equal(k.value(1.5), np.zeros(3))
+        assert np.array_equal(k.value(-0.1), np.zeros(3))
 
 
 def test_invert_counting_poisson_closed_form():
@@ -128,19 +121,18 @@ def test_joint_charfunc_factorizes_disjoint_windows():
     # increments of the same Poisson process on disjoint windows are
     # independent, so the joint characteristic function factorizes
     model, obs, field, rho0 = poisson_setup(horizon=2.0)
-    ax1 = GridAxis(0, 1, "counting", np.array([0.0, 0.9]))
-    ax2 = GridAxis(1, 1, "counting", np.array([0.0, 1.3]))
-    grid = IncrementGrid((0.0, 0.8, 2.0), (ax1, ax2))
-    phi = joint_charfunc(model, obs, field, rho0, grid,
+    kappas = [TestFunction([0.0, 0.8, 2.0], [[k1], [k2]])
+              for k1, k2 in [(0.0, 0.0), (0.0, 1.3), (0.9, 0.0), (0.9, 1.3)]]
+    phi = joint_charfunc(model, obs, field, rho0, kappas, 2.0,
                          EvolutionConfig(dt=1e-2))
-    assert abs(phi[0, 0] - 1.0) < 1e-10
-    assert abs(phi[1, 1] - phi[1, 0] * phi[0, 1]) < 1e-9
+    assert phi.shape == (4,)
+    assert abs(phi[0] - 1.0) < 1e-10
+    assert abs(phi[3] - phi[2] * phi[1]) < 1e-9
 
 
 def test_charfunc_along_at_zero_is_trace():
     model, obs, field, rho0 = poisson_setup()
-    axis = GridAxis(0, 1, "diffusive", np.array([0.0]))
     phi = joint_charfunc(model, obs, field, rho0,
-                         IncrementGrid((0.0, 1.0), (axis,)),
+                         on_interval(obs.m, 1, 1.0, [0.0]), 1.0,
                          EvolutionConfig(dt=1e-2))
     assert abs(phi[0] - 1.0) < 1e-12
