@@ -93,7 +93,10 @@ class Run:
         return idx
 
     def guard(self) -> int:
-        return self.run.get("guard", 2)
+        """Guard-band width, at most the smaller cutoff, so the band never
+        covers the vacuum."""
+        space = self.model.space
+        return min(self.run.get("guard", 2), space.n_max, space.m_max)
 
     def context(self, kappa=None) -> GeneratorContext:
         return GeneratorContext(model=self.model, observables=self.obs,
@@ -156,9 +159,7 @@ def cmd_validate(run: Run, out):
     report = dict(run.header())
     if run.params is not None:
         run.params.validate()
-    space = run.model.space
-    guard = min(run.guard(), space.n_max, space.m_max)
-    diss = check_dissipativity(run.model, guard=guard, seed=run.seed)
+    diss = check_dissipativity(run.model, guard=run.guard(), seed=run.seed)
     report["dissipativity_residual"] = diss.max_residual
     report["interior_dim"] = diss.interior_dim
     report["scattering_unitarity"] = check_S_unitary(run.model)

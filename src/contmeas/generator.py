@@ -15,11 +15,13 @@ With kappa identically zero this is a Lindblad master equation in the
 interaction picture; nonzero kappa tilts it into the characteristic
 direction of the chosen observables.
 
-Expanding B_i(lam) = R_i + (S lam)_i reduces every application to a fixed
-set of sparse products K tau, R_i tau, tau R_i^dag, R_i tau R_i^dag with
-time-dependent scalar weights, so the sparse operators are built once per
-model (`ModelSpec.operators`) and only the weights are recomputed per
-integrator stage.
+Expanding B_i(lam) = R_i + (S lam)_i folds every drift and channel term
+into two sparse operators, K_L acting from the left and K_R from the
+right, plus one sandwich P_g tau P_g^dag per group of proportional channel
+operators R_i = c_i P_g.  The model caches K, R_i and R_i^dag on one
+sparse pattern and the groups once (`ModelSpec.operators`); each
+assembly forms K_L and K_R^T as weighted sums on that pattern, and the
+adjoint reuses both through a cached transposing permutation.
 """
 
 from __future__ import annotations
@@ -82,13 +84,32 @@ def scalar_rate(obs: ObservableSpec, kappa: np.ndarray, t: float,
     return complex(acc)
 
 
-def _rmul(M, X: np.ndarray) -> np.ndarray:
-    """X @ M for sparse M without densifying M."""
-    return (M.T @ X.T).T
+def _act(x, scalar, left, right_t, sandwiches, weights) -> np.ndarray:
+    """scalar x + left x + x right + sum_g weights_g (b_g (a_g x)^T)^T for
+    sparse left, right_t = right^T and sandwich pairs (a_g, b_g); the
+    scalar term stays a dense scaling."""
+    out = scalar * x
+    if left is not None:
+        out += left @ x
+        out += (right_t @ x.T).T
+    for (a, b), w in zip(sandwiches, weights):
+        out += w * (b @ (a @ x).T).T
+    return out
 
 
 class FrozenGenerator:
-    """Generator coefficients at a fixed time, applied matrix-free.
+    """Generator coefficients at a fixed time, applied matrix-free as
+
+        A[tau] = scalar tau + K_L tau + tau K_R + sum_g w_g P_g tau P_g^dag
+
+    with the two fused drift operators
+        K_L = K     + sum_i (w_left_i R_i + w_left_dag_i R_i^dag)
+        K_R = K^dag + sum_i (w_right_i R_i + w_right_dag_i R_i^dag)
+    and one sandwich per group g of proportional channel operators
+    R_i = c_i P_g, with w_g = sum_{i in g} s_i |c_i|^2 (`ModelSpec.operators`
+    holds the groups).  K_L and K_R^T are weighted sums of the cached basis
+    on one sparse pattern, formed once per assembly; applying the
+    generator costs one sparse product for each and two per group.
 
     Weight layout (mu = S lam, r_pm = r(+/-kappa; t)):
         R_i tau           : conj(r_minus_i) + s_i conj(mu_i)
@@ -102,7 +123,7 @@ class FrozenGenerator:
     """
 
     __slots__ = ("cache", "w_left", "w_left_dag", "w_right", "w_right_dag",
-                 "s", "scalar")
+                 "s", "scalar", "w_group", "K_L", "K_R_t")
 
     def __init__(self, cache, lam, mu, r_plus, r_minus, s, rate):
         self.cache = cache
@@ -117,49 +138,39 @@ class FrozenGenerator:
         c_right_conj = -0.5 * norm2 + complex(r_plus @ np.conj(mu))
         self.scalar = (c_left + c_right_conj
                        + complex(self.s @ (np.abs(mu) ** 2)) + rate)
+        self.w_group = self.s @ cache.group_weights
+        if cache.pattern.nnz:
+            # basis rows are [K, R_i, R_i^dag], and
+            # K_R^T = conj(K + sum_i conj(w_right_dag_i) R_i
+            #              + conj(w_right_i) R_i^dag)
+            one = np.ones(1)
+            self.K_L = cache.matrix(np.concatenate(
+                (one, self.w_left, self.w_left_dag)) @ cache.basis)
+            self.K_R_t = cache.matrix(np.conj(np.concatenate(
+                (one, np.conj(self.w_right_dag), np.conj(self.w_right)))
+                @ cache.basis))
+        else:
+            self.K_L = self.K_R_t = None
 
     def apply(self, tau: np.ndarray) -> np.ndarray:
-        c = self.cache
-        return self._apply(tau, c.K, c.K_dag, c.R, c.R_dag, self.w_left,
-                           self.w_left_dag, self.w_right, self.w_right_dag)
+        return _act(tau, self.scalar, self.K_L, self.K_R_t,
+                    self.cache.sandwich, self.w_group)
 
     def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
         """Dual map under the pairing Tr(X tau):
 
-            X -> K(lam, r_+)^dag X + X K(lam, r_-)
-                 + sum_i s_i B_i^dag X B_i + scalar * X,
+            X -> scalar X + K_R X + X K_L + sum_g w_g P_g^dag X P_g,
 
-        which is `apply` on K^dag and R_i^dag with the weights of left and
-        right products exchanged.
+        on the operators of `apply`, transposed by the cached permutation.
         """
         c = self.cache
-        return self._apply(X, c.K_dag, c.K, c.R_dag, c.R, self.w_right_dag,
-                           self.w_right, self.w_left_dag, self.w_left)
-
-    def _apply(self, tau, K, K_dag, R, R_dag, w_left, w_left_dag, w_right,
-               w_right_dag):
-        c = self.cache
-        if c.K_nonzero:
-            out = K @ tau
-            out += _rmul(K_dag, tau)
+        if self.K_L is None:
+            left = right_t = None
         else:
-            out = np.zeros_like(tau)
-        if self.scalar != 0:
-            out += self.scalar * tau
-        for i in range(len(R)):
-            if c.R_nonzero[i]:
-                Rt = R[i] @ tau
-                if self.s[i] != 0:
-                    out += self.s[i] * _rmul(R_dag[i], Rt)
-                if w_left[i] != 0:
-                    out += w_left[i] * Rt
-                if w_left_dag[i] != 0:
-                    out += w_left_dag[i] * (R_dag[i] @ tau)
-                if w_right[i] != 0:
-                    out += w_right[i] * _rmul(R[i], tau)
-                if w_right_dag[i] != 0:
-                    out += w_right_dag[i] * _rmul(R_dag[i], tau)
-        return out
+            left = c.transpose(self.K_R_t.data)
+            right_t = c.transpose(self.K_L.data)
+        return _act(X, self.scalar, left, right_t, c.sandwich_adj,
+                    self.w_group)
 
 
 def generator_at(ctx: GeneratorContext, t: float, side: int = 1) -> FrozenGenerator:

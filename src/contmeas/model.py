@@ -9,28 +9,112 @@ photocounter channels and one homodyne channel (d = 8 channels total).
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ValidationError
 from .fock import (SystemOperator, TruncatedSpace, ladder_a, ladder_a_dag,
                    ladder_b, ladder_b_dag)
 
 
-class _OperatorCache:
-    """Sparse matrices of the model, shared by all frozen generators."""
+# Two channel operators share a sandwich product when one is a scalar
+# multiple of the other to within this many units in the last place of
+# its largest entry.
+_PROPORTIONAL_ULPS = 8
 
-    __slots__ = ("K", "K_dag", "R", "R_dag", "R_nonzero", "K_nonzero")
+
+class _OperatorCache:
+    """Sparse data of the model in the layout the generator applies,
+    shared by all frozen generators.
+
+    K, R_1..R_d and R_1^dag..R_d^dag all live on one CSR pattern, the
+    union of their sparsity patterns; row j of `basis` holds the entries of
+    the j-th of them on it, so a weighted sum of these operators costs one
+    vector-matrix product.  `transpose` moves data on the pattern to the
+    transposed pattern through a fixed index permutation.
+
+    The nonzero channel operators are grouped as R_i = c_i P_g, P_g the
+    first operator of its group; `group_weights[i, g]` is |c_i|^2 (zero
+    off the group).  `sandwich[g]` is (P_g, conj P_g), so that
+    P_g tau P_g^dag = (conj P_g (P_g tau)^T)^T, and `sandwich_adj[g]` is
+    (P_g^dag, P_g^T) for P_g^dag X P_g in the same form.
+    """
+
+    __slots__ = ("pattern", "t_pattern", "t_perm", "basis",
+                 "group_weights", "sandwich", "sandwich_adj")
 
     def __init__(self, model: "ModelSpec"):
-        self.K_nonzero = model.K.nnz > 0
-        self.K = model.K.matrix
-        self.K_dag = model.K.matrix.conj().T.tocsr()
-        self.R = [op.matrix for op in model.R]
-        self.R_dag = [op.matrix.conj().T.tocsr() for op in model.R]
-        self.R_nonzero = [op.nnz > 0 for op in model.R]
+        dim = model.space.dim
+        coos = [op.matrix.tocoo() for op in (model.K, *model.R)]
+        keys = [c.row.astype(np.int64) * dim + c.col for c in coos]
+        keys += [c.col.astype(np.int64) * dim + c.row for c in coos[1:]]
+        vals = [c.data for c in coos] + [c.data.conj() for c in coos[1:]]
+        union = np.unique(np.concatenate(keys))
+        self.basis = np.zeros((len(keys), len(union)), dtype=complex)
+        for j, (key, val) in enumerate(zip(keys, vals)):
+            self.basis[j, np.searchsorted(union, key)] = val
+        rows, cols = np.divmod(union, dim)
+        self.t_perm = np.argsort(cols * dim + rows)
+        self.pattern = _csr(rows, cols, dim)
+        self.t_pattern = _csr(cols[self.t_perm], rows[self.t_perm], dim)
+
+        first, columns = [], []   # first channel of each group, |c_i|^2
+        for i in range(model.d):
+            key, val = keys[1 + i], vals[1 + i]
+            if len(val) == 0:
+                continue
+            for g, j in enumerate(first):
+                c = _proportion(key, val, keys[1 + j], vals[1 + j])
+                if c is not None:
+                    columns[g][i] = abs(c) ** 2
+                    break
+            else:
+                first.append(i)
+                columns.append(np.eye(model.d)[i])
+        self.group_weights = np.array(columns).reshape(-1, model.d).T
+        P = [model.R[i].matrix for i in first]
+        self.sandwich = [(p, p.conj()) for p in P]
+        self.sandwich_adj = [(p.conj().T.tocsr(), p.T.tocsr()) for p in P]
+
+    def matrix(self, data: np.ndarray):
+        """CSR matrix with `data` on the shared pattern."""
+        return _with_data(self.pattern, data)
+
+    def transpose(self, data: np.ndarray):
+        """CSR transpose of `matrix(data)`."""
+        return _with_data(self.t_pattern, data[self.t_perm])
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, dim: int):
+    """CSR pattern of (rows, cols) sorted by row, with zero data."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows,
+                                                        minlength=dim))))
+    return sp.csr_matrix((np.zeros(len(rows), dtype=complex),
+                          cols.astype(np.int32), indptr.astype(np.int32)),
+                         shape=(dim, dim))
+
+
+def _with_data(pattern, data: np.ndarray):
+    # a shallow copy shares the pattern's index arrays, which nothing
+    # writes; building a new csr_matrix would re-check them on every
+    # assembly and cost about five times as much
+    out = copy.copy(pattern)
+    out.data = data
+    return out
+
+
+def _proportion(key, val, rkey, rval) -> complex | None:
+    """c with val = c * rval entrywise on the same pattern, or None."""
+    if not np.array_equal(key, rkey):
+        return None
+    k = int(np.argmax(np.abs(rval)))
+    c = val[k] / rval[k]
+    tol = _PROPORTIONAL_ULPS * np.finfo(float).eps * np.max(np.abs(val))
+    return c if np.max(np.abs(val - c * rval)) <= tol else None
 
 
 @dataclass(frozen=True)
@@ -60,7 +144,8 @@ class ModelSpec:
 
     @functools.cached_property
     def operators(self) -> _OperatorCache:
-        """Sparse K, R_i and their adjoints, built on first use."""
+        """K, R_i and their adjoints on one sparse pattern, and the channel
+        groups, built on first use."""
         return _OperatorCache(self)
 
 

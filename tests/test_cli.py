@@ -159,6 +159,40 @@ def test_bad_run_key_rejected(tmp_path, capsys):
     assert code == 2
 
 
+SHIPPED = pathlib.Path(__file__).parent.parent / "configs"
+GUARD_CLAMPED = [
+    # (shipped config, command, run.guard; None drops it, reference guard
+    # whose leakage the clamped run must report; None means leakage 0)
+    ("poisson_counts.json", "counts", None, None),
+    ("dpo_homodyne.json", "homodyne", 4, 3),
+]
+
+
+def _leakage(tmp_path, capsys, name, command, guard):
+    cfg = json.loads((SHIPPED / name).read_text())
+    cfg["run"].pop("guard", None)
+    if guard is not None:
+        cfg["run"]["guard"] = guard
+    if command == "homodyne":
+        cfg["run"].update(n_points=29, kappa_max=7.0, x_points=17)
+    assert main([command, "--config", write(tmp_path, cfg)]) == 0
+    header = [ln for ln in capsys.readouterr().out.splitlines()
+              if ln.startswith("# leakage = ")]
+    return float(header[0].split("=")[1])
+
+
+@pytest.mark.parametrize("name, command, guard, reference", GUARD_CLAMPED)
+def test_guard_band_never_covers_vacuum(tmp_path, capsys, name, command,
+                                        guard, reference):
+    # a guard wider than the smaller cutoff is clamped to it, as validate
+    # already did, instead of counting the vacuum as leaked
+    leak = _leakage(tmp_path, capsys, name, command, guard)
+    if reference is None:
+        assert leak == 0.0
+    else:
+        assert leak == _leakage(tmp_path, capsys, name, command, reference)
+
+
 def _set(cfg, path, value):
     node = cfg
     for key in path[:-1]:

@@ -4,7 +4,6 @@ import pytest
 from contmeas import (DimensionMismatchError, DpoParams, SystemOperator,
                       TruncatedSpace, dpo_model, guard_band_leakage, ladder_a,
                       ladder_a_dag, ladder_b, ladder_b_dag)
-from contmeas.generator import _rmul
 
 
 def test_index_unravel_roundtrip():
@@ -69,27 +68,38 @@ def test_number_operators():
 
 
 def test_adjoint_matches_dense():
-    # the model's cached adjoints of K and the R_i, built once per model
+    # the model's cached K, R_i and adjoints R_i^dag on one pattern, built
+    # once per model
     params = DpoParams.from_splittings(omega_c=1.0, g=0.3, kappa=0.5,
                                        kappa_p=1.0, nbar=0.2, nbar_p=0.1)
     model = dpo_model(params, TruncatedSpace(3, 2))
     cache = model.operators
     assert model.operators is cache
-    assert np.max(np.abs(cache.K_dag.toarray()
-                         - model.K.to_dense().conj().T)) == 0
-    for R, R_dag in zip(model.R, cache.R_dag):
-        assert np.max(np.abs(R_dag.toarray() - R.to_dense().conj().T)) == 0
+    dense = [model.K.to_dense()] + [R.to_dense() for R in model.R] \
+        + [R.to_dense().conj().T for R in model.R]
+    assert len(cache.basis) == len(dense)
+    for row, ref in zip(cache.basis, dense):
+        assert np.max(np.abs(cache.matrix(row).toarray() - ref)) == 0
+        assert np.max(np.abs(cache.transpose(row).toarray() - ref.T)) == 0
 
 
 def test_density_applications_match_dense():
+    # X tau and tau X on the cached pattern, the latter through the
+    # cached transposed pattern as (X^T tau^T)^T
     rng = np.random.default_rng(3)
     sp = TruncatedSpace(3, 3)
-    X = ladder_a(sp).matrix + 0.3j * ladder_b_dag(sp).matrix
+    params = DpoParams.from_splittings(omega_c=1.0, g=0.3, kappa=0.5,
+                                       kappa_p=1.0)
+    cache = dpo_model(params, sp).operators
+    w = rng.standard_normal(len(cache.basis)) \
+        + 1j * rng.standard_normal(len(cache.basis))
+    X = cache.matrix(w @ cache.basis)
     rho = rng.standard_normal((sp.dim, sp.dim)) \
         + 1j * rng.standard_normal((sp.dim, sp.dim))
     Xd = X.toarray()
     assert np.allclose(X @ rho, Xd @ rho, atol=1e-14)
-    assert np.allclose(_rmul(X, rho), rho @ Xd, atol=1e-14)
+    assert np.allclose((cache.transpose(X.data) @ rho.T).T, rho @ Xd,
+                       atol=1e-14)
 
 
 def test_algebra_operators():

@@ -3,9 +3,10 @@ import pytest
 
 import helpers
 from contmeas import (Constant, DpoParams, FieldProfile, GeneratorContext,
-                      TestFunction, TruncatedSpace, ValidationError, ZERO,
-                      dpo_laser_field, dpo_model, dpo_observables,
-                      generator_at, scalar_rate)
+                      ModelSpec, ObservableSpec, SystemOperator, TestFunction,
+                      TruncatedSpace, ValidationError, ZERO, dpo_laser_field,
+                      dpo_model, dpo_observables, generator_at, ladder_a,
+                      ladder_b, scalar_rate, trivial_model)
 from contmeas.generator import context_is_piecewise_static
 from contmeas.oracle import _dense_superoperator
 
@@ -55,6 +56,73 @@ def test_adjoint_is_trace_dual():
         lhs = np.trace(X @ g.apply(tau))
         rhs = np.trace(g.apply_adjoint(X) @ tau)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+
+def _hand_built_context():
+    """Five channels: a, a with one entry changed by 1e-9 (same pattern, not
+    proportional), a + b, and multiples 2i a and -(a + b)/2 of the first
+    and third; a counted on channels 1-2, a quadrature on 3-5."""
+    space = TruncatedSpace(3, 2)
+    a, b = ladder_a(space).matrix, ladder_b(space).matrix
+    a_changed = a.copy()
+    a_changed.data[3] *= 1 + 1e-9
+    R = tuple(SystemOperator(space, M) for M in
+              (a, a_changed, a + b, 2j * a, -0.5 * (a + b)))
+    K = SystemOperator(space, -(0.3 + 0.7j) * (a.T @ a) + 0.2 * (b.T @ a))
+    model = ModelSpec(space=space, d=5, K=K, R=R, S=np.eye(5))
+    h = ((ZERO,) * 5, (ZERO, ZERO, Constant(0.4 - 0.3j), Constant(0.2),
+                       Constant(0.1j)))
+    obs = ObservableSpec(m=2, d=5, horizon=1.0,
+                         eigenvalues=[[1.0, 0.5, 0, 0, 0], [0] * 5], h=h,
+                         b=(Constant(0.3), ZERO, ZERO, ZERO, Constant(0.2j)),
+                         c=(ZERO, Constant(0.1)))
+    field = FieldProfile((Constant(0.2 + 0.1j), ZERO, Constant(-0.3), ZERO,
+                          Constant(0.05j)), 1.0)
+    kappa = TestFunction([0.0, 1.0], [[0.7, -1.3]])
+    return GeneratorContext(model=model, observables=obs, field=field,
+                            kappa=kappa)
+
+
+def test_channel_groups_decline_non_proportional_operators():
+    # only exact multiples share a sandwich: {a, 2i a}, {a changed},
+    # {a + b, -(a + b)/2}; the fused kernel still matches the dense
+    # superoperator and its adjoint stays trace-dual
+    ctx = _hand_built_context()
+    model = ctx.model
+    weights = model.operators.group_weights
+    assert np.array_equal(weights, [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                    [4, 0, 0], [0, 0, 0.25]])
+    rng = np.random.default_rng(23)
+    dim = model.space.dim
+    for t in (0.2, 0.6):
+        g = generator_at(ctx, t)
+        M = _dense_superoperator(model, ctx.observables, ctx.field,
+                                 ctx.kappa, t)
+        for _ in range(3):
+            tau = rng.standard_normal((dim, dim)) \
+                + 1j * rng.standard_normal((dim, dim))
+            X = rng.standard_normal((dim, dim)) \
+                + 1j * rng.standard_normal((dim, dim))
+            dense = (M @ tau.reshape(-1, order="F")).reshape(dim, dim,
+                                                             order="F")
+            assert np.max(np.abs(g.apply(tau) - dense)) < 1e-12
+            lhs = np.trace(X @ g.apply(tau))
+            rhs = np.trace(g.apply_adjoint(X) @ tau)
+            assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+
+def test_system_free_apply_is_scalar():
+    # dim 1, K = 0, R_i = 0: the generator is its scalar rate, exactly
+    model = trivial_model(2)
+    obs = ObservableSpec.counting_only(2, 1.0, np.array([[1.0, 0.0]]))
+    field = FieldProfile((Constant(1.2 - 0.4j), Constant(0.3)), 1.0)
+    ctx = GeneratorContext(model=model, observables=obs, field=field,
+                           kappa=TestFunction([0.0, 1.0], [[0.9]]))
+    g = generator_at(ctx, 0.5)
+    assert g.scalar != 0
+    tau = np.array([[0.3 + 0.2j]])
+    assert np.array_equal(g.apply(tau), g.scalar * tau)
+    assert np.array_equal(g.apply_adjoint(tau), g.scalar * tau)
 
 
 def test_trace_annihilated_without_test_function():
