@@ -113,20 +113,28 @@ class Run:
                            "dim": self.model.space.dim},
         }
 
-    def leakage(self, t_end: float) -> float:
-        """Guard-band occupation of a plain (test function off) run."""
-        ctx = self.context(TestFunction.zero(self.obs.m))
-        res = evolve(ctx, self.rho0, t_end, self.evo)
-        return guard_band_leakage(self.model.space, res.final, self.guard())
+    def leakage(self, t_end: float, final: np.ndarray | None = None) -> float:
+        """Guard-band occupation of a plain (test function off) run at
+        t_end.  `final`, the end state of a run with the configured test
+        function, is that plain run when the test function is zero and is
+        then used instead of propagating again."""
+        if final is None or not self.kappa.is_zero:
+            ctx = self.context(TestFunction.zero(self.obs.m))
+            final = evolve(ctx, self.rho0, t_end, self.evo).final
+        return guard_band_leakage(self.model.space, final, self.guard())
 
 
-def _emit(payload: dict, out: str | None):
-    text = json.dumps(_jsonable(payload), indent=2) + "\n"
+def _write(text: str, out: str | None):
+    """Write a report to the file `out`, or to stdout without one."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, out: str | None):
+    _write(json.dumps(_jsonable(payload), indent=2) + "\n", out)
 
 
 def _emit_csv(header: dict, columns: dict, out: str | None):
@@ -136,12 +144,7 @@ def _emit_csv(header: dict, columns: dict, out: str | None):
     rows = len(next(iter(columns.values())))
     for i in range(rows):
         lines.append(",".join(_fmt(columns[name][i]) for name in names))
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", out)
 
 
 def _flatten(d: dict, prefix: str = ""):
@@ -179,8 +182,7 @@ def cmd_evolve(run: Run, out):
         "n_steps": res.n_steps,
         "trace": res.trace,
         "max_abs_trace": res.max_abs_trace,
-        "leakage": guard_band_leakage(run.model.space, res.final, run.guard())
-        if run.kappa.is_zero else run.leakage(t_end),
+        "leakage": run.leakage(t_end, res.final),
     })
     _emit(report, out)
 
@@ -193,7 +195,7 @@ def cmd_charfunc(run: Run, out):
         "t_end": t_end,
         "charfunc": res.trace,
         "abs": abs(res.trace),
-        "leakage": run.leakage(t_end),
+        "leakage": run.leakage(t_end, res.final),
     })
     _emit(report, out)
 

@@ -57,13 +57,12 @@ class GeneratorContext:
 
     def segments(self, t_end: float,
                  start: float = 0.0) -> list[tuple[float, float]]:
-        """Smooth pieces of [start, t_end] of the whole generator."""
-        return segments(t_end, self.field, self.kappa, self.observables,
-                        start=start)
+        """Smooth pieces of [start, t_end] of the whole generator, split
+        where the field window or the test function jumps."""
+        return segments(t_end, self.field, self.kappa, start=start)
 
 
-def scalar_rate(obs: ObservableSpec, kappa: np.ndarray, t: float,
-                side: int = 1) -> complex:
+def scalar_rate(obs: ObservableSpec, kappa: np.ndarray, t: float) -> complex:
     """State-independent scalar rate of the generator at time t:
     sum_i (s_i - 1)|b_i|^2 + i sum_a kappa_a c^a
     - (1/2) sum_ab kappa_a <h^a(t), h^b(t)> kappa_b."""
@@ -72,13 +71,13 @@ def scalar_rate(obs: ObservableSpec, kappa: np.ndarray, t: float,
     acc = 0j
     for i in range(obs.d):
         if s[i] != 1.0:
-            bv = obs.b[i].value(t, side)
+            bv = obs.b[i].value(t)
             acc += (s[i] - 1.0) * abs(bv) ** 2
     for alpha in range(obs.m):
         if kappa[alpha] != 0:
-            acc += 1j * kappa[alpha] * obs.c[alpha].value(t, side)
+            acc += 1j * kappa[alpha] * obs.c[alpha].value(t)
     if np.any(kappa):
-        hvals = np.array([[obs.h[alpha][i].value(t, side)
+        hvals = np.array([[obs.h[alpha][i].value(t)
                            for i in range(obs.d)] for alpha in range(obs.m)])
         acc -= 0.5 * (kappa @ (hvals.conj() @ hvals.T) @ kappa)
     return complex(acc)
@@ -174,15 +173,15 @@ class FrozenGenerator:
 
 
 def generator_at(ctx: GeneratorContext, t: float, side: int = 1) -> FrozenGenerator:
-    """Assemble the generator weights at time t."""
+    """Assemble the generator weights at time t; `side` as in `signals`."""
     lam = ctx.field.value(t, side)
     kappa = ctx.kappa.value(t, side)
     obs = ctx.observables
     if np.any(kappa):
         s = obs.kernel_diagonal(kappa)
-        r_plus = obs.r_vector(kappa, t, side)
-        r_minus = obs.r_vector(-kappa, t, side)
-        rate = scalar_rate(obs, kappa, t, side)
+        r_plus = obs.r_vector(kappa, t)
+        r_minus = obs.r_vector(-kappa, t)
+        rate = scalar_rate(obs, kappa, t)
     else:
         s = np.ones(obs.d, dtype=complex)
         r_plus = np.zeros(obs.d, dtype=complex)

@@ -21,15 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .signals import ZERO, Constant, Harmonic, TimeSignal, segments
-
-
-def _sample_times(signals, horizon: float, per_segment: int = 5):
-    """Sample points covering every smooth segment of the given signals."""
-    out = []
-    for lo, hi in segments(horizon, *signals):
-        out.extend(np.linspace(lo, hi, per_segment + 2)[1:-1])
-    return np.asarray(out)
+from .signals import ZERO, Harmonic, TimeSignal
 
 
 @dataclass(frozen=True)
@@ -79,8 +71,8 @@ class ObservableSpec:
         return cls(m=m, d=d, horizon=horizon, eigenvalues=ev, h=h, b=b, c=c)
 
     def _check_compatibility(self):
-        times = _sample_times(self.signals, self.horizon)
-        # projective and quadrature parts of the family must not overlap
+        # projective and quadrature parts of the family must not overlap;
+        # a constant or a harmonic vanishes nowhere unless its amplitude does
         for alpha in range(self.m):
             for beta in range(self.m):
                 for i in range(self.d):
@@ -89,8 +81,7 @@ class ObservableSpec:
                     sig = self.h[beta][i]
                     if sig is ZERO:
                         continue
-                    vals = np.array([sig.value(t) for t in times])
-                    if np.max(np.abs(vals), initial=0.0) > self.CHECK_TOL:
+                    if abs(_as_harmonic(sig)[0]) > self.CHECK_TOL:
                         raise ValidationError(
                             f"observable {alpha + 1} has an eigenvalue on "
                             f"channel {i + 1} where observable {beta + 1} "
@@ -110,7 +101,7 @@ class ObservableSpec:
             raise ValidationError(f"kappa must have {self.m} entries")
         return np.exp(1j * (kappa @ self.eigenvalues))
 
-    def r_vector(self, kappa: np.ndarray, t: float, side: int = 1) -> np.ndarray:
+    def r_vector(self, kappa: np.ndarray, t: float) -> np.ndarray:
         """r_i(kappa; t) = i sum_a kappa_a h^a_i(t) + (s_i - 1) b_i(t)."""
         kappa = np.asarray(kappa, dtype=float)
         s = self.kernel_diagonal(kappa)
@@ -119,8 +110,8 @@ class ObservableSpec:
             acc = 0j
             for alpha in range(self.m):
                 if kappa[alpha] != 0 and self.h[alpha][i] is not ZERO:
-                    acc += kappa[alpha] * self.h[alpha][i].value(t, side)
-            out[i] = 1j * acc + (s[i] - 1.0) * self.b[i].value(t, side)
+                    acc += kappa[alpha] * self.h[alpha][i].value(t)
+            out[i] = 1j * acc + (s[i] - 1.0) * self.b[i].value(t)
         return out
 
     def h_gram(self) -> np.ndarray:
@@ -144,49 +135,24 @@ class ObservableSpec:
         return (tuple(s for row in self.h for s in row) + tuple(self.b)
                 + tuple(self.c))
 
-    def breakpoints(self) -> tuple[float, ...]:
-        return tuple(b for sig in self.signals for b in sig.breakpoints())
 
-
-# -- scalar quadrature helpers ----------------------------------------------
+# -- closed-form inner products ----------------------------------------------
 
 def _inner(sig_a: TimeSignal, sig_b: TimeSignal, T: float) -> complex:
-    """int_0^T conj(a(t)) b(t) dt, exact on the signal classes we ship."""
-    from scipy.integrate import quad
-    total = 0j
-    for lo, hi in segments(T, sig_a, sig_b):
-        closed = _closed_form_inner(sig_a, sig_b, lo, hi)
-        if closed is not None:
-            total += closed
-            continue
-        f = lambda t: np.conj(sig_a.value(t)) * sig_b.value(t)
-        re, _ = quad(lambda t: np.real(f(t)), lo, hi, limit=200)
-        im, _ = quad(lambda t: np.imag(f(t)), lo, hi, limit=200)
-        total += re + 1j * im
-    return total
-
-
-def _closed_form_inner(sig_a, sig_b, lo, hi):
-    """Exact segment integral for constants and harmonics, else None."""
-    ca = _as_harmonic(sig_a)
-    cb = _as_harmonic(sig_b)
-    if ca is None or cb is None:
-        return None
-    (aa, pa, wa), (ab, pb, wb) = ca, cb
+    """int_0^T conj(a(t)) b(t) dt in closed form."""
+    (aa, pa, wa), (ab, pb, wb) = _as_harmonic(sig_a), _as_harmonic(sig_b)
     amp = np.conj(aa) * ab * np.exp(1j * (pb - pa))
     w = wb - wa
     if w == 0.0:
-        return amp * (hi - lo)
-    return amp * (np.exp(1j * w * hi) - np.exp(1j * w * lo)) / (1j * w)
+        return amp * T
+    return amp * (np.exp(1j * w * T) - 1.0) / (1j * w)
 
 
 def _as_harmonic(sig):
-    """(amplitude, phase, frequency) for constants and harmonics, else None."""
+    """(amplitude, phase, frequency) of a constant or a harmonic."""
     if isinstance(sig, Harmonic):
         return sig.amplitude, sig.phase, sig.frequency
-    if isinstance(sig, Constant):
-        return sig.value(0.0), 0.0, 0.0
-    return None
+    return sig.value(0.0), 0.0, 0.0
 
 
 def dpo_observables(params, horizon: float) -> ObservableSpec:

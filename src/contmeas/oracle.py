@@ -56,7 +56,7 @@ def system_free_charfunc(obs: ObservableSpec, field: FieldProfile,
         return acc
 
     total = 0j
-    for lo, hi in segments(t_end, obs, field, kappa):
+    for lo, hi in segments(t_end, field, kappa):
         re, _ = quad(lambda t: np.real(integrand(t)), lo, hi, limit=200)
         im, _ = quad(lambda t: np.imag(integrand(t)), lo, hi, limit=200)
         total += re + 1j * im
@@ -117,7 +117,7 @@ def dense_expm_propagate(model: ModelSpec, obs: ObservableSpec,
     if dim > DENSE_DIM_LIMIT:
         raise ValidationError(f"dense oracle limited to dim <= {DENSE_DIM_LIMIT}")
     vec = np.array(rho0, dtype=complex).reshape(-1, order="F")
-    for lo, hi in segments(t_end, obs, field, kappa):
+    for lo, hi in segments(t_end, field, kappa):
         M = _dense_superoperator(model, obs, field, kappa, 0.5 * (lo + hi))
         vec = expm(M * (hi - lo)) @ vec
     return vec.reshape(dim, dim, order="F")

@@ -1,10 +1,11 @@
 """Time-dependent scalar signals, piecewise-constant test functions,
 field profiles and the smooth segments between their breakpoints.
 
-Signals are evaluated pointwise; `side=+1` takes the right-continuous
-value at a breakpoint, `side=-1` the limit from the left.  The integrator
-needs the left limit for the last stage of a step that ends exactly on a
-breakpoint.
+Signals (constants and harmonics) are smooth.  Only test functions and
+the edges of a field window jump, so only they have breakpoints and take
+`side`: `side=+1` gives the right-continuous value at a breakpoint,
+`side=-1` the limit from the left.  The integrator needs the left limit
+for the last stage of a step that ends exactly on a breakpoint.
 """
 
 from __future__ import annotations
@@ -16,22 +17,18 @@ import numpy as np
 
 
 class TimeSignal(abc.ABC):
-    """Complex-valued, locally bounded function of time."""
+    """Complex-valued smooth function of time."""
 
     @abc.abstractmethod
-    def value(self, t: float, side: int = 1) -> complex:
+    def value(self, t: float) -> complex:
         ...
-
-    def breakpoints(self) -> tuple[float, ...]:
-        """Times where the signal is non-smooth."""
-        return ()
 
 
 class Constant(TimeSignal):
     def __init__(self, value: complex = 0.0):
         self._value = complex(value)
 
-    def value(self, t, side=1):
+    def value(self, t):
         return self._value
 
     def __repr__(self):
@@ -50,7 +47,7 @@ class Harmonic(TimeSignal):
         self.phase = float(phase)
         self.frequency = float(frequency)
 
-    def value(self, t, side=1):
+    def value(self, t):
         return self.amplitude * np.exp(1j * (self.phase + self.frequency * t))
 
     def __repr__(self):
@@ -125,21 +122,16 @@ class FieldProfile:
             inside = 0.0 < t <= self.window
         if not inside:
             return np.zeros(self.d, dtype=complex)
-        return np.array([s.value(t, side) for s in self.signals], dtype=complex)
+        return np.array([s.value(t) for s in self.signals], dtype=complex)
 
     def breakpoints(self) -> tuple[float, ...]:
-        pts = [0.0]
-        if math.isfinite(self.window):
-            pts.append(self.window)
-        for sig in self.signals:
-            pts.extend(sig.breakpoints())
-        return tuple(pts)
+        return (0.0, self.window)
 
 
 def segments(t_end: float, *sources,
              start: float = 0.0) -> list[tuple[float, float]]:
     """Smooth pieces (lo, hi) of [start, t_end], split at the breakpoints
-    inside it of the given signals, test functions, fields or observables."""
+    inside it of the given test functions and field windows."""
     start, t_end = float(start), float(t_end)
     pts = {start, t_end}
     for src in sources:

@@ -122,6 +122,36 @@ def test_evolve_report(tmp_path, capsys):
     assert report["n_steps"] == 100
 
 
+LEAKAGE_RUNS = [
+    # (kappa section; None leaves the test function zero, propagations
+    # made by each of evolve and charfunc)
+    (None, 1),
+    ({"breakpoints": [0.0, 0.5, 1.0],
+      "values": [[0.4, 0.2, 0.1], [0.0, 0.3, 0.5]]}, 2),
+]
+
+
+@pytest.mark.parametrize("kappa, propagations", LEAKAGE_RUNS,
+                         ids=["plain", "kappa"])
+def test_leakage_reuses_plain_run(tmp_path, capsys, monkeypatch, kappa,
+                                  propagations):
+    # with a zero test function the run itself is the plain run whose
+    # guard band the leakage reads, so it is not propagated again
+    from contmeas import cli
+    evolve, made = cli.evolve, []
+    monkeypatch.setattr(cli, "evolve",
+                        lambda *a, **k: made.append(a) or evolve(*a, **k))
+    cfg = dpo_config() if kappa is None else dpo_config(kappa=kappa)
+    path = write(tmp_path, cfg)
+    leakage = {}
+    for command in ("evolve", "charfunc"):
+        made.clear()
+        assert main([command, "--config", path]) == 0
+        assert len(made) == propagations
+        leakage[command] = json.loads(capsys.readouterr().out)["leakage"]
+    assert leakage["evolve"] == leakage["charfunc"]
+
+
 def test_oracle_compare(tmp_path, capsys):
     cfg = dpo_config()
     cfg["model"]["truncation"] = {"n_max": 2, "m_max": 2}

@@ -52,12 +52,24 @@ def test_r_vector_reflection_identity():
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def test_incompatible_projective_and_quadrature_parts():
+@pytest.mark.parametrize("profile, compatible", [
+    (Harmonic(1.0), False),
+    (Harmonic(0.5, 0.3, 2.0), False),
+    (Constant(0.2j), False),
+    (Harmonic(0.0, 0.3, 2.0), True),
+], ids=["harmonic", "harmonic-rotating", "constant", "zero-amplitude"])
+def test_incompatible_projective_and_quadrature_parts(profile, compatible):
+    # a quadrature profile on the counted channel overlaps the projective
+    # part unless it vanishes, i.e. unless its amplitude is zero
     ev = np.array([[1.0, 0.0]])
-    h = ((Harmonic(1.0), ZERO),)    # quadrature on the same channel
-    with pytest.raises(ValidationError):
-        ObservableSpec(m=1, d=2, horizon=1.0, eigenvalues=ev, h=h,
-                       b=(ZERO, ZERO), c=(ZERO,))
+    h = ((profile, ZERO),)
+    build = lambda: ObservableSpec(m=1, d=2, horizon=1.0, eigenvalues=ev,
+                                   h=h, b=(ZERO, ZERO), c=(ZERO,))
+    if compatible:
+        assert build().h[0][0] is profile
+    else:
+        with pytest.raises(ValidationError, match="quadrature profile"):
+            build()
 
 
 def test_noncommuting_quadratures_rejected():

@@ -68,8 +68,11 @@ def test_dense_oracle_rejects_large_spaces():
                              rho0, 1.0)
 
 
-def test_duality_residual_small():
+@pytest.mark.parametrize("window", [2.0, 1.0])
+def test_duality_residual_small(window):
+    # with window 1.0 both legs also cross the field-window edge
     model, obs, field, rng = small_dpo(seed=5, n_max=3, m_max=2)
+    field = FieldProfile(field.signals, window)
     kappa = TestFunction([0.0, 0.9, 2.0], [[0.3, 0.1, -0.4], [0.2, 0.0, 0.5]])
     ctx = GeneratorContext(model=model, observables=obs, field=field,
                            kappa=kappa)
