@@ -10,6 +10,12 @@ segment everything is smooth, so classical fourth-order Runge-Kutta keeps
 its full order.  Because times are absolute, propagation to s, then from
 s to t, meets every breakpoint from the same side as the one-shot run.
 
+The stage generators of a segment's steps are assembled together
+(`rk4_stages`, through `generator.stage_generators`), at the times
+lo + k h / 2 with the last one hi itself; the generator at the end of
+one step is the start generator of the next, so a segment of `count`
+steps assembles 2 count + 1 generators.
+
 When every coefficient is constant between breakpoints, or when
 `EvolutionConfig.freeze` asks for it, each segment instead uses one
 generator frozen at the segment midpoint.
@@ -17,13 +23,14 @@ generator frozen at the segment midpoint.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ContractivityError, IntegrationError
 from .generator import (GeneratorContext, context_is_piecewise_static,
-                        generator_at)
+                        generator_at, stage_generators)
 
 
 @dataclass(frozen=True)
@@ -60,16 +67,41 @@ def is_state(rho: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(evals.min() > -tol)
 
 
-def _rk4_step(gen, t, h, tau, t_stop=None):
-    """One classical RK4 step with stage generators `gen(t, side)`; a step
-    that ends a segment at `t_stop` takes its last stage there, from the
-    left, so accumulated rounding never crosses a breakpoint."""
-    t4, side4 = (t + h, 1) if t_stop is None else (t_stop, -1)
-    k1 = gen(t, 1).apply(tau)
-    g_mid = gen(t + 0.5 * h, 1)
-    k2 = g_mid.apply(tau + 0.5 * h * k1)
-    k3 = g_mid.apply(tau + 0.5 * h * k2)
-    k4 = gen(t4, side4).apply(tau + h * k3)
+def step_count(lo: float, hi: float, dt: float) -> int:
+    """Number of equal steps of at most dt that cover [lo, hi]."""
+    return max(1, int(np.ceil((hi - lo) / dt - 1e-12)))
+
+
+def rk4_stages(ctx: GeneratorContext, start: float, stop: float, count: int):
+    """Stage generators (start, middle, end) of each of `count` equal RK4
+    steps from `start` to `stop`, in either direction.
+
+    The stage times are start + k (stop - start) / (2 count), the last
+    one exactly `stop`.  Both ends take the side that faces into the
+    segment; every other stage lies strictly inside it.  The end generator
+    of one step is the start generator of the next, so a segment assembles
+    2 count + 1 generators.
+    """
+    inward = 1 if stop > start else -1
+    times = start + np.arange(2 * count + 1) * (0.5 * (stop - start) / count)
+    times[-1] = stop
+    sides = np.ones(len(times), dtype=np.int8)
+    sides[0], sides[-1] = inward, -inward
+    stages = stage_generators(ctx, times, sides)
+    g0 = next(stages)
+    for _ in range(count):
+        g_mid, g1 = next(stages), next(stages)
+        yield g0, g_mid, g1
+        g0 = g1
+
+
+def rk4_step(a0, a_mid, a1, h, tau):
+    """One classical RK4 step of length h for d tau = a(tau), with the
+    maps a0, a_mid and a1 at the start, middle and end of the step."""
+    k1 = a0(tau)
+    k2 = a_mid(tau + 0.5 * h * k1)
+    k3 = a_mid(tau + 0.5 * h * k2)
+    k4 = a1(tau + h * k3)
     return tau + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -79,9 +111,11 @@ def evolve(ctx: GeneratorContext, rho0: np.ndarray, t_end: float,
            t_start: float = 0.0) -> EvolutionResult:
     """Propagate tau(t_start) = rho0 to time t_end.
 
-    A state that is no longer finite at the end of a segment raises
-    IntegrationError whatever `contractivity_check` says; numpy's
-    overflow warnings on the way there are silenced in its favour.
+    A segment whose steps would exceed `max_steps` raises IntegrationError
+    before any of its generators is assembled.  A state that is no longer
+    finite at the end of a segment raises IntegrationError whatever
+    `contractivity_check` says; numpy's overflow warnings on the way there
+    are silenced in its favour.
     """
     if config is None:
         config = EvolutionConfig()
@@ -97,22 +131,21 @@ def evolve(ctx: GeneratorContext, rho0: np.ndarray, t_end: float,
 
     static = config.freeze or context_is_piecewise_static(ctx)
 
-    def gen(t, side):
-        return frozen if static else generator_at(ctx, t, side)
-
     n_steps = 0
     max_abs_trace = abs(np.trace(tau))
     for lo, hi in ctx.segments(t_end, start=t_start):
+        count = step_count(lo, hi, config.dt)
+        if n_steps + count > config.max_steps:
+            raise IntegrationError("step budget exhausted")
+        h = (hi - lo) / count
         if static:
             frozen = generator_at(ctx, 0.5 * (lo + hi))
-        count = max(1, int(np.ceil((hi - lo) / config.dt - 1e-12)))
-        h = (hi - lo) / count
-        for j in range(count):
-            last = j == count - 1
-            tau = _rk4_step(gen, lo + j * h, h, tau, hi if last else None)
-            n_steps += 1
-            if n_steps > config.max_steps:
-                raise IntegrationError("step budget exhausted")
+            steps = itertools.repeat((frozen,) * 3, count)
+        else:
+            steps = rk4_stages(ctx, lo, hi, count)
+        for g0, g_mid, g1 in steps:
+            tau = rk4_step(g0.apply, g_mid.apply, g1.apply, h, tau)
+        n_steps += count
         tr = abs(np.trace(tau))
         if not (np.isfinite(tr) and np.isfinite(tau).all()):
             raise IntegrationError(f"non-finite state at t = {hi:.6g}; "

@@ -1,7 +1,7 @@
 """Time-dependent generator of the reduced characteristic-operator
 evolution.
 
-At each time the generator is assembled from four pieces: the drift
+The generator at time t is built from four pieces: the drift
 K(lambda, r) with the field value lambda(t) and the observable vector
 r(+/-kappa; t) folded in, displaced channel operators B_i(lambda), the
 unimodular kernel diagonal s_i(kappa), and a state-independent scalar
@@ -20,8 +20,14 @@ into two sparse operators, K_L acting from the left and K_R from the
 right, plus one sandwich P_g tau P_g^dag per group of proportional channel
 operators R_i = c_i P_g.  The model caches K, R_i and R_i^dag on one
 sparse pattern and the groups once (`ModelSpec.operators`); each
-assembly forms K_L and K_R^T as weighted sums on that pattern, and the
+generator forms K_L and K_R^T as weighted sums on that pattern, and the
 adjoint reuses both through a cached transposing permutation.
+
+`stage_generators` assembles the generators at a whole run of times at
+once: the signals, s, r(+/-kappa), the scalar rate and the weights are
+array expressions over a block of times, and each generator's K_L and
+K_R^T are formed only when it is handed out.  `generator_at` is its
+one-time case.
 """
 
 from __future__ import annotations
@@ -62,25 +68,12 @@ class GeneratorContext:
         return segments(t_end, self.field, self.kappa, start=start)
 
 
-def scalar_rate(obs: ObservableSpec, kappa: np.ndarray, t: float) -> complex:
+def scalar_rate(obs: ObservableSpec, kappa: np.ndarray, t):
     """State-independent scalar rate of the generator at time t:
     sum_i (s_i - 1)|b_i|^2 + i sum_a kappa_a c^a
-    - (1/2) sum_ab kappa_a <h^a(t), h^b(t)> kappa_b."""
-    kappa = np.asarray(kappa, dtype=float)
-    s = obs.kernel_diagonal(kappa)
-    acc = 0j
-    for i in range(obs.d):
-        if s[i] != 1.0:
-            bv = obs.b[i].value(t)
-            acc += (s[i] - 1.0) * abs(bv) ** 2
-    for alpha in range(obs.m):
-        if kappa[alpha] != 0:
-            acc += 1j * kappa[alpha] * obs.c[alpha].value(t)
-    if np.any(kappa):
-        hvals = np.array([[obs.h[alpha][i].value(t)
-                           for i in range(obs.d)] for alpha in range(obs.m)])
-        acc -= 0.5 * (kappa @ (hvals.conj() @ hvals.T) @ kappa)
-    return complex(acc)
+    - (1/2) sum_ab kappa_a <h^a(t), h^b(t)> kappa_b,
+    or one rate per row for kappas of shape (n, m) and n times."""
+    return obs.coefficients(kappa, t)[3]
 
 
 def _act(x, scalar, left, right_t, sandwiches, weights) -> np.ndarray:
@@ -121,35 +114,37 @@ class FrozenGenerator:
     parts of the two drift operators.
     """
 
-    __slots__ = ("cache", "w_left", "w_left_dag", "w_right", "w_right_dag",
-                 "s", "scalar", "w_group", "K_L", "K_R_t")
+    __slots__ = ("cache", "s", "scalar", "w_group", "left", "right", "K_L",
+                 "K_R_t")
 
-    def __init__(self, cache, lam, mu, r_plus, r_minus, s, rate):
+    def __init__(self, cache, s, scalar, w_group, left, right):
         self.cache = cache
-        self.s = np.asarray(s, dtype=complex)
-        mu = np.asarray(mu, dtype=complex)
-        self.w_left = np.conj(r_minus) + self.s * np.conj(mu)
-        self.w_left_dag = -mu
-        self.w_right = -np.conj(mu)
-        self.w_right_dag = r_plus + self.s * mu
-        norm2 = float(np.real(np.vdot(lam, lam)))
-        c_left = -0.5 * norm2 + complex(np.conj(r_minus) @ mu)
-        c_right_conj = -0.5 * norm2 + complex(r_plus @ np.conj(mu))
-        self.scalar = (c_left + c_right_conj
-                       + complex(self.s @ (np.abs(mu) ** 2)) + rate)
-        self.w_group = self.s @ cache.group_weights
+        self.s = s
+        self.scalar = scalar
+        self.w_group = w_group
+        self.left = left
+        self.right = right
         if cache.pattern.nnz:
-            # basis rows are [K, R_i, R_i^dag], and
-            # K_R^T = conj(K + sum_i conj(w_right_dag_i) R_i
-            #              + conj(w_right_i) R_i^dag)
-            one = np.ones(1)
-            self.K_L = cache.matrix(np.concatenate(
-                (one, self.w_left, self.w_left_dag)) @ cache.basis)
-            self.K_R_t = cache.matrix(np.conj(np.concatenate(
-                (one, np.conj(self.w_right_dag), np.conj(self.w_right)))
-                @ cache.basis))
+            self.K_L = cache.matrix(left @ cache.basis)
+            self.K_R_t = cache.matrix(np.conj(right @ cache.basis))
         else:
             self.K_L = self.K_R_t = None
+
+    @property
+    def w_left(self) -> np.ndarray:
+        return self.left[1:1 + self.s.size]
+
+    @property
+    def w_left_dag(self) -> np.ndarray:
+        return self.left[1 + self.s.size:]
+
+    @property
+    def w_right(self) -> np.ndarray:
+        return np.conj(self.right[1 + self.s.size:])
+
+    @property
+    def w_right_dag(self) -> np.ndarray:
+        return np.conj(self.right[1:1 + self.s.size])
 
     def apply(self, tau: np.ndarray) -> np.ndarray:
         return _act(tau, self.scalar, self.K_L, self.K_R_t,
@@ -172,24 +167,55 @@ class FrozenGenerator:
                     self.w_group)
 
 
-def generator_at(ctx: GeneratorContext, t: float, side: int = 1) -> FrozenGenerator:
-    """Assemble the generator weights at time t; `side` as in `signals`."""
+# stage times whose weights are formed together; the weight rows of a
+# block are all a segment holds at once, whatever its length
+BLOCK = 64
+
+
+def _weight_rows(ctx: GeneratorContext, t: np.ndarray, side: np.ndarray):
+    """s, scalar, w_group and the left and right basis weights (see
+    `FrozenGenerator`) at each time t with its side, one row per time."""
     lam = ctx.field.value(t, side)
     kappa = ctx.kappa.value(t, side)
-    obs = ctx.observables
-    if np.any(kappa):
-        s = obs.kernel_diagonal(kappa)
-        r_plus = obs.r_vector(kappa, t)
-        r_minus = obs.r_vector(-kappa, t)
-        rate = scalar_rate(obs, kappa, t)
-    else:
-        s = np.ones(obs.d, dtype=complex)
-        r_plus = np.zeros(obs.d, dtype=complex)
-        r_minus = np.zeros(obs.d, dtype=complex)
-        rate = 0j
-    mu = ctx.model.S @ lam
-    return FrozenGenerator(ctx.model.operators, lam, mu, r_plus, r_minus, s,
-                           rate)
+    s, r_plus, r_minus, rate = ctx.observables.coefficients(kappa, t)
+    # mu = S lam and w_group = s G as plain sums, so that each row comes
+    # out the same however many rows there are
+    mu = (lam[:, None, :] * ctx.model.S).sum(axis=-1)
+    w_group = (s[:, :, None] * ctx.model.operators.group_weights).sum(axis=-2)
+    r_minus_conj = np.conj(r_minus)
+    mu_conj = np.conj(mu)
+    half_norm2 = 0.5 * (np.abs(lam) ** 2).sum(axis=-1)
+    scalar = (-half_norm2 + (r_minus_conj * mu).sum(axis=-1)
+              + (-half_norm2 + (r_plus * mu_conj).sum(axis=-1))
+              + (s * np.abs(mu) ** 2).sum(axis=-1) + rate)
+    one = np.ones((len(t), 1))
+    left = np.concatenate((one, r_minus_conj + s * mu_conj, -mu), axis=1)
+    right = np.concatenate((one, np.conj(r_plus + s * mu), -mu), axis=1)
+    return s, scalar, w_group, left, right
+
+
+def stage_generators(ctx: GeneratorContext, times, sides):
+    """Yield the generator at each time of `times`, in order, taken from
+    the side of the matching entry of `sides` (as in `signals`).
+
+    The weights are formed for BLOCK times at a time with array
+    operations; each generator's two sparse drift operators are formed
+    only when it is yielded.
+    """
+    times = np.asarray(times, dtype=float)
+    sides = np.asarray(sides)
+    cache = ctx.model.operators
+    for lo in range(0, len(times), BLOCK):
+        s, scalar, w_group, left, right = _weight_rows(
+            ctx, times[lo:lo + BLOCK], sides[lo:lo + BLOCK])
+        for k in range(len(scalar)):
+            yield FrozenGenerator(cache, s[k], scalar[k], w_group[k],
+                                  left[k], right[k])
+
+
+def generator_at(ctx: GeneratorContext, t: float, side: int = 1) -> FrozenGenerator:
+    """Assemble the generator at time t; `side` as in `signals`."""
+    return next(stage_generators(ctx, (t,), (side,)))
 
 
 def context_is_piecewise_static(ctx: GeneratorContext) -> bool:

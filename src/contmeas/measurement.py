@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .signals import ZERO, Harmonic, TimeSignal
+from .signals import ZERO, Harmonic, SignalTable, TimeSignal, as_harmonic
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,7 @@ class ObservableSpec:
         if self.horizon <= 0:
             raise ValidationError("horizon must be positive")
         self._check_compatibility()
+        object.__setattr__(self, "_table", SignalTable(self.signals))
 
     @classmethod
     def counting_only(cls, d: int, horizon: float, eigenvalues: np.ndarray,
@@ -81,7 +82,7 @@ class ObservableSpec:
                     sig = self.h[beta][i]
                     if sig is ZERO:
                         continue
-                    if abs(_as_harmonic(sig)[0]) > self.CHECK_TOL:
+                    if abs(as_harmonic(sig)[0]) > self.CHECK_TOL:
                         raise ValidationError(
                             f"observable {alpha + 1} has an eigenvalue on "
                             f"channel {i + 1} where observable {beta + 1} "
@@ -95,24 +96,39 @@ class ObservableSpec:
     # -- derived scalar data -------------------------------------------------
 
     def kernel_diagonal(self, kappa: np.ndarray) -> np.ndarray:
-        """s_i(kappa) = exp(i sum_alpha kappa_alpha B^alpha_i), length d."""
+        """s_i(kappa) = exp(i sum_alpha kappa_alpha B^alpha_i), length d;
+        a kappa of shape (n, m) gives one row per kappa."""
         kappa = np.asarray(kappa, dtype=float)
-        if kappa.shape != (self.m,):
+        if kappa.shape[-1:] != (self.m,):
             raise ValidationError(f"kappa must have {self.m} entries")
-        return np.exp(1j * (kappa @ self.eigenvalues))
+        # a plain sum over alpha, not a matrix product, so that each row
+        # comes out the same however many rows there are
+        return np.exp(1j * (kappa[..., None] * self.eigenvalues).sum(axis=-2))
 
-    def r_vector(self, kappa: np.ndarray, t: float) -> np.ndarray:
-        """r_i(kappa; t) = i sum_a kappa_a h^a_i(t) + (s_i - 1) b_i(t)."""
+    def coefficients(self, kappa: np.ndarray, t):
+        """s(kappa), r(+kappa; t), r(-kappa; t) and the scalar rate
+        c(kappa; t) of the generator (see `r_vector` and
+        `generator.scalar_rate`), for one kappa and time, or row by row
+        for kappas of shape (n, m) and n times."""
         kappa = np.asarray(kappa, dtype=float)
         s = self.kernel_diagonal(kappa)
-        out = np.zeros(self.d, dtype=complex)
-        for i in range(self.d):
-            acc = 0j
-            for alpha in range(self.m):
-                if kappa[alpha] != 0 and self.h[alpha][i] is not ZERO:
-                    acc += kappa[alpha] * self.h[alpha][i].value(t)
-            out[i] = 1j * acc + (s[i] - 1.0) * self.b[i].value(t)
-        return out
+        vals = self._table(t)
+        md = self.m * self.d
+        h = vals[..., :md].reshape(vals.shape[:-1] + (self.m, self.d))
+        b = vals[..., md:md + self.d]
+        c = vals[..., md + self.d:]
+        hk = (kappa[..., None] * h).sum(axis=-2)     # sum_a kappa_a h^a_i
+        r_plus = 1j * hk + (s - 1.0) * b
+        r_minus = -1j * hk + (np.conj(s) - 1.0) * b     # s(-kappa) = conj s
+        # kappa^T <h(t), h(t)> kappa = |sum_a kappa_a h^a(t)|^2 for real kappa
+        rate = (((s - 1.0) * np.abs(b) ** 2).sum(axis=-1)
+                + 1j * (kappa * c).sum(axis=-1)
+                - 0.5 * (np.abs(hk) ** 2).sum(axis=-1))
+        return s, r_plus, r_minus, rate
+
+    def r_vector(self, kappa: np.ndarray, t) -> np.ndarray:
+        """r_i(kappa; t) = i sum_a kappa_a h^a_i(t) + (s_i - 1) b_i(t)."""
+        return self.coefficients(kappa, t)[1]
 
     def h_gram(self) -> np.ndarray:
         """Gram matrix <h^alpha | h^beta> over [0, horizon]."""
@@ -140,19 +156,12 @@ class ObservableSpec:
 
 def _inner(sig_a: TimeSignal, sig_b: TimeSignal, T: float) -> complex:
     """int_0^T conj(a(t)) b(t) dt in closed form."""
-    (aa, pa, wa), (ab, pb, wb) = _as_harmonic(sig_a), _as_harmonic(sig_b)
+    (aa, pa, wa), (ab, pb, wb) = as_harmonic(sig_a), as_harmonic(sig_b)
     amp = np.conj(aa) * ab * np.exp(1j * (pb - pa))
     w = wb - wa
     if w == 0.0:
         return amp * T
     return amp * (np.exp(1j * w * T) - 1.0) / (1j * w)
-
-
-def _as_harmonic(sig):
-    """(amplitude, phase, frequency) of a constant or a harmonic."""
-    if isinstance(sig, Harmonic):
-        return sig.amplitude, sig.phase, sig.frequency
-    return sig.value(0.0), 0.0, 0.0
 
 
 def dpo_observables(params, horizon: float) -> ObservableSpec:

@@ -21,8 +21,9 @@ from scipy.linalg import expm
 from scipy.integrate import quad
 
 from .errors import ValidationError
-from .evolution import EvolutionConfig, evolve
-from .generator import GeneratorContext, generator_at
+from .evolution import (EvolutionConfig, evolve, rk4_stages, rk4_step,
+                        step_count)
+from .generator import GeneratorContext
 from .measurement import ObservableSpec
 from .model import ModelSpec
 from .signals import FieldProfile, TestFunction, segments
@@ -138,19 +139,13 @@ def duality_check(ctx: GeneratorContext, rho0: np.ndarray, X: np.ndarray,
 
     Y = np.array(X, dtype=complex)
     for lo, hi in reversed(ctx.segments(t)):
-        count = max(1, int(np.ceil((hi - lo) / config.dt - 1e-12)))
+        count = step_count(lo, hi, config.dt)
         h = (hi - lo) / count
-        for j in range(count):
-            s = hi - j * h
-            s_next = lo if j == count - 1 else s - h
-            # backward RK4 on dY/ds = -A'_s[Y]; stage times run leftward,
-            # so the starting stage takes the left limit and the final
-            # stage of the segment takes the right-continuous value
-            k1 = -generator_at(ctx, s, side=-1).apply_adjoint(Y)
-            g_mid = generator_at(ctx, s - 0.5 * h, side=1)
-            k2 = -g_mid.apply_adjoint(Y - 0.5 * h * k1)
-            k3 = -g_mid.apply_adjoint(Y - 0.5 * h * k2)
-            k4 = -generator_at(ctx, s_next, side=1).apply_adjoint(Y - h * k3)
-            Y = Y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # dY/ds = -A'_s[Y] run from hi down to lo is forward RK4 in -s on
+        # the adjoint; the stages start at hi from the left and end at lo
+        # from the right
+        for g0, g_mid, g1 in rk4_stages(ctx, hi, lo, count):
+            Y = rk4_step(g0.apply_adjoint, g_mid.apply_adjoint,
+                          g1.apply_adjoint, h, Y)
     rhs = complex(np.trace(Y @ np.array(rho0, dtype=complex)))
     return {"forward": lhs, "backward": rhs, "residual": abs(lhs - rhs)}

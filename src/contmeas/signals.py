@@ -6,6 +6,10 @@ the edges of a field window jump, so only they have breakpoints and take
 `side`: `side=+1` gives the right-continuous value at a breakpoint,
 `side=-1` the limit from the left.  The integrator needs the left limit
 for the last stage of a step that ends exactly on a breakpoint.
+
+Test functions and field profiles take one time or an array of times (with
+one side or a matching array of sides) and return one row per time, so a
+whole run of integrator stages is evaluated at once.
 """
 
 from __future__ import annotations
@@ -54,6 +58,39 @@ class Harmonic(TimeSignal):
         return f"Harmonic({self.amplitude}, {self.phase}, {self.frequency})"
 
 
+def as_harmonic(sig: TimeSignal) -> tuple[complex, float, float]:
+    """(amplitude, phase, frequency) of a constant or a harmonic."""
+    if isinstance(sig, Harmonic):
+        return sig.amplitude, sig.phase, sig.frequency
+    return sig.value(0.0), 0.0, 0.0
+
+
+class SignalTable:
+    """A family of constants and harmonics evaluated together, from one
+    (amplitude, phase, frequency) row per signal."""
+
+    def __init__(self, signals):
+        rows = [as_harmonic(s) for s in signals]
+        self.amplitude = np.array([r[0] for r in rows], dtype=complex)
+        self.phase = np.array([r[1] for r in rows], dtype=float)
+        self.frequency = np.array([r[2] for r in rows], dtype=float)
+
+    def __call__(self, t) -> np.ndarray:
+        """Values at time t, or one row of values per entry of an array t."""
+        return self.amplitude * np.exp(
+            1j * (self.phase + np.multiply.outer(t, self.frequency)))
+
+
+def piece(breaks: np.ndarray, t, side=1):
+    """Index of the piece of time t between increasing `breaks`: 0 before
+    the first, len(breaks) after the last.  At a breakpoint, side > 0
+    takes the piece to its right and side <= 0 the piece to its left.
+    Elementwise for an array t, with one side or an array of sides."""
+    return np.where(np.greater(side, 0),
+                    np.searchsorted(breaks, t, side="right"),
+                    np.searchsorted(breaks, t, side="left"))
+
+
 class TestFunction:
     """Piecewise-constant R^m-valued test function, zero outside its span.
 
@@ -70,6 +107,8 @@ class TestFunction:
             raise ValueError("need len(breakpoints) == n_intervals + 1")
         if np.any(np.diff(self.breaks) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
+        pad = np.zeros((1, self.m))
+        self._rows = np.concatenate((pad, self.values, pad))   # by piece
 
     @classmethod
     def zero(cls, m: int) -> "TestFunction":
@@ -83,12 +122,10 @@ class TestFunction:
     def is_zero(self) -> bool:
         return self.values.size == 0 or not np.any(self.values)
 
-    def value(self, t: float, side: int = 1) -> np.ndarray:
-        sd = "right" if side > 0 else "left"
-        idx = int(np.searchsorted(self.breaks, t, side=sd)) - 1
-        if 0 <= idx < self.values.shape[0]:
-            return self.values[idx].copy()
-        return np.zeros(self.m)
+    def value(self, t, side=1) -> np.ndarray:
+        """Value at t, length m, or one row per time for an array t (with
+        one side or an array of sides)."""
+        return np.take(self._rows, piece(self.breaks, t, side), axis=0)
 
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(self.breaks)
@@ -110,19 +147,18 @@ class FieldProfile:
     def __init__(self, signals, window: float = math.inf):
         self.signals = tuple(signals)
         self.window = float(window)
+        self._edges = np.array([0.0, max(self.window, 0.0)])
+        self._table = SignalTable(self.signals)
 
     @property
     def d(self) -> int:
         return len(self.signals)
 
-    def value(self, t: float, side: int = 1) -> np.ndarray:
-        if side > 0:
-            inside = 0.0 <= t < self.window
-        else:
-            inside = 0.0 < t <= self.window
-        if not inside:
-            return np.zeros(self.d, dtype=complex)
-        return np.array([s.value(t) for s in self.signals], dtype=complex)
+    def value(self, t, side=1) -> np.ndarray:
+        """Value at t, length d, or one row per time for an array t (with
+        one side or an array of sides)."""
+        inside = piece(self._edges, t, side) == 1
+        return np.where(inside[..., None], self._table(t), 0j)
 
     def breakpoints(self) -> tuple[float, ...]:
         return (0.0, self.window)

@@ -43,10 +43,12 @@ def counting_axis(n_points: int = 256) -> np.ndarray:
 
 def diffusive_axis(kappa_max: float, n_points: int = 256) -> np.ndarray:
     """Symmetric kappa samples on [-kappa_max, kappa_max], endpoints
-    included; an even or too-small count is raised to the next odd one."""
+    included; a count below 3 is raised to 3 and an even count to the
+    next odd one, so kappa = 0 is always a sample."""
     if kappa_max <= 0:
         raise ValidationError("kappa_max must be positive")
-    if n_points < 3 or n_points % 2 == 0:
+    n_points = max(n_points, 3)
+    if n_points % 2 == 0:
         n_points += 1
     return np.linspace(-kappa_max, kappa_max, n_points)
 

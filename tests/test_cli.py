@@ -1,6 +1,7 @@
 import csv
 import json
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -286,6 +287,16 @@ def test_diverging_run_exit_4(tmp_path, capsys, recwarn, command, check):
     assert captured.err.startswith("integration failure:")
     assert "NaN" not in captured.out and "Infinity" not in captured.out
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_step_budget_exit_4(tmp_path, capsys):
+    # dt 1e-12 asks for about 1e12 steps; the budget of 10 is checked
+    # before a segment is assembled, so the run fails at once with exit 4
+    cfg = dpo_config(evolution={"dt": 1e-12, "max_steps": 10})
+    t0 = time.perf_counter()
+    assert main(["evolve", "--config", write(tmp_path, cfg)]) == 4
+    assert time.perf_counter() - t0 < 30.0
+    assert capsys.readouterr().err.startswith("integration failure:")
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,8 @@ from contmeas import (Constant, ContractivityError, EvolutionConfig,
                       TruncatedSpace, ZERO, composition_check,
                       dpo_laser_field, dpo_model, dpo_observables, evolve,
                       is_state, system_free_charfunc, trivial_model)
-from contmeas.generator import context_is_piecewise_static
+from contmeas import evolution
+from contmeas.generator import context_is_piecewise_static, generator_at
 
 
 def dpo_context(seed=0, n_max=6, m_max=4, horizon=3.0, kappa=None):
@@ -106,6 +107,52 @@ def test_composition_check_refinement_keeps_step_budget():
     with pytest.raises(IntegrationError):
         composition_check(ctx, vacuum(ctx.model.space.dim), 0.6, 1.4,
                           EvolutionConfig(dt=5e-3, max_steps=280))
+
+
+def test_stages_shared_between_steps(monkeypatch):
+    # the non-static path equals plain RK4 on one-point generators at the
+    # stage times lo + k h / 2 (the last one hi, from the left), and each
+    # segment assembles 2 count + 1 generators, not 3 count
+    kappa = TestFunction([0.0, 0.4, 1.0], [[0.3, 0.0, 0.5], [0.0, 0.6, -0.4]])
+    ctx, params, rng = dpo_context(seed=3, n_max=3, m_max=2, kappa=kappa)
+    assert not context_is_piecewise_static(ctx)
+    rho0 = vacuum(ctx.model.space.dim)
+    dt = 0.05
+    tau = rho0.copy()
+    counts = []
+    for lo, hi in ctx.segments(1.0):
+        count = max(1, int(np.ceil((hi - lo) / dt - 1e-12)))
+        counts.append(count)
+        h = (hi - lo) / count
+        for j in range(count):
+            last = j == count - 1
+            g0 = generator_at(ctx, lo + 2 * j * (0.5 * h))
+            g_mid = generator_at(ctx, lo + (2 * j + 1) * (0.5 * h))
+            g1 = generator_at(ctx, hi, -1) if last else \
+                generator_at(ctx, lo + (2 * j + 2) * (0.5 * h))
+            k1 = g0.apply(tau)
+            k2 = g_mid.apply(tau + 0.5 * h * k1)
+            k3 = g_mid.apply(tau + 0.5 * h * k2)
+            k4 = g1.apply(tau + h * k3)
+            tau = tau + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert counts == [8, 12]
+
+    assembled = []
+    original = evolution.stage_generators
+
+    def counting(ctx, times, sides):
+        for g in original(ctx, times, sides):
+            assembled[-1] += 1
+            yield g
+
+    def wrapped(ctx, times, sides):
+        assembled.append(0)
+        return counting(ctx, times, sides)
+
+    monkeypatch.setattr(evolution, "stage_generators", wrapped)
+    res = evolve(ctx, rho0, 1.0, EvolutionConfig(dt=dt))
+    assert np.max(np.abs(res.final - tau)) < 1e-14
+    assert assembled == [2 * c + 1 for c in counts]
 
 
 def test_is_state():

@@ -7,7 +7,8 @@ from contmeas import (Constant, DpoParams, FieldProfile, GeneratorContext,
                       TruncatedSpace, ValidationError, ZERO, dpo_laser_field,
                       dpo_model, dpo_observables, generator_at, ladder_a,
                       ladder_b, scalar_rate, trivial_model)
-from contmeas.generator import context_is_piecewise_static
+from contmeas.generator import (BLOCK, context_is_piecewise_static,
+                                stage_generators)
 from contmeas.oracle import _dense_superoperator
 
 
@@ -81,6 +82,40 @@ def _hand_built_context():
     kappa = TestFunction([0.0, 1.0], [[0.7, -1.3]])
     return GeneratorContext(model=model, observables=obs, field=field,
                             kappa=kappa)
+
+
+def test_stage_generators_match_one_point_assembly():
+    # the batched assembly over many (t, side) pairs, across weight blocks,
+    # equals the one-point assembly at each pair: at the breakpoints of a
+    # two-interval test function from both sides, outside the field window
+    # (which ends at 1.5, inside the horizon 2) and where kappa = 0
+    rng, params, model, obs, _ = build_setup(seed=4)
+    field = dpo_laser_field(params, 1.5)
+    kappa = TestFunction([0.2, 0.9, 1.3], [[0.5, -0.3, 0.8], [0.0, 0.0, -1.1]])
+    ctx = GeneratorContext(model=model, observables=obs, field=field,
+                           kappa=kappa)
+    edges = [0.0, 0.2, 0.9, 1.3, 1.5, 2.0]
+    times = np.concatenate((edges, edges, rng.uniform(-0.3, 2.3, 2 * BLOCK)))
+    sides = np.concatenate((np.ones(6), -np.ones(6),
+                            rng.choice([-1, 1], 2 * BLOCK))).astype(int)
+    gens = list(stage_generators(ctx, times, sides))
+    assert len(gens) == len(times) > BLOCK
+    for t, side, g in zip(times, sides, gens):
+        ref = generator_at(ctx, t, side)
+        assert abs(g.scalar - ref.scalar) <= 1e-15
+        for name in ("s", "w_group", "w_left", "w_left_dag", "w_right",
+                     "w_right_dag"):
+            assert np.max(np.abs(getattr(g, name) - getattr(ref, name))) \
+                <= 1e-15, name
+        assert np.max(np.abs(g.K_L.data - ref.K_L.data)) <= 1e-15
+        assert np.max(np.abs(g.K_R_t.data - ref.K_R_t.data)) <= 1e-15
+    # the cases the batch must cover do occur
+    kappa_zero = [not np.any(kappa.value(t, sd)) for t, sd in zip(times, sides)]
+    outside = [not np.any(field.value(t, sd)) for t, sd in zip(times, sides)]
+    assert 0 < sum(kappa_zero) < len(times)
+    assert 0 < sum(outside) < len(times)
+    for k, t in enumerate(edges[1:4], start=1):   # the sides differ there
+        assert np.max(np.abs(gens[k].w_left - gens[6 + k].w_left)) > 1e-3
 
 
 def test_channel_groups_decline_non_proportional_operators():

@@ -28,6 +28,10 @@ def test_axis_validation():
     samples = diffusive_axis(4.0, n_points=10)   # even count is bumped to odd
     assert len(samples) == 11
     assert samples[5] == 0.0
+    for n_points in (1, 2):                      # too small: raised to 3
+        samples = diffusive_axis(7.0, n_points=n_points)
+        assert len(samples) == 3
+        assert samples[1] == 0.0
 
 
 def test_on_interval_test_functions():
