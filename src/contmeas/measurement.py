@@ -31,7 +31,9 @@ class ObservableSpec:
     eigenvalues: real (m, d) array, entry [alpha, i] = B^alpha_i.
     h: (m, d) nested tuple of TimeSignal, quadrature profiles.
     b: length-d tuple of TimeSignal, the reference field.
-    c: length-m tuple of TimeSignal, additive classical offsets.
+    c: length-m tuple of TimeSignal, additive classical offsets; each must
+       be real-valued (a real constant, or a harmonic of zero frequency
+       and real value).
     """
 
     m: int
@@ -57,8 +59,8 @@ class ObservableSpec:
             raise ValidationError(f"c must have {self.m} entries")
         if self.horizon <= 0:
             raise ValidationError("horizon must be positive")
-        self._check_compatibility()
         object.__setattr__(self, "_table", SignalTable(self.signals))
+        self._check_compatibility()
 
     @classmethod
     def counting_only(cls, d: int, horizon: float, eigenvalues: np.ndarray,
@@ -87,6 +89,18 @@ class ObservableSpec:
                             f"observable {alpha + 1} has an eigenvalue on "
                             f"channel {i + 1} where observable {beta + 1} "
                             f"has a quadrature profile")
+        # a real record needs real classical offsets: phi(-kappa) is then
+        # conj phi(kappa), which the homodyne marginal relies on
+        first = self.m * self.d + self.d      # table rows: h, b, then c
+        amp, phase, freq = (a[first:] for a in (
+            self._table.amplitude, self._table.phase, self._table.frequency))
+        complex_valued = (np.abs(amp) > self.CHECK_TOL) & (
+            (freq != 0.0)
+            | (np.abs((amp * np.exp(1j * phase)).imag) > self.CHECK_TOL))
+        if complex_valued.any():
+            raise ValidationError(
+                f"classical offset {np.argmax(complex_valued) + 1} is not "
+                "real-valued")
         gram = self.h_gram()
         dev = np.max(np.abs(np.imag(gram)), initial=0.0)
         if dev > self.CHECK_TOL:

@@ -13,6 +13,11 @@ Diffusive (homodyne) observables have densities, recovered by a
 truncated continuous Fourier transform; the tail of the characteristic
 function must have decayed at the truncation edge, and the x window must
 be narrower than the period 2 pi / (kappa spacing) of the quadrature.
+A measured record is real, so phi(-kappa) = conj phi(kappa): a homodyne
+marginal propagates only the kappa >= 0 half of its grid and reads the
+other half as the conjugate.  This is exact when the initial state is
+Hermitian and the classical offsets c^alpha are real; the first is
+checked here, the second by `ObservableSpec`.
 """
 
 from __future__ import annotations
@@ -44,13 +49,13 @@ def counting_axis(n_points: int = 256) -> np.ndarray:
 def diffusive_axis(kappa_max: float, n_points: int = 256) -> np.ndarray:
     """Symmetric kappa samples on [-kappa_max, kappa_max], endpoints
     included; a count below 3 is raised to 3 and an even count to the
-    next odd one, so kappa = 0 is always a sample."""
+    next odd one, so kappa = 0 is always a sample.  The negative half is
+    the mirror of the non-negative one, so sample j is exactly minus
+    sample n-1-j."""
     if kappa_max <= 0:
         raise ValidationError("kappa_max must be positive")
-    n_points = max(n_points, 3)
-    if n_points % 2 == 0:
-        n_points += 1
-    return np.linspace(-kappa_max, kappa_max, n_points)
+    half = np.linspace(0.0, kappa_max, max(n_points, 3) // 2 + 1)
+    return np.concatenate((-half[:0:-1], half))
 
 
 def on_interval(m: int, observable: int, t_end: float,
@@ -148,7 +153,19 @@ def homodyne_distribution(model: ModelSpec, obs: ObservableSpec,
                           observable: int, t_end: float, kappa_max: float,
                           x: np.ndarray, n_points: int = 257,
                           config: EvolutionConfig | None = None) -> np.ndarray:
+    """Density of one diffusive observable over x at t_end.  Only the
+    kappa >= 0 half of `diffusive_axis(kappa_max, n_points)` is
+    propagated; phi(-kappa) is taken as conj phi(kappa), which is exact
+    for a Hermitian rho0 (checked) and real classical offsets (checked
+    by `ObservableSpec`)."""
+    rho0 = np.asarray(rho0)
+    dev = float(np.max(np.abs(rho0 - rho0.conj().T)))
+    if dev > ObservableSpec.CHECK_TOL:
+        raise ValidationError(
+            f"initial state is not Hermitian: max |rho0 - rho0^dag| = {dev:.3e}")
     samples = diffusive_axis(kappa_max, n_points)
-    kappas = on_interval(obs.m, observable, t_end, samples)
-    phi = joint_charfunc(model, obs, field, rho0, kappas, t_end, config)
+    mid = len(samples) // 2
+    kappas = on_interval(obs.m, observable, t_end, samples[mid:])
+    half = joint_charfunc(model, obs, field, rho0, kappas, t_end, config)
+    phi = np.concatenate((np.conj(half[:0:-1]), half))
     return invert_homodyne(samples, phi, x)

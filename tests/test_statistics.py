@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from contmeas import (AliasingError, Constant, EvolutionConfig, FieldProfile,
-                      InversionQualityError, ObservableSpec, TestFunction,
+import helpers
+import contmeas.statistics as statistics
+from contmeas import (ZERO, AliasingError, Constant, EvolutionConfig,
+                      FieldProfile, Harmonic, InversionQualityError,
+                      ObservableSpec, TestFunction, TruncatedSpace,
                       ValidationError, counting_axis, counting_distribution,
-                      diffusive_axis, invert_counting, invert_homodyne,
-                      joint_charfunc, on_interval, trivial_model)
+                      diffusive_axis, dpo_laser_field, dpo_model,
+                      dpo_observables, homodyne_distribution, invert_counting,
+                      invert_homodyne, joint_charfunc, on_interval,
+                      trivial_model)
 
 
 def poisson_setup(amplitude=np.sqrt(2.0), horizon=1.0):
@@ -18,6 +23,19 @@ def poisson_setup(amplitude=np.sqrt(2.0), horizon=1.0):
     field = FieldProfile((Constant(amplitude),), horizon)
     rho0 = np.array([[1.0 + 0j]])
     return model, obs, field, rho0
+
+
+def driven_dpo(horizon=1.0, seed=12, occupied=((1, 0),)):
+    """A driven oscillator model truncated at (4, 3), the local oscillator
+    rotating at the subharmonic carrier, started in the equal superposition
+    of the `occupied` Fock states (by default the Fock state (1, 0))."""
+    params = helpers.random_dpo_params(np.random.default_rng(seed))
+    space = TruncatedSpace(4, 3)
+    model = dpo_model(params, space)
+    obs = dpo_observables(params, horizon)
+    field = dpo_laser_field(params, horizon)
+    v = sum(space.basis_vector(n, m) for n, m in occupied)
+    return model, obs, field, np.outer(v, v.conj()) / len(occupied)
 
 
 def test_axis_validation():
@@ -32,6 +50,11 @@ def test_axis_validation():
         samples = diffusive_axis(7.0, n_points=n_points)
         assert len(samples) == 3
         assert samples[1] == 0.0
+    # exactly antisymmetric, so a mirrored sample is the exact negative
+    for kappa_max, n_points in ((7.0, 25), (4.0, 10), (14.0, 257)):
+        samples = diffusive_axis(kappa_max, n_points)
+        assert np.array_equal(samples, -samples[::-1])
+        assert samples[0] == -kappa_max and samples[-1] == kappa_max
 
 
 def test_on_interval_test_functions():
@@ -140,3 +163,101 @@ def test_charfunc_along_at_zero_is_trace():
                          on_interval(obs.m, 1, 1.0, [0.0]), 1.0,
                          EvolutionConfig(dt=1e-2))
     assert abs(phi[0] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("offset, rho0, rejected", [
+    (Constant(0.1), np.array([[1.0 + 0j]]), None),
+    (Constant(0.1), np.array([[1.0 + 1e-6j]]), "not Hermitian"),
+    (Constant(0.1j), np.array([[1.0 + 0j]]), "not real-valued"),
+    (Harmonic(1.0, 0.0, 2.0), np.array([[1.0 + 0j]]), "not real-valued"),
+], ids=["real-offset", "non-hermitian-rho0", "imaginary-offset",
+        "rotating-offset"])
+def test_homodyne_symmetry_preconditions(offset, rho0, rejected):
+    # a quadrature on the vacuum with a real offset c is N(c T, T); an
+    # offset that is not real or a non-Hermitian initial state would break
+    # phi(-kappa) = conj phi(kappa), so either is rejected
+    T = 1.0
+
+    def density():
+        obs = ObservableSpec(m=1, d=1, horizon=T, eigenvalues=np.zeros((1, 1)),
+                             h=((Constant(1.0),),), b=(ZERO,), c=(offset,))
+        x = np.linspace(-3.0, 3.0, 61)
+        p = homodyne_distribution(trivial_model(1), obs,
+                                  FieldProfile((ZERO,), T), rho0, 1, T, 10.0,
+                                  x, 65, EvolutionConfig(dt=0.01))
+        return x, p
+
+    if rejected is not None:
+        with pytest.raises(ValidationError, match=rejected):
+            density()
+        return
+    x, p = density()
+    exact = np.exp(-0.5 * (x - 0.1 * T) ** 2 / T) / np.sqrt(2 * np.pi * T)
+    assert np.max(np.abs(p - exact)) < 1e-8
+
+
+def _dpo_pairs():
+    model, obs, field, rho0 = driven_dpo()
+    quadrature = on_interval(obs.m, 3, 1.0, [0.3, 1.7, 4.2])
+    windows = [TestFunction([0.0, 0.4, 1.0], [[0.8, -0.5, 1.3],
+                                              [-0.2, 1.1, -2.4]])]
+    return model, obs, field, rho0, quadrature + windows
+
+
+def _system_free_pairs():
+    # a counted channel with a nonzero reference field b, next to a
+    # quadrature channel with a real classical offset
+    obs = ObservableSpec(m=2, d=2, horizon=1.0,
+                         eigenvalues=np.array([[1.0, 0.0], [0.0, 0.0]]),
+                         h=((ZERO, ZERO), (ZERO, Harmonic(0.8, 0.3, 1.1))),
+                         b=(Constant(0.3 + 0.2j), ZERO),
+                         c=(ZERO, Constant(0.1)))
+    field = FieldProfile((Constant(0.5 - 0.4j), Constant(0.2j)), 1.0)
+    kappas = [TestFunction([0.0, 0.6, 1.0], [[0.9, -1.3], [2.1, 0.4]])]
+    return trivial_model(2), obs, field, np.array([[1.0 + 0j]]), kappas
+
+
+@pytest.mark.parametrize("build", [_dpo_pairs, _system_free_pairs],
+                         ids=["driven-dpo", "system-free-counting"])
+def test_charfunc_conjugate_symmetry(build):
+    # a real record has phi(-kappa) = conj phi(kappa); the homodyne
+    # marginal propagates only kappa >= 0 and relies on this
+    model, obs, field, rho0, kappas = build()
+    config = EvolutionConfig(dt=0.02)
+    for k in kappas:
+        minus = TestFunction(k.breaks, -k.values)
+        phi = joint_charfunc(model, obs, field, rho0, [k, minus], 1.0, config)
+        assert abs(phi[0]) > 1e-4
+        assert abs(phi[1] - np.conj(phi[0])) <= 1e-14
+
+
+@pytest.mark.parametrize("n_points, x, propagations", [
+    (25, np.linspace(-4.0, 4.0, 81), 13),
+    (3, np.linspace(-0.4, 0.4, 5), 2),
+])
+def test_homodyne_half_grid_matches_full(monkeypatch, n_points, x,
+                                         propagations):
+    # the superposition of (0, 0) and (1, 0) breaks the a -> -a symmetry
+    # that makes phi real on the Fock state, so a mirror without the
+    # conjugate would show
+    model, obs, field, rho0 = driven_dpo(occupied=((0, 0), (1, 0)))
+    config = EvolutionConfig(dt=0.04)
+    kappa_max = 7.0
+    samples = diffusive_axis(kappa_max, n_points)
+    full = joint_charfunc(model, obs, field, rho0,
+                          on_interval(obs.m, 3, 1.0, samples), 1.0, config)
+    if n_points > 3:          # on [-7, 0, 7] only phi(0) = 1 is not ~0
+        assert np.max(np.abs(full.imag)) > 1e-3
+    want = invert_homodyne(samples, full, x)
+    calls = []
+    evolve = statistics.evolve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(statistics, "evolve", counted)
+    got = homodyne_distribution(model, obs, field, rho0, 3, 1.0, kappa_max,
+                                x, n_points, config)
+    assert len(calls) == propagations
+    assert np.max(np.abs(got - want)) <= 1e-13
