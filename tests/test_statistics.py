@@ -25,15 +25,16 @@ def poisson_setup(amplitude=np.sqrt(2.0), horizon=1.0):
     return model, obs, field, rho0
 
 
-def driven_dpo(horizon=1.0, seed=12, occupied=((1, 0),)):
-    """A driven oscillator model truncated at (4, 3), the local oscillator
-    rotating at the subharmonic carrier, started in the equal superposition
-    of the `occupied` Fock states (by default the Fock state (1, 0))."""
-    params = helpers.random_dpo_params(np.random.default_rng(seed))
+def driven_dpo(occupied=((1, 0),)):
+    """A driven oscillator model truncated at (4, 3) on the horizon 1, the
+    local oscillator rotating at the subharmonic carrier, started in the
+    equal superposition of the `occupied` Fock states (by default the Fock
+    state (1, 0))."""
+    params = helpers.random_dpo_params(np.random.default_rng(12))
     space = TruncatedSpace(4, 3)
     model = dpo_model(params, space)
-    obs = dpo_observables(params, horizon)
-    field = dpo_laser_field(params, horizon)
+    obs = dpo_observables(params, 1.0)
+    field = dpo_laser_field(params, 1.0)
     v = sum(space.basis_vector(n, m) for n, m in occupied)
     return model, obs, field, np.outer(v, v.conj()) / len(occupied)
 
