@@ -114,11 +114,12 @@ class Run:
         }
 
     def leakage(self, t_end: float, final: np.ndarray | None = None) -> float:
-        """Guard-band occupation of a plain (test function off) run at
-        t_end.  `final`, the end state of a run with the configured test
-        function, is that plain run when the test function is zero and is
-        then used instead of propagating again."""
-        if final is None or not self.kappa.is_zero:
+        """Guard-band occupation of a plain (test function zero) run at
+        t_end.  `final` is the end state of that run when the caller has
+        made it already: a run with the configured test function when that
+        is zero, or the kappa = 0 member of a sweep.  Without it the plain
+        run is propagated here."""
+        if final is None:
             ctx = self.context(TestFunction.zero(self.obs.m))
             final = evolve(ctx, self.rho0, t_end, self.evo).final
         return guard_band_leakage(self.model.space, final, self.guard())
@@ -182,7 +183,8 @@ def cmd_evolve(run: Run, out):
         "n_steps": res.n_steps,
         "trace": res.trace,
         "max_abs_trace": res.max_abs_trace,
-        "leakage": run.leakage(t_end, res.final),
+        "leakage": run.leakage(t_end,
+                               res.final if run.kappa.is_zero else None),
     })
     _emit(report, out)
 
@@ -195,7 +197,8 @@ def cmd_charfunc(run: Run, out):
         "t_end": t_end,
         "charfunc": res.trace,
         "abs": abs(res.trace),
-        "leakage": run.leakage(t_end, res.final),
+        "leakage": run.leakage(t_end,
+                               res.final if run.kappa.is_zero else None),
     })
     _emit(report, out)
 
@@ -219,13 +222,14 @@ def cmd_homodyne(run: Run, out):
     x_max = run.run.get("x_max", 6.0)
     x_points = run.run.get("x_points", 201)
     x = np.linspace(x_min, x_max, x_points)
+    finals = []
     p = homodyne_distribution(run.model, run.obs, run.field, run.rho0,
                               run.observable(), t_end, kappa_max, x,
-                              n_points, run.evo)
+                              n_points, run.evo, finals)
     header = dict(run.header())
     header.update({"t_end": t_end, "observable": run.observable(),
                    "kappa_max": kappa_max, "n_points": n_points,
-                   "leakage": run.leakage(t_end)})
+                   "leakage": run.leakage(t_end, finals[0])})
     _emit_csv(header, {"x": list(x), "density": list(p)}, out)
 
 

@@ -19,18 +19,27 @@ steps assembles 2 count + 1 generators.
 When every coefficient is constant between breakpoints, or when
 `EvolutionConfig.freeze` asks for it, each segment instead uses one
 generator frozen at the segment midpoint.
+
+`evolve_stack` runs the RK4 route for several test functions at once on
+an (n, dim, dim) stack (`generator.GeneratorStack`), through the same
+segment walk, RK4 step, step budget and per-member finiteness and
+contractivity checks as `evolve`.  Each member's arithmetic is that of
+its own run, so a member whose segments are the stack's gets exactly the
+state `evolve` gives it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ContractivityError, IntegrationError
-from .generator import (GeneratorContext, context_is_piecewise_static,
-                        generator_at, stage_generators)
+from .generator import (GeneratorContext, GeneratorStack,
+                        context_is_piecewise_static, generator_at,
+                        stacked_stage_generators, stage_generators)
 
 
 @dataclass(frozen=True)
@@ -50,11 +59,15 @@ class EvolutionConfig:
 
 @dataclass
 class EvolutionResult:
+    """Final state, step count, trace and peak |trace| of a propagation;
+    from `evolve_stack`, final, trace and max_abs_trace hold one entry per
+    member along their first axis."""
+
     final: np.ndarray
     t_end: float
     n_steps: int
-    trace: complex
-    max_abs_trace: float
+    trace: complex | np.ndarray
+    max_abs_trace: float | np.ndarray
 
 
 def is_state(rho: np.ndarray, tol: float = 1e-9) -> bool:
@@ -72,9 +85,12 @@ def step_count(lo: float, hi: float, dt: float) -> int:
     return max(1, int(np.ceil((hi - lo) / dt - 1e-12)))
 
 
-def rk4_stages(ctx: GeneratorContext, start: float, stop: float, count: int):
+def rk4_stages(assemble, start: float, stop: float, count: int):
     """Stage generators (start, middle, end) of each of `count` equal RK4
-    steps from `start` to `stop`, in either direction.
+    steps from `start` to `stop`, in either direction, from
+    `assemble(times, sides)`, which yields the generator at each time
+    from the side given for it (`generator.stage_generators` with its
+    context bound, or `stacked_stage_generators` with its stack).
 
     The stage times are start + k (stop - start) / (2 count), the last
     one exactly `stop`.  Both ends take the side that faces into the
@@ -87,7 +103,7 @@ def rk4_stages(ctx: GeneratorContext, start: float, stop: float, count: int):
     times[-1] = stop
     sides = np.ones(len(times), dtype=np.int8)
     sides[0], sides[-1] = inward, -inward
-    stages = stage_generators(ctx, times, sides)
+    stages = assemble(times, sides)
     g0 = next(stages)
     for _ in range(count):
         g_mid, g1 = next(stages), next(stages)
@@ -105,6 +121,59 @@ def rk4_step(a0, a_mid, a1, h, tau):
     return tau + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _traces(tau: np.ndarray) -> np.ndarray:
+    """Trace of a matrix, as a length-1 array, or of each member of a
+    stack, each taken as `np.trace` of that matrix alone."""
+    return np.array([np.trace(x) for x in tau.reshape((-1,) + tau.shape[-2:])])
+
+
+def _walk(segs, tau: np.ndarray, config: EvolutionConfig, check: bool,
+          steps):
+    """RK4 over the segments `segs` for a matrix or an (n, dim, dim) stack
+    tau; `steps(lo, hi, count)` gives the (start, middle, end) generators
+    of each step of a segment.  Returns the final tau, the number of
+    steps and the peak |trace| of each member.
+
+    A segment whose steps would exceed `max_steps` raises IntegrationError
+    before `steps` is asked for its generators.  At the end of each
+    segment, a member that is no longer finite raises IntegrationError,
+    and with `check` one whose |trace| exceeds 1 raises
+    ContractivityError.
+    """
+    n_steps = 0
+    peak = np.abs(_traces(tau))
+    for lo, hi in segs:
+        count = step_count(lo, hi, config.dt)
+        if n_steps + count > config.max_steps:
+            raise IntegrationError("step budget exhausted")
+        h = (hi - lo) / count
+        for g0, g_mid, g1 in steps(lo, hi, count):
+            tau = rk4_step(g0.apply, g_mid.apply, g1.apply, h, tau)
+        n_steps += count
+        tr = np.abs(_traces(tau))
+        if not (np.isfinite(tr).all() and np.isfinite(tau).all()):
+            raise IntegrationError(f"non-finite state at t = {hi:.6g}; "
+                                   "the step is too large")
+        peak = np.maximum(peak, tr)
+        over = tr > 1.0 + config.contractivity_tol
+        if check and over.any():
+            raise ContractivityError(
+                f"|trace| = {tr[over][0]:.12g} exceeds 1 at t = {hi:.6g}; "
+                "the truncation is too small or the step too large")
+    return tau, n_steps, peak
+
+
+def _start(rho0: np.ndarray, dim: int, config: EvolutionConfig):
+    """rho0 as a complex matrix and whether its propagation is checked for
+    contractivity."""
+    tau = np.array(rho0, dtype=complex)
+    if tau.shape != (dim, dim):
+        raise IntegrationError(f"initial matrix must be {dim}x{dim}")
+    check = config.contractivity_check == "on" or (
+        config.contractivity_check == "auto" and is_state(tau))
+    return tau, check
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def evolve(ctx: GeneratorContext, rho0: np.ndarray, t_end: float,
            config: EvolutionConfig | None = None,
@@ -119,45 +188,52 @@ def evolve(ctx: GeneratorContext, rho0: np.ndarray, t_end: float,
     """
     if config is None:
         config = EvolutionConfig()
-    dim = ctx.model.space.dim
-    tau = np.array(rho0, dtype=complex)
-    if tau.shape != (dim, dim):
-        raise IntegrationError(f"initial matrix must be {dim}x{dim}")
+    tau, check = _start(rho0, ctx.model.space.dim, config)
     if not t_start <= t_end:
         raise IntegrationError("t_end must not precede t_start")
 
-    check = config.contractivity_check == "on" or (
-        config.contractivity_check == "auto" and is_state(tau))
+    if config.freeze or context_is_piecewise_static(ctx):
+        def steps(lo, hi, count):
+            return itertools.repeat((generator_at(ctx, 0.5 * (lo + hi)),) * 3,
+                                    count)
+    else:
+        def steps(lo, hi, count):
+            return rk4_stages(functools.partial(stage_generators, ctx),
+                              lo, hi, count)
 
-    static = config.freeze or context_is_piecewise_static(ctx)
-
-    n_steps = 0
-    max_abs_trace = abs(np.trace(tau))
-    for lo, hi in ctx.segments(t_end, start=t_start):
-        count = step_count(lo, hi, config.dt)
-        if n_steps + count > config.max_steps:
-            raise IntegrationError("step budget exhausted")
-        h = (hi - lo) / count
-        if static:
-            frozen = generator_at(ctx, 0.5 * (lo + hi))
-            steps = itertools.repeat((frozen,) * 3, count)
-        else:
-            steps = rk4_stages(ctx, lo, hi, count)
-        for g0, g_mid, g1 in steps:
-            tau = rk4_step(g0.apply, g_mid.apply, g1.apply, h, tau)
-        n_steps += count
-        tr = abs(np.trace(tau))
-        if not (np.isfinite(tr) and np.isfinite(tau).all()):
-            raise IntegrationError(f"non-finite state at t = {hi:.6g}; "
-                                   "the step is too large")
-        max_abs_trace = max(max_abs_trace, tr)
-        if check and tr > 1.0 + config.contractivity_tol:
-            raise ContractivityError(
-                f"|trace| = {tr:.12g} exceeds 1 at t = {hi:.6g}; the "
-                "truncation is too small or the step too large")
+    tau, n_steps, peak = _walk(ctx.segments(t_end, start=t_start), tau,
+                               config, check, steps)
     return EvolutionResult(final=tau, t_end=t_end, n_steps=n_steps,
                            trace=complex(np.trace(tau)),
-                           max_abs_trace=max_abs_trace)
+                           max_abs_trace=peak[0])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def evolve_stack(stack: GeneratorStack, rho0: np.ndarray, t_end: float,
+                 config: EvolutionConfig | None = None) -> EvolutionResult:
+    """Propagate rho0 from 0 to t_end under every member of `stack` at
+    once, by RK4 on the stage generators of the members' common segments.
+
+    The result holds the (n, dim, dim) final states, one trace and one
+    peak |trace| per member.  A member whose own segments are those of
+    the stack gets exactly the final state that `evolve` gives it alone.
+    The step budget and the finiteness and contractivity checks are
+    those of `evolve`, applied to every member.
+    """
+    if config is None:
+        config = EvolutionConfig()
+    tau, check = _start(rho0, stack.model.space.dim, config)
+    tau = np.repeat(tau[None], len(stack), axis=0)
+
+    def steps(lo, hi, count):
+        return rk4_stages(functools.partial(stacked_stage_generators, stack),
+                          lo, hi, count)
+
+    tau, n_steps, peak = _walk(stack.segments(t_end), tau, config, check,
+                               steps)
+    return EvolutionResult(final=tau, t_end=t_end, n_steps=n_steps,
+                           trace=_traces(tau),
+                           max_abs_trace=peak)
 
 
 def composition_check(ctx: GeneratorContext, rho0: np.ndarray, s: float,

@@ -27,7 +27,10 @@ adjoint reuses both through a cached transposing permutation.
 once: the signals, s, r(+/-kappa), the scalar rate and the weights are
 array expressions over a block of times, and each generator's K_L and
 K_R^T are formed only when it is handed out.  `generator_at` is its
-one-time case.
+one-time case.  `stacked_stage_generators` does the same for the members
+of a `GeneratorStack` together: the weights of all members at a block of
+times in one pass, and at each time one block-diagonal K_L and K_R^T on
+the cached pattern tiled once per member.
 """
 
 from __future__ import annotations
@@ -167,21 +170,96 @@ class FrozenGenerator:
                     self.w_group)
 
 
+def _act_stack(X, scalar, left, right_t, sandwiches, weights) -> np.ndarray:
+    """`_act` on every member of an (n, dim, dim) stack at once, with one
+    scalar and one row of group weights per member and block-diagonal
+    `left` and `right_t`; each sandwich is two sparse products over the
+    members side by side.  Every entry is formed by the operations, in the
+    order, that `_act` uses for that member alone."""
+    n, dim, _ = X.shape
+    out = scalar[:, None, None] * X
+    if left is not None:
+        out += (left @ X.reshape(n * dim, dim)).reshape(n, dim, dim)
+        out += (right_t @ X.transpose(0, 2, 1).reshape(n * dim, dim)
+                ).reshape(n, dim, dim).transpose(0, 2, 1)
+    side = X.transpose(1, 0, 2).reshape(dim, n * dim)   # X_1 ... X_n
+    for (a, b), w in zip(sandwiches, weights.T):
+        # (a X_1)^T ... (a X_n)^T side by side, then b times each
+        ax_t = (a @ side).reshape(dim, n, dim).transpose(2, 1, 0)
+        bax_t = b @ ax_t.reshape(dim, n * dim)
+        out += w[:, None, None] * bax_t.reshape(dim, n, dim).transpose(1, 2, 0)
+    return out
+
+
+class GeneratorStack:
+    """The generators of several test functions on one model, observable
+    family and field (one `GeneratorContext` each), propagated together.
+
+    The drift operators of all members at one time form one
+    block-diagonal matrix on the model's operator pattern tiled once per
+    member; the tiled pattern is built here, once per stack.
+    """
+
+    def __init__(self, contexts: list[GeneratorContext]):
+        first = contexts[0]
+        self.model = first.model
+        self.observables = first.observables
+        self.field = first.field
+        self.kappas = [ctx.kappa for ctx in contexts]
+        self.pattern = self.model.operators.tiled(len(contexts))
+
+    def __len__(self) -> int:
+        return len(self.kappas)
+
+    def segments(self, t_end: float) -> list[tuple[float, float]]:
+        """Smooth pieces of [0, t_end] of every member's generator."""
+        return segments(t_end, self.field, *self.kappas)
+
+
+class StackedGenerator:
+    """The generators of a `GeneratorStack`'s members at one time, applied
+    to an (n, dim, dim) stack: slice k of the result is member k's
+    `FrozenGenerator.apply` of slice k, entry for entry.  K_L and K_R^T of
+    all members are one block-diagonal sparse matrix each."""
+
+    __slots__ = ("sandwich", "scalar", "w_group", "K_L", "K_R_t")
+
+    def __init__(self, stack: GeneratorStack, scalar, w_group, left, right):
+        cache = stack.model.operators
+        self.sandwich = cache.sandwich
+        self.scalar = scalar
+        self.w_group = w_group
+        if cache.pattern.nnz:
+            # one vector-matrix product per member, as FrozenGenerator
+            # forms it; a matrix-matrix product would round differently
+            self.K_L = cache.matrix(
+                np.matmul(left[:, None], cache.basis).ravel(), stack.pattern)
+            self.K_R_t = cache.matrix(
+                np.conj(np.matmul(right[:, None], cache.basis)).ravel(),
+                stack.pattern)
+        else:
+            self.K_L = self.K_R_t = None
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        return _act_stack(X, self.scalar, self.K_L, self.K_R_t,
+                          self.sandwich, self.w_group)
+
+
 # stage times whose weights are formed together; the weight rows of a
 # block are all a segment holds at once, whatever its length
 BLOCK = 64
 
 
-def _weight_rows(ctx: GeneratorContext, t: np.ndarray, side: np.ndarray):
+def _weight_rows(model: ModelSpec, obs: ObservableSpec, lam: np.ndarray,
+                 kappa: np.ndarray, t: np.ndarray):
     """s, scalar, w_group and the left and right basis weights (see
-    `FrozenGenerator`) at each time t with its side, one row per time."""
-    lam = ctx.field.value(t, side)
-    kappa = ctx.kappa.value(t, side)
-    s, r_plus, r_minus, rate = ctx.observables.coefficients(kappa, t)
+    `FrozenGenerator`) for the field values `lam` and test-function values
+    `kappa` at the times t, one row per time."""
+    s, r_plus, r_minus, rate = obs.coefficients(kappa, t)
     # mu = S lam and w_group = s G as plain sums, so that each row comes
     # out the same however many rows there are
-    mu = (lam[:, None, :] * ctx.model.S).sum(axis=-1)
-    w_group = (s[:, :, None] * ctx.model.operators.group_weights).sum(axis=-2)
+    mu = (lam[:, None, :] * model.S).sum(axis=-1)
+    w_group = (s[:, :, None] * model.operators.group_weights).sum(axis=-2)
     r_minus_conj = np.conj(r_minus)
     mu_conj = np.conj(mu)
     half_norm2 = 0.5 * (np.abs(lam) ** 2).sum(axis=-1)
@@ -206,11 +284,34 @@ def stage_generators(ctx: GeneratorContext, times, sides):
     sides = np.asarray(sides)
     cache = ctx.model.operators
     for lo in range(0, len(times), BLOCK):
+        t, side = times[lo:lo + BLOCK], sides[lo:lo + BLOCK]
         s, scalar, w_group, left, right = _weight_rows(
-            ctx, times[lo:lo + BLOCK], sides[lo:lo + BLOCK])
+            ctx.model, ctx.observables, ctx.field.value(t, side),
+            ctx.kappa.value(t, side), t)
         for k in range(len(scalar)):
             yield FrozenGenerator(cache, s[k], scalar[k], w_group[k],
                                   left[k], right[k])
+
+
+def stacked_stage_generators(stack: GeneratorStack, times, sides):
+    """`stage_generators` for all members of `stack` together: the weights
+    of every member are formed at once, BLOCK times at a time, and one
+    `StackedGenerator` is yielded per time."""
+    times = np.asarray(times, dtype=float)
+    sides = np.asarray(sides)
+    n = len(stack)
+    for lo in range(0, len(times), BLOCK):
+        t, side = times[lo:lo + BLOCK], sides[lo:lo + BLOCK]
+        # one row per (time, member), time-major
+        kappa = np.stack([k.value(t, side) for k in stack.kappas], axis=1)
+        rows = _weight_rows(stack.model, stack.observables,
+                            np.repeat(stack.field.value(t, side), n, axis=0),
+                            kappa.reshape(len(t) * n, -1), np.repeat(t, n))
+        _, scalar, w_group, left, right = (
+            r.reshape((len(t), n) + r.shape[1:]) for r in rows)
+        for k in range(len(t)):
+            yield StackedGenerator(stack, scalar[k], w_group[k], left[k],
+                                   right[k])
 
 
 def generator_at(ctx: GeneratorContext, t: float, side: int = 1) -> FrozenGenerator:

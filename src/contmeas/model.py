@@ -79,9 +79,22 @@ class _OperatorCache:
         self.sandwich = [(p, p.conj()) for p in P]
         self.sandwich_adj = [(p.conj().T.tocsr(), p.T.tocsr()) for p in P]
 
-    def matrix(self, data: np.ndarray):
-        """CSR matrix with `data` on the shared pattern."""
-        return _with_data(self.pattern, data)
+    def matrix(self, data: np.ndarray, pattern=None):
+        """CSR matrix with `data` on the shared pattern, or on `pattern`,
+        the shared pattern `tiled`."""
+        return _with_data(self.pattern if pattern is None else pattern, data)
+
+    def tiled(self, n: int):
+        """The shared pattern repeated as n diagonal blocks, so that n
+        members' data laid end to end is one block-diagonal matrix."""
+        p, dim = self.pattern, self.pattern.shape[0]
+        shift = np.arange(n)[:, None]
+        indices = (p.indices + dim * shift).ravel()
+        indptr = np.concatenate(([0], (p.indptr[1:] + p.nnz * shift).ravel()))
+        return sp.csr_matrix((np.zeros(len(indices), dtype=complex),
+                              indices.astype(np.int32),
+                              indptr.astype(np.int32)),
+                             shape=(n * dim, n * dim))
 
     def transpose(self, data: np.ndarray):
         """CSR transpose of `matrix(data)`."""

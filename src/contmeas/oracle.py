@@ -16,6 +16,8 @@ path:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.linalg import expm
 from scipy.integrate import quad
@@ -23,7 +25,7 @@ from scipy.integrate import quad
 from .errors import ValidationError
 from .evolution import (EvolutionConfig, evolve, rk4_stages, rk4_step,
                         step_count)
-from .generator import GeneratorContext
+from .generator import GeneratorContext, stage_generators
 from .measurement import ObservableSpec
 from .model import ModelSpec
 from .signals import FieldProfile, TestFunction, segments
@@ -144,7 +146,9 @@ def duality_check(ctx: GeneratorContext, rho0: np.ndarray, X: np.ndarray,
         # dY/ds = -A'_s[Y] run from hi down to lo is forward RK4 in -s on
         # the adjoint; the stages start at hi from the left and end at lo
         # from the right
-        for g0, g_mid, g1 in rk4_stages(ctx, hi, lo, count):
+        stages = rk4_stages(functools.partial(stage_generators, ctx), hi, lo,
+                            count)
+        for g0, g_mid, g1 in stages:
             Y = rk4_step(g0.apply_adjoint, g_mid.apply_adjoint,
                           g1.apply_adjoint, h, Y)
     rhs = complex(np.trace(Y @ np.array(rho0, dtype=complex)))

@@ -1,11 +1,15 @@
 """From characteristic functions to measured statistics.
 
-A kappa sweep is a list of piecewise-constant test functions; each is
-propagated to the final time and the trace of the result is its
-characteristic value.  For a marginal, `on_interval` builds one test
-function per kappa sample, holding it on [0, t_end] for one observable;
-joint statistics over several windows come from passing multi-interval
-test functions instead.
+A kappa sweep is a list of piecewise-constant test functions; the trace
+of each one's propagation to the final time is its characteristic value.
+With a time-dependent generator, the test functions that share their
+segments are propagated together as one stack (`evolution.evolve_stack`),
+which gives each exactly the value of its own propagation; a
+piecewise-static one takes `evolve`'s frozen route, one test function at
+a time.  For a marginal, `on_interval` builds one test function per kappa
+sample, holding it on [0, t_end] for one observable; joint statistics
+over several windows come from passing multi-interval test functions
+instead.
 
 Counting observables have integer outcomes, so their marginal is
 recovered by a discrete Fourier transform over kappa in [0, 2 pi).
@@ -27,8 +31,9 @@ import warnings
 import numpy as np
 
 from .errors import AliasingError, InversionQualityError, ValidationError
-from .evolution import EvolutionConfig, evolve
-from .generator import GeneratorContext
+from .evolution import EvolutionConfig, evolve, evolve_stack
+from .generator import (GeneratorContext, GeneratorStack,
+                        context_is_piecewise_static)
 from .measurement import ObservableSpec
 from .model import ModelSpec
 from .signals import FieldProfile, TestFunction
@@ -69,15 +74,41 @@ def on_interval(m: int, observable: int, t_end: float,
 
 def joint_charfunc(model: ModelSpec, obs: ObservableSpec, field: FieldProfile,
                    rho0: np.ndarray, kappas: list[TestFunction],
-                   t_end: float,
-                   config: EvolutionConfig | None = None) -> np.ndarray:
-    """Characteristic values at t_end of a sequence of test functions, one
-    propagation each, as a 1-D complex array in their order."""
-    out = np.empty(len(kappas), dtype=complex)
-    for j, kappa in enumerate(kappas):
-        ctx = GeneratorContext(model=model, observables=obs, field=field,
-                               kappa=kappa)
-        out[j] = evolve(ctx, rho0, t_end, config).trace
+                   t_end: float, config: EvolutionConfig | None = None,
+                   finals: list | None = None) -> np.ndarray:
+    """Characteristic values at t_end of a sequence of test functions, as a
+    1-D complex array in their order.  Each test function's final state is
+    appended to `finals`, in the same order, when it is given.
+
+    A time-dependent generator propagates the test functions that share
+    their segments as one stack (`evolve_stack`), one stack per distinct
+    set of segments, so that each gets exactly the value `evolve` gives
+    it alone.  A piecewise-static generator, or `config.freeze`, takes
+    `evolve`'s frozen-midpoint route, one test function at a time.
+    """
+    if config is None:
+        config = EvolutionConfig()
+    contexts = [GeneratorContext(model=model, observables=obs, field=field,
+                                 kappa=kappa) for kappa in kappas]
+    out = np.empty(len(contexts), dtype=complex)
+    states = [None] * len(contexts)
+    if contexts and not (config.freeze
+                         or context_is_piecewise_static(contexts[0])):
+        stacks = {}
+        for j, ctx in enumerate(contexts):
+            stacks.setdefault(tuple(ctx.segments(t_end)), []).append(j)
+        for members in stacks.values():
+            res = evolve_stack(GeneratorStack([contexts[j] for j in members]),
+                               rho0, t_end, config)
+            out[members] = res.trace
+            for j, state in zip(members, res.final):
+                states[j] = state
+    else:
+        for j, ctx in enumerate(contexts):
+            res = evolve(ctx, rho0, t_end, config)
+            out[j], states[j] = res.trace, res.final
+    if finals is not None:
+        finals.extend(states)
     return out
 
 
@@ -152,12 +183,15 @@ def homodyne_distribution(model: ModelSpec, obs: ObservableSpec,
                           field: FieldProfile, rho0: np.ndarray,
                           observable: int, t_end: float, kappa_max: float,
                           x: np.ndarray, n_points: int = 257,
-                          config: EvolutionConfig | None = None) -> np.ndarray:
+                          config: EvolutionConfig | None = None,
+                          finals: list | None = None) -> np.ndarray:
     """Density of one diffusive observable over x at t_end.  Only the
     kappa >= 0 half of `diffusive_axis(kappa_max, n_points)` is
     propagated; phi(-kappa) is taken as conj phi(kappa), which is exact
     for a Hermitian rho0 (checked) and real classical offsets (checked
-    by `ObservableSpec`)."""
+    by `ObservableSpec`).  The final states of the propagated half are
+    appended to `finals` when it is given; the first, at kappa = 0, is
+    the plain run's."""
     rho0 = np.asarray(rho0)
     dev = float(np.max(np.abs(rho0 - rho0.conj().T)))
     if dev > ObservableSpec.CHECK_TOL:
@@ -166,6 +200,7 @@ def homodyne_distribution(model: ModelSpec, obs: ObservableSpec,
     samples = diffusive_axis(kappa_max, n_points)
     mid = len(samples) // 2
     kappas = on_interval(obs.m, observable, t_end, samples[mid:])
-    half = joint_charfunc(model, obs, field, rho0, kappas, t_end, config)
+    half = joint_charfunc(model, obs, field, rho0, kappas, t_end, config,
+                          finals)
     phi = np.concatenate((np.conj(half[:0:-1]), half))
     return invert_homodyne(samples, phi, x)

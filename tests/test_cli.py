@@ -153,6 +153,31 @@ def test_leakage_reuses_plain_run(tmp_path, capsys, monkeypatch, kappa,
     assert leakage["evolve"] == leakage["charfunc"]
 
 
+def test_homodyne_leakage_is_plain_runs(tmp_path, monkeypatch):
+    # the homodyne half grid starts at kappa = 0, whose final state is the
+    # plain run's, so the leakage is read from it without another
+    # propagation, and equals the plain run's exactly even when the config
+    # carries a nonzero test function
+    from contmeas import cli
+    made = []
+    evolve = cli.evolve
+    monkeypatch.setattr(cli, "evolve",
+                        lambda *a, **k: made.append(a) or evolve(*a, **k))
+    cfg = dpo_config(kappa={"breakpoints": [0.0, 0.5, 1.0],
+                            "values": [[0.4, 0.2, 0.1], [0.0, 0.3, 0.5]]})
+    cfg["run"].update(observable=3, kappa_max=7.0, n_points=9, x_min=-1.5,
+                      x_max=1.5, x_points=9)
+    out = tmp_path / "density.csv"
+    assert main(["homodyne", "--config", write(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    assert made == []
+    header = [ln for ln in out.read_text().splitlines()
+              if ln.startswith("# leakage = ")]
+    plain = cli.Run(cfg, None).leakage(1.0)
+    assert plain > 0.0
+    assert float(header[0].split("=")[1]) == plain
+
+
 def test_oracle_compare(tmp_path, capsys):
     cfg = dpo_config()
     cfg["model"]["truncation"] = {"n_max": 2, "m_max": 2}
@@ -286,6 +311,27 @@ def test_diverging_run_exit_4(tmp_path, capsys, recwarn, command, check):
     captured = capsys.readouterr()
     assert captured.err.startswith("integration failure:")
     assert "NaN" not in captured.out and "Infinity" not in captured.out
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("check", ["off", None])
+def test_one_diverging_homodyne_member_exit_4(tmp_path, capsys, recwarn,
+                                              check):
+    # at dt 0.14 the member kappa = 7 of the grid (0, 3.5, 7) has
+    # dt kappa^2 / 2 = 3.4, outside the RK4 stability region, and
+    # overflows over 2858 steps while the other members stay bounded; the
+    # stacked sweep stops on it as a lone run would
+    evolution = {"dt": 0.14}
+    if check is not None:
+        evolution["contractivity_check"] = check
+    cfg = dpo_config(evolution=evolution,
+                     run={"t_end": 400, "observable": 3, "kappa_max": 7.0,
+                          "n_points": 5, "x_points": 9})
+    cfg["observables"]["horizon"] = 400
+    assert main(["homodyne", "--config", write(tmp_path, cfg)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("integration failure: non-finite state")
+    assert captured.out == ""
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

@@ -7,8 +7,9 @@ from contmeas import (Constant, DpoParams, FieldProfile, GeneratorContext,
                       TruncatedSpace, ValidationError, ZERO, dpo_laser_field,
                       dpo_model, dpo_observables, generator_at, ladder_a,
                       ladder_b, scalar_rate, trivial_model)
-from contmeas.generator import (BLOCK, context_is_piecewise_static,
-                                stage_generators)
+from contmeas.generator import (BLOCK, GeneratorStack,
+                                context_is_piecewise_static,
+                                stacked_stage_generators, stage_generators)
 from contmeas.oracle import _dense_superoperator
 
 
@@ -116,6 +117,53 @@ def test_stage_generators_match_one_point_assembly():
     assert 0 < sum(outside) < len(times)
     for k, t in enumerate(edges[1:4], start=1):   # the sides differ there
         assert np.max(np.abs(gens[k].w_left - gens[6 + k].w_left)) > 1e-3
+
+
+def _dpo_members():
+    """The oscillator with its field window ending at 1.5 and three test
+    functions stepping at 0.2, 0.9 and 1.3, one of them zero."""
+    _, params, model, obs, _ = build_setup(seed=8)
+    values = ([[0.5, -0.3, 0.8], [0.0, 0.0, -1.1]],
+              [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+              [[-1.2, 0.4, 0.0], [0.3, 0.0, 2.5]])
+    return (model, obs, dpo_laser_field(params, 1.5),
+            [TestFunction([0.2, 0.9, 1.3], v) for v in values],
+            [0.0, 0.2, 0.9, 1.3, 1.5, 2.0])
+
+
+def _hand_built_members():
+    """The five-channel model, whose weights fill every basis row, and
+    three test functions on [0, 0.6], one of them zero."""
+    ctx = _hand_built_context()
+    values = ([[0.7, -1.3]], [[0.0, 0.0]], [[-0.4, 2.1]])
+    return (ctx.model, ctx.observables, ctx.field,
+            [TestFunction([0.0, 0.6], v) for v in values], [0.0, 0.6, 1.0])
+
+
+@pytest.mark.parametrize("build", [_dpo_members, _hand_built_members],
+                         ids=["dpo", "hand-built"])
+def test_stacked_generators_apply_each_members_generator(build):
+    # across weight blocks, at every breakpoint from both sides, and where
+    # a member's kappa is zero, member k of a stacked application is
+    # exactly member k's own application
+    model, obs, field, kappas, edges = build()
+    rng = np.random.default_rng(8)
+    contexts = [GeneratorContext(model=model, observables=obs, field=field,
+                                 kappa=k) for k in kappas]
+    n = len(edges)
+    times = np.concatenate((edges, edges, rng.uniform(-0.3, edges[-1] + 0.3,
+                                                      BLOCK)))
+    sides = np.concatenate((np.ones(n), -np.ones(n),
+                            rng.choice([-1, 1], BLOCK))).astype(int)
+    dim = model.space.dim
+    X = (rng.standard_normal((len(kappas), dim, dim))
+         + 1j * rng.standard_normal((len(kappas), dim, dim)))
+    stacked = list(stacked_stage_generators(GeneratorStack(contexts), times,
+                                            sides))
+    assert len(stacked) == len(times) > BLOCK
+    for k, ctx in enumerate(contexts):
+        for g, own in zip(stacked, stage_generators(ctx, times, sides)):
+            assert np.array_equal(g.apply(X)[k], own.apply(X[k]))
 
 
 def test_channel_groups_decline_non_proportional_operators():

@@ -5,14 +5,16 @@ import pytest
 
 import helpers
 import contmeas.statistics as statistics
-from contmeas import (ZERO, AliasingError, Constant, EvolutionConfig,
-                      FieldProfile, Harmonic, InversionQualityError,
+from contmeas import (ZERO, AliasingError, Constant, ContractivityError,
+                      EvolutionConfig, FieldProfile, GeneratorContext,
+                      Harmonic, IntegrationError, InversionQualityError,
                       ObservableSpec, TestFunction, TruncatedSpace,
                       ValidationError, counting_axis, counting_distribution,
                       diffusive_axis, dpo_laser_field, dpo_model,
-                      dpo_observables, homodyne_distribution, invert_counting,
-                      invert_homodyne, joint_charfunc, on_interval,
-                      trivial_model)
+                      dpo_observables, evolve, homodyne_distribution,
+                      invert_counting, invert_homodyne, joint_charfunc,
+                      on_interval, trivial_model)
+from contmeas import evolution
 
 
 def poisson_setup(amplitude=np.sqrt(2.0), horizon=1.0):
@@ -232,12 +234,31 @@ def test_charfunc_conjugate_symmetry(build):
         assert abs(phi[1] - np.conj(phi[0])) <= 1e-14
 
 
-@pytest.mark.parametrize("n_points, x, propagations", [
+def count_members(monkeypatch) -> list:
+    """Patch the sweep's two propagators to record how many test functions
+    each call propagates: 1 for `evolve`, the stack's size for
+    `evolve_stack`."""
+    members = []
+    evolve, evolve_stack = statistics.evolve, statistics.evolve_stack
+
+    def one(*args, **kwargs):
+        members.append(1)
+        return evolve(*args, **kwargs)
+
+    def stacked(stack, *args, **kwargs):
+        members.append(len(stack))
+        return evolve_stack(stack, *args, **kwargs)
+
+    monkeypatch.setattr(statistics, "evolve", one)
+    monkeypatch.setattr(statistics, "evolve_stack", stacked)
+    return members
+
+
+@pytest.mark.parametrize("n_points, x, members", [
     (25, np.linspace(-4.0, 4.0, 81), 13),
     (3, np.linspace(-0.4, 0.4, 5), 2),
 ])
-def test_homodyne_half_grid_matches_full(monkeypatch, n_points, x,
-                                         propagations):
+def test_homodyne_half_grid_matches_full(monkeypatch, n_points, x, members):
     # the superposition of (0, 0) and (1, 0) breaks the a -> -a symmetry
     # that makes phi real on the Fock state, so a mirror without the
     # conjugate would show
@@ -250,15 +271,93 @@ def test_homodyne_half_grid_matches_full(monkeypatch, n_points, x,
     if n_points > 3:          # on [-7, 0, 7] only phi(0) = 1 is not ~0
         assert np.max(np.abs(full.imag)) > 1e-3
     want = invert_homodyne(samples, full, x)
-    calls = []
-    evolve = statistics.evolve
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return evolve(*args, **kwargs)
-
-    monkeypatch.setattr(statistics, "evolve", counted)
+    propagated = count_members(monkeypatch)
     got = homodyne_distribution(model, obs, field, rho0, 3, 1.0, kappa_max,
                                 x, n_points, config)
-    assert len(calls) == propagations
+    assert sum(propagated) == members
     assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def _kappa_grid():
+    model, obs, field, rho0 = driven_dpo(occupied=((0, 0), (1, 0)))
+    samples = diffusive_axis(7.0, 25)[12:]
+    assert samples[0] == 0.0
+    return model, obs, field, rho0, on_interval(obs.m, 3, 1.0, samples)
+
+
+@pytest.mark.parametrize("build, stacks", [(_kappa_grid, [13]),
+                                           (_dpo_pairs, [3, 1])],
+                         ids=["kappa-grid", "mixed-windows"])
+def test_stacked_sweep_equals_per_point_evolve(monkeypatch, build, stacks):
+    # test functions with the same segments are propagated as one stack,
+    # and each gets bit for bit the value, and the final state, of its
+    # own propagation
+    model, obs, field, rho0, kappas = build()
+    config = EvolutionConfig(dt=0.04)
+    alone = [evolve(GeneratorContext(model=model, observables=obs,
+                                     field=field, kappa=k),
+                    rho0, 1.0, config) for k in kappas]
+    sizes = count_members(monkeypatch)
+    finals = []
+    phi = joint_charfunc(model, obs, field, rho0, kappas, 1.0, config,
+                         finals)
+    assert sizes == stacks
+    assert phi.shape == (len(kappas),)
+    assert np.array_equal(phi, [res.trace for res in alone])
+    assert all(np.array_equal(f, res.final) for f, res in zip(finals, alone))
+
+
+def _two_windows(second):
+    """Quadrature test functions on [0, 0.4) and [0.4, 1), 0.3 on the
+    first window and each value of `second` on the second."""
+    return [TestFunction([0.0, 0.4, 1.0], [[0.0, 0.0, 0.3], [0.0, 0.0, k]])
+            for k in second]
+
+
+def test_stack_step_budget_checked_before_assembly(monkeypatch):
+    # dt 0.05 covers [0, 0.4] in 8 steps and [0.4, 1] in 12; a budget of
+    # 10 admits the first segment and stops before the second is
+    # assembled, a budget of 5 before anything is
+    model, obs, field, rho0 = driven_dpo()
+    kappas = _two_windows([0.5, 1.5, 2.5])
+    assembled = []
+    original = evolution.stacked_stage_generators
+
+    def counting(stack, times, sides):
+        for g in original(stack, times, sides):
+            assembled[-1] += 1
+            yield g
+
+    def wrapped(stack, times, sides):
+        assembled.append(0)
+        return counting(stack, times, sides)
+
+    monkeypatch.setattr(evolution, "stacked_stage_generators", wrapped)
+    for budget, want in ((10, [2 * 8 + 1]), (5, [])):
+        assembled.clear()
+        with pytest.raises(IntegrationError, match="step budget exhausted"):
+            joint_charfunc(model, obs, field, rho0, kappas, 1.0,
+                           EvolutionConfig(dt=0.05, max_steps=budget))
+        assert assembled == want
+
+
+def test_one_member_losing_contractivity_fails_the_stack():
+    # at dt 0.1, kappa = 12 on the second window puts dt kappa^2 / 2 = 7.2
+    # outside RK4's stability region, so that member's |trace| grows past
+    # 1 by t = 1; kappa = 0.5 stays contractive.  The stack raises the
+    # error the member's own run raises, at the same segment end.
+    model, obs, field, rho0 = driven_dpo()
+    config = EvolutionConfig(dt=0.1)
+    good, bad = _two_windows([0.5, 12.0])
+
+    def alone(kappa):
+        return evolve(GeneratorContext(model=model, observables=obs,
+                                       field=field, kappa=kappa),
+                      rho0, 1.0, config)
+
+    assert alone(good).max_abs_trace <= 1.0
+    with pytest.raises(ContractivityError, match="at t = 1;") as single:
+        alone(bad)
+    with pytest.raises(ContractivityError) as stacked:
+        joint_charfunc(model, obs, field, rho0, [good, bad], 1.0, config)
+    assert str(stacked.value) == str(single.value)
