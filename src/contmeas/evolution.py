@@ -10,6 +10,14 @@ segment everything is smooth, so classical fourth-order Runge-Kutta keeps
 its full order.  Because times are absolute, propagation to s, then from
 s to t, meets every breakpoint from the same side as the one-shot run.
 
+The state is always an (n, dim, dim) stack, one matrix per member of a
+`generator.GeneratorStack`; `evolve` propagates the one-member stack of
+its context and `evolve_stack` the stack of several test functions, both
+through one segment walk, RK4 step, step budget and per-member
+finiteness and contractivity check.  Each member's arithmetic is that of
+its own run, so a member whose segments are the stack's gets exactly the
+state `evolve` gives it.
+
 The stage generators of a segment's steps are assembled together
 (`rk4_stages`, through `generator.stage_generators`), at the times
 lo + k h / 2 with the last one hi itself; the generator at the end of
@@ -17,15 +25,8 @@ one step is the start generator of the next, so a segment of `count`
 steps assembles 2 count + 1 generators.
 
 When every coefficient is constant between breakpoints, or when
-`EvolutionConfig.freeze` asks for it, each segment instead uses one
-generator frozen at the segment midpoint.
-
-`evolve_stack` runs the RK4 route for several test functions at once on
-an (n, dim, dim) stack (`generator.GeneratorStack`), through the same
-segment walk, RK4 step, step budget and per-member finiteness and
-contractivity checks as `evolve`.  Each member's arithmetic is that of
-its own run, so a member whose segments are the stack's gets exactly the
-state `evolve` gives it.
+`EvolutionConfig.freeze` asks for it, each segment of `evolve` instead
+uses one generator frozen at the segment midpoint.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import ContractivityError, IntegrationError
 from .generator import (GeneratorContext, GeneratorStack,
                         context_is_piecewise_static, generator_at,
-                        stacked_stage_generators, stage_generators)
+                        stage_generators)
 
 
 @dataclass(frozen=True)
@@ -85,12 +86,11 @@ def step_count(lo: float, hi: float, dt: float) -> int:
     return max(1, int(np.ceil((hi - lo) / dt - 1e-12)))
 
 
-def rk4_stages(assemble, start: float, stop: float, count: int):
-    """Stage generators (start, middle, end) of each of `count` equal RK4
-    steps from `start` to `stop`, in either direction, from
-    `assemble(times, sides)`, which yields the generator at each time
-    from the side given for it (`generator.stage_generators` with its
-    context bound, or `stacked_stage_generators` with its stack).
+def rk4_stages(stack: GeneratorStack, start: float, stop: float,
+               count: int):
+    """Stage generators (start, middle, end) of the members of `stack` for
+    each of `count` equal RK4 steps from `start` to `stop`, in either
+    direction, from `generator.stage_generators`.
 
     The stage times are start + k (stop - start) / (2 count), the last
     one exactly `stop`.  Both ends take the side that faces into the
@@ -103,7 +103,7 @@ def rk4_stages(assemble, start: float, stop: float, count: int):
     times[-1] = stop
     sides = np.ones(len(times), dtype=np.int8)
     sides[0], sides[-1] = inward, -inward
-    stages = assemble(times, sides)
+    stages = stage_generators(stack, times, sides)
     g0 = next(stages)
     for _ in range(count):
         g_mid, g1 = next(stages), next(stages)
@@ -122,16 +122,16 @@ def rk4_step(a0, a_mid, a1, h, tau):
 
 
 def _traces(tau: np.ndarray) -> np.ndarray:
-    """Trace of a matrix, as a length-1 array, or of each member of a
-    stack, each taken as `np.trace` of that matrix alone."""
-    return np.array([np.trace(x) for x in tau.reshape((-1,) + tau.shape[-2:])])
+    """Trace of each member of a stack, each taken as `np.trace` of that
+    matrix alone."""
+    return np.array([np.trace(x) for x in tau])
 
 
 def _walk(segs, tau: np.ndarray, config: EvolutionConfig, check: bool,
           steps):
-    """RK4 over the segments `segs` for a matrix or an (n, dim, dim) stack
-    tau; `steps(lo, hi, count)` gives the (start, middle, end) generators
-    of each step of a segment.  Returns the final tau, the number of
+    """RK4 over the segments `segs` for an (n, dim, dim) stack tau;
+    `steps(lo, hi, count)` gives the (start, middle, end) generators of
+    each step of a segment.  Returns the final tau, the number of
     steps and the peak |trace| of each member.
 
     A segment whose steps would exceed `max_steps` raises IntegrationError
@@ -163,15 +163,15 @@ def _walk(segs, tau: np.ndarray, config: EvolutionConfig, check: bool,
     return tau, n_steps, peak
 
 
-def _start(rho0: np.ndarray, dim: int, config: EvolutionConfig):
-    """rho0 as a complex matrix and whether its propagation is checked for
-    contractivity."""
+def _start(rho0: np.ndarray, n: int, dim: int, config: EvolutionConfig):
+    """n copies of rho0 as a complex (n, dim, dim) stack and whether its
+    propagation is checked for contractivity."""
     tau = np.array(rho0, dtype=complex)
     if tau.shape != (dim, dim):
         raise IntegrationError(f"initial matrix must be {dim}x{dim}")
     check = config.contractivity_check == "on" or (
         config.contractivity_check == "auto" and is_state(tau))
-    return tau, check
+    return np.repeat(tau[None], n, axis=0), check
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -188,7 +188,7 @@ def evolve(ctx: GeneratorContext, rho0: np.ndarray, t_end: float,
     """
     if config is None:
         config = EvolutionConfig()
-    tau, check = _start(rho0, ctx.model.space.dim, config)
+    tau, check = _start(rho0, 1, ctx.model.space.dim, config)
     if not t_start <= t_end:
         raise IntegrationError("t_end must not precede t_start")
 
@@ -197,14 +197,12 @@ def evolve(ctx: GeneratorContext, rho0: np.ndarray, t_end: float,
             return itertools.repeat((generator_at(ctx, 0.5 * (lo + hi)),) * 3,
                                     count)
     else:
-        def steps(lo, hi, count):
-            return rk4_stages(functools.partial(stage_generators, ctx),
-                              lo, hi, count)
+        steps = functools.partial(rk4_stages, GeneratorStack([ctx]))
 
     tau, n_steps, peak = _walk(ctx.segments(t_end, start=t_start), tau,
                                config, check, steps)
-    return EvolutionResult(final=tau, t_end=t_end, n_steps=n_steps,
-                           trace=complex(np.trace(tau)),
+    return EvolutionResult(final=tau[0], t_end=t_end, n_steps=n_steps,
+                           trace=complex(np.trace(tau[0])),
                            max_abs_trace=peak[0])
 
 
@@ -222,18 +220,11 @@ def evolve_stack(stack: GeneratorStack, rho0: np.ndarray, t_end: float,
     """
     if config is None:
         config = EvolutionConfig()
-    tau, check = _start(rho0, stack.model.space.dim, config)
-    tau = np.repeat(tau[None], len(stack), axis=0)
-
-    def steps(lo, hi, count):
-        return rk4_stages(functools.partial(stacked_stage_generators, stack),
-                          lo, hi, count)
-
+    tau, check = _start(rho0, len(stack), stack.model.space.dim, config)
     tau, n_steps, peak = _walk(stack.segments(t_end), tau, config, check,
-                               steps)
+                               functools.partial(rk4_stages, stack))
     return EvolutionResult(final=tau, t_end=t_end, n_steps=n_steps,
-                           trace=_traces(tau),
-                           max_abs_trace=peak)
+                           trace=_traces(tau), max_abs_trace=peak)
 
 
 def composition_check(ctx: GeneratorContext, rho0: np.ndarray, s: float,

@@ -19,18 +19,22 @@ Expanding B_i(lam) = R_i + (S lam)_i folds every drift and channel term
 into two sparse operators, K_L acting from the left and K_R from the
 right, plus one sandwich P_g tau P_g^dag per group of proportional channel
 operators R_i = c_i P_g.  The model caches K, R_i and R_i^dag on one
-sparse pattern and the groups once (`ModelSpec.operators`); each
-generator forms K_L and K_R^T as weighted sums on that pattern, and the
-adjoint reuses both through a cached transposing permutation.
+sparse pattern and the groups once (`ModelSpec.operators`).
+
+A `GeneratorStack` holds the test functions of several
+`GeneratorContext`s on one model, observable family and field; a single
+context is the one-member stack.  A `FrozenGenerator` is the stack's
+generators at one time, applied to an (n, dim, dim) stack: K_L and K_R^T
+of all members are one block-diagonal matrix each on the cached pattern
+tiled once per member, and each sandwich is two sparse products over the
+members side by side.  The adjoint of a one-member generator reuses both
+through a cached transposing permutation.
 
 `stage_generators` assembles the generators at a whole run of times at
-once: the signals, s, r(+/-kappa), the scalar rate and the weights are
-array expressions over a block of times, and each generator's K_L and
-K_R^T are formed only when it is handed out.  `generator_at` is its
-one-time case.  `stacked_stage_generators` does the same for the members
-of a `GeneratorStack` together: the weights of all members at a block of
-times in one pass, and at each time one block-diagonal K_L and K_R^T on
-the cached pattern tiled once per member.
+once: the signals, s, r(+/-kappa), the scalar rate and the weights of
+every member are array expressions over a block of times, and each
+generator's K_L and K_R^T are formed only when it is handed out.
+`generator_at` is its one-time, one-member case.
 """
 
 from __future__ import annotations
@@ -79,40 +83,66 @@ def scalar_rate(obs: ObservableSpec, kappa: np.ndarray, t):
     return obs.coefficients(kappa, t)[3]
 
 
-def _act(x, scalar, left, right_t, sandwiches, weights) -> np.ndarray:
-    """scalar x + left x + x right + sum_g weights_g (b_g (a_g x)^T)^T for
-    sparse left, right_t = right^T and sandwich pairs (a_g, b_g); the
-    scalar term stays a dense scaling."""
-    out = scalar * x
+def _act(X, scalar, left, right_t, sandwiches, weights) -> np.ndarray:
+    """scalar_k X_k + left X_k + X_k right + sum_g w_kg a_g X_k a_g^dag
+    on each member X_k of an (n, dim, dim) stack, for block-diagonal
+    sparse `left` and `right_t = right^T`, one (1, 1) scalar and one row
+    of group weights per member, and sandwich pairs (a_g, b_g = conj a_g)
+    that form a_g X a_g^dag as (b_g (a_g X)^T)^T, two sparse products over
+    the members side by side.  Every entry of member k is formed by the
+    same operations, in the same order, whatever n is."""
+    # `*` is the matrix product of scipy's sparse matrix classes; unlike
+    # `@` it does not first check whether the dense operand is a scalar
+    n, dim, _ = X.shape
+    out = scalar * X
     if left is not None:
-        out += left @ x
-        out += (right_t @ x.T).T
-    for (a, b), w in zip(sandwiches, weights):
-        out += w * (b @ (a @ x).T).T
+        out += (left * X.reshape(n * dim, dim)).reshape(n, dim, dim)
+        out += (right_t * X.transpose(0, 2, 1).reshape(n * dim, dim)
+                ).reshape(n, dim, dim).transpose(0, 2, 1)
+    if sandwiches:
+        side = X.transpose(1, 0, 2).reshape(dim, n * dim)   # X_1 ... X_n
+    for (a, b), w in zip(sandwiches, weights.T):
+        # (a X_1)^T ... (a X_n)^T side by side, then b times each; one
+        # expression, so that each temporary is freed as soon as it is
+        # used: held in names until the next group, they doubled the
+        # minor page faults of a dim-117 propagation
+        out += w[:, None, None] * (b * (a * side).reshape(
+            dim, n, dim).transpose(2, 1, 0).reshape(dim, n * dim)).reshape(
+                dim, n, dim).transpose(1, 2, 0)
     return out
 
 
 class FrozenGenerator:
-    """Generator coefficients at a fixed time, applied matrix-free as
+    """The generators of a `GeneratorStack`'s n members at a fixed time,
+    applied matrix-free to an (n, dim, dim) stack: member k of the result
+    is
 
-        A[tau] = scalar tau + K_L tau + tau K_R + sum_g w_g P_g tau P_g^dag
+        A_k[tau_k] = scalar_k tau_k + K_L,k tau_k + tau_k K_R,k
+                     + sum_g w_kg P_g tau_k P_g^dag
 
     with the two fused drift operators
         K_L = K     + sum_i (w_left_i R_i + w_left_dag_i R_i^dag)
         K_R = K^dag + sum_i (w_right_i R_i + w_right_dag_i R_i^dag)
     and one sandwich per group g of proportional channel operators
     R_i = c_i P_g, with w_g = sum_{i in g} s_i |c_i|^2 (`ModelSpec.operators`
-    holds the groups).  K_L and K_R^T are weighted sums of the cached basis
-    on one sparse pattern, formed once per assembly; applying the
-    generator costs one sparse product for each and two per group.
+    holds the groups).  K_L and K_R^T of all members are weighted sums of
+    the cached basis on the stack's tiled pattern, one block-diagonal
+    sparse matrix each, formed once per assembly; applying the generator
+    costs one sparse product for each and two per group.
+
+    `s`, `w_group`, `left` and `right` hold one row per member and
+    `scalar` one (1, 1) entry per member, so that it scales each member
+    directly.  Row k of `left` is (1, w_left, w_left_dag), the weights of
+    K, R_1..R_d and R_1^dag..R_d^dag in K_L; row k of `right` is
+    (1, conj w_right_dag, conj w_right), their weights in conj K_R^T.
 
     Weight layout (mu = S lam, r_pm = r(+/-kappa; t)):
-        R_i tau           : conj(r_minus_i) + s_i conj(mu_i)
-        R_i^dag tau       : -mu_i
-        tau R_i           : -conj(mu_i)
-        tau R_i^dag       : r_plus_i + s_i mu_i
-        R_i tau R_i^dag   : s_i
-        tau               : c_left + conj(c_right) + sum_i s_i |mu_i|^2 + rate
+        R_i tau         : w_left_i      = conj(r_minus_i) + s_i conj(mu_i)
+        R_i^dag tau     : w_left_dag_i  = -mu_i
+        tau R_i         : w_right_i     = -conj(mu_i)
+        tau R_i^dag     : w_right_dag_i = r_plus_i + s_i mu_i
+        R_i tau R_i^dag : s_i
+        tau             : c_left + conj(c_right) + sum_i s_i |mu_i|^2 + rate
     with c_left/right = -|lam|^2/2 + sum_i conj(r_mp_i) mu_i the scalar
     parts of the two drift operators.
     """
@@ -120,41 +150,32 @@ class FrozenGenerator:
     __slots__ = ("cache", "s", "scalar", "w_group", "left", "right", "K_L",
                  "K_R_t")
 
-    def __init__(self, cache, s, scalar, w_group, left, right):
-        self.cache = cache
+    def __init__(self, stack: GeneratorStack, s, scalar, w_group, left,
+                 right):
+        cache = self.cache = stack.model.operators
         self.s = s
-        self.scalar = scalar
+        self.scalar = scalar[:, None, None]
         self.w_group = w_group
         self.left = left
         self.right = right
         if cache.pattern.nnz:
-            self.K_L = cache.matrix(left @ cache.basis)
-            self.K_R_t = cache.matrix(np.conj(right @ cache.basis))
+            # one vector-matrix product per member: a matrix-matrix
+            # product would round differently as the member count changes
+            self.K_L = cache.matrix(
+                np.matmul(left[:, None], cache.basis).ravel(), stack.pattern)
+            self.K_R_t = cache.matrix(
+                np.conj(np.matmul(right[:, None], cache.basis)).ravel(),
+                stack.pattern)
         else:
             self.K_L = self.K_R_t = None
 
-    @property
-    def w_left(self) -> np.ndarray:
-        return self.left[1:1 + self.s.size]
-
-    @property
-    def w_left_dag(self) -> np.ndarray:
-        return self.left[1 + self.s.size:]
-
-    @property
-    def w_right(self) -> np.ndarray:
-        return np.conj(self.right[1 + self.s.size:])
-
-    @property
-    def w_right_dag(self) -> np.ndarray:
-        return np.conj(self.right[1:1 + self.s.size])
-
-    def apply(self, tau: np.ndarray) -> np.ndarray:
-        return _act(tau, self.scalar, self.K_L, self.K_R_t,
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        return _act(X, self.scalar, self.K_L, self.K_R_t,
                     self.cache.sandwich, self.w_group)
 
     def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
-        """Dual map under the pairing Tr(X tau):
+        """Dual map under the pairing Tr(X tau), for a one-member
+        generator and a (1, dim, dim) stack X:
 
             X -> scalar X + K_R X + X K_L + sum_g w_g P_g^dag X P_g,
 
@@ -170,30 +191,10 @@ class FrozenGenerator:
                     self.w_group)
 
 
-def _act_stack(X, scalar, left, right_t, sandwiches, weights) -> np.ndarray:
-    """`_act` on every member of an (n, dim, dim) stack at once, with one
-    scalar and one row of group weights per member and block-diagonal
-    `left` and `right_t`; each sandwich is two sparse products over the
-    members side by side.  Every entry is formed by the operations, in the
-    order, that `_act` uses for that member alone."""
-    n, dim, _ = X.shape
-    out = scalar[:, None, None] * X
-    if left is not None:
-        out += (left @ X.reshape(n * dim, dim)).reshape(n, dim, dim)
-        out += (right_t @ X.transpose(0, 2, 1).reshape(n * dim, dim)
-                ).reshape(n, dim, dim).transpose(0, 2, 1)
-    side = X.transpose(1, 0, 2).reshape(dim, n * dim)   # X_1 ... X_n
-    for (a, b), w in zip(sandwiches, weights.T):
-        # (a X_1)^T ... (a X_n)^T side by side, then b times each
-        ax_t = (a @ side).reshape(dim, n, dim).transpose(2, 1, 0)
-        bax_t = b @ ax_t.reshape(dim, n * dim)
-        out += w[:, None, None] * bax_t.reshape(dim, n, dim).transpose(1, 2, 0)
-    return out
-
-
 class GeneratorStack:
     """The generators of several test functions on one model, observable
-    family and field (one `GeneratorContext` each), propagated together.
+    family and field (one `GeneratorContext` each), propagated together;
+    a single context is the one-member stack.
 
     The drift operators of all members at one time form one
     block-diagonal matrix on the model's operator pattern tiled once per
@@ -214,35 +215,6 @@ class GeneratorStack:
     def segments(self, t_end: float) -> list[tuple[float, float]]:
         """Smooth pieces of [0, t_end] of every member's generator."""
         return segments(t_end, self.field, *self.kappas)
-
-
-class StackedGenerator:
-    """The generators of a `GeneratorStack`'s members at one time, applied
-    to an (n, dim, dim) stack: slice k of the result is member k's
-    `FrozenGenerator.apply` of slice k, entry for entry.  K_L and K_R^T of
-    all members are one block-diagonal sparse matrix each."""
-
-    __slots__ = ("sandwich", "scalar", "w_group", "K_L", "K_R_t")
-
-    def __init__(self, stack: GeneratorStack, scalar, w_group, left, right):
-        cache = stack.model.operators
-        self.sandwich = cache.sandwich
-        self.scalar = scalar
-        self.w_group = w_group
-        if cache.pattern.nnz:
-            # one vector-matrix product per member, as FrozenGenerator
-            # forms it; a matrix-matrix product would round differently
-            self.K_L = cache.matrix(
-                np.matmul(left[:, None], cache.basis).ravel(), stack.pattern)
-            self.K_R_t = cache.matrix(
-                np.conj(np.matmul(right[:, None], cache.basis)).ravel(),
-                stack.pattern)
-        else:
-            self.K_L = self.K_R_t = None
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return _act_stack(X, self.scalar, self.K_L, self.K_R_t,
-                          self.sandwich, self.w_group)
 
 
 # stage times whose weights are formed together; the weight rows of a
@@ -272,31 +244,15 @@ def _weight_rows(model: ModelSpec, obs: ObservableSpec, lam: np.ndarray,
     return s, scalar, w_group, left, right
 
 
-def stage_generators(ctx: GeneratorContext, times, sides):
-    """Yield the generator at each time of `times`, in order, taken from
-    the side of the matching entry of `sides` (as in `signals`).
+def stage_generators(stack: GeneratorStack, times, sides):
+    """Yield the generator of every member of `stack` at each time of
+    `times`, in order, taken from the side of the matching entry of
+    `sides` (as in `signals`).
 
-    The weights are formed for BLOCK times at a time with array
-    operations; each generator's two sparse drift operators are formed
-    only when it is yielded.
+    The weights of all members are formed for BLOCK times at a time with
+    array operations; each generator's two sparse drift operators are
+    formed only when it is yielded.
     """
-    times = np.asarray(times, dtype=float)
-    sides = np.asarray(sides)
-    cache = ctx.model.operators
-    for lo in range(0, len(times), BLOCK):
-        t, side = times[lo:lo + BLOCK], sides[lo:lo + BLOCK]
-        s, scalar, w_group, left, right = _weight_rows(
-            ctx.model, ctx.observables, ctx.field.value(t, side),
-            ctx.kappa.value(t, side), t)
-        for k in range(len(scalar)):
-            yield FrozenGenerator(cache, s[k], scalar[k], w_group[k],
-                                  left[k], right[k])
-
-
-def stacked_stage_generators(stack: GeneratorStack, times, sides):
-    """`stage_generators` for all members of `stack` together: the weights
-    of every member are formed at once, BLOCK times at a time, and one
-    `StackedGenerator` is yielded per time."""
     times = np.asarray(times, dtype=float)
     sides = np.asarray(sides)
     n = len(stack)
@@ -307,16 +263,17 @@ def stacked_stage_generators(stack: GeneratorStack, times, sides):
         rows = _weight_rows(stack.model, stack.observables,
                             np.repeat(stack.field.value(t, side), n, axis=0),
                             kappa.reshape(len(t) * n, -1), np.repeat(t, n))
-        _, scalar, w_group, left, right = (
+        s, scalar, w_group, left, right = (
             r.reshape((len(t), n) + r.shape[1:]) for r in rows)
         for k in range(len(t)):
-            yield StackedGenerator(stack, scalar[k], w_group[k], left[k],
-                                   right[k])
+            yield FrozenGenerator(stack, s[k], scalar[k], w_group[k],
+                                  left[k], right[k])
 
 
 def generator_at(ctx: GeneratorContext, t: float, side: int = 1) -> FrozenGenerator:
-    """Assemble the generator at time t; `side` as in `signals`."""
-    return next(stage_generators(ctx, (t,), (side,)))
+    """Assemble the one-member generator of `ctx` at time t; `side` as in
+    `signals`."""
+    return next(stage_generators(GeneratorStack([ctx]), (t,), (side,)))
 
 
 def context_is_piecewise_static(ctx: GeneratorContext) -> bool:

@@ -79,14 +79,17 @@ class _OperatorCache:
         self.sandwich = [(p, p.conj()) for p in P]
         self.sandwich_adj = [(p.conj().T.tocsr(), p.T.tocsr()) for p in P]
 
-    def matrix(self, data: np.ndarray, pattern=None):
-        """CSR matrix with `data` on the shared pattern, or on `pattern`,
-        the shared pattern `tiled`."""
-        return _with_data(self.pattern if pattern is None else pattern, data)
+    def matrix(self, data: np.ndarray, pattern):
+        """CSR matrix with `data` on `pattern`, the shared pattern or its
+        `tiled` form."""
+        return _with_data(pattern, data)
 
     def tiled(self, n: int):
         """The shared pattern repeated as n diagonal blocks, so that n
-        members' data laid end to end is one block-diagonal matrix."""
+        members' data laid end to end is one block-diagonal matrix; for
+        n = 1 that is the shared pattern itself."""
+        if n == 1:
+            return self.pattern
         p, dim = self.pattern, self.pattern.shape[0]
         shift = np.arange(n)[:, None]
         indices = (p.indices + dim * shift).ravel()

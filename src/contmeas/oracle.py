@@ -16,8 +16,6 @@ path:
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 from scipy.linalg import expm
 from scipy.integrate import quad
@@ -25,7 +23,7 @@ from scipy.integrate import quad
 from .errors import ValidationError
 from .evolution import (EvolutionConfig, evolve, rk4_stages, rk4_step,
                         step_count)
-from .generator import GeneratorContext, stage_generators
+from .generator import GeneratorContext, GeneratorStack
 from .measurement import ObservableSpec
 from .model import ModelSpec
 from .signals import FieldProfile, TestFunction, segments
@@ -139,17 +137,16 @@ def duality_check(ctx: GeneratorContext, rho0: np.ndarray, X: np.ndarray,
     forward = evolve(ctx, rho0, t, config).final
     lhs = complex(np.trace(X @ forward))
 
-    Y = np.array(X, dtype=complex)
+    stack = GeneratorStack([ctx])
+    Y = np.array(X, dtype=complex)[None]
     for lo, hi in reversed(ctx.segments(t)):
         count = step_count(lo, hi, config.dt)
         h = (hi - lo) / count
         # dY/ds = -A'_s[Y] run from hi down to lo is forward RK4 in -s on
         # the adjoint; the stages start at hi from the left and end at lo
         # from the right
-        stages = rk4_stages(functools.partial(stage_generators, ctx), hi, lo,
-                            count)
-        for g0, g_mid, g1 in stages:
+        for g0, g_mid, g1 in rk4_stages(stack, hi, lo, count):
             Y = rk4_step(g0.apply_adjoint, g_mid.apply_adjoint,
                           g1.apply_adjoint, h, Y)
-    rhs = complex(np.trace(Y @ np.array(rho0, dtype=complex)))
+    rhs = complex(np.trace(Y[0] @ np.array(rho0, dtype=complex)))
     return {"forward": lhs, "backward": rhs, "residual": abs(lhs - rhs)}

@@ -2,14 +2,14 @@
 
 A kappa sweep is a list of piecewise-constant test functions; the trace
 of each one's propagation to the final time is its characteristic value.
-With a time-dependent generator, the test functions that share their
-segments are propagated together as one stack (`evolution.evolve_stack`),
-which gives each exactly the value of its own propagation; a
-piecewise-static one takes `evolve`'s frozen route, one test function at
-a time.  For a marginal, `on_interval` builds one test function per kappa
-sample, holding it on [0, t_end] for one observable; joint statistics
-over several windows come from passing multi-interval test functions
-instead.
+Every propagation runs on the one stacked engine of `evolution`.  With a
+time-dependent generator, the test functions that share their segments
+are the members of one stack (`evolution.evolve_stack`), which gives each
+exactly the value of its own one-member propagation; a piecewise-static
+generator takes `evolve`'s frozen route, one test function at a time.
+For a marginal, `on_interval` builds one test function per kappa sample,
+holding it on [0, t_end] for one observable; joint statistics over
+several windows come from passing multi-interval test functions instead.
 
 Counting observables have integer outcomes, so their marginal is
 recovered by a discrete Fourier transform over kappa in [0, 2 pi).

@@ -93,7 +93,7 @@ def test_criterion_02_generator_matches_master_equation():
     for _ in range(100):
         rho = helpers.random_hermitian(model.space.dim, rng)
         t = rng.uniform(0.0, 3.9)
-        lhs = generator_at(ctx, t).apply(rho)
+        lhs = generator_at(ctx, t).apply(rho[None])[0]
         rhs = helpers.master_equation_rhs(params, n_max, m_max, t, rho)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     report(2, "max generator vs master-equation deviation, 100 samples",

@@ -118,7 +118,7 @@ def test_stages_shared_between_steps(monkeypatch):
     assert not context_is_piecewise_static(ctx)
     rho0 = vacuum(ctx.model.space.dim)
     dt = 0.05
-    tau = rho0.copy()
+    tau = rho0[None].copy()
     counts = []
     for lo, hi in ctx.segments(1.0):
         count = max(1, int(np.ceil((hi - lo) / dt - 1e-12)))
@@ -140,18 +140,18 @@ def test_stages_shared_between_steps(monkeypatch):
     assembled = []
     original = evolution.stage_generators
 
-    def counting(ctx, times, sides):
-        for g in original(ctx, times, sides):
+    def counting(stack, times, sides):
+        for g in original(stack, times, sides):
             assembled[-1] += 1
             yield g
 
-    def wrapped(ctx, times, sides):
+    def wrapped(stack, times, sides):
         assembled.append(0)
-        return counting(ctx, times, sides)
+        return counting(stack, times, sides)
 
     monkeypatch.setattr(evolution, "stage_generators", wrapped)
     res = evolve(ctx, rho0, 1.0, EvolutionConfig(dt=dt))
-    assert np.max(np.abs(res.final - tau)) < 1e-14
+    assert np.max(np.abs(res.final - tau[0])) < 1e-14
     assert assembled == [2 * c + 1 for c in counts]
 
 

@@ -79,7 +79,7 @@ def test_adjoint_matches_dense():
         + [R.to_dense().conj().T for R in model.R]
     assert len(cache.basis) == len(dense)
     for row, ref in zip(cache.basis, dense):
-        assert np.max(np.abs(cache.matrix(row).toarray() - ref)) == 0
+        assert np.max(np.abs(cache.matrix(row, cache.pattern).toarray() - ref)) == 0
         assert np.max(np.abs(cache.transpose(row).toarray() - ref.T)) == 0
 
 
@@ -93,7 +93,7 @@ def test_density_applications_match_dense():
     cache = dpo_model(params, sp).operators
     w = rng.standard_normal(len(cache.basis)) \
         + 1j * rng.standard_normal(len(cache.basis))
-    X = cache.matrix(w @ cache.basis)
+    X = cache.matrix(w @ cache.basis, cache.pattern)
     rho = rng.standard_normal((sp.dim, sp.dim)) \
         + 1j * rng.standard_normal((sp.dim, sp.dim))
     Xd = X.toarray()

@@ -8,8 +8,7 @@ from contmeas import (Constant, DpoParams, FieldProfile, GeneratorContext,
                       dpo_model, dpo_observables, generator_at, ladder_a,
                       ladder_b, scalar_rate, trivial_model)
 from contmeas.generator import (BLOCK, GeneratorStack,
-                                context_is_piecewise_static,
-                                stacked_stage_generators, stage_generators)
+                                context_is_piecewise_static, stage_generators)
 from contmeas.oracle import _dense_superoperator
 
 
@@ -41,7 +40,7 @@ def test_slow_assembly_agrees_with_weights():
         tau = helpers.random_hermitian(dim, rng)
         M = _dense_superoperator(model, obs, field, kappa, t)
         slow = (M @ tau.reshape(-1, order="F")).reshape(dim, dim, order="F")
-        fast = generator_at(ctx, t).apply(tau)
+        fast = generator_at(ctx, t).apply(tau[None])[0]
         assert np.max(np.abs(slow - fast)) < 1e-12
 
 
@@ -55,8 +54,8 @@ def test_adjoint_is_trace_dual():
     for _ in range(5):
         tau = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         X = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        lhs = np.trace(X @ g.apply(tau))
-        rhs = np.trace(g.apply_adjoint(X) @ tau)
+        lhs = np.trace(X @ g.apply(tau[None])[0])
+        rhs = np.trace(g.apply_adjoint(X[None])[0] @ tau)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
@@ -99,13 +98,11 @@ def test_stage_generators_match_one_point_assembly():
     times = np.concatenate((edges, edges, rng.uniform(-0.3, 2.3, 2 * BLOCK)))
     sides = np.concatenate((np.ones(6), -np.ones(6),
                             rng.choice([-1, 1], 2 * BLOCK))).astype(int)
-    gens = list(stage_generators(ctx, times, sides))
+    gens = list(stage_generators(GeneratorStack([ctx]), times, sides))
     assert len(gens) == len(times) > BLOCK
     for t, side, g in zip(times, sides, gens):
         ref = generator_at(ctx, t, side)
-        assert abs(g.scalar - ref.scalar) <= 1e-15
-        for name in ("s", "w_group", "w_left", "w_left_dag", "w_right",
-                     "w_right_dag"):
+        for name in ("scalar", "s", "w_group", "left", "right"):
             assert np.max(np.abs(getattr(g, name) - getattr(ref, name))) \
                 <= 1e-15, name
         assert np.max(np.abs(g.K_L.data - ref.K_L.data)) <= 1e-15
@@ -115,8 +112,10 @@ def test_stage_generators_match_one_point_assembly():
     outside = [not np.any(field.value(t, sd)) for t, sd in zip(times, sides)]
     assert 0 < sum(kappa_zero) < len(times)
     assert 0 < sum(outside) < len(times)
+    w_left = slice(1, 1 + model.d)   # in the rows of `left`
     for k, t in enumerate(edges[1:4], start=1):   # the sides differ there
-        assert np.max(np.abs(gens[k].w_left - gens[6 + k].w_left)) > 1e-3
+        assert np.max(np.abs(gens[k].left[0, w_left]
+                             - gens[6 + k].left[0, w_left])) > 1e-3
 
 
 def _dpo_members():
@@ -144,8 +143,8 @@ def _hand_built_members():
                          ids=["dpo", "hand-built"])
 def test_stacked_generators_apply_each_members_generator(build):
     # across weight blocks, at every breakpoint from both sides, and where
-    # a member's kappa is zero, member k of a stacked application is
-    # exactly member k's own application
+    # a member's kappa is zero, member k of an n-member application is
+    # exactly member k's own one-member application
     model, obs, field, kappas, edges = build()
     rng = np.random.default_rng(8)
     contexts = [GeneratorContext(model=model, observables=obs, field=field,
@@ -158,12 +157,12 @@ def test_stacked_generators_apply_each_members_generator(build):
     dim = model.space.dim
     X = (rng.standard_normal((len(kappas), dim, dim))
          + 1j * rng.standard_normal((len(kappas), dim, dim)))
-    stacked = list(stacked_stage_generators(GeneratorStack(contexts), times,
-                                            sides))
+    stacked = list(stage_generators(GeneratorStack(contexts), times, sides))
     assert len(stacked) == len(times) > BLOCK
     for k, ctx in enumerate(contexts):
-        for g, own in zip(stacked, stage_generators(ctx, times, sides)):
-            assert np.array_equal(g.apply(X)[k], own.apply(X[k]))
+        own = stage_generators(GeneratorStack([ctx]), times, sides)
+        for g, g_own in zip(stacked, own):
+            assert np.array_equal(g.apply(X)[k], g_own.apply(X[k:k + 1])[0])
 
 
 def test_channel_groups_decline_non_proportional_operators():
@@ -188,9 +187,9 @@ def test_channel_groups_decline_non_proportional_operators():
                 + 1j * rng.standard_normal((dim, dim))
             dense = (M @ tau.reshape(-1, order="F")).reshape(dim, dim,
                                                              order="F")
-            assert np.max(np.abs(g.apply(tau) - dense)) < 1e-12
-            lhs = np.trace(X @ g.apply(tau))
-            rhs = np.trace(g.apply_adjoint(X) @ tau)
+            assert np.max(np.abs(g.apply(tau[None])[0] - dense)) < 1e-12
+            lhs = np.trace(X @ g.apply(tau[None])[0])
+            rhs = np.trace(g.apply_adjoint(X[None])[0] @ tau)
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
@@ -202,10 +201,10 @@ def test_system_free_apply_is_scalar():
     ctx = GeneratorContext(model=model, observables=obs, field=field,
                            kappa=TestFunction([0.0, 1.0], [[0.9]]))
     g = generator_at(ctx, 0.5)
-    assert g.scalar != 0
+    assert g.scalar[0] != 0
     tau = np.array([[0.3 + 0.2j]])
-    assert np.array_equal(g.apply(tau), g.scalar * tau)
-    assert np.array_equal(g.apply_adjoint(tau), g.scalar * tau)
+    assert np.array_equal(g.apply(tau[None])[0], g.scalar[0] * tau)
+    assert np.array_equal(g.apply_adjoint(tau[None])[0], g.scalar[0] * tau)
 
 
 def test_trace_annihilated_without_test_function():
@@ -224,7 +223,7 @@ def test_trace_annihilated_without_test_function():
         rho[~mask, :] = 0.0
         rho[:, ~mask] = 0.0
         rho = rho / np.trace(rho)
-        out = generator_at(ctx, rng.uniform(0, 1.9)).apply(rho)
+        out = generator_at(ctx, rng.uniform(0, 1.9)).apply(rho[None])[0]
         assert abs(np.trace(out)) < 1e-12
 
 
@@ -233,7 +232,7 @@ def test_hermiticity_preserved_without_test_function():
     ctx = GeneratorContext(model=model, observables=obs, field=field,
                            kappa=TestFunction.zero(3))
     rho = helpers.random_hermitian(model.space.dim, rng)
-    out = generator_at(ctx, 0.4).apply(rho)
+    out = generator_at(ctx, 0.4).apply(rho[None])[0]
     assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
 
@@ -250,7 +249,7 @@ def test_generator_matches_master_equation():
     for _ in range(5):
         rho = helpers.random_hermitian(model.space.dim, rng)
         t = rng.uniform(0, 2.9)
-        lhs = generator_at(ctx, t).apply(rho)
+        lhs = generator_at(ctx, t).apply(rho[None])[0]
         rhs = helpers.master_equation_rhs(params, n_max, m_max, t, rho)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -289,15 +288,18 @@ def test_kernel_coefficient_layout():
     s = obs.kernel_diagonal(kappa)
     r_p = obs.r_vector(kappa, t)
     r_m = obs.r_vector(-kappa, t)
-    assert np.allclose(g.s, s)
-    assert np.allclose(g.w_left, np.conj(r_m) + s * np.conj(mu))
-    assert np.allclose(g.w_left_dag, -mu)
-    assert np.allclose(g.w_right, -np.conj(mu))
-    assert np.allclose(g.w_right_dag, r_p + s * mu)
+    w_left = np.conj(r_m) + s * np.conj(mu)
+    w_left_dag = -mu
+    w_right = -np.conj(mu)
+    w_right_dag = r_p + s * mu
+    assert np.allclose(g.s[0], s)
+    assert np.allclose(g.left[0], np.concatenate(([1], w_left, w_left_dag)))
+    assert np.allclose(g.right[0], np.concatenate(
+        ([1], np.conj(w_right_dag), np.conj(w_right))))
     scalar = (-np.vdot(lam, lam).real + np.conj(r_m) @ mu
               + r_p @ np.conj(mu) + s @ np.abs(mu) ** 2
               + scalar_rate(obs, kappa, t))
-    assert g.scalar == pytest.approx(scalar, abs=1e-12)
+    assert g.scalar.item() == pytest.approx(scalar, abs=1e-12)
 
 
 def test_context_validation():

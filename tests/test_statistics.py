@@ -321,7 +321,7 @@ def test_stack_step_budget_checked_before_assembly(monkeypatch):
     model, obs, field, rho0 = driven_dpo()
     kappas = _two_windows([0.5, 1.5, 2.5])
     assembled = []
-    original = evolution.stacked_stage_generators
+    original = evolution.stage_generators
 
     def counting(stack, times, sides):
         for g in original(stack, times, sides):
@@ -332,7 +332,7 @@ def test_stack_step_budget_checked_before_assembly(monkeypatch):
         assembled.append(0)
         return counting(stack, times, sides)
 
-    monkeypatch.setattr(evolution, "stacked_stage_generators", wrapped)
+    monkeypatch.setattr(evolution, "stage_generators", wrapped)
     for budget, want in ((10, [2 * 8 + 1]), (5, [])):
         assembled.clear()
         with pytest.raises(IntegrationError, match="step budget exhausted"):
