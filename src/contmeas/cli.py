@@ -8,9 +8,10 @@ Subcommands:
     homodyne        homodyne density of one observable
     oracle-compare  engine vs dense-exponential and duality cross-checks
 
-Exit codes: 0 success, 2 config error, 3 validation failure,
-4 integration failure (including a state that is no longer finite),
-5 inversion-quality failure.
+Exit codes: 0 success, 2 config error, 3 validation failure (including
+an observable that `counts` or `homodyne` cannot invert), 4 integration
+failure (including a state that is no longer finite), 5 inversion-quality
+failure.
 """
 
 from __future__ import annotations
@@ -69,10 +70,10 @@ class Run:
         if unknown:
             raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
         self.sha256 = cfg.get("_sha256", "")
-        self.model, self.params = build_model(cfg.get("model", {}))
+        self.model, params = build_model(cfg.get("model", {}))
         self.obs = build_observables(cfg.get("observables", {}),
-                                     self.model, self.params)
-        self.field = build_field(cfg.get("field"), self.model, self.params,
+                                     self.model, params)
+        self.field = build_field(cfg.get("field"), self.model, params,
                                  self.obs.horizon)
         self.evo = build_evolution(cfg.get("evolution"))
         self.rho0 = build_initial_state(cfg.get("initial_state"), self.model)
@@ -121,7 +122,7 @@ class Run:
         run is propagated here."""
         if final is None:
             ctx = self.context(TestFunction.zero(self.obs.m))
-            final = evolve(ctx, self.rho0, t_end, self.evo).final
+            final = evolve(ctx, self.rho0, t_end, self.evo).final[0]
         return guard_band_leakage(self.model.space, final, self.guard())
 
 
@@ -161,8 +162,6 @@ def _flatten(d: dict, prefix: str = ""):
 
 def cmd_validate(run: Run, out):
     report = dict(run.header())
-    if run.params is not None:
-        run.params.validate()
     diss = check_dissipativity(run.model, guard=run.guard(), seed=run.seed)
     report["dissipativity_residual"] = diss.max_residual
     report["interior_dim"] = diss.interior_dim
@@ -181,10 +180,10 @@ def cmd_evolve(run: Run, out):
     report.update({
         "t_end": t_end,
         "n_steps": res.n_steps,
-        "trace": res.trace,
-        "max_abs_trace": res.max_abs_trace,
+        "trace": res.trace[0],
+        "max_abs_trace": res.max_abs_trace[0],
         "leakage": run.leakage(t_end,
-                               res.final if run.kappa.is_zero else None),
+                               res.final[0] if run.kappa.is_zero else None),
     })
     _emit(report, out)
 
@@ -195,10 +194,10 @@ def cmd_charfunc(run: Run, out):
     report = dict(run.header())
     report.update({
         "t_end": t_end,
-        "charfunc": res.trace,
-        "abs": abs(res.trace),
+        "charfunc": res.trace[0],
+        "abs": abs(res.trace[0]),
         "leakage": run.leakage(t_end,
-                               res.final if run.kappa.is_zero else None),
+                               res.final[0] if run.kappa.is_zero else None),
     })
     _emit(report, out)
 
@@ -242,7 +241,7 @@ def cmd_oracle_compare(run: Run, out):
     ctx = run.context()
     frozen = dataclasses.replace(run.evo, contractivity_check="off",
                                  freeze=True)
-    engine = evolve(ctx, run.rho0, t_end, frozen).final
+    engine = evolve(ctx, run.rho0, t_end, frozen).final[0]
     reference = dense_expm_propagate(run.model, run.obs, run.field,
                                      run.kappa, run.rho0, t_end)
     dual = duality_check(ctx, run.rho0, np.eye(run.model.space.dim), t_end,

@@ -10,13 +10,12 @@ segment everything is smooth, so classical fourth-order Runge-Kutta keeps
 its full order.  Because times are absolute, propagation to s, then from
 s to t, meets every breakpoint from the same side as the one-shot run.
 
-The state is always an (n, dim, dim) stack, one matrix per member of a
-`generator.GeneratorStack`; `evolve` propagates the one-member stack of
-its context and `evolve_stack` the stack of several test functions, both
-through one segment walk, RK4 step, step budget and per-member
-finiteness and contractivity check.  Each member's arithmetic is that of
-its own run, so a member whose segments are the stack's gets exactly the
-state `evolve` gives it.
+`evolve` is the one propagation function.  Its state is an
+(n, dim, dim) stack, one matrix per member of a `generator.GeneratorStack`
+(n = 1 for a `GeneratorContext`), run through one segment walk, RK4
+step, step budget and per-member finiteness and contractivity check.
+Each member's arithmetic is that of its own run, so a member whose
+segments are the stack's gets exactly the state of its one-member run.
 
 The stage generators of a segment's steps are assembled together
 (`rk4_stages`, through `generator.stage_generators`), at the times
@@ -25,8 +24,8 @@ one step is the start generator of the next, so a segment of `count`
 steps assembles 2 count + 1 generators.
 
 When every coefficient is constant between breakpoints, or when
-`EvolutionConfig.freeze` asks for it, each segment of `evolve` instead
-uses one generator frozen at the segment midpoint.
+`EvolutionConfig.freeze` asks for it, each segment instead uses one
+generator frozen at the segment midpoint (`generator.generator_at`).
 """
 
 from __future__ import annotations
@@ -60,15 +59,15 @@ class EvolutionConfig:
 
 @dataclass
 class EvolutionResult:
-    """Final state, step count, trace and peak |trace| of a propagation;
-    from `evolve_stack`, final, trace and max_abs_trace hold one entry per
-    member along their first axis."""
+    """Final states, step count, traces and peak |trace|s of a propagation
+    of a stack of n members: final has shape (n, dim, dim), trace and
+    max_abs_trace shape (n,).  A one-member run reads entry 0 of each."""
 
     final: np.ndarray
     t_end: float
     n_steps: int
-    trace: complex | np.ndarray
-    max_abs_trace: float | np.ndarray
+    trace: np.ndarray
+    max_abs_trace: np.ndarray
 
 
 def is_state(rho: np.ndarray, tol: float = 1e-9) -> bool:
@@ -163,66 +162,45 @@ def _walk(segs, tau: np.ndarray, config: EvolutionConfig, check: bool,
     return tau, n_steps, peak
 
 
-def _start(rho0: np.ndarray, n: int, dim: int, config: EvolutionConfig):
-    """n copies of rho0 as a complex (n, dim, dim) stack and whether its
-    propagation is checked for contractivity."""
-    tau = np.array(rho0, dtype=complex)
-    if tau.shape != (dim, dim):
-        raise IntegrationError(f"initial matrix must be {dim}x{dim}")
-    check = config.contractivity_check == "on" or (
-        config.contractivity_check == "auto" and is_state(tau))
-    return np.repeat(tau[None], n, axis=0), check
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def evolve(ctx: GeneratorContext, rho0: np.ndarray, t_end: float,
+def evolve(stack: GeneratorStack, rho0: np.ndarray, t_end: float,
            config: EvolutionConfig | None = None,
            t_start: float = 0.0) -> EvolutionResult:
-    """Propagate tau(t_start) = rho0 to time t_end.
+    """Propagate tau(t_start) = rho0 to time t_end under every member of
+    `stack` at once, on the members' common segments.
 
-    A segment whose steps would exceed `max_steps` raises IntegrationError
-    before any of its generators is assembled.  A state that is no longer
-    finite at the end of a segment raises IntegrationError whatever
+    The result holds one final state, trace and peak |trace| per member.
+    A member whose own segments are those of the stack gets exactly the
+    final state of its one-member run.  A segment whose steps would
+    exceed `max_steps` raises IntegrationError before any of its
+    generators is assembled.  A member that is no longer finite at the
+    end of a segment raises IntegrationError whatever
     `contractivity_check` says; numpy's overflow warnings on the way there
     are silenced in its favour.
     """
     if config is None:
         config = EvolutionConfig()
-    tau, check = _start(rho0, 1, ctx.model.space.dim, config)
+    dim = stack.model.space.dim
+    tau = np.array(rho0, dtype=complex)
+    if tau.shape != (dim, dim):
+        raise IntegrationError(f"initial matrix must be {dim}x{dim}")
+    check = config.contractivity_check == "on" or (
+        config.contractivity_check == "auto" and is_state(tau))
     if not t_start <= t_end:
         raise IntegrationError("t_end must not precede t_start")
 
-    if config.freeze or context_is_piecewise_static(ctx):
+    if config.freeze or context_is_piecewise_static(stack):
         def steps(lo, hi, count):
-            return itertools.repeat((generator_at(ctx, 0.5 * (lo + hi)),) * 3,
-                                    count)
+            return itertools.repeat(
+                (generator_at(stack, 0.5 * (lo + hi)),) * 3, count)
     else:
-        steps = functools.partial(rk4_stages, GeneratorStack([ctx]))
+        steps = functools.partial(rk4_stages, stack)
 
-    tau, n_steps, peak = _walk(ctx.segments(t_end, start=t_start), tau,
+    # rebinding tau frees the (dim, dim) copy before the walk: kept alive
+    # across it, it nearly tripled a dim-117 run's minor page faults
+    tau = np.repeat(tau[None], len(stack), axis=0)
+    tau, n_steps, peak = _walk(stack.segments(t_end, start=t_start), tau,
                                config, check, steps)
-    return EvolutionResult(final=tau[0], t_end=t_end, n_steps=n_steps,
-                           trace=complex(np.trace(tau[0])),
-                           max_abs_trace=peak[0])
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def evolve_stack(stack: GeneratorStack, rho0: np.ndarray, t_end: float,
-                 config: EvolutionConfig | None = None) -> EvolutionResult:
-    """Propagate rho0 from 0 to t_end under every member of `stack` at
-    once, by RK4 on the stage generators of the members' common segments.
-
-    The result holds the (n, dim, dim) final states, one trace and one
-    peak |trace| per member.  A member whose own segments are those of
-    the stack gets exactly the final state that `evolve` gives it alone.
-    The step budget and the finiteness and contractivity checks are
-    those of `evolve`, applied to every member.
-    """
-    if config is None:
-        config = EvolutionConfig()
-    tau, check = _start(rho0, len(stack), stack.model.space.dim, config)
-    tau, n_steps, peak = _walk(stack.segments(t_end), tau, config, check,
-                               functools.partial(rk4_stages, stack))
     return EvolutionResult(final=tau, t_end=t_end, n_steps=n_steps,
                            trace=_traces(tau), max_abs_trace=peak)
 
@@ -239,11 +217,11 @@ def composition_check(ctx: GeneratorContext, rho0: np.ndarray, s: float,
         raise ValueError("need 0 < s < t")
     if config is None:
         config = EvolutionConfig()
-    one_shot = evolve(ctx, rho0, t, config).final
-    mid = evolve(ctx, rho0, s, config).final
-    two_leg = evolve(ctx, mid, t, config, t_start=s).final
+    one_shot = evolve(ctx, rho0, t, config).final[0]
+    mid = evolve(ctx, rho0, s, config).final[0]
+    two_leg = evolve(ctx, mid, t, config, t_start=s).final[0]
     fine = replace(config, dt=0.5 * config.dt, contractivity_check="off")
-    refined = evolve(ctx, rho0, t, fine).final
+    refined = evolve(ctx, rho0, t, fine).final[0]
     return {
         "deviation": float(np.max(np.abs(one_shot - two_leg))),
         "step_halving_estimate": float(np.max(np.abs(one_shot - refined))),

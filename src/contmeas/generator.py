@@ -21,25 +21,26 @@ right, plus one sandwich P_g tau P_g^dag per group of proportional channel
 operators R_i = c_i P_g.  The model caches K, R_i and R_i^dag on one
 sparse pattern and the groups once (`ModelSpec.operators`).
 
-A `GeneratorStack` holds the test functions of several
-`GeneratorContext`s on one model, observable family and field; a single
-context is the one-member stack.  A `FrozenGenerator` is the stack's
-generators at one time, applied to an (n, dim, dim) stack: K_L and K_R^T
-of all members are one block-diagonal matrix each on the cached pattern
-tiled once per member, and each sandwich is two sparse products over the
-members side by side.  The adjoint of a one-member generator reuses both
-through a cached transposing permutation.
+A `GeneratorStack` is the one spec of a generator: n test functions on
+one model, observable family and field, checked against them once per
+stack.  A `GeneratorContext` is its one-member case, built from a single
+test function.  A `FrozenGenerator` is the stack's generators at one
+time, applied to an (n, dim, dim) stack: K_L and K_R^T of all members
+are one block-diagonal matrix each on the cached pattern tiled once per
+member, and each sandwich is two sparse products over the members side
+by side.  The adjoint of a one-member generator reuses both through a
+cached transposing permutation.
 
 `stage_generators` assembles the generators at a whole run of times at
 once: the signals, s, r(+/-kappa), the scalar rate and the weights of
 every member are array expressions over a block of times, and each
 generator's K_L and K_R^T are formed only when it is handed out.
-`generator_at` is its one-time, one-member case.
+`generator_at` is its one-time case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -47,32 +48,6 @@ from .errors import ValidationError
 from .measurement import ObservableSpec
 from .model import ModelSpec
 from .signals import Constant, FieldProfile, TestFunction, segments
-
-
-@dataclass(frozen=True)
-class GeneratorContext:
-    """Everything needed to evaluate the generator at a point in time."""
-
-    model: ModelSpec
-    observables: ObservableSpec
-    field: FieldProfile
-    kappa: TestFunction
-
-    def __post_init__(self):
-        if self.observables.d != self.model.d:
-            raise ValidationError("observables and model disagree on the "
-                                  "number of channels")
-        if self.field.d != self.model.d:
-            raise ValidationError(f"field profile needs {self.model.d} channels")
-        if self.kappa.m != self.observables.m:
-            raise ValidationError(f"test function needs {self.observables.m} "
-                                  "components")
-
-    def segments(self, t_end: float,
-                 start: float = 0.0) -> list[tuple[float, float]]:
-        """Smooth pieces of [start, t_end] of the whole generator, split
-        where the field window or the test function jumps."""
-        return segments(t_end, self.field, self.kappa, start=start)
 
 
 def scalar_rate(obs: ObservableSpec, kappa: np.ndarray, t):
@@ -192,29 +167,51 @@ class FrozenGenerator:
 
 
 class GeneratorStack:
-    """The generators of several test functions on one model, observable
-    family and field (one `GeneratorContext` each), propagated together;
-    a single context is the one-member stack.
+    """The generators of n test functions on one model, observable family
+    and field, propagated together; member k is the generator tilted by
+    `kappas[k]`.
 
     The drift operators of all members at one time form one
     block-diagonal matrix on the model's operator pattern tiled once per
-    member; the tiled pattern is built here, once per stack.
+    member; the tiled pattern is built the first time a generator asks
+    for it.
     """
 
-    def __init__(self, contexts: list[GeneratorContext]):
-        first = contexts[0]
-        self.model = first.model
-        self.observables = first.observables
-        self.field = first.field
-        self.kappas = [ctx.kappa for ctx in contexts]
-        self.pattern = self.model.operators.tiled(len(contexts))
+    def __init__(self, model: ModelSpec, observables: ObservableSpec,
+                 field: FieldProfile, kappas):
+        if observables.d != model.d:
+            raise ValidationError("observables and model disagree on the "
+                                  "number of channels")
+        if field.d != model.d:
+            raise ValidationError(f"field profile needs {model.d} channels")
+        if any(kappa.m != observables.m for kappa in kappas):
+            raise ValidationError(f"test function needs {observables.m} "
+                                  "components")
+        self.model = model
+        self.observables = observables
+        self.field = field
+        self.kappas = list(kappas)
 
     def __len__(self) -> int:
         return len(self.kappas)
 
-    def segments(self, t_end: float) -> list[tuple[float, float]]:
-        """Smooth pieces of [0, t_end] of every member's generator."""
-        return segments(t_end, self.field, *self.kappas)
+    @functools.cached_property
+    def pattern(self):
+        return self.model.operators.tiled(len(self))
+
+    def segments(self, t_end: float,
+                 start: float = 0.0) -> list[tuple[float, float]]:
+        """Smooth pieces of [start, t_end] of every member's generator,
+        split where the field window or a test function jumps."""
+        return segments(t_end, self.field, *self.kappas, start=start)
+
+
+class GeneratorContext(GeneratorStack):
+    """The one-member stack of a single test function `kappa`."""
+
+    def __init__(self, model: ModelSpec, observables: ObservableSpec,
+                 field: FieldProfile, kappa: TestFunction):
+        super().__init__(model, observables, field, [kappa])
 
 
 # stage times whose weights are formed together; the weight rows of a
@@ -270,14 +267,15 @@ def stage_generators(stack: GeneratorStack, times, sides):
                                   left[k], right[k])
 
 
-def generator_at(ctx: GeneratorContext, t: float, side: int = 1) -> FrozenGenerator:
-    """Assemble the one-member generator of `ctx` at time t; `side` as in
-    `signals`."""
-    return next(stage_generators(GeneratorStack([ctx]), (t,), (side,)))
+def generator_at(stack: GeneratorStack, t: float,
+                 side: int = 1) -> FrozenGenerator:
+    """Assemble the generators of every member of `stack` at time t;
+    `side` as in `signals`."""
+    return next(stage_generators(stack, (t,), (side,)))
 
 
-def context_is_piecewise_static(ctx: GeneratorContext) -> bool:
+def context_is_piecewise_static(stack: GeneratorStack) -> bool:
     """True when all coefficients are constant between breakpoints, so a
     frozen generator built at a segment midpoint is exact on the segment."""
-    sigs = ctx.field.signals + ctx.observables.signals
+    sigs = stack.field.signals + stack.observables.signals
     return all(isinstance(s, Constant) for s in sigs)

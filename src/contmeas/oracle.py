@@ -23,7 +23,7 @@ from scipy.integrate import quad
 from .errors import ValidationError
 from .evolution import (EvolutionConfig, evolve, rk4_stages, rk4_step,
                         step_count)
-from .generator import GeneratorContext, GeneratorStack
+from .generator import GeneratorContext
 from .measurement import ObservableSpec
 from .model import ModelSpec
 from .signals import FieldProfile, TestFunction, segments
@@ -134,10 +134,9 @@ def duality_check(ctx: GeneratorContext, rho0: np.ndarray, X: np.ndarray,
     """
     if config is None:
         config = EvolutionConfig()
-    forward = evolve(ctx, rho0, t, config).final
+    forward = evolve(ctx, rho0, t, config).final[0]
     lhs = complex(np.trace(X @ forward))
 
-    stack = GeneratorStack([ctx])
     Y = np.array(X, dtype=complex)[None]
     for lo, hi in reversed(ctx.segments(t)):
         count = step_count(lo, hi, config.dt)
@@ -145,7 +144,7 @@ def duality_check(ctx: GeneratorContext, rho0: np.ndarray, X: np.ndarray,
         # dY/ds = -A'_s[Y] run from hi down to lo is forward RK4 in -s on
         # the adjoint; the stages start at hi from the left and end at lo
         # from the right
-        for g0, g_mid, g1 in rk4_stages(stack, hi, lo, count):
+        for g0, g_mid, g1 in rk4_stages(ctx, hi, lo, count):
             Y = rk4_step(g0.apply_adjoint, g_mid.apply_adjoint,
                           g1.apply_adjoint, h, Y)
     rhs = complex(np.trace(Y[0] @ np.array(rho0, dtype=complex)))

@@ -130,16 +130,6 @@ class TestFunction:
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(self.breaks)
 
-    def __sub__(self, other: "TestFunction") -> "TestFunction":
-        if other.m != self.m:
-            raise ValueError("test functions have different m")
-        breaks = np.union1d(self.breaks, other.breaks)
-        mids = 0.5 * (breaks[:-1] + breaks[1:])
-        vals = np.array([self.value(t) - other.value(t) for t in mids])
-        if vals.size == 0:
-            vals = vals.reshape(0, self.m)
-        return TestFunction(breaks, vals)
-
 
 class FieldProfile:
     """Coherent-field component functions f_i(t), zero outside [0, window)."""

@@ -2,14 +2,15 @@
 
 A kappa sweep is a list of piecewise-constant test functions; the trace
 of each one's propagation to the final time is its characteristic value.
-Every propagation runs on the one stacked engine of `evolution`.  With a
-time-dependent generator, the test functions that share their segments
-are the members of one stack (`evolution.evolve_stack`), which gives each
-exactly the value of its own one-member propagation; a piecewise-static
-generator takes `evolve`'s frozen route, one test function at a time.
-For a marginal, `on_interval` builds one test function per kappa sample,
-holding it on [0, t_end] for one observable; joint statistics over
-several windows come from passing multi-interval test functions instead.
+Every propagation is one call of `evolution.evolve` on a
+`generator.GeneratorStack` of test functions, which gives each member
+exactly the value of its own one-member run.  With a time-dependent
+generator, the test functions that share their segments form one stack;
+a piecewise-static generator takes the frozen route, one test function
+per stack.  For a marginal, `on_interval` builds one test function per
+kappa sample, holding it on [0, t_end] for one observable; joint
+statistics over several windows come from passing multi-interval test
+functions instead.
 
 Counting observables have integer outcomes, so their marginal is
 recovered by a discrete Fourier transform over kappa in [0, 2 pi).
@@ -22,6 +23,11 @@ marginal propagates only the kappa >= 0 half of its grid and reads the
 other half as the conjugate.  This is exact when the initial state is
 Hermitian and the classical offsets c^alpha are real; the first is
 checked here, the second by `ObservableSpec`.
+
+Each marginal first checks that its observable is one it can invert: a
+counting observable has non-negative integer eigenvalues and no
+quadrature profile, a diffusive one zero eigenvalues and a nonzero
+profile.
 """
 
 from __future__ import annotations
@@ -31,12 +37,11 @@ import warnings
 import numpy as np
 
 from .errors import AliasingError, InversionQualityError, ValidationError
-from .evolution import EvolutionConfig, evolve, evolve_stack
-from .generator import (GeneratorContext, GeneratorStack,
-                        context_is_piecewise_static)
+from .evolution import EvolutionConfig, evolve
+from .generator import GeneratorStack, context_is_piecewise_static
 from .measurement import ObservableSpec
 from .model import ModelSpec
-from .signals import FieldProfile, TestFunction
+from .signals import FieldProfile, TestFunction, as_harmonic, segments
 
 COUNTING_IMAG_TOL = 1e-6
 NEGATIVE_PROB_TOL = 1e-7
@@ -80,36 +85,52 @@ def joint_charfunc(model: ModelSpec, obs: ObservableSpec, field: FieldProfile,
     1-D complex array in their order.  Each test function's final state is
     appended to `finals`, in the same order, when it is given.
 
-    A time-dependent generator propagates the test functions that share
-    their segments as one stack (`evolve_stack`), one stack per distinct
-    set of segments, so that each gets exactly the value `evolve` gives
-    it alone.  A piecewise-static generator, or `config.freeze`, takes
-    `evolve`'s frozen-midpoint route, one test function at a time.
+    The test functions are propagated in groups, one stack each, so that
+    each gets exactly the value of its one-member run: on the RK4 route a
+    group is the test functions with equal segments; on the frozen route
+    (a piecewise-static generator, or `config.freeze`) it is one test
+    function.
     """
     if config is None:
         config = EvolutionConfig()
-    contexts = [GeneratorContext(model=model, observables=obs, field=field,
-                                 kappa=kappa) for kappa in kappas]
-    out = np.empty(len(contexts), dtype=complex)
-    states = [None] * len(contexts)
-    if contexts and not (config.freeze
-                         or context_is_piecewise_static(contexts[0])):
-        stacks = {}
-        for j, ctx in enumerate(contexts):
-            stacks.setdefault(tuple(ctx.segments(t_end)), []).append(j)
-        for members in stacks.values():
-            res = evolve_stack(GeneratorStack([contexts[j] for j in members]),
-                               rho0, t_end, config)
-            out[members] = res.trace
-            for j, state in zip(members, res.final):
-                states[j] = state
-    else:
-        for j, ctx in enumerate(contexts):
-            res = evolve(ctx, rho0, t_end, config)
-            out[j], states[j] = res.trace, res.final
+    stack = GeneratorStack(model, obs, field, kappas)
+    frozen = config.freeze or context_is_piecewise_static(stack)
+    groups = {}
+    for j, kappa in enumerate(kappas):
+        # frozen: one run each; the tracer test pins it until ROADMAP item 1
+        key = j if frozen else tuple(segments(t_end, field, kappa))
+        groups.setdefault(key, []).append(j)
+    out = np.empty(len(kappas), dtype=complex)
+    states = [None] * len(kappas)
+    for members in groups.values():
+        res = evolve(GeneratorStack(model, obs, field,
+                                    [kappas[j] for j in members]),
+                     rho0, t_end, config)
+        out[members] = res.trace
+        for j, state in zip(members, res.final):
+            states[j] = state
     if finals is not None:
         finals.extend(states)
     return out
+
+
+def _check_observable(obs: ObservableSpec, observable: int, counting: bool):
+    """Raise ValidationError unless observable `observable` (1-based) is
+    one the inversion can read: a counting observable has non-negative
+    integer eigenvalues and no quadrature profile, a diffusive one zero
+    eigenvalues and a nonzero profile."""
+    ev = obs.eigenvalues[observable - 1]
+    profile = any(abs(as_harmonic(h)[0]) > obs.CHECK_TOL
+                  for h in obs.h[observable - 1])
+    if counting and (profile or (ev < 0).any() or (ev != np.round(ev)).any()):
+        raise ValidationError(
+            f"observable {observable} is not a counting observable: counts "
+            "need non-negative integer eigenvalues and no quadrature profile")
+    if not counting and (ev.any() or not profile):
+        raise ValidationError(
+            f"observable {observable} is not a diffusive observable: a "
+            "homodyne density needs zero eigenvalues and a nonzero "
+            "quadrature profile")
 
 
 # -- inversion ----------------------------------------------------------------
@@ -174,6 +195,9 @@ def counting_distribution(model: ModelSpec, obs: ObservableSpec,
                           field: FieldProfile, rho0: np.ndarray,
                           observable: int, t_end: float, n_points: int = 256,
                           config: EvolutionConfig | None = None) -> np.ndarray:
+    """Counting probabilities p(0..n_points-1) of one counting observable
+    at t_end."""
+    _check_observable(obs, observable, counting=True)
     kappas = on_interval(obs.m, observable, t_end, counting_axis(n_points))
     return invert_counting(joint_charfunc(model, obs, field, rho0, kappas,
                                           t_end, config))
@@ -192,6 +216,7 @@ def homodyne_distribution(model: ModelSpec, obs: ObservableSpec,
     by `ObservableSpec`).  The final states of the propagated half are
     appended to `finals` when it is given; the first, at kappa = 0, is
     the plain run's."""
+    _check_observable(obs, observable, counting=False)
     rho0 = np.asarray(rho0)
     dev = float(np.max(np.abs(rho0 - rho0.conj().T)))
     if dev > ObservableSpec.CHECK_TOL:

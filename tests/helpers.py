@@ -118,3 +118,12 @@ def random_dpo_params(rng, omega_c=None, g=None, with_drive=True):
         lambda_drive=(rng.uniform(0.02, 0.15)
                       * np.exp(1j * rng.uniform(0, 2 * np.pi))
                       if with_drive else 0j))
+
+
+def difference(k1, k2):
+    """The test function k1 - k2, piecewise constant on the union of their
+    breakpoints."""
+    from contmeas import TestFunction
+    breaks = np.union1d(k1.breaks, k2.breaks)
+    mids = 0.5 * (breaks[:-1] + breaks[1:])
+    return TestFunction(breaks, k1.value(mids) - k2.value(mids))

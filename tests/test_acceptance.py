@@ -110,7 +110,7 @@ def test_criterion_03_normalization():
     ctx = GeneratorContext(model=model, observables=obs, field=field,
                            kappa=TestFunction.zero(3))
     res = evolve(ctx, vacuum(model.space.dim), 6.0, EvolutionConfig(dt=0.01))
-    report(3, "|phi(0) - 1| over [0, 6]", abs(res.trace - 1.0), 1e-7)
+    report(3, "|phi(0) - 1| over [0, 6]", abs(res.trace[0] - 1.0), 1e-7)
 
 
 def test_criterion_04_contractivity():
@@ -130,7 +130,7 @@ def test_criterion_04_contractivity():
         ctx = GeneratorContext(model=model, observables=obs, field=field,
                                kappa=kappa)
         res = evolve(ctx, rho0, T, EvolutionConfig(dt=4e-3))
-        worst = max(worst, res.max_abs_trace)
+        worst = max(worst, res.max_abs_trace[0])
     report(4, "max |phi| over 30 random test functions", worst - 1.0, 1e-9)
 
 
@@ -156,8 +156,9 @@ def test_criterion_05_positive_definiteness():
         for i in range(5):
             for j in range(i + 1, 5):
                 ctx = GeneratorContext(model=model, observables=obs,
-                                       field=field, kappa=ks[i] - ks[j])
-                G[i, j] = evolve(ctx, rho0, T, config).trace
+                                       field=field,
+                                       kappa=helpers.difference(ks[i], ks[j]))
+                G[i, j] = evolve(ctx, rho0, T, config).trace[0]
                 G[j, i] = np.conj(G[i, j])
         min_eig = min(min_eig, float(np.linalg.eigvalsh(G).min()))
     report(5, "min Gram eigenvalue over 10 random sets", min_eig, -1e-7,
@@ -245,7 +246,7 @@ def test_criterion_09_independent_oracles():
     reference = dense_expm_propagate(model, obs, field, kappa, rho0, T)
     engine = evolve(ctx, rho0, T,
                     EvolutionConfig(dt=2e-3, freeze=True,
-                                    contractivity_check="off")).final
+                                    contractivity_check="off")).final[0]
     expm_dev = float(np.max(np.abs(engine - reference)))
     report(9, "engine vs dense matrix exponential", expm_dev, 1e-8)
 
@@ -273,7 +274,7 @@ def test_criterion_10_driven_mean_field():
     for t in (0.5, 1.5, 3.0):
         res = evolve(ctx, vacuum(model.space.dim), t,
                      EvolutionConfig(dt=5e-4))
-        mean = np.trace(b_op @ res.final)
+        mean = np.trace(b_op @ res.final[0])
         exact = -1j * lam * np.exp(-2j * params.omega_c * t) \
             * (1.0 - np.exp(-kp * t)) / kp
         worst = max(worst, abs(mean - exact) / abs(exact))
@@ -294,7 +295,7 @@ def test_criterion_11_integrator_order():
     rho0 = vacuum(model.space.dim)
     finals = {}
     for dt in (0.05, 0.025, 0.0125):
-        finals[dt] = evolve(ctx, rho0, T, EvolutionConfig(dt=dt)).final
+        finals[dt] = evolve(ctx, rho0, T, EvolutionConfig(dt=dt)).final[0]
     err_coarse = float(np.max(np.abs(finals[0.05] - finals[0.025])))
     err_fine = float(np.max(np.abs(finals[0.025] - finals[0.0125])))
     ratio = err_coarse / err_fine

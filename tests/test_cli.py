@@ -350,3 +350,42 @@ def test_step_budget_exit_4(tmp_path, capsys):
                    .glob("*.json")), ids=lambda p: p.name)
 def test_shipped_config_validates(path, capsys):
     assert main(["validate", "--config", str(path)]) == 0
+
+
+UNINVERTIBLE = [
+    # (shipped config, subcommand, observable, eigenvalues; None keeps
+    # the config's)
+    ("poisson_counts.json", "counts", 1, [[-1.0, 0.0]]),
+    ("poisson_counts.json", "counts", 1, [[0.5, 0.0]]),
+    ("dpo_homodyne.json", "homodyne", 1, None),
+    ("dpo_homodyne.json", "counts", 3, None),
+]
+
+
+@pytest.mark.parametrize("name, command, observable, eigenvalues",
+                         UNINVERTIBLE, ids=["negative", "fractional",
+                                            "homodyne-of-counter",
+                                            "counts-of-quadrature"])
+def test_uninvertible_observable_exit_3(tmp_path, capsys, monkeypatch, name,
+                                        command, observable, eigenvalues):
+    # counts needs non-negative integer eigenvalues and no quadrature
+    # profile, homodyne zero eigenvalues and a nonzero profile; anything
+    # else is refused before any propagation, with no report written
+    from contmeas import cli, statistics
+
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("propagated")
+
+    monkeypatch.setattr(statistics, "evolve", no_propagation)
+    monkeypatch.setattr(cli, "evolve", no_propagation)
+    cfg = json.loads((SHIPPED / name).read_text())
+    cfg["run"]["observable"] = observable
+    if eigenvalues is not None:
+        cfg["observables"]["eigenvalues"] = eigenvalues
+    out = tmp_path / "report.csv"
+    assert main([command, "--config", write(tmp_path, cfg),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure:")
+    assert f"observable {observable} " in err
+    assert not out.exists()

@@ -42,10 +42,11 @@ def test_trace_preserved_without_test_function():
                        EvolutionConfig(dt=0.02))
     res_large = evolve(large, vacuum(large.model.space.dim), 2.0,
                        EvolutionConfig(dt=0.02))
-    assert abs(res_small.trace.imag) < 1e-12
-    assert res_small.trace.real <= 1.0 + 1e-10
-    assert abs(res_large.trace - 1.0) < 1e-3
-    assert abs(1.0 - res_large.trace.real) < abs(1.0 - res_small.trace.real)
+    assert abs(res_small.trace[0].imag) < 1e-12
+    assert res_small.trace[0].real <= 1.0 + 1e-10
+    assert abs(res_large.trace[0] - 1.0) < 1e-3
+    assert (abs(1.0 - res_large.trace[0].real)
+            < abs(1.0 - res_small.trace[0].real))
     assert res_small.t_end == 2.0
     assert res_small.n_steps == 100
 
@@ -54,7 +55,7 @@ def test_hermiticity_preserved():
     ctx, params, rng = dpo_context(seed=2)
     res = evolve(ctx, vacuum(ctx.model.space.dim), 1.5,
                  EvolutionConfig(dt=0.01))
-    tau = res.final
+    tau = res.final[0]
     assert np.max(np.abs(tau - tau.conj().T)) < 1e-10
 
 
@@ -65,8 +66,8 @@ def test_contractivity_with_test_function():
     ctx, params, rng = dpo_context(seed=3, kappa=kappa)
     res = evolve(ctx, vacuum(ctx.model.space.dim), 2.0,
                  EvolutionConfig(dt=5e-3))
-    assert res.max_abs_trace <= 1.0 + 1e-9
-    assert abs(res.trace) <= 1.0 + 1e-9
+    assert res.max_abs_trace[0] <= 1.0 + 1e-9
+    assert abs(res.trace[0]) <= 1.0 + 1e-9
 
 
 def test_contractivity_violation_detected():
@@ -85,7 +86,7 @@ def test_contractivity_violation_detected():
     # with the check disabled the run completes
     res = evolve(ctx, np.array([[1.0 + 0j]]), 1.0,
                  EvolutionConfig(dt=0.01, contractivity_check="off"))
-    assert abs(res.trace - np.exp(2.0)) < 1e-6
+    assert abs(res.trace[0] - np.exp(2.0)) < 1e-6
 
 
 def test_composition_check_reports_small_deviation():
@@ -151,7 +152,7 @@ def test_stages_shared_between_steps(monkeypatch):
 
     monkeypatch.setattr(evolution, "stage_generators", wrapped)
     res = evolve(ctx, rho0, 1.0, EvolutionConfig(dt=dt))
-    assert np.max(np.abs(res.final - tau[0])) < 1e-14
+    assert np.max(np.abs(res.final[0] - tau[0])) < 1e-14
     assert assembled == [2 * c + 1 for c in counts]
 
 
@@ -201,12 +202,12 @@ def test_static_fast_path_matches_generic():
     assert not context_is_piecewise_static(generic)
     fast = evolve(ctx, rho0, 2.0, EvolutionConfig(dt=1e-3))
     slow = evolve(generic, rho0, 2.0, EvolutionConfig(dt=1e-3))
-    assert abs(fast.final[0, 0] - slow.final[0, 0]) < 1e-12
+    assert abs(fast.final[0][0, 0] - slow.final[0][0, 0]) < 1e-12
     # closed form: counting with intensity |f|^2 gives the Poisson
     # characteristic function exp((e^{i kappa} - 1) |f|^2 T) per window
     mu = abs(0.7 + 0.2j) ** 2
     exact = np.exp((np.exp(0.5j) - 1) * mu + (np.exp(1.1j) - 1) * mu)
-    assert abs(fast.final[0, 0] - exact) < 1e-10
+    assert abs(fast.final[0][0, 0] - exact) < 1e-10
 
 
 def system_free_context(kappa):
@@ -233,7 +234,7 @@ def test_evolve_from_start_time():
     exact = system_free_charfunc(ctx.observables, ctx.field,
                                  TestFunction([1.0, 2.0], [[-1.9]]), 2.0)
     assert res.n_steps == 1000
-    assert abs(res.trace - exact) < 1e-12
+    assert abs(res.trace[0] - exact) < 1e-12
     with pytest.raises(IntegrationError):
         evolve(ctx, np.array([[1.0 + 0j]]), 1.0, t_start=1.5)
 

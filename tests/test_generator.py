@@ -98,7 +98,7 @@ def test_stage_generators_match_one_point_assembly():
     times = np.concatenate((edges, edges, rng.uniform(-0.3, 2.3, 2 * BLOCK)))
     sides = np.concatenate((np.ones(6), -np.ones(6),
                             rng.choice([-1, 1], 2 * BLOCK))).astype(int)
-    gens = list(stage_generators(GeneratorStack([ctx]), times, sides))
+    gens = list(stage_generators(ctx, times, sides))
     assert len(gens) == len(times) > BLOCK
     for t, side, g in zip(times, sides, gens):
         ref = generator_at(ctx, t, side)
@@ -157,10 +157,11 @@ def test_stacked_generators_apply_each_members_generator(build):
     dim = model.space.dim
     X = (rng.standard_normal((len(kappas), dim, dim))
          + 1j * rng.standard_normal((len(kappas), dim, dim)))
-    stacked = list(stage_generators(GeneratorStack(contexts), times, sides))
+    stacked = list(stage_generators(GeneratorStack(model, obs, field, kappas),
+                                    times, sides))
     assert len(stacked) == len(times) > BLOCK
     for k, ctx in enumerate(contexts):
-        own = stage_generators(GeneratorStack([ctx]), times, sides)
+        own = stage_generators(ctx, times, sides)
         for g, g_own in zip(stacked, own):
             assert np.array_equal(g.apply(X)[k], g_own.apply(X[k:k + 1])[0])
 
@@ -179,7 +180,7 @@ def test_channel_groups_decline_non_proportional_operators():
     for t in (0.2, 0.6):
         g = generator_at(ctx, t)
         M = _dense_superoperator(model, ctx.observables, ctx.field,
-                                 ctx.kappa, t)
+                                 ctx.kappas[0], t)
         for _ in range(3):
             tau = rng.standard_normal((dim, dim)) \
                 + 1j * rng.standard_normal((dim, dim))
@@ -311,6 +312,11 @@ def test_context_validation():
         GeneratorContext(model=model, observables=obs,
                          field=FieldProfile((ZERO,) * 3, 1.0),
                          kappa=TestFunction.zero(3))
+    # every member's width is checked, not only the first one's
+    with pytest.raises(ValidationError):
+        GeneratorStack(model, obs, field, [TestFunction.zero(3),
+                                           TestFunction.zero(2),
+                                           TestFunction.zero(3)])
 
 
 def test_context_segments():

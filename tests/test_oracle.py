@@ -38,7 +38,7 @@ def test_system_free_matches_engine():
         kappa = TestFunction(breaks, rng.uniform(-1.0, 1.0, (3, m)))
         engine = evolve(GeneratorContext(model=model, observables=obs,
                                          field=field, kappa=kappa),
-                        rho0, horizon, EvolutionConfig(dt=1e-3)).trace
+                        rho0, horizon, EvolutionConfig(dt=1e-3)).trace[0]
         exact = system_free_charfunc(obs, field, kappa, horizon)
         assert abs(engine - exact) < 1e-9
 
@@ -56,7 +56,7 @@ def test_dense_expm_matches_frozen_engine():
                            kappa=kappa)
     engine = evolve(ctx, rho0, t_end,
                     EvolutionConfig(dt=2e-3, freeze=True,
-                                    contractivity_check="off")).final
+                                    contractivity_check="off")).final[0]
     assert np.max(np.abs(engine - oracle)) < 1e-9
 
 

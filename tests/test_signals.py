@@ -36,22 +36,6 @@ def test_test_function_zero():
     z = TestFunction.zero(3)
     assert z.is_zero
     assert np.allclose(z.value(0.0), np.zeros(3))
-    k = TestFunction([0.0, 1.0], [[2.0]])
-    assert np.allclose((TestFunction.zero(1) - k).value(0.5), [-2.0])
-
-
-def test_test_function_combine():
-    k1 = TestFunction([0.0, 1.0, 2.0], [[1.0], [2.0]])
-    k2 = TestFunction([0.5, 1.5], [[10.0]])
-    total = k1 - k2
-    assert np.allclose(total.value(0.25), [1.0])
-    assert np.allclose(total.value(0.75), [-9.0])
-    assert np.allclose(total.value(1.25), [-8.0])
-    assert np.allclose(total.value(1.75), [2.0])
-    with pytest.raises(ValueError):
-        k1 - TestFunction.zero(2)
-    diff = k1 - k1
-    assert np.allclose([diff.value(t) for t in (0.3, 1.5)], 0.0)
 
 
 def test_field_profile():

@@ -235,22 +235,16 @@ def test_charfunc_conjugate_symmetry(build):
 
 
 def count_members(monkeypatch) -> list:
-    """Patch the sweep's two propagators to record how many test functions
-    each call propagates: 1 for `evolve`, the stack's size for
-    `evolve_stack`."""
+    """Patch the sweep's propagator to record how many test functions each
+    call propagates, the size of its stack."""
     members = []
-    evolve, evolve_stack = statistics.evolve, statistics.evolve_stack
-
-    def one(*args, **kwargs):
-        members.append(1)
-        return evolve(*args, **kwargs)
+    evolve = statistics.evolve
 
     def stacked(stack, *args, **kwargs):
         members.append(len(stack))
-        return evolve_stack(stack, *args, **kwargs)
+        return evolve(stack, *args, **kwargs)
 
-    monkeypatch.setattr(statistics, "evolve", one)
-    monkeypatch.setattr(statistics, "evolve_stack", stacked)
+    monkeypatch.setattr(statistics, "evolve", stacked)
     return members
 
 
@@ -303,8 +297,9 @@ def test_stacked_sweep_equals_per_point_evolve(monkeypatch, build, stacks):
                          finals)
     assert sizes == stacks
     assert phi.shape == (len(kappas),)
-    assert np.array_equal(phi, [res.trace for res in alone])
-    assert all(np.array_equal(f, res.final) for f, res in zip(finals, alone))
+    assert np.array_equal(phi, [res.trace[0] for res in alone])
+    assert all(np.array_equal(f, res.final[0])
+               for f, res in zip(finals, alone))
 
 
 def _two_windows(second):
@@ -355,7 +350,7 @@ def test_one_member_losing_contractivity_fails_the_stack():
                                        field=field, kappa=kappa),
                       rho0, 1.0, config)
 
-    assert alone(good).max_abs_trace <= 1.0
+    assert alone(good).max_abs_trace[0] <= 1.0
     with pytest.raises(ContractivityError, match="at t = 1;") as single:
         alone(bad)
     with pytest.raises(ContractivityError) as stacked:
