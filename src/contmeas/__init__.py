@@ -15,8 +15,7 @@ from .model import (DpoParams, ModelSpec, check_dissipativity,
                     check_S_unitary, dpo_laser_field, dpo_model,
                     trivial_model)
 from .measurement import ObservableSpec, dpo_observables
-from .generator import (GeneratorContext, GeneratorStack, generator_at,
-                        scalar_rate)
+from .generator import GeneratorContext, GeneratorStack, generator_at
 from .evolution import (EvolutionConfig, EvolutionResult, composition_check,
                         evolve, is_state)
 from .statistics import (counting_axis, counting_distribution,

@@ -9,9 +9,9 @@ Subcommands:
     oracle-compare  engine vs dense-exponential and duality cross-checks
 
 Exit codes: 0 success, 2 config error, 3 validation failure (including
-an observable that `counts` or `homodyne` cannot invert), 4 integration
-failure (including a state that is no longer finite), 5 inversion-quality
-failure.
+an observable that `counts` or `homodyne` cannot invert, and a counting
+eigenvalue at or above `n_points`), 4 integration failure (including a
+state that is no longer finite), 5 inversion-quality failure.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .generator import GeneratorContext
 from .model import check_dissipativity, check_S_unitary
 from .oracle import DENSE_DIM_LIMIT, dense_expm_propagate, duality_check
 from .signals import TestFunction
-from .statistics import counting_distribution, homodyne_distribution
+from .statistics import (counting_distribution, diffusive_axis,
+                         homodyne_distribution)
 
 
 def _fmt(x) -> str:
@@ -227,7 +228,8 @@ def cmd_homodyne(run: Run, out):
                               n_points, run.evo, finals)
     header = dict(run.header())
     header.update({"t_end": t_end, "observable": run.observable(),
-                   "kappa_max": kappa_max, "n_points": n_points,
+                   "kappa_max": kappa_max,
+                   "n_points": len(diffusive_axis(kappa_max, n_points)),
                    "leakage": run.leakage(t_end, finals[0])})
     _emit_csv(header, {"x": list(x), "density": list(p)}, out)
 

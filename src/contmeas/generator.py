@@ -26,10 +26,12 @@ one model, observable family and field, checked against them once per
 stack.  A `GeneratorContext` is its one-member case, built from a single
 test function.  A `FrozenGenerator` is the stack's generators at one
 time, applied to an (n, dim, dim) stack: K_L and K_R^T of all members
-are one block-diagonal matrix each on the cached pattern tiled once per
-member, and each sandwich is two sparse products over the members side
-by side.  The adjoint of a one-member generator reuses both through a
-cached transposing permutation.
+are one block-diagonal operator each on the cached pattern tiled once
+per member, and each sandwich is two sparse products over the members
+side by side.  The adjoint of a one-member generator reuses both through
+a cached transposing permutation.  Every sparse operator is held as the
+arguments of scipy's CSR kernel, (rows, cols, indptr, indices, data),
+and every sparse product is one call of that kernel (`_product`).
 
 `stage_generators` assembles the generators at a whole run of times at
 once: the signals, s, r(+/-kappa), the scalar rate and the weights of
@@ -43,6 +45,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .errors import ValidationError
 from .measurement import ObservableSpec
@@ -50,12 +53,14 @@ from .model import ModelSpec
 from .signals import Constant, FieldProfile, TestFunction, segments
 
 
-def scalar_rate(obs: ObservableSpec, kappa: np.ndarray, t):
-    """State-independent scalar rate of the generator at time t:
-    sum_i (s_i - 1)|b_i|^2 + i sum_a kappa_a c^a
-    - (1/2) sum_ab kappa_a <h^a(t), h^b(t)> kappa_b,
-    or one rate per row for kappas of shape (n, m) and n times."""
-    return obs.coefficients(kappa, t)[3]
+def _product(op: tuple, X: np.ndarray) -> np.ndarray:
+    """op X for op = (rows, cols, indptr, indices, data) and a 2-D X: the
+    kernel call scipy's CSR matrix makes for `op * X` after its checks."""
+    rows, cols, indptr, indices, data = op
+    out = np.zeros((rows, X.shape[1]), dtype=complex)
+    csr_matvecs(rows, cols, X.shape[1], indptr, indices, data, X.ravel(),
+                out.ravel())
+    return out
 
 
 def _act(X, scalar, left, right_t, sandwiches, weights) -> np.ndarray:
@@ -66,14 +71,14 @@ def _act(X, scalar, left, right_t, sandwiches, weights) -> np.ndarray:
     that form a_g X a_g^dag as (b_g (a_g X)^T)^T, two sparse products over
     the members side by side.  Every entry of member k is formed by the
     same operations, in the same order, whatever n is."""
-    # `*` is the matrix product of scipy's sparse matrix classes; unlike
-    # `@` it does not first check whether the dense operand is a scalar
+    # the weights stay the first operand of `*`: numpy's complex product
+    # is not commutative to the last bit
     n, dim, _ = X.shape
     out = scalar * X
     if left is not None:
-        out += (left * X.reshape(n * dim, dim)).reshape(n, dim, dim)
-        out += (right_t * X.transpose(0, 2, 1).reshape(n * dim, dim)
-                ).reshape(n, dim, dim).transpose(0, 2, 1)
+        out += _product(left, X.reshape(n * dim, dim)).reshape(n, dim, dim)
+        out += _product(right_t, X.transpose(0, 2, 1).reshape(n * dim, dim)
+                        ).reshape(n, dim, dim).transpose(0, 2, 1)
     if sandwiches:
         side = X.transpose(1, 0, 2).reshape(dim, n * dim)   # X_1 ... X_n
     for (a, b), w in zip(sandwiches, weights.T):
@@ -81,7 +86,7 @@ def _act(X, scalar, left, right_t, sandwiches, weights) -> np.ndarray:
         # expression, so that each temporary is freed as soon as it is
         # used: held in names until the next group, they doubled the
         # minor page faults of a dim-117 propagation
-        out += w[:, None, None] * (b * (a * side).reshape(
+        out += w[:, None, None] * _product(b, _product(a, side).reshape(
             dim, n, dim).transpose(2, 1, 0).reshape(dim, n * dim)).reshape(
                 dim, n, dim).transpose(1, 2, 0)
     return out
@@ -102,8 +107,10 @@ class FrozenGenerator:
     R_i = c_i P_g, with w_g = sum_{i in g} s_i |c_i|^2 (`ModelSpec.operators`
     holds the groups).  K_L and K_R^T of all members are weighted sums of
     the cached basis on the stack's tiled pattern, one block-diagonal
-    sparse matrix each, formed once per assembly; applying the generator
-    costs one sparse product for each and two per group.
+    sparse operator each in the form `_product` takes, formed once per
+    assembly; applying the generator costs one sparse product for each
+    and two per group.  `apply_adjoint` forms their transposes on its
+    first call and keeps them in `drift_adj`.
 
     `s`, `w_group`, `left` and `right` hold one row per member and
     `scalar` one (1, 1) entry per member, so that it scales each member
@@ -123,7 +130,7 @@ class FrozenGenerator:
     """
 
     __slots__ = ("cache", "s", "scalar", "w_group", "left", "right", "K_L",
-                 "K_R_t")
+                 "K_R_t", "drift_adj")
 
     def __init__(self, stack: GeneratorStack, s, scalar, w_group, left,
                  right):
@@ -133,16 +140,16 @@ class FrozenGenerator:
         self.w_group = w_group
         self.left = left
         self.right = right
-        if cache.pattern.nnz:
+        if cache.basis.shape[1]:
             # one vector-matrix product per member: a matrix-matrix
             # product would round differently as the member count changes
-            self.K_L = cache.matrix(
-                np.matmul(left[:, None], cache.basis).ravel(), stack.pattern)
-            self.K_R_t = cache.matrix(
-                np.conj(np.matmul(right[:, None], cache.basis)).ravel(),
-                stack.pattern)
+            self.K_L = stack.pattern + (
+                np.matmul(left[:, None], cache.basis).ravel(),)
+            self.K_R_t = stack.pattern + (
+                np.conj(np.matmul(right[:, None], cache.basis)).ravel(),)
         else:
             self.K_L = self.K_R_t = None
+        self.drift_adj = None
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         return _act(X, self.scalar, self.K_L, self.K_R_t,
@@ -157,11 +164,10 @@ class FrozenGenerator:
         on the operators of `apply`, transposed by the cached permutation.
         """
         c = self.cache
-        if self.K_L is None:
-            left = right_t = None
-        else:
-            left = c.transpose(self.K_R_t.data)
-            right_t = c.transpose(self.K_L.data)
+        if self.drift_adj is None and self.K_L is not None:
+            self.drift_adj = (c.transpose(self.K_R_t[-1]),
+                              c.transpose(self.K_L[-1]))
+        left, right_t = self.drift_adj or (None, None)
         return _act(X, self.scalar, left, right_t, c.sandwich_adj,
                     self.w_group)
 
@@ -172,7 +178,7 @@ class GeneratorStack:
     `kappas[k]`.
 
     The drift operators of all members at one time form one
-    block-diagonal matrix on the model's operator pattern tiled once per
+    block-diagonal operator on the model's operator pattern tiled once per
     member; the tiled pattern is built the first time a generator asks
     for it.
     """

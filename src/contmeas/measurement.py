@@ -120,10 +120,10 @@ class ObservableSpec:
         return np.exp(1j * (kappa[..., None] * self.eigenvalues).sum(axis=-2))
 
     def coefficients(self, kappa: np.ndarray, t):
-        """s(kappa), r(+kappa; t), r(-kappa; t) and the scalar rate
-        c(kappa; t) of the generator (see `r_vector` and
-        `generator.scalar_rate`), for one kappa and time, or row by row
-        for kappas of shape (n, m) and n times."""
+        """s(kappa), r(+/-kappa; t) (see `r_vector`) and the scalar rate
+        c(kappa; t) = sum_i (s_i - 1)|b_i|^2 + i kappa.c - |kappa.h|^2 / 2
+        of the generator, for one kappa and time, or row by row for
+        kappas of shape (n, m) and n times."""
         kappa = np.asarray(kappa, dtype=float)
         s = self.kernel_diagonal(kappa)
         vals = self._table(t)

@@ -13,7 +13,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ValidationError
 from .fock import (SystemOperator, TruncatedSpace, ladder_a, ladder_a_dag,
@@ -30,11 +29,14 @@ class _OperatorCache:
     """Sparse data of the model in the layout the generator applies,
     shared by all frozen generators.
 
-    K, R_1..R_d and R_1^dag..R_d^dag all live on one CSR pattern, the
-    union of their sparsity patterns; row j of `basis` holds the entries of
-    the j-th of them on it, so a weighted sum of these operators costs one
-    vector-matrix product.  `transpose` moves data on the pattern to the
-    transposed pattern through a fixed index permutation.
+    Every operator is held as the arguments of scipy's CSR kernel,
+    (rows, cols, indptr, indices, data), and a pattern as the same
+    without the data.  K, R_1..R_d and R_1^dag..R_d^dag all live on one
+    `pattern`, the union of their sparsity patterns; row j of `basis`
+    holds the entries of the j-th of them on it, so a weighted sum of
+    these operators costs one vector-matrix product.  `transpose` moves
+    data on the pattern to the transposed pattern through a fixed index
+    permutation.
 
     The nonzero channel operators are grouped as R_i = c_i P_g, P_g the
     first operator of its group; `group_weights[i, g]` is |c_i|^2 (zero
@@ -76,53 +78,39 @@ class _OperatorCache:
                 columns.append(np.eye(model.d)[i])
         self.group_weights = np.array(columns).reshape(-1, model.d).T
         P = [model.R[i].matrix for i in first]
-        self.sandwich = [(p, p.conj()) for p in P]
-        self.sandwich_adj = [(p.conj().T.tocsr(), p.T.tocsr()) for p in P]
+        self.sandwich = [(_operand(p), _operand(p.conj())) for p in P]
+        self.sandwich_adj = [(_operand(p.conj().T.tocsr()),
+                              _operand(p.T.tocsr())) for p in P]
 
-    def matrix(self, data: np.ndarray, pattern):
-        """CSR matrix with `data` on `pattern`, the shared pattern or its
-        `tiled` form."""
-        return _with_data(pattern, data)
-
-    def tiled(self, n: int):
+    def tiled(self, n: int) -> tuple:
         """The shared pattern repeated as n diagonal blocks, so that n
-        members' data laid end to end is one block-diagonal matrix; for
+        members' data laid end to end is one block-diagonal operator; for
         n = 1 that is the shared pattern itself."""
         if n == 1:
             return self.pattern
-        p, dim = self.pattern, self.pattern.shape[0]
+        dim, _, indptr, indices = self.pattern
         shift = np.arange(n)[:, None]
-        indices = (p.indices + dim * shift).ravel()
-        indptr = np.concatenate(([0], (p.indptr[1:] + p.nnz * shift).ravel()))
-        return sp.csr_matrix((np.zeros(len(indices), dtype=complex),
-                              indices.astype(np.int32),
-                              indptr.astype(np.int32)),
-                             shape=(n * dim, n * dim))
+        indptr = np.concatenate(([0], (indptr[1:] + len(indices)
+                                       * shift).ravel()))
+        indices = (indices + dim * shift).ravel()
+        return (n * dim, n * dim, indptr.astype(np.int32),
+                indices.astype(np.int32))
 
-    def transpose(self, data: np.ndarray):
-        """CSR transpose of `matrix(data)`."""
-        return _with_data(self.t_pattern, data[self.t_perm])
+    def transpose(self, data: np.ndarray) -> tuple:
+        """The transpose of the operator with `data` on the pattern."""
+        return self.t_pattern + (data[self.t_perm],)
 
 
-def _csr(rows: np.ndarray, cols: np.ndarray, dim: int):
-    """CSR pattern of (rows, cols) sorted by row, with zero data."""
+def _csr(rows: np.ndarray, cols: np.ndarray, dim: int) -> tuple:
+    """CSR pattern (dim, dim, indptr, indices) of (rows, cols) by row."""
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows,
                                                         minlength=dim))))
-    return sp.csr_matrix((np.zeros(len(rows), dtype=complex),
-                          cols.astype(np.int32), indptr.astype(np.int32)),
-                         shape=(dim, dim))
+    return (dim, dim, indptr.astype(np.int32), cols.astype(np.int32))
 
 
-def _with_data(pattern, data: np.ndarray):
-    # a shallow copy shares the pattern's index arrays, which nothing
-    # writes; building a new csr_matrix would re-check them on every
-    # assembly and cost about five times as much, and copy.copy costs
-    # four times as much as copying the attributes directly
-    cls = type(pattern)
-    out = cls.__new__(cls)
-    out.__dict__.update(pattern.__dict__)
-    out.data = data
-    return out
+def _operand(m) -> tuple:
+    """The CSR kernel arguments of the scipy CSR matrix m."""
+    return m.shape + (m.indptr, m.indices, m.data)
 
 
 def _proportion(key, val, rkey, rval) -> complex | None:

@@ -196,8 +196,13 @@ def counting_distribution(model: ModelSpec, obs: ObservableSpec,
                           observable: int, t_end: float, n_points: int = 256,
                           config: EvolutionConfig | None = None) -> np.ndarray:
     """Counting probabilities p(0..n_points-1) of one counting observable
-    at t_end."""
+    at t_end; an eigenvalue at or above n_points, whose counts would wrap
+    onto n mod n_points, is refused."""
     _check_observable(obs, observable, counting=True)
+    top = obs.eigenvalues[observable - 1].max()
+    if top >= n_points:
+        raise ValidationError(f"observable {observable} has eigenvalue "
+                              f"{top:g} >= n_points; raise n_points")
     kappas = on_interval(obs.m, observable, t_end, counting_axis(n_points))
     return invert_counting(joint_charfunc(model, obs, field, rho0, kappas,
                                           t_end, config))

@@ -80,6 +80,17 @@ def master_equation_rhs(params, n_max, m_max, t, rho):
     return out
 
 
+def dense_operand(op):
+    """Dense matrix of a sparse operator given as CSR arrays
+    (rows, cols, indptr, indices, data)."""
+    rows, cols, indptr, indices, data = op
+    out = np.zeros((rows, cols), dtype=complex)
+    for i in range(rows):
+        for k in range(indptr[i], indptr[i + 1]):
+            out[i, indices[k]] += data[k]
+    return out
+
+
 def random_hermitian(dim, rng):
     X = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (X + X.conj().T)

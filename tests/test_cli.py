@@ -178,6 +178,25 @@ def test_homodyne_leakage_is_plain_runs(tmp_path, monkeypatch):
     assert float(header[0].split("=")[1]) == plain
 
 
+def test_homodyne_header_reports_propagated_points(tmp_path, monkeypatch):
+    # an even n_points is raised to the next odd count, so that kappa = 0
+    # is a sample; the header reports the count that was inverted
+    from contmeas import statistics
+    seen = []
+    invert = statistics.invert_homodyne
+    monkeypatch.setattr(statistics, "invert_homodyne",
+                        lambda k, phi, x: seen.append(len(k)) or
+                        invert(k, phi, x))
+    cfg = dpo_config()
+    cfg["run"].update(observable=3, kappa_max=7.0, n_points=8, x_min=-1.5,
+                      x_max=1.5, x_points=9)
+    out = tmp_path / "density.csv"
+    assert main(["homodyne", "--config", write(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    assert seen == [9]
+    assert "# n_points = 9" in out.read_text().splitlines()
+
+
 def test_oracle_compare(tmp_path, capsys):
     cfg = dpo_config()
     cfg["model"]["truncation"] = {"n_max": 2, "m_max": 2}
@@ -359,18 +378,21 @@ UNINVERTIBLE = [
     ("poisson_counts.json", "counts", 1, [[0.5, 0.0]]),
     ("dpo_homodyne.json", "homodyne", 1, None),
     ("dpo_homodyne.json", "counts", 3, None),
+    ("poisson_counts.json", "counts", 1, [[256.0, 0.0]]),
 ]
 
 
 @pytest.mark.parametrize("name, command, observable, eigenvalues",
                          UNINVERTIBLE, ids=["negative", "fractional",
                                             "homodyne-of-counter",
-                                            "counts-of-quadrature"])
+                                            "counts-of-quadrature",
+                                            "eigenvalue-at-n_points"])
 def test_uninvertible_observable_exit_3(tmp_path, capsys, monkeypatch, name,
                                         command, observable, eigenvalues):
-    # counts needs non-negative integer eigenvalues and no quadrature
-    # profile, homodyne zero eigenvalues and a nonzero profile; anything
-    # else is refused before any propagation, with no report written
+    # counts needs non-negative integer eigenvalues below n_points (a
+    # larger one wraps around the grid) and no quadrature profile,
+    # homodyne zero eigenvalues and a nonzero profile; anything else is
+    # refused before any propagation, with no report written
     from contmeas import cli, statistics
 
     def no_propagation(*args, **kwargs):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import helpers
 from contmeas import (DimensionMismatchError, DpoParams, SystemOperator,
                       TruncatedSpace, dpo_model, guard_band_leakage, ladder_a,
                       ladder_a_dag, ladder_b, ladder_b_dag)
+from contmeas.generator import _product
 
 
 def test_index_unravel_roundtrip():
@@ -79,8 +81,10 @@ def test_adjoint_matches_dense():
         + [R.to_dense().conj().T for R in model.R]
     assert len(cache.basis) == len(dense)
     for row, ref in zip(cache.basis, dense):
-        assert np.max(np.abs(cache.matrix(row, cache.pattern).toarray() - ref)) == 0
-        assert np.max(np.abs(cache.transpose(row).toarray() - ref.T)) == 0
+        op = cache.pattern + (row,)
+        assert np.max(np.abs(helpers.dense_operand(op) - ref)) == 0
+        assert np.max(np.abs(helpers.dense_operand(cache.transpose(row))
+                             - ref.T)) == 0
 
 
 def test_density_applications_match_dense():
@@ -93,12 +97,12 @@ def test_density_applications_match_dense():
     cache = dpo_model(params, sp).operators
     w = rng.standard_normal(len(cache.basis)) \
         + 1j * rng.standard_normal(len(cache.basis))
-    X = cache.matrix(w @ cache.basis, cache.pattern)
+    X = cache.pattern + (w @ cache.basis,)
     rho = rng.standard_normal((sp.dim, sp.dim)) \
         + 1j * rng.standard_normal((sp.dim, sp.dim))
-    Xd = X.toarray()
-    assert np.allclose(X @ rho, Xd @ rho, atol=1e-14)
-    assert np.allclose((cache.transpose(X.data) @ rho.T).T, rho @ Xd,
+    Xd = helpers.dense_operand(X)
+    assert np.allclose(_product(X, rho), Xd @ rho, atol=1e-14)
+    assert np.allclose(_product(cache.transpose(X[-1]), rho.T).T, rho @ Xd,
                        atol=1e-14)
 
 

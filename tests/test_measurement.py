@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from contmeas import (ZERO, Constant, DpoParams, Harmonic, ObservableSpec,
-                      ValidationError, dpo_observables, scalar_rate)
+                      ValidationError, dpo_observables)
 from contmeas.measurement import _inner
 
 
@@ -115,7 +115,7 @@ def test_scalar_term_gaussian_weight():
     ev = np.zeros((1, 1))
     obs = ObservableSpec(m=1, d=1, horizon=2.0, eigenvalues=ev,
                          h=((Constant(1.0),),), b=(ZERO,), c=(ZERO,))
-    val = 2.0 * scalar_rate(obs, np.array([0.8]), 0.7)
+    val = 2.0 * obs.coefficients(np.array([0.8]), 0.7)[3]
     assert val == pytest.approx(-0.5 * 0.8 ** 2 * 2.0)
 
 
@@ -124,5 +124,5 @@ def test_scalar_term_counting_reference_field():
     ev = np.array([[1.0]])
     obs = ObservableSpec(m=1, d=1, horizon=1.5, eigenvalues=ev,
                          h=((ZERO,),), b=(Constant(2.0),), c=(ZERO,))
-    val = 1.5 * scalar_rate(obs, np.array([0.9]), 0.4)
+    val = 1.5 * obs.coefficients(np.array([0.9]), 0.4)[3]
     assert val == pytest.approx((np.exp(0.9j) - 1.0) * 4.0 * 1.5)

@@ -1,0 +1,77 @@
+"""Write the output of every contmeas subcommand on every shipped config,
+and of each benchmark workload's subcommand on its seed-7 config, into
+one directory, so that two checkouts can be compared byte for byte.
+
+    python3 tools/reports.py OUT_DIR
+    diff -r parent_out change_out
+
+Run it from any directory; it runs the checkout it belongs to, with
+./src on the import path and BLAS pinned to one thread.  Each run is a
+fresh interpreter started in OUT_DIR with relative paths only, and
+leaves NAME.out (the report), NAME.err (standard error) and NAME.rc
+(the exit code), NAME being CONFIG.COMMAND.  The workload configs come
+from perfbench/workloads.py and are written to OUT_DIR/configs with the
+shipped ones.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COMMANDS = ("validate", "evolve", "charfunc", "counts", "homodyne",
+            "oracle-compare")
+SEED = 7
+
+
+def runs(out_dir: str) -> list[tuple[str, str]]:
+    """(config name, subcommand) pairs, with every config written to
+    OUT_DIR/configs."""
+    configs = os.path.join(out_dir, "configs")
+    os.makedirs(configs, exist_ok=True)
+    shipped = sorted(f[:-len(".json")]
+                     for f in os.listdir(os.path.join(ROOT, "configs"))
+                     if f.endswith(".json"))
+    for name in shipped:
+        shutil.copy(os.path.join(ROOT, "configs", name + ".json"), configs)
+    pairs = [(name, command) for name in shipped for command in COMMANDS]
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from workloads import WORKLOADS, make_config
+    for workload, (command, _, _) in sorted(WORKLOADS.items()):
+        with open(os.path.join(configs, workload + ".json"), "w") as f:
+            json.dump(make_config(workload, SEED), f, indent=2)
+        pairs.append((workload, command))
+    return pairs
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out_dir = os.path.abspath(argv[0])
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONHASHSEED="0")
+    for name, command in runs(out_dir):
+        stem = f"{name}.{command}"
+        report = stem + ".out"
+        if os.path.exists(os.path.join(out_dir, report)):
+            os.remove(os.path.join(out_dir, report))
+        done = subprocess.run(
+            [sys.executable, "-m", "contmeas.cli", command, "--config",
+             f"configs/{name}.json", "--out", report],
+            cwd=out_dir, env=env, capture_output=True, text=True)
+        with open(os.path.join(out_dir, stem + ".err"), "w") as f:
+            f.write(done.stderr)
+        with open(os.path.join(out_dir, stem + ".rc"), "w") as f:
+            f.write(f"{done.returncode}\n")
+        print(f"{stem}: exit {done.returncode}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
