@@ -167,6 +167,9 @@ def build_field(cfg, model: ModelSpec, params, horizon: float) -> FieldProfile:
     node = _take(cfg, "field", required=("type",),
                  optional=("window", "signals"))
     window = _real(node.get("window", horizon), "field.window")
+    if window < 0:
+        raise ConfigError(f"field.window: expected a number >= 0, "
+                          f"got {window!r}")
     if node["type"] == "laser":
         if params is None:
             raise ConfigError("field: laser profile needs a dpo model")

@@ -55,6 +55,8 @@ class EvolutionConfig:
             raise ValueError("dt must be positive")
         if self.contractivity_check not in ("auto", "on", "off"):
             raise ValueError("contractivity_check must be auto, on or off")
+        if self.contractivity_tol < 0:
+            raise ValueError("contractivity_tol must be non-negative")
 
 
 @dataclass

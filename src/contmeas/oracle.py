@@ -12,13 +12,15 @@ path:
   model and observable data, not from the production generator code.
 * `duality_check`: propagate a functional backward through the adjoint
   generator and compare the two ways of evaluating the same pairing.
+
+`expm` and `quad` are imported inside the two oracles that call them, on
+first use, so the production commands never load `scipy.linalg` or
+`scipy.integrate` (which pulls in `scipy.optimize` and `scipy.special`).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.integrate import quad
 
 from .errors import ValidationError
 from .evolution import (EvolutionConfig, evolve, rk4_stages, rk4_step,
@@ -41,6 +43,7 @@ def system_free_charfunc(obs: ObservableSpec, field: FieldProfile,
 
     with all inner products taken pointwise over the channel index.
     """
+    from scipy.integrate import quad
 
     def integrand(t: float) -> complex:
         k = kappa.value(t)
@@ -114,6 +117,7 @@ def dense_expm_propagate(model: ModelSpec, obs: ObservableSpec,
     """Freeze the coefficients at the midpoint of each smooth segment and
     propagate vec(tau) by scipy's matrix exponential.  Matches the engine
     run with `EvolutionConfig(freeze=True)`."""
+    from scipy.linalg import expm
     dim = model.space.dim
     if dim > DENSE_DIM_LIMIT:
         raise ValidationError(f"dense oracle limited to dim <= {DENSE_DIM_LIMIT}")

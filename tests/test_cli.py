@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -287,6 +290,9 @@ MALFORMED = [
     ("counting", "evolution.dt", NAN, "counts", 2),
     ("dpo", "observables.horizon", NAN, "validate", 2),
     ("counting", "field.window", NAN, "counts", 2),
+    ("counting", "field.window", -1.0, "counts", 2),
+    ("dpo", "field.window", -2.0, "evolve", 2),
+    ("counting", "evolution.contractivity_tol", -1.0, "counts", 2),
     ("dpo", "model.params.g", NAN, "charfunc", 2),
     ("dpo", "kappa.values", [[NAN, 0.0, 0.0]], "charfunc", 2),
     ("dpo", "evolution.method", "adaptive", "validate", 2),
@@ -411,3 +417,37 @@ def test_uninvertible_observable_exit_3(tmp_path, capsys, monkeypatch, name,
     assert err.startswith("validation failure:")
     assert f"observable {observable} " in err
     assert not out.exists()
+
+
+STARTUP_PROBE = """
+import contextlib, glob, io, json, sys
+from contmeas import cli
+from contmeas.config import load_config
+for path in sorted(glob.glob("configs/*.json")):
+    cli.Run(load_config(path), None)
+heavy = ("scipy.linalg", "scipy.integrate", "scipy.optimize", "scipy.special")
+built = [m for m in heavy if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["oracle-compare", "--config",
+                     "configs/dpo_small_oracle.json"])
+print(json.dumps({"built": built, "code": code,
+                  "oracle": [m for m in heavy if m in sys.modules]}))
+"""
+
+
+def test_startup_loads_no_oracle_scipy():
+    # only the oracles call expm and quad, so a fresh interpreter that
+    # builds a run of every shipped config loads neither scipy.linalg nor
+    # scipy.integrate (with scipy.optimize and scipy.special); the dense
+    # oracle of oracle-compare loads scipy.linalg on first use, and no
+    # command loads scipy.integrate
+    root = SHIPPED.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", STARTUP_PROBE], cwd=root,
+                          env=env, capture_output=True, text=True,
+                          check=True)
+    seen = json.loads(done.stdout)
+    assert seen["built"] == []
+    assert seen["code"] == 0
+    assert "scipy.linalg" in seen["oracle"]
+    assert "scipy.integrate" not in seen["oracle"]
