@@ -290,12 +290,12 @@ MALFORMED = [
     ("counting", "evolution.dt", NAN, "counts", 2),
     ("dpo", "observables.horizon", NAN, "validate", 2),
     ("counting", "field.window", NAN, "counts", 2),
-    ("counting", "field.window", -1.0, "counts", 2),
-    ("dpo", "field.window", -2.0, "evolve", 2),
-    ("counting", "evolution.contractivity_tol", -1.0, "counts", 2),
     ("dpo", "model.params.g", NAN, "charfunc", 2),
     ("dpo", "kappa.values", [[NAN, 0.0, 0.0]], "charfunc", 2),
     ("dpo", "evolution.method", "adaptive", "validate", 2),
+    ("counting", "field.window", -1.0, "counts", 2),
+    ("dpo", "field.window", -2.0, "evolve", 2),
+    ("counting", "evolution.contractivity_tol", -1.0, "counts", 2),
 ]
 
 
