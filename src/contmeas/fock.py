@@ -2,18 +2,57 @@
 
 Basis vectors are e_{n,m} with 0 <= n <= n_max (first mode) and
 0 <= m <= m_max (second mode), flattened as idx = n*(m_max+1) + m.
-Operators are stored sparse (they are banded); states and density
-matrices are dense numpy arrays.
+Operators are stored sparse (they are banded), as the arguments of
+scipy's CSR kernel (rows, cols, indptr, indices, data), like every
+sparse operator of the program; states and density matrices are dense
+numpy arrays.  Only the kernel module is loaded, not `scipy.sparse`.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatchError
+
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+def _load_sparsetools():
+    """scipy's compiled sparse kernel module, without importing the
+    `scipy.sparse` package: its `__init__` loads about 300 modules, the
+    kernel nothing but numpy.  The module is registered under its own
+    name, so `scipy.sparse`, imported before or after, shares it."""
+    if _SPARSETOOLS not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")
+        spec = scipy and importlib.machinery.PathFinder.find_spec(
+            _SPARSETOOLS, [os.path.join(path, "sparse")
+                           for path in scipy.submodule_search_locations])
+        if spec is None:
+            from importlib.metadata import version
+            found = f"scipy {version('scipy')}" if scipy else "no scipy"
+            raise ImportError(f"{_SPARSETOOLS} not found ({found} "
+                              "installed; contmeas needs scipy>=1.10)")
+        sys.modules[_SPARSETOOLS] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[_SPARSETOOLS])
+    return sys.modules[_SPARSETOOLS]
+
+
+_sparsetools = _load_sparsetools()
+csr_matvec, csr_matvecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
+
+
+def csr_pattern(rows: np.ndarray, cols: np.ndarray, dim: int) -> tuple:
+    """CSR pattern (dim, dim, indptr, indices) of the entries (rows, cols),
+    given row by row."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows,
+                                                        minlength=dim))))
+    return (dim, dim, indptr.astype(np.int32), cols.astype(np.int32))
 
 
 @dataclass(frozen=True)
@@ -46,64 +85,100 @@ class TruncatedSpace:
 class SystemOperator:
     """Immutable sparse complex matrix bound to a TruncatedSpace.
 
-    Only exact zeros are dropped from storage; every entry produced by a
-    formula is kept as-is.
+    `csr` holds it as the arguments of scipy's CSR kernel,
+    (dim, dim, indptr, indices, data), in canonical form: rows in order,
+    sorted column indices in each row, exact zeros dropped.  Every entry
+    produced by a formula is kept as-is.
     """
 
-    __slots__ = ("space", "matrix")
+    __slots__ = ("space", "csr")
 
     def __init__(self, space: TruncatedSpace, matrix):
-        mat = sp.csr_matrix(matrix, dtype=complex)
-        if mat.shape != (space.dim, space.dim):
+        """From a dense (dim, dim) matrix."""
+        matrix = np.asarray(matrix, dtype=complex)
+        if matrix.shape != (space.dim, space.dim):
             raise DimensionMismatchError(
-                f"matrix shape {mat.shape} does not match space dim {space.dim}")
-        mat.eliminate_zeros()
+                f"matrix shape {matrix.shape} does not match space dim "
+                f"{space.dim}")
+        rows, cols = np.nonzero(matrix)
         self.space = space
-        self.matrix = mat
+        self.csr = csr_pattern(rows, cols, space.dim) + (matrix[rows, cols],)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _from_coo(cls, space: TruncatedSpace, rows, cols,
+                  vals) -> "SystemOperator":
+        """From distinct entries vals at (rows, cols), in any order."""
+        rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
+        vals = np.asarray(vals, dtype=complex)
+        keep = np.argsort(rows * space.dim + cols)
+        keep = keep[vals[keep] != 0]
+        op = cls.__new__(cls)
+        op.space = space
+        op.csr = csr_pattern(rows[keep], cols[keep], space.dim) + (vals[keep],)
+        return op
+
+    @classmethod
     def from_entries(cls, space: TruncatedSpace, entries: dict) -> "SystemOperator":
         """Build from a {(row, col): value} map."""
-        if entries:
-            rows, cols = zip(*entries.keys())
-            vals = list(entries.values())
-        else:
-            rows, cols, vals = [], [], []
-        mat = sp.coo_matrix((vals, (rows, cols)),
-                            shape=(space.dim, space.dim), dtype=complex)
-        return cls(space, mat)
+        keys = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+        if np.any((keys < 0) | (keys >= space.dim)):
+            raise ValueError(f"entry outside a {space.dim}x{space.dim} matrix")
+        return cls._from_coo(space, keys[:, 0], keys[:, 1],
+                             list(entries.values()))
 
     @classmethod
     def zero(cls, space: TruncatedSpace) -> "SystemOperator":
-        return cls(space, sp.csr_matrix((space.dim, space.dim), dtype=complex))
+        return cls._from_coo(space, [], [], [])
 
     # -- inspection --------------------------------------------------------
 
     @property
     def nnz(self) -> int:
-        return self.matrix.nnz
+        return len(self.csr[-1])
+
+    def coo(self) -> tuple:
+        """(rows, cols, data) of the stored entries, row by row."""
+        dim, _, indptr, indices, data = self.csr
+        return np.repeat(np.arange(dim), np.diff(indptr)), indices, data
 
     def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        rows, cols, data = self.coo()
+        out = np.zeros((self.space.dim, self.space.dim), dtype=complex)
+        out[rows, cols] = data
+        return out
 
     # -- algebra -----------------------------------------------------------
 
     def scale(self, scalar: complex) -> "SystemOperator":
-        return SystemOperator(self.space, self.matrix * complex(scalar))
+        # data times a Python complex, as scipy's own scalar product forms it
+        rows, cols, data = self.coo()
+        return SystemOperator._from_coo(self.space, rows, cols,
+                                        data * complex(scalar))
 
     def __mul__(self, scalar):
         return self.scale(scalar)
 
     __rmul__ = __mul__
 
+    def transpose(self) -> "SystemOperator":
+        rows, cols, data = self.coo()
+        return SystemOperator._from_coo(self.space, cols, rows, data)
+
+    def conjugate(self) -> "SystemOperator":
+        rows, cols, data = self.coo()
+        return SystemOperator._from_coo(self.space, rows, cols, data.conj())
+
     # -- matrix-free applications -----------------------------------------
 
     def apply_to_vector(self, v: np.ndarray) -> np.ndarray:
+        """The kernel call scipy's CSR matrix makes for `op @ v`."""
         if v.shape != (self.space.dim,):
             raise DimensionMismatchError("vector length does not match space")
-        return self.matrix @ v
+        out = np.zeros(self.space.dim, dtype=complex)
+        csr_matvec(*self.csr, v, out)
+        return out
 
 
 # -- ladder operators ----------------------------------------------------
@@ -120,7 +195,7 @@ def ladder_a(space: TruncatedSpace) -> SystemOperator:
 
 def ladder_a_dag(space: TruncatedSpace) -> SystemOperator:
     """Creator of the first mode; the row leaving the truncation is dropped."""
-    return SystemOperator(space, ladder_a(space).matrix.T)
+    return ladder_a(space).transpose()
 
 
 def ladder_b(space: TruncatedSpace) -> SystemOperator:
@@ -132,7 +207,7 @@ def ladder_b(space: TruncatedSpace) -> SystemOperator:
 
 
 def ladder_b_dag(space: TruncatedSpace) -> SystemOperator:
-    return SystemOperator(space, ladder_b(space).matrix.T)
+    return ladder_b(space).transpose()
 
 
 def guard_band_leakage(space: TruncatedSpace, rho: np.ndarray,

@@ -29,9 +29,10 @@ time, applied to an (n, dim, dim) stack: K_L and K_R^T of all members
 are one block-diagonal operator each on the cached pattern tiled once
 per member, and each sandwich is two sparse products over the members
 side by side.  The adjoint of a one-member generator reuses both through
-a cached transposing permutation.  Every sparse operator is held as the
-arguments of scipy's CSR kernel, (rows, cols, indptr, indices, data),
-and every sparse product is one call of that kernel (`_product`).
+a cached transposing permutation.  Every sparse operator is held, like
+`SystemOperator.csr`, as the arguments of scipy's CSR kernel,
+(rows, cols, indptr, indices, data), and every sparse product is one
+call of that kernel (`_product`).
 
 `stage_generators` assembles the generators at a whole run of times at
 once: the signals, s, r(+/-kappa), the scalar rate and the weights of
@@ -45,9 +46,9 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvecs
 
 from .errors import ValidationError
+from .fock import csr_matvecs
 from .measurement import ObservableSpec
 from .model import ModelSpec
 from .signals import Constant, FieldProfile, TestFunction, segments

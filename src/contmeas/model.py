@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fock import (SystemOperator, TruncatedSpace, ladder_a, ladder_a_dag,
-                   ladder_b, ladder_b_dag)
+from .fock import (SystemOperator, TruncatedSpace, csr_pattern, ladder_a,
+                   ladder_a_dag, ladder_b, ladder_b_dag)
 
 
 # Two channel operators share a sandwich product when one is a scalar
@@ -29,14 +29,14 @@ class _OperatorCache:
     """Sparse data of the model in the layout the generator applies,
     shared by all frozen generators.
 
-    Every operator is held as the arguments of scipy's CSR kernel,
-    (rows, cols, indptr, indices, data), and a pattern as the same
-    without the data.  K, R_1..R_d and R_1^dag..R_d^dag all live on one
-    `pattern`, the union of their sparsity patterns; row j of `basis`
-    holds the entries of the j-th of them on it, so a weighted sum of
-    these operators costs one vector-matrix product.  `transpose` moves
-    data on the pattern to the transposed pattern through a fixed index
-    permutation.
+    Every operator is held, like `SystemOperator.csr`, as the arguments
+    of scipy's CSR kernel, (rows, cols, indptr, indices, data), and a
+    pattern as the same without the data.  K, R_1..R_d and
+    R_1^dag..R_d^dag all live on one `pattern`, the union of their
+    sparsity patterns; row j of `basis` holds the entries of the j-th of
+    them on it, so a weighted sum of these operators costs one
+    vector-matrix product.  `transpose` moves data on the pattern to the
+    transposed pattern through a fixed index permutation.
 
     The nonzero channel operators are grouped as R_i = c_i P_g, P_g the
     first operator of its group; `group_weights[i, g]` is |c_i|^2 (zero
@@ -50,18 +50,19 @@ class _OperatorCache:
 
     def __init__(self, model: "ModelSpec"):
         dim = model.space.dim
-        coos = [op.matrix.tocoo() for op in (model.K, *model.R)]
-        keys = [c.row.astype(np.int64) * dim + c.col for c in coos]
-        keys += [c.col.astype(np.int64) * dim + c.row for c in coos[1:]]
-        vals = [c.data for c in coos] + [c.data.conj() for c in coos[1:]]
+        coos = [op.coo() for op in (model.K, *model.R)]
+        keys = [r * dim + c for r, c, _ in coos]
+        keys += [c.astype(np.int64) * dim + r for r, c, _ in coos[1:]]
+        vals = [v for _, _, v in coos] + [v.conj() for _, _, v in coos[1:]]
         union = np.unique(np.concatenate(keys))
         self.basis = np.zeros((len(keys), len(union)), dtype=complex)
         for j, (key, val) in enumerate(zip(keys, vals)):
             self.basis[j, np.searchsorted(union, key)] = val
         rows, cols = np.divmod(union, dim)
         self.t_perm = np.argsort(cols * dim + rows)
-        self.pattern = _csr(rows, cols, dim)
-        self.t_pattern = _csr(cols[self.t_perm], rows[self.t_perm], dim)
+        self.pattern = csr_pattern(rows, cols, dim)
+        self.t_pattern = csr_pattern(cols[self.t_perm], rows[self.t_perm],
+                                     dim)
 
         first, columns = [], []   # first channel of each group, |c_i|^2
         for i in range(model.d):
@@ -77,10 +78,10 @@ class _OperatorCache:
                 first.append(i)
                 columns.append(np.eye(model.d)[i])
         self.group_weights = np.array(columns).reshape(-1, model.d).T
-        P = [model.R[i].matrix for i in first]
-        self.sandwich = [(_operand(p), _operand(p.conj())) for p in P]
-        self.sandwich_adj = [(_operand(p.conj().T.tocsr()),
-                              _operand(p.T.tocsr())) for p in P]
+        P = [model.R[i] for i in first]
+        self.sandwich = [(p.csr, p.conjugate().csr) for p in P]
+        self.sandwich_adj = [(p.transpose().conjugate().csr,
+                              p.transpose().csr) for p in P]
 
     def tiled(self, n: int) -> tuple:
         """The shared pattern repeated as n diagonal blocks, so that n
@@ -99,18 +100,6 @@ class _OperatorCache:
     def transpose(self, data: np.ndarray) -> tuple:
         """The transpose of the operator with `data` on the pattern."""
         return self.t_pattern + (data[self.t_perm],)
-
-
-def _csr(rows: np.ndarray, cols: np.ndarray, dim: int) -> tuple:
-    """CSR pattern (dim, dim, indptr, indices) of (rows, cols) by row."""
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows,
-                                                        minlength=dim))))
-    return (dim, dim, indptr.astype(np.int32), cols.astype(np.int32))
-
-
-def _operand(m) -> tuple:
-    """The CSR kernel arguments of the scipy CSR matrix m."""
-    return m.shape + (m.indptr, m.indices, m.data)
 
 
 def _proportion(key, val, rkey, rval) -> complex | None:

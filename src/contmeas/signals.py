@@ -137,7 +137,9 @@ class FieldProfile:
     def __init__(self, signals, window: float = math.inf):
         self.signals = tuple(signals)
         self.window = float(window)
-        self._edges = np.array([0.0, max(self.window, 0.0)])
+        if not self.window >= 0:
+            raise ValueError(f"field window must be >= 0, got {window!r}")
+        self._edges = np.array([0.0, self.window])
         self._table = SignalTable(self.signals)
 
     @property

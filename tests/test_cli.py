@@ -427,12 +427,29 @@ for path in sorted(glob.glob("configs/*.json")):
     cli.Run(load_config(path), None)
 heavy = ("scipy.linalg", "scipy.integrate", "scipy.optimize", "scipy.special")
 built = [m for m in heavy if m in sys.modules]
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["oracle-compare", "--config",
-                     "configs/dpo_small_oracle.json"])
-print(json.dumps({"built": built, "code": code,
-                  "oracle": [m for m in heavy if m in sys.modules]}))
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(list(argv))
+codes = [run("counts", "--config", "configs/poisson_counts.json"),
+         run("homodyne", "--config", "configs/dpo_homodyne.json")]
+sparse = [m for m in ("scipy.sparse", "scipy.sparse._sparsetools")
+          if m in sys.modules]
+code = run("oracle-compare", "--config", "configs/dpo_small_oracle.json")
+print(json.dumps({"built": built, "codes": codes, "sparse": sparse,
+                  "code": code,
+                  "oracle": [m for m in heavy if m in sys.modules],
+                  "oracle_sparse": "scipy.sparse" in sys.modules}))
 """
+
+
+def _probe(code: str) -> dict:
+    """The JSON line a fresh interpreter running `code` in the repository
+    root prints."""
+    root = SHIPPED.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
 
 
 def test_startup_loads_no_oracle_scipy():
@@ -440,14 +457,44 @@ def test_startup_loads_no_oracle_scipy():
     # builds a run of every shipped config loads neither scipy.linalg nor
     # scipy.integrate (with scipy.optimize and scipy.special); the dense
     # oracle of oracle-compare loads scipy.linalg on first use, and no
-    # command loads scipy.integrate
-    root = SHIPPED.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    done = subprocess.run([sys.executable, "-c", STARTUP_PROBE], cwd=root,
-                          env=env, capture_output=True, text=True,
-                          check=True)
-    seen = json.loads(done.stdout)
+    # command loads scipy.integrate.  The solves load scipy's compiled
+    # CSR kernel and never the scipy.sparse package around it
+    seen = _probe(STARTUP_PROBE)
     assert seen["built"] == []
+    assert seen["codes"] == [0, 0]
+    assert seen["sparse"] == ["scipy.sparse._sparsetools"]
     assert seen["code"] == 0
     assert "scipy.linalg" in seen["oracle"]
     assert "scipy.integrate" not in seen["oracle"]
+    assert seen["oracle_sparse"] is False
+
+
+KERNEL_PROBE = """
+import json, sys
+import numpy as np
+if {sparse_first}:
+    import scipy.sparse
+from contmeas import fock
+from contmeas.generator import _product
+import scipy.sparse
+kernel = sys.modules["scipy.sparse._sparsetools"]
+rng = np.random.default_rng(4)
+A = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+A[rng.random((12, 12)) < 0.6] = 0
+op = fock.SystemOperator(fock.TruncatedSpace(3, 2), A)
+X = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
+print(json.dumps({{
+    "shared": (kernel.csr_matvecs is fock.csr_matvecs
+               and kernel.csr_matvec is fock.csr_matvec),
+    "equal": bool(np.array_equal(scipy.sparse.csr_matrix(A) @ X,
+                                 _product(op.csr, X)))}}))
+"""
+
+
+@pytest.mark.parametrize("sparse_first", [True, False])
+def test_one_kernel_module_in_either_import_order(sparse_first):
+    # contmeas loads scipy's kernel module under its own name, so the
+    # scipy.sparse package, imported before or after, shares it, and its
+    # product equals contmeas's bit for bit
+    seen = _probe(KERNEL_PROBE.format(sparse_first=sparse_first))
+    assert seen == {"shared": True, "equal": True}

@@ -119,7 +119,7 @@ def test_space_mismatch_raises():
     a1 = ladder_a(TruncatedSpace(2, 2))
     a2 = ladder_a(TruncatedSpace(3, 2))
     with pytest.raises(DimensionMismatchError):
-        SystemOperator(a1.space, a2.matrix)
+        SystemOperator(a1.space, a2.to_dense())
     with pytest.raises(DimensionMismatchError):
         a1.apply_to_vector(np.zeros(16))
 

@@ -65,9 +65,9 @@ def _hand_built_context():
     proportional), a + b, and multiples 2i a and -(a + b)/2 of the first
     and third; a counted on channels 1-2, a quadrature on 3-5."""
     space = TruncatedSpace(3, 2)
-    a, b = ladder_a(space).matrix, ladder_b(space).matrix
+    a, b = ladder_a(space).to_dense(), ladder_b(space).to_dense()
     a_changed = a.copy()
-    a_changed.data[3] *= 1 + 1e-9
+    a_changed[tuple(np.argwhere(a)[3])] *= 1 + 1e-9
     R = tuple(SystemOperator(space, M) for M in
               (a, a_changed, a + b, 2j * a, -0.5 * (a + b)))
     K = SystemOperator(space, -(0.3 + 0.7j) * (a.T @ a) + 0.2 * (b.T @ a))
@@ -227,6 +227,36 @@ def test_kernel_product_matches_scipy():
             assert k == 1 or not Y.flags.c_contiguous
             for Z in (X, Y):
                 assert np.array_equal(_product(op, Z), A @ Z)
+
+
+def test_operators_are_canonical_csr():
+    # every operator holds exactly the arrays of scipy's CSR matrix of the
+    # same dense matrix, and a scaled one those of scipy's scalar product,
+    # so the kernel sees the operands it saw when scipy built them
+    def scipy_csr(dense):
+        A = scipy.sparse.csr_matrix(dense)
+        A.eliminate_zeros()
+        A.sort_indices()
+        return A
+
+    def assert_same(op, A):
+        assert op.csr[:2] == A.shape
+        for mine, theirs in zip(op.csr[2:], (A.indptr, A.indices, A.data)):
+            assert np.array_equal(mine, theirs)
+
+    rng = np.random.default_rng(9)
+    hand = _hand_built_context().model
+    ops = [hand.K, *hand.R]
+    for space in (TruncatedSpace(2, 2), TruncatedSpace(12, 8)):
+        for ladder in (ladder_a(space), ladder_b(space)):
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            assert_same(ladder * c, scipy_csr(ladder.to_dense()) * c)
+            ops += [ladder, ladder.transpose(), (c * ladder).conjugate()]
+        model = dpo_model(helpers.random_dpo_params(rng), space)
+        ops += [model.K, *model.R]
+    assert {op.space.dim for op in ops} == {12, 9, 117}
+    for op in ops:
+        assert_same(op, scipy_csr(op.to_dense()))
 
 
 def test_system_free_apply_is_scalar():

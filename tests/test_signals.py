@@ -46,6 +46,11 @@ def test_field_profile():
     assert np.allclose(f.value(2.0, side=+1), [0.0, 0.0])
     assert np.allclose(f.value(2.0, side=-1), [1.0 + 2.0j, 0.0])
     assert np.allclose(f.value(-0.5), [0.0, 0.0])
+    # a zero window switches the field off; a negative or NaN one is refused
+    assert np.allclose(FieldProfile((Constant(1.0),), 0.0).value(0.0), [0.0])
+    for window in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            FieldProfile((Constant(1.0),), window)
 
 
 def test_segments_merge_breakpoints():
