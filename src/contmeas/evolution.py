@@ -114,12 +114,20 @@ def rk4_stages(stack: GeneratorStack, start: float, stop: float,
 
 def rk4_step(a0, a_mid, a1, h, tau):
     """One classical RK4 step of length h for d tau = a(tau), with the
-    maps a0, a_mid and a1 at the start, middle and end of the step."""
+    maps a0, a_mid and a1 at the start, middle and end of the step.
+
+    k1 + 2 k2 + 2 k3 + k4 is summed left to right, as the textbook
+    expression is, but as each stage finishes, so that k1 and k2 are
+    freed as soon as the sum and the next stage are done with them."""
     k1 = a0(tau)
     k2 = a_mid(tau + 0.5 * h * k1)
+    total = k1 + 2.0 * k2
+    del k1
     k3 = a_mid(tau + 0.5 * h * k2)
-    k4 = a1(tau + h * k3)
-    return tau + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    del k2
+    total += 2.0 * k3
+    total += a1(tau + h * k3)
+    return tau + (h / 6.0) * total
 
 
 def _traces(tau: np.ndarray) -> np.ndarray:

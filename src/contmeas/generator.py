@@ -25,10 +25,14 @@ A `GeneratorStack` is the one spec of a generator: n test functions on
 one model, observable family and field, checked against them once per
 stack.  A `GeneratorContext` is its one-member case, built from a single
 test function.  A `FrozenGenerator` is the stack's generators at one
-time, applied to an (n, dim, dim) stack: K_L and K_R^T of all members
-are one block-diagonal operator each on the cached pattern tiled once
-per member, and each sandwich is two sparse products over the members
-side by side.  The adjoint of a one-member generator reuses both through
+time, applied to an (n, dim, dim) stack in two calls of scipy's CSR
+kernel (`_act`): K_L and every P_g, stacked by rows, on the members,
+then K_R^T and every conj P_g, block-diagonal, on the transposes of the
+members and of the first call's products.  Each block is tiled once per
+member.  The stack builds the patterns and the sandwich data of both
+operators once, and one workspace that every application reuses; each
+generator adds only the data of its K_L and K_R^T.  The adjoint takes
+the transposed pattern and the sandwich pairs of P_g^dag X P_g, through
 a cached transposing permutation.  Every sparse operator is held, like
 `SystemOperator.csr`, as the arguments of scipy's CSR kernel,
 (rows, cols, indptr, indices, data), and every sparse product is one
@@ -36,9 +40,9 @@ call of that kernel (`_product`).
 
 `stage_generators` assembles the generators at a whole run of times at
 once: the signals, s, r(+/-kappa), the scalar rate and the weights of
-every member are array expressions over a block of times, and each
-generator's K_L and K_R^T are formed only when it is handed out.
-`generator_at` is its one-time case.
+every member are array expressions over a block of (time, member) rows,
+and each generator's K_L and K_R^T are formed only when it is handed
+out.  `generator_at` is its one-time case.
 """
 
 from __future__ import annotations
@@ -54,42 +58,48 @@ from .model import ModelSpec
 from .signals import Constant, FieldProfile, TestFunction, segments
 
 
-def _product(op: tuple, X: np.ndarray) -> np.ndarray:
+def _product(op: tuple, X: np.ndarray, out: np.ndarray | None = None):
     """op X for op = (rows, cols, indptr, indices, data) and a 2-D X: the
-    kernel call scipy's CSR matrix makes for `op * X` after its checks."""
+    kernel call scipy's CSR matrix makes for `op * X` after its checks,
+    into `out` if given, a zeroed C-contiguous array of the result's size."""
     rows, cols, indptr, indices, data = op
-    out = np.zeros((rows, X.shape[1]), dtype=complex)
+    if out is None:
+        out = np.zeros((rows, X.shape[1]), dtype=complex)
     csr_matvecs(rows, cols, X.shape[1], indptr, indices, data, X.ravel(),
                 out.ravel())
     return out
 
 
-def _act(X, scalar, left, right_t, sandwiches, weights) -> np.ndarray:
+def _act(X, scalar, ops, weights, work) -> np.ndarray:
     """scalar_k X_k + left X_k + X_k right + sum_g w_kg a_g X_k a_g^dag
-    on each member X_k of an (n, dim, dim) stack, for block-diagonal
-    sparse `left` and `right_t = right^T`, one (1, 1) scalar and one row
-    of group weights per member, and sandwich pairs (a_g, b_g = conj a_g)
-    that form a_g X a_g^dag as (b_g (a_g X)^T)^T, two sparse products over
-    the members side by side.  Every entry of member k is formed by the
-    same operations, in the same order, whatever n is."""
-    # the weights stay the first operand of `*`: numpy's complex product
-    # is not commutative to the last bit
-    n, dim, _ = X.shape
+    on each member X_k of an (n, dim, dim) stack, for one (1, 1) scalar
+    and one row of group weights per member, in two kernel calls on the
+    operators `ops` of `GeneratorStack.operands` (None for a model
+    without operators): [left; a_1; ...; a_G] on the members, then
+    diag(right^T, b_1, ..., b_G) on X_k^T and every (a_g X_k)^T, each
+    block once per member, where b_g = conj a_g makes (b_g (a_g X_k)^T)^T
+    the sandwich.  Both calls write into `work`, two scratch
+    (1 + G, n, dim, dim) arrays.  The terms are added in the order
+    above, so every entry of member k is formed by the same operations,
+    in the same order, whatever n is."""
     out = scalar * X
-    if left is not None:
-        out += _product(left, X.reshape(n * dim, dim)).reshape(n, dim, dim)
-        out += _product(right_t, X.transpose(0, 2, 1).reshape(n * dim, dim)
-                        ).reshape(n, dim, dim).transpose(0, 2, 1)
-    if sandwiches:
-        side = X.transpose(1, 0, 2).reshape(dim, n * dim)   # X_1 ... X_n
-    for (a, b), w in zip(sandwiches, weights.T):
-        # (a X_1)^T ... (a X_n)^T side by side, then b times each; one
-        # expression, so that each temporary is freed as soon as it is
-        # used: held in names until the next group, they doubled the
-        # minor page faults of a dim-117 propagation
-        out += w[:, None, None] * _product(b, _product(a, side).reshape(
-            dim, n, dim).transpose(2, 1, 0).reshape(dim, n * dim)).reshape(
-                dim, n, dim).transpose(1, 2, 0)
+    if ops is None:
+        return out
+    n, dim, _ = X.shape
+    products, operands = work
+    products.fill(0)
+    _product(ops[0], X.reshape(n * dim, dim), products)
+    out += products[0]
+    operands[0] = X.transpose(0, 2, 1)
+    operands[1:] = products[1:].transpose(0, 1, 3, 2)
+    products.fill(0)
+    _product(ops[1], operands.reshape(-1, dim), products)
+    out += products[0].transpose(0, 2, 1)
+    for w, term in zip(weights.T, products[1:]):
+        # the weights stay the first operand of `*`: numpy's complex
+        # product is not commutative to the last bit
+        out += np.multiply(w[:, None, None], term, out=term).transpose(
+            0, 2, 1)
     return out
 
 
@@ -107,11 +117,11 @@ class FrozenGenerator:
     and one sandwich per group g of proportional channel operators
     R_i = c_i P_g, with w_g = sum_{i in g} s_i |c_i|^2 (`ModelSpec.operators`
     holds the groups).  K_L and K_R^T of all members are weighted sums of
-    the cached basis on the stack's tiled pattern, one block-diagonal
-    sparse operator each in the form `_product` takes, formed once per
-    assembly; applying the generator costs one sparse product for each
-    and two per group.  `apply_adjoint` forms their transposes on its
-    first call and keeps them in `drift_adj`.
+    the cached basis, formed once per assembly as the drift data of the
+    stack's two kernel operators (`ops`, see `_act`); applying the
+    generator costs those two kernel calls, in the stack's workspace.
+    `apply_adjoint` forms the transposed operators on its first call and
+    keeps them in `ops_adj`.
 
     `s`, `w_group`, `left` and `right` hold one row per member and
     `scalar` one (1, 1) entry per member, so that it scales each member
@@ -130,47 +140,45 @@ class FrozenGenerator:
     parts of the two drift operators.
     """
 
-    __slots__ = ("cache", "s", "scalar", "w_group", "left", "right", "K_L",
-                 "K_R_t", "drift_adj")
+    __slots__ = ("stack", "s", "scalar", "w_group", "left", "right", "ops",
+                 "ops_adj")
 
     def __init__(self, stack: GeneratorStack, s, scalar, w_group, left,
                  right):
-        cache = self.cache = stack.model.operators
+        self.stack = stack
         self.s = s
         self.scalar = scalar[:, None, None]
         self.w_group = w_group
         self.left = left
         self.right = right
-        if cache.basis.shape[1]:
+        basis = stack.model.operators.basis
+        self.ops = self.ops_adj = None
+        if basis.shape[1]:
             # one vector-matrix product per member: a matrix-matrix
             # product would round differently as the member count changes
-            self.K_L = stack.pattern + (
-                np.matmul(left[:, None], cache.basis).ravel(),)
-            self.K_R_t = stack.pattern + (
-                np.conj(np.matmul(right[:, None], cache.basis)).ravel(),)
-        else:
-            self.K_L = self.K_R_t = None
-        self.drift_adj = None
+            self.ops = stack.operands(
+                np.matmul(left[:, None], basis).ravel(),
+                np.conj(np.matmul(right[:, None], basis)).ravel())
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        return _act(X, self.scalar, self.K_L, self.K_R_t,
-                    self.cache.sandwich, self.w_group)
+        return _act(X, self.scalar, self.ops, self.w_group,
+                    self.stack.workspace)
 
     def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
-        """Dual map under the pairing Tr(X tau), for a one-member
-        generator and a (1, dim, dim) stack X:
+        """Dual map under the pairing Tr(X tau):
 
             X -> scalar X + K_R X + X K_L + sum_g w_g P_g^dag X P_g,
 
-        on the operators of `apply`, transposed by the cached permutation.
+        on the drift data of `apply`, transposed by the cached permutation.
         """
-        c = self.cache
-        if self.drift_adj is None and self.K_L is not None:
-            self.drift_adj = (c.transpose(self.K_R_t[-1]),
-                              c.transpose(self.K_L[-1]))
-        left, right_t = self.drift_adj or (None, None)
-        return _act(X, self.scalar, left, right_t, c.sandwich_adj,
-                    self.w_group)
+        if self.ops_adj is None and self.ops is not None:
+            c = self.stack.model.operators
+            m = len(self.stack) * c.basis.shape[1]
+            self.ops_adj = self.stack.operands(
+                c.transpose(self.ops[1][-1][:m])[-1],
+                c.transpose(self.ops[0][-1][:m])[-1], adjoint=True)
+        return _act(X, self.scalar, self.ops_adj, self.w_group,
+                    self.stack.workspace)
 
 
 class GeneratorStack:
@@ -178,10 +186,10 @@ class GeneratorStack:
     and field, propagated together; member k is the generator tilted by
     `kappas[k]`.
 
-    The drift operators of all members at one time form one
-    block-diagonal operator on the model's operator pattern tiled once per
-    member; the tiled pattern is built the first time a generator asks
-    for it.
+    The kernel operators of every application (`_OperatorCache.stacked`)
+    have one pattern and one set of sandwich data per stack, and every
+    application runs in one workspace per stack; each is built the first
+    time a generator asks for it.
     """
 
     def __init__(self, model: ModelSpec, observables: ObservableSpec,
@@ -203,8 +211,26 @@ class GeneratorStack:
         return len(self.kappas)
 
     @functools.cached_property
-    def pattern(self):
-        return self.model.operators.tiled(len(self))
+    def layout(self):
+        return self.model.operators.stacked(len(self))
+
+    @functools.cached_property
+    def layout_adj(self):
+        return self.model.operators.stacked(len(self), adjoint=True)
+
+    @functools.cached_property
+    def workspace(self):
+        dim = self.model.space.dim
+        shape = (1 + len(self.model.operators.sandwich), len(self), dim, dim)
+        return np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+
+    def operands(self, left, right_t, adjoint: bool = False) -> tuple:
+        """The two kernel operators of `_act` with the drift data `left`
+        and `right_t` of all members laid end to end."""
+        (first, fixed), (second, fixed_t) = (
+            self.layout_adj if adjoint else self.layout)
+        return (first + (np.concatenate((left, fixed)),),
+                second + (np.concatenate((right_t, fixed_t)),))
 
     def segments(self, t_end: float,
                  start: float = 0.0) -> list[tuple[float, float]]:
@@ -221,9 +247,9 @@ class GeneratorContext(GeneratorStack):
         super().__init__(model, observables, field, [kappa])
 
 
-# stage times whose weights are formed together; the weight rows of a
-# block are all a segment holds at once, whatever its length
-BLOCK = 64
+# (time, member) weight rows formed together in one pass, and at least
+# one time, so that a pass's memory does not grow with the member count
+BLOCK = 4096
 
 
 def _weight_rows(model: ModelSpec, obs: ObservableSpec, lam: np.ndarray,
@@ -253,15 +279,16 @@ def stage_generators(stack: GeneratorStack, times, sides):
     `times`, in order, taken from the side of the matching entry of
     `sides` (as in `signals`).
 
-    The weights of all members are formed for BLOCK times at a time with
-    array operations; each generator's two sparse drift operators are
-    formed only when it is yielded.
+    The weights of all members are formed with array operations, for as
+    many times at once as BLOCK rows hold; each generator's kernel
+    operators are formed only when it is yielded.
     """
     times = np.asarray(times, dtype=float)
     sides = np.asarray(sides)
     n = len(stack)
-    for lo in range(0, len(times), BLOCK):
-        t, side = times[lo:lo + BLOCK], sides[lo:lo + BLOCK]
+    block = max(1, BLOCK // n)
+    for lo in range(0, len(times), block):
+        t, side = times[lo:lo + block], sides[lo:lo + block]
         # one row per (time, member), time-major
         kappa = np.stack([k.value(t, side) for k in stack.kappas], axis=1)
         rows = _weight_rows(stack.model, stack.observables,

@@ -36,7 +36,8 @@ class _OperatorCache:
     sparsity patterns; row j of `basis` holds the entries of the j-th of
     them on it, so a weighted sum of these operators costs one
     vector-matrix product.  `transpose` moves data on the pattern to the
-    transposed pattern through a fixed index permutation.
+    transposed pattern through a fixed index permutation, and `stacked`
+    lays out the two kernel operands of one application to n members.
 
     The nonzero channel operators are grouped as R_i = c_i P_g, P_g the
     first operator of its group; `group_weights[i, g]` is |c_i|^2 (zero
@@ -83,23 +84,46 @@ class _OperatorCache:
         self.sandwich_adj = [(p.transpose().conjugate().csr,
                               p.transpose().csr) for p in P]
 
-    def tiled(self, n: int) -> tuple:
-        """The shared pattern repeated as n diagonal blocks, so that n
-        members' data laid end to end is one block-diagonal operator; for
-        n = 1 that is the shared pattern itself."""
-        if n == 1:
-            return self.pattern
-        dim, _, indptr, indices = self.pattern
-        shift = np.arange(n)[:, None]
-        indptr = np.concatenate(([0], (indptr[1:] + len(indices)
-                                       * shift).ravel()))
-        indices = (indices + dim * shift).ravel()
-        return (n * dim, n * dim, indptr.astype(np.int32),
-                indices.astype(np.int32))
+    def stacked(self, n: int, adjoint: bool = False) -> tuple:
+        """The two kernel operators of one application to n members (see
+        `generator._act`) as (pattern, sandwich data) pairs; the drift
+        data, first in each, is every generator's own.  The first holds
+        the drift and each a_g one below the other, each as n diagonal
+        blocks, ((1 + G) n dim, n dim); the second is block-diagonal,
+        the drift n times, then each b_g n times.  `adjoint` takes the
+        transposed pattern and `sandwich_adj`."""
+        drift = self.t_pattern if adjoint else self.pattern
+        pairs = self.sandwich_adj if adjoint else self.sandwich
+        dim, blocks = drift[0], 1 + len(pairs)
+        return (_tiled((drift, *(a for a, _ in pairs)), n, [0] * blocks,
+                       n * dim),
+                _tiled((drift, *(b for _, b in pairs)), n,
+                       range(0, blocks * n, n), blocks * n * dim))
 
     def transpose(self, data: np.ndarray) -> tuple:
-        """The transpose of the operator with `data` on the pattern."""
-        return self.t_pattern + (data[self.t_perm],)
+        """The transpose of the operator with `data` on the pattern; for
+        the data of several operators laid end to end, their transposes'
+        data the same way."""
+        return self.t_pattern + (
+            data.reshape(-1, len(self.t_perm))[:, self.t_perm].ravel(),)
+
+
+def _tiled(ops, n: int, shift, cols: int) -> tuple:
+    """(pattern, data) of the operators `ops` one below the other, each
+    repeated as n diagonal blocks, those of ops[j] moved right by
+    shift[j] blocks; the data is that of all but the first, a bare
+    pattern, tiled once per block."""
+    dim, member = ops[0][0], np.arange(n)[:, None]
+    indptr, indices, start = [[0]], [], 0
+    for (_, _, ptr, idx, *_), s in zip(ops, shift):
+        indptr.append((ptr[1:] + start + len(idx) * member).ravel())
+        indices.append((idx + dim * (s + member)).ravel())
+        start += n * len(idx)
+    return ((n * dim * len(ops), cols,
+             np.concatenate(indptr).astype(np.int32),
+             np.concatenate(indices).astype(np.int32)),
+            np.concatenate([np.zeros(0, dtype=complex)]
+                           + [np.tile(op[4], n) for op in ops[1:]]))
 
 
 def _proportion(key, val, rkey, rval) -> complex | None:

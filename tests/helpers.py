@@ -91,6 +91,28 @@ def dense_operand(op):
     return out
 
 
+def per_product_act(X, scalar, left, right_t, sandwiches, weights):
+    """scalar_k X_k + left X_k + X_k right + sum_g w_kg a_g X_k a_g^dag on
+    each member of an (n, dim, dim) stack, one sparse product at a time:
+    `left` and `right_t = right^T` are block-diagonal scipy CSR matrices
+    over the members (or None), each sandwich pair (a_g, b_g = conj a_g)
+    is applied to the members side by side as (b_g (a_g X)^T)^T, and the
+    weights are the first operand of their product.  This is the
+    generator arithmetic whose bits every report was built on."""
+    n, dim, _ = X.shape
+    out = scalar * X
+    if left is not None:
+        out += (left @ X.reshape(n * dim, dim)).reshape(n, dim, dim)
+        out += (right_t @ X.transpose(0, 2, 1).reshape(n * dim, dim)
+                ).reshape(n, dim, dim).transpose(0, 2, 1)
+    side = X.transpose(1, 0, 2).reshape(dim, n * dim)
+    for (a, b), w in zip(sandwiches, weights.T):
+        aX_t = (a @ side).reshape(dim, n, dim).transpose(2, 1, 0)
+        out += w[:, None, None] * (b @ aX_t.reshape(dim, n * dim)).reshape(
+            dim, n, dim).transpose(1, 2, 0)
+    return out
+
+
 def random_hermitian(dim, rng):
     X = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (X + X.conj().T)

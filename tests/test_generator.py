@@ -3,10 +3,11 @@ import pytest
 import scipy.sparse
 
 import helpers
-from contmeas import (Constant, DpoParams, FieldProfile, GeneratorContext,
-                      ModelSpec, ObservableSpec, SystemOperator, TestFunction,
-                      TruncatedSpace, ValidationError, ZERO, dpo_laser_field,
-                      dpo_model, dpo_observables, generator_at, ladder_a,
+from contmeas import (Constant, DpoParams, EvolutionConfig, FieldProfile,
+                      GeneratorContext, ModelSpec, ObservableSpec,
+                      SystemOperator, TestFunction, TruncatedSpace,
+                      ValidationError, ZERO, dpo_laser_field, dpo_model,
+                      dpo_observables, evolve, generator_at, ladder_a,
                       ladder_b, trivial_model)
 from contmeas.generator import (BLOCK, GeneratorStack, _product,
                                 context_is_piecewise_static, stage_generators)
@@ -106,8 +107,8 @@ def test_stage_generators_match_one_point_assembly():
         for name in ("scalar", "s", "w_group", "left", "right"):
             assert np.max(np.abs(getattr(g, name) - getattr(ref, name))) \
                 <= 1e-15, name
-        assert np.max(np.abs(g.K_L[-1] - ref.K_L[-1])) <= 1e-15
-        assert np.max(np.abs(g.K_R_t[-1] - ref.K_R_t[-1])) <= 1e-15
+        for op, ref_op in zip(g.ops, ref.ops):   # K_L, K_R^T data first
+            assert np.max(np.abs(op[-1] - ref_op[-1])) <= 1e-15
     # the cases the batch must cover do occur
     kappa_zero = [not np.any(kappa.value(t, sd)) for t, sd in zip(times, sides)]
     outside = [not np.any(field.value(t, sd)) for t, sd in zip(times, sides)]
@@ -167,6 +168,93 @@ def test_stacked_generators_apply_each_members_generator(build):
             assert np.array_equal(g.apply(X)[k], g_own.apply(X[k:k + 1])[0])
 
 
+def _trivial_members():
+    """The system-free model, whose generator is its scalar rate, and
+    three test functions on [0, 1], one of them zero."""
+    obs = ObservableSpec.counting_only(2, 1.0, np.array([[1.0, 0.0]]))
+    field = FieldProfile((Constant(1.2 - 0.4j), Constant(0.3)), 1.0)
+    return (trivial_model(2), obs, field,
+            [TestFunction([0.0, 1.0], [[v]]) for v in (0.9, 0.0, -0.4)],
+            [0.0, 1.0])
+
+
+def _per_product_operands(g, adjoint=False):
+    """The operands of `helpers.per_product_act` for the generator g: its
+    members' drift operators, from the drift data g holds, as
+    block-diagonal scipy matrices, and the model's sandwich pairs."""
+    if g.ops is None:
+        return None, None, []
+    c, n = g.stack.model.operators, len(g.stack)
+    dim, _, indptr, indices = c.pattern
+    drift = [[scipy.sparse.csr_matrix((d, indices, indptr), shape=(dim, dim))
+              for d in op[-1][:n * c.basis.shape[1]].reshape(n, -1)]
+             for op in g.ops]   # K_L, K_R^T
+    if adjoint:   # K_R, K_L^T
+        drift = [[A.T.tocsr() for A in ops] for ops in drift[::-1]]
+
+    def csr(op):
+        rows, cols, indptr, indices, data = op
+        return scipy.sparse.csr_matrix((data, indices, indptr),
+                                       shape=(rows, cols))
+
+    return (*(scipy.sparse.block_diag(ops, format="csr") for ops in drift),
+            [(csr(a), csr(b))
+             for a, b in (c.sandwich_adj if adjoint else c.sandwich)])
+
+
+@pytest.mark.parametrize("build, n", [(_dpo_members, 1), (_dpo_members, 3),
+                                      (_hand_built_members, 1),
+                                      (_hand_built_members, 3),
+                                      (_trivial_members, 1)],
+                         ids=["dpo-1", "dpo-3", "hand-built-1",
+                              "hand-built-3", "trivial-1"])
+def test_application_matches_per_product_arithmetic(build, n):
+    # the two kernel calls of an application, and of its adjoint, give
+    # the bits of one sparse product at a time, whatever the stack size
+    model, obs, field, kappas, edges = build()
+    stack = GeneratorStack(model, obs, field, kappas[:n])
+    rng = np.random.default_rng(31)
+    dim = model.space.dim
+    for t in rng.uniform(0.0, edges[-1], 3):
+        g = generator_at(stack, t)
+        for adjoint in (False, True):
+            X = (rng.standard_normal((n, dim, dim))
+                 + 1j * rng.standard_normal((n, dim, dim)))
+            ref = helpers.per_product_act(
+                X, g.scalar, *_per_product_operands(g, adjoint), g.w_group)
+            got = (g.apply_adjoint if adjoint else g.apply)(X)
+            assert np.array_equal(got, ref)
+
+
+def test_workspace_does_not_leak_between_applications():
+    # generators of one stack, and stacks of two sizes on one model, used
+    # in turn: each result is a fresh stack's single application, and two
+    # propagations of one stack end in the same state
+    model, obs, field, kappas, _ = _dpo_members()
+    three = GeneratorStack(model, obs, field, kappas)
+    one = GeneratorStack(model, obs, field, kappas[2:])
+    rng = np.random.default_rng(37)
+    dim = model.space.dim
+    gens = {}
+    for stack, t, adjoint in [(three, 0.3, False), (three, 1.1, False),
+                              (one, 0.3, False), (three, 0.3, True),
+                              (one, 1.7, True), (three, 1.1, False),
+                              (one, 0.3, False), (three, 1.1, True)]:
+        g = gens.setdefault((len(stack), t), generator_at(stack, t))
+        X = (rng.standard_normal((len(stack), dim, dim))
+             + 1j * rng.standard_normal((len(stack), dim, dim)))
+        fresh = generator_at(GeneratorStack(model, obs, field, stack.kappas),
+                             t)
+        if adjoint:
+            assert np.array_equal(g.apply_adjoint(X), fresh.apply_adjoint(X))
+        else:
+            assert np.array_equal(g.apply(X), fresh.apply(X))
+    rho = helpers.random_density(dim, rng)
+    config = EvolutionConfig(dt=0.05, contractivity_check="off")
+    first = evolve(three, rho, 1.6, config).final
+    assert np.array_equal(evolve(three, rho, 1.6, config).final, first)
+
+
 def test_channel_groups_decline_non_proportional_operators():
     # only exact multiples share a sandwich: {a, 2i a}, {a changed},
     # {a + b, -(a + b)/2}; the fused kernel still matches the dense
@@ -198,9 +286,9 @@ def test_channel_groups_decline_non_proportional_operators():
 def test_kernel_product_matches_scipy():
     # `_product` calls scipy's private CSR kernel directly; it must equal
     # scipy's own sparse product bit for bit on every operand `_act` uses
-    # (the drift pair on a tiled pattern, the adjoint drift pair on the
-    # transposed pattern, every sandwich operand of two models), for
-    # C-contiguous and transposed-view inputs alike
+    # (the two stacked operators of a three-member stack, the adjoint
+    # pair on the transposed pattern, every sandwich operand of two
+    # models), for C-contiguous and transposed-view inputs alike
     rng, params, model, obs, field = build_setup(seed=5)
     kappas = [random_kappa(rng, 2.0) for _ in range(3)]
     g = generator_at(GeneratorStack(model, obs, field, kappas), 0.7)
@@ -208,8 +296,10 @@ def test_kernel_product_matches_scipy():
                                         field=field, kappa=kappas[0]), 0.7)
     dim = model.space.dim
     one.apply_adjoint(np.zeros((1, dim, dim), dtype=complex))
-    assert g.K_L[:2] == g.K_R_t[:2] == (3 * dim, 3 * dim)
-    ops = [g.K_L, g.K_R_t, *one.drift_adj]
+    blocks = 1 + len(model.operators.sandwich)
+    assert g.ops[0][:2] == (blocks * 3 * dim, 3 * dim)
+    assert g.ops[1][:2] == (blocks * 3 * dim, blocks * 3 * dim)
+    ops = [*g.ops, *one.ops_adj]
     for m in (model, _hand_built_context().model):
         assert len(m.operators.sandwich) >= 2
         for pair in m.operators.sandwich + m.operators.sandwich_adj:

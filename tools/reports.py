@@ -11,7 +11,9 @@ fresh interpreter started in OUT_DIR with relative paths only, and
 leaves NAME.out (the report), NAME.err (standard error) and NAME.rc
 (the exit code), NAME being CONFIG.COMMAND.  The workload configs come
 from perfbench/workloads.py and are written to OUT_DIR/configs with the
-shipped ones.
+shipped ones.  Each run's exit code, wall time, peak RSS and minor page
+faults (from `os.wait4`) are printed to standard output only, so that
+OUT_DIR stays comparable.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = ("validate", "evolve", "charfunc", "counts", "homodyne",
@@ -61,15 +64,20 @@ def main(argv) -> int:
         report = stem + ".out"
         if os.path.exists(os.path.join(out_dir, report)):
             os.remove(os.path.join(out_dir, report))
-        done = subprocess.run(
-            [sys.executable, "-m", "contmeas.cli", command, "--config",
-             f"configs/{name}.json", "--out", report],
-            cwd=out_dir, env=env, capture_output=True, text=True)
-        with open(os.path.join(out_dir, stem + ".err"), "w") as f:
-            f.write(done.stderr)
+        start = time.perf_counter()
+        with open(os.path.join(out_dir, stem + ".err"), "w") as err:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "contmeas.cli", command, "--config",
+                 f"configs/{name}.json", "--out", report],
+                cwd=out_dir, env=env, stdout=subprocess.DEVNULL, stderr=err)
+            _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
         with open(os.path.join(out_dir, stem + ".rc"), "w") as f:
-            f.write(f"{done.returncode}\n")
-        print(f"{stem}: exit {done.returncode}", flush=True)
+            f.write(f"{child.returncode}\n")
+        print(f"{stem}: exit {child.returncode}, {wall:.2f} s, peak RSS "
+              f"{usage.ru_maxrss / 1024:.1f} MB, {usage.ru_minflt} minor "
+              "faults", flush=True)
     return 0
 
 
