@@ -64,7 +64,8 @@ def _jsonable(obj):
 class Run:
     """Everything assembled from one config file."""
 
-    def __init__(self, cfg: dict, seed: int | None):
+    # `_seed` is ignored; perfbench/setup_probe.py still passes it
+    def __init__(self, cfg: dict, _seed=None):
         known = {"model", "observables", "field", "evolution",
                  "initial_state", "kappa", "run", "_sha256"}
         unknown = set(cfg) - known
@@ -80,7 +81,6 @@ class Run:
         self.rho0 = build_initial_state(cfg.get("initial_state"), self.model)
         self.kappa = build_kappa(cfg.get("kappa"), self.obs.m)
         self.run = build_run(cfg.get("run"))
-        self.seed = 0 if seed is None else seed
 
     def t_end(self) -> float:
         t = self.run.get("t_end", self.obs.horizon)
@@ -163,7 +163,7 @@ def _flatten(d: dict, prefix: str = ""):
 
 def cmd_validate(run: Run, out):
     report = dict(run.header())
-    diss = check_dissipativity(run.model, guard=run.guard(), seed=run.seed)
+    diss = check_dissipativity(run.model, guard=run.guard())
     report["dissipativity_residual"] = diss.max_residual
     report["interior_dim"] = diss.interior_dim
     report["scattering_unitarity"] = check_S_unitary(run.model)
@@ -275,13 +275,11 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON run config")
     parser.add_argument("--out", default=None, help="output file (default stdout)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized checks")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
-        run = Run(cfg, args.seed)
+        run = Run(cfg)
         COMMANDS[args.command](run, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -44,7 +44,7 @@ def _load_sparsetools():
 
 
 _sparsetools = _load_sparsetools()
-csr_matvec, csr_matvecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
+csr_matvecs = _sparsetools.csr_matvecs
 
 
 def csr_pattern(rows: np.ndarray, cols: np.ndarray, dim: int) -> tuple:
@@ -75,6 +75,16 @@ class TruncatedSpace:
             raise IndexError(f"(n={n}, m={m}) outside truncation "
                              f"({self.n_max}, {self.m_max})")
         return n * (self.m_max + 1) + m
+
+    def interior(self, guard: int) -> np.ndarray:
+        """Sorted indices of the basis vectors e_{n,m} with
+        n <= n_max - guard and m <= m_max - guard; empty when the guard
+        exceeds a cutoff."""
+        if guard < 0:
+            raise ValueError("guard must be nonnegative")
+        n = np.arange(self.n_max + 1 - guard)
+        m = np.arange(self.m_max + 1 - guard)
+        return (n[:, None] * (self.m_max + 1) + m).ravel()
 
     def basis_vector(self, n: int, m: int) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
@@ -170,16 +180,6 @@ class SystemOperator:
         rows, cols, data = self.coo()
         return SystemOperator._from_coo(self.space, rows, cols, data.conj())
 
-    # -- matrix-free applications -----------------------------------------
-
-    def apply_to_vector(self, v: np.ndarray) -> np.ndarray:
-        """The kernel call scipy's CSR matrix makes for `op @ v`."""
-        if v.shape != (self.space.dim,):
-            raise DimensionMismatchError("vector length does not match space")
-        out = np.zeros(self.space.dim, dtype=complex)
-        csr_matvec(*self.csr, v, out)
-        return out
-
 
 # -- ladder operators ----------------------------------------------------
 
@@ -214,17 +214,17 @@ def guard_band_leakage(space: TruncatedSpace, rho: np.ndarray,
                        guard: int = 2) -> float:
     """Occupation pushed against the truncation edge.
 
-    Sum of |rho_{(n,m),(n,m)}| over the guard band n > n_max - guard or
-    m > m_max - guard.  Meaningful on a density matrix (a plain
-    propagation with the test function switched off); a large value means
-    the cutoff is interfering with the dynamics.
+    Sum of |rho_{(n,m),(n,m)}| over the guard band, the basis vectors
+    outside `space.interior(guard)`, added one at a time in index order.
+    Meaningful on a density matrix (a plain propagation with the test
+    function switched off); a large value means the cutoff is interfering
+    with the dynamics.
     """
     if rho.shape != (space.dim, space.dim):
         raise DimensionMismatchError("matrix shape does not match space")
+    band = np.ones(space.dim, dtype=bool)
+    band[space.interior(guard)] = False
     total = 0.0
-    for n in range(space.n_max + 1):
-        for m in range(space.m_max + 1):
-            if n > space.n_max - guard or m > space.m_max - guard:
-                idx = space.index(n, m)
-                total += abs(rho[idx, idx])
+    for value in np.diagonal(rho)[band]:
+        total += abs(value)
     return float(total)

@@ -70,7 +70,7 @@ def _product(op: tuple, X: np.ndarray, out: np.ndarray | None = None):
     return out
 
 
-def _act(X, scalar, ops, weights, work) -> np.ndarray:
+def _act(X, scalar, ops, weights, stack) -> np.ndarray:
     """scalar_k X_k + left X_k + X_k right + sum_g w_kg a_g X_k a_g^dag
     on each member X_k of an (n, dim, dim) stack, for one (1, 1) scalar
     and one row of group weights per member, in two kernel calls on the
@@ -78,15 +78,15 @@ def _act(X, scalar, ops, weights, work) -> np.ndarray:
     without operators): [left; a_1; ...; a_G] on the members, then
     diag(right^T, b_1, ..., b_G) on X_k^T and every (a_g X_k)^T, each
     block once per member, where b_g = conj a_g makes (b_g (a_g X_k)^T)^T
-    the sandwich.  Both calls write into `work`, two scratch
-    (1 + G, n, dim, dim) arrays.  The terms are added in the order
-    above, so every entry of member k is formed by the same operations,
-    in the same order, whatever n is."""
+    the sandwich.  Both calls write into `stack.workspace`, two scratch
+    (1 + G, n, dim, dim) arrays, built only when there are operators.
+    The terms are added in the order above, so every entry of member k
+    is formed by the same operations, in the same order, whatever n is."""
     out = scalar * X
     if ops is None:
         return out
     n, dim, _ = X.shape
-    products, operands = work
+    products, operands = stack.workspace
     products.fill(0)
     _product(ops[0], X.reshape(n * dim, dim), products)
     out += products[0]
@@ -161,8 +161,7 @@ class FrozenGenerator:
                 np.conj(np.matmul(right[:, None], basis)).ravel())
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        return _act(X, self.scalar, self.ops, self.w_group,
-                    self.stack.workspace)
+        return _act(X, self.scalar, self.ops, self.w_group, self.stack)
 
     def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
         """Dual map under the pairing Tr(X tau):
@@ -177,8 +176,7 @@ class FrozenGenerator:
             self.ops_adj = self.stack.operands(
                 c.transpose(self.ops[1][-1][:m])[-1],
                 c.transpose(self.ops[0][-1][:m])[-1], adjoint=True)
-        return _act(X, self.scalar, self.ops_adj, self.w_group,
-                    self.stack.workspace)
+        return _act(X, self.scalar, self.ops_adj, self.w_group, self.stack)
 
 
 class GeneratorStack:

@@ -176,7 +176,7 @@ def test_homodyne_leakage_is_plain_runs(tmp_path, monkeypatch):
     assert made == []
     header = [ln for ln in out.read_text().splitlines()
               if ln.startswith("# leakage = ")]
-    plain = cli.Run(cfg, None).leakage(1.0)
+    plain = cli.Run(cfg).leakage(1.0)
     assert plain > 0.0
     assert float(header[0].split("=")[1]) == plain
 
@@ -424,7 +424,7 @@ import contextlib, glob, io, json, sys
 from contmeas import cli
 from contmeas.config import load_config
 for path in sorted(glob.glob("configs/*.json")):
-    cli.Run(load_config(path), None)
+    cli.Run(load_config(path))
 heavy = ("scipy.linalg", "scipy.integrate", "scipy.optimize", "scipy.special")
 built = [m for m in heavy if m in sys.modules]
 def run(*argv):
@@ -484,8 +484,7 @@ A[rng.random((12, 12)) < 0.6] = 0
 op = fock.SystemOperator(fock.TruncatedSpace(3, 2), A)
 X = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
 print(json.dumps({{
-    "shared": (kernel.csr_matvecs is fock.csr_matvecs
-               and kernel.csr_matvec is fock.csr_matvec),
+    "shared": kernel.csr_matvecs is fock.csr_matvecs,
     "equal": bool(np.array_equal(scipy.sparse.csr_matrix(A) @ X,
                                  _product(op.csr, X)))}}))
 """

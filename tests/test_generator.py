@@ -361,6 +361,8 @@ def test_system_free_apply_is_scalar():
     tau = np.array([[0.3 + 0.2j]])
     assert np.array_equal(g.apply(tau[None])[0], g.scalar[0] * tau)
     assert np.array_equal(g.apply_adjoint(tau[None])[0], g.scalar[0] * tau)
+    # with no operator to apply, the stack builds no workspace
+    assert "workspace" not in ctx.__dict__
 
 
 def test_trace_annihilated_without_test_function():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import helpers
-from contmeas import (DpoParams, ModelSpec, TruncatedSpace, ValidationError,
-                      check_dissipativity, check_S_unitary,
+from contmeas import (DpoParams, ModelSpec, SystemOperator, TruncatedSpace,
+                      ValidationError, check_dissipativity, check_S_unitary,
                       dpo_laser_field, dpo_model, trivial_model)
 
 
@@ -107,12 +107,19 @@ def test_dissipativity_breaks_at_boundary():
     # vector in the top corner sees too little outflow
     p = default_params(nbar=0.3, nbar_p=0.2)
     model = dpo_model(p, TruncatedSpace(4, 3))
-    sp = model.space
-    u = sp.basis_vector(4, 3)       # top corner, raising parts truncated
-    ku = model.K.apply_to_vector(u)
-    lhs = 2 * np.real(np.vdot(u, ku))
-    rhs = sum(np.sum(np.abs(op.apply_to_vector(u)) ** 2) for op in model.R)
-    assert abs(lhs + rhs) > 1e-3
+    assert check_dissipativity(model, guard=0).max_residual > 1e-3
+
+
+def test_dissipativity_is_exact_off_basis():
+    # the defect 2 Re<Ku|u> = Re(conj(u_0) u_1) vanishes on both basis
+    # vectors; its supremum 1/2 is reached only at u = (1, 1)/sqrt(2)
+    space = TruncatedSpace(1, 0)
+    K = SystemOperator.from_entries(space, {(0, 1): 0.5})
+    model = ModelSpec(space=space, d=1, K=K, R=(SystemOperator.zero(space),),
+                      S=np.eye(1))
+    rep = check_dissipativity(model, guard=0)
+    assert rep.max_residual == pytest.approx(0.5, abs=1e-15)
+    assert rep.interior_dim == 2
 
 
 def test_guard_too_large_raises():
@@ -120,6 +127,8 @@ def test_guard_too_large_raises():
     model = dpo_model(p, TruncatedSpace(2, 2))
     with pytest.raises(ValueError):
         check_dissipativity(model, guard=3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_dissipativity(model, guard=-1)
 
 
 def test_scattering_unitary():
