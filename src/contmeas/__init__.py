@@ -9,8 +9,7 @@ from .errors import (AliasingError, ConfigError, ContmeasError,
                      IntegrationError, InversionQualityError, ValidationError)
 from .fock import (SystemOperator, TruncatedSpace, guard_band_leakage,
                    ladder_a, ladder_a_dag, ladder_b, ladder_b_dag)
-from .signals import (ZERO, Constant, FieldProfile, Harmonic, TestFunction,
-                      TimeSignal)
+from .signals import ZERO, Constant, FieldProfile, Harmonic, TestFunction
 from .model import (DpoParams, ModelSpec, check_dissipativity,
                     check_S_unitary, dpo_laser_field, dpo_model,
                     trivial_model)

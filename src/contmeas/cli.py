@@ -9,9 +9,11 @@ Subcommands:
     oracle-compare  engine vs dense-exponential and duality cross-checks
 
 Exit codes: 0 success, 2 config error, 3 validation failure (including
-an observable that `counts` or `homodyne` cannot invert, and a counting
-eigenvalue at or above `n_points`), 4 integration failure (including a
-state that is no longer finite), 5 inversion-quality failure.
+an observable that `counts` or `homodyne` cannot invert, a counting
+eigenvalue at or above `n_points`, and a model whose operators, or whose
+dissipativity block, overflow), 4 integration failure (including a state
+that is no longer finite, and a step count too large for a float, as a
+dt of 5e-324 asks for), 5 inversion-quality failure.
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ def cmd_validate(run: Run, out):
     report["interior_dim"] = diss.interior_dim
     report["scattering_unitarity"] = check_S_unitary(run.model)
     report["observables_ok"] = True   # construction already checked them
-    if diss.max_residual > 1e-10:
+    if not diss.max_residual <= 1e-10:
         raise ValidationError(
             f"dissipativity residual {diss.max_residual:.3e} exceeds 1e-10")
     _emit(report, out)

@@ -137,28 +137,26 @@ def build_observables(cfg: dict, model: ModelSpec, params) -> ObservableSpec:
     raise ConfigError(f"observables: unknown type {node['type']!r}")
 
 
+# each signal type: what builds it, and its keys with their parser and
+# default, in the builder's argument order
+_SIGNALS = {
+    "zero": (lambda: ZERO, {}),
+    "constant": (Constant, {"value": (_complex, 0.0)}),
+    "harmonic": (Harmonic, {"amplitude": (_complex, 1.0),
+                            "phase": (_real, 0.0),
+                            "frequency": (_real, 0.0)}),
+}
+
+
 def _build_signal(node, where: str):
-    node = dict(node) if isinstance(node, dict) else node
-    if not isinstance(node, dict) or "type" not in node:
-        raise ConfigError(f"{where}: expected an object with a type")
-    kind = node.pop("type")
-    if kind == "zero":
-        if node:
-            raise ConfigError(f"{where}: unknown keys {sorted(node)}")
-        return ZERO
-    if kind == "constant":
-        value = _complex(node.pop("value", 0.0), where)
-        if node:
-            raise ConfigError(f"{where}: unknown keys {sorted(node)}")
-        return Constant(value)
-    if kind == "harmonic":
-        amp = _complex(node.pop("amplitude", 1.0), where)
-        phase = _real(node.pop("phase", 0.0), where)
-        freq = _real(node.pop("frequency", 0.0), where)
-        if node:
-            raise ConfigError(f"{where}: unknown keys {sorted(node)}")
-        return Harmonic(amp, phase, freq)
-    raise ConfigError(f"{where}: unknown signal type {kind!r}")
+    kind = node.get("type") if isinstance(node, dict) else None
+    if kind not in _SIGNALS:
+        raise ConfigError(f"{where}: expected an object with a type in "
+                          f"{sorted(_SIGNALS)}, got {node!r}")
+    build, keys = _SIGNALS[kind]
+    _take(node, where, required=("type",), optional=keys)
+    return build(*(parse(node.get(key, default), where)
+                   for key, (parse, default) in keys.items()))
 
 
 def build_field(cfg, model: ModelSpec, params, horizon: float) -> FieldProfile:

@@ -84,7 +84,10 @@ def is_state(rho: np.ndarray, tol: float = 1e-9) -> bool:
 
 def step_count(lo: float, hi: float, dt: float) -> int:
     """Number of equal steps of at most dt that cover [lo, hi]."""
-    return max(1, int(np.ceil((hi - lo) / dt - 1e-12)))
+    count = np.ceil((hi - lo) / dt - 1e-12)
+    if count == np.inf:     # more than a float holds: beyond any budget
+        raise IntegrationError("step budget exhausted")
+    return max(1, int(count))
 
 
 def rk4_stages(stack: GeneratorStack, start: float, stop: float,

@@ -86,11 +86,6 @@ class TruncatedSpace:
         m = np.arange(self.m_max + 1 - guard)
         return (n[:, None] * (self.m_max + 1) + m).ravel()
 
-    def basis_vector(self, n: int, m: int) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        v[self.index(n, m)] = 1.0
-        return v
-
 
 class SystemOperator:
     """Immutable sparse complex matrix bound to a TruncatedSpace.
@@ -143,10 +138,6 @@ class SystemOperator:
         return cls._from_coo(space, [], [], [])
 
     # -- inspection --------------------------------------------------------
-
-    @property
-    def nnz(self) -> int:
-        return len(self.csr[-1])
 
     def coo(self) -> tuple:
         """(rows, cols, data) of the stored entries, row by row."""

@@ -21,19 +21,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .signals import ZERO, Harmonic, SignalTable, TimeSignal, as_harmonic
+from .signals import ZERO, Harmonic, SignalTable
 
 
 @dataclass(frozen=True)
 class ObservableSpec:
     """m commuting observables over d channels on a time horizon.
 
+    Each signal is a `signals.Harmonic` (a `Constant` is one).
+
     eigenvalues: real (m, d) array, entry [alpha, i] = B^alpha_i.
-    h: (m, d) nested tuple of TimeSignal, quadrature profiles.
-    b: length-d tuple of TimeSignal, the reference field.
-    c: length-m tuple of TimeSignal, additive classical offsets; each must
-       be real-valued (a real constant, or a harmonic of zero frequency
-       and real value).
+    h: (m, d) nested tuple of signals, quadrature profiles.
+    b: length-d tuple of signals, the reference field.
+    c: length-m tuple of signals, additive classical offsets; each must
+       be real-valued (zero, or of zero frequency and a real value).
     """
 
     m: int
@@ -75,32 +76,23 @@ class ObservableSpec:
 
     def _check_compatibility(self):
         # projective and quadrature parts of the family must not overlap;
-        # a constant or a harmonic vanishes nowhere unless its amplitude does
-        for alpha in range(self.m):
-            for beta in range(self.m):
-                for i in range(self.d):
-                    if self.eigenvalues[alpha, i] == 0.0:
-                        continue
-                    sig = self.h[beta][i]
-                    if sig is ZERO:
-                        continue
-                    if abs(as_harmonic(sig)[0]) > self.CHECK_TOL:
-                        raise ValidationError(
-                            f"observable {alpha + 1} has an eigenvalue on "
-                            f"channel {i + 1} where observable {beta + 1} "
-                            f"has a quadrature profile")
+        # a signal vanishes nowhere unless its amplitude does
+        profile = np.array([[abs(s.amplitude) for s in row] for row in self.h]
+                           ).reshape(self.m, self.d) > self.CHECK_TOL
+        clash = np.argwhere((self.eigenvalues != 0.0)[:, None] & profile)
+        if len(clash):
+            alpha, beta, i = clash[0] + 1
+            raise ValidationError(
+                f"observable {alpha} has an eigenvalue on channel {i} where "
+                f"observable {beta} has a quadrature profile")
         # a real record needs real classical offsets: phi(-kappa) is then
         # conj phi(kappa), which the homodyne marginal relies on
-        first = self.m * self.d + self.d      # table rows: h, b, then c
-        amp, phase, freq = (a[first:] for a in (
-            self._table.amplitude, self._table.phase, self._table.frequency))
-        complex_valued = (np.abs(amp) > self.CHECK_TOL) & (
-            (freq != 0.0)
-            | (np.abs((amp * np.exp(1j * phase)).imag) > self.CHECK_TOL))
-        if complex_valued.any():
-            raise ValidationError(
-                f"classical offset {np.argmax(complex_valued) + 1} is not "
-                "real-valued")
+        for alpha, sig in enumerate(self.c):
+            imag = (sig.amplitude * np.exp(1j * sig.phase)).imag
+            if abs(sig.amplitude) > self.CHECK_TOL and (
+                    sig.frequency != 0.0 or abs(imag) > self.CHECK_TOL):
+                raise ValidationError(
+                    f"classical offset {alpha + 1} is not real-valued")
         gram = self.h_gram()
         dev = np.max(np.abs(np.imag(gram)), initial=0.0)
         if dev > self.CHECK_TOL:
@@ -168,11 +160,10 @@ class ObservableSpec:
 
 # -- closed-form inner products ----------------------------------------------
 
-def _inner(sig_a: TimeSignal, sig_b: TimeSignal, T: float) -> complex:
+def _inner(a: Harmonic, b: Harmonic, T: float) -> complex:
     """int_0^T conj(a(t)) b(t) dt in closed form."""
-    (aa, pa, wa), (ab, pb, wb) = as_harmonic(sig_a), as_harmonic(sig_b)
-    amp = np.conj(aa) * ab * np.exp(1j * (pb - pa))
-    w = wb - wa
+    amp = np.conj(a.amplitude) * b.amplitude * np.exp(1j * (b.phase - a.phase))
+    w = b.frequency - a.frequency
     if w == 0.0:
         return amp * T
     return amp * (np.exp(1j * w * T) - 1.0) / (1j * w)

@@ -160,6 +160,9 @@ class ModelSpec:
                 raise ValidationError("channel operator on wrong space")
         if self.K.space != self.space:
             raise ValidationError("K on wrong space")
+        entries = [S] + [op.csr[-1] for op in (self.K, *self.R)]
+        if not all(np.isfinite(x).all() for x in entries):
+            raise ValidationError("K, the R_i and S must be finite")
 
     @functools.cached_property
     def operators(self) -> _OperatorCache:
@@ -312,6 +315,7 @@ class DissipativityReport:
     interior_dim: int
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_dissipativity(model: ModelSpec, guard: int = 2) -> DissipativityReport:
     """Exact residual of 2 Re<Ku|u> + sum_k ||R_k u||^2 on the truncation
     interior, `space.interior(guard)`.
@@ -320,7 +324,8 @@ def check_dissipativity(model: ModelSpec, guard: int = 2) -> DissipativityReport
     so its supremum over unit vectors u supported on the interior is the
     largest |eigenvalue| of the interior block of D, formed densely.  The
     identity is exact in the interior and broken only at the cutoff, so
-    the guard must cover the largest raising degree of K and the R_i.
+    the guard must cover the largest raising degree of K and the R_i.  A
+    block that overflows raises ValidationError.
     """
     space = model.space
     interior = space.interior(guard)
@@ -333,6 +338,8 @@ def check_dissipativity(model: ModelSpec, guard: int = 2) -> DissipativityReport
         R = op.to_dense()
         D += R.conj().T @ R
     block = D[np.ix_(interior, interior)]
+    if not np.isfinite(block).all():
+        raise ValidationError("K + K^dag + sum_k R_k^dag R_k overflows")
     return DissipativityReport(
         max_residual=float(np.max(np.abs(np.linalg.eigvalsh(block)))),
         interior_dim=len(interior))

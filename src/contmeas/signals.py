@@ -1,11 +1,12 @@
 """Time-dependent scalar signals, piecewise-constant test functions,
 field profiles and the smooth segments between their breakpoints.
 
-Signals (constants and harmonics) are smooth.  Only test functions and
-the edges of a field window jump, so only they have breakpoints and take
-`side`: `side=+1` gives the right-continuous value at a breakpoint,
-`side=-1` the limit from the left.  The integrator needs the left limit
-for the last stage of a step that ends exactly on a breakpoint.
+Signals are harmonics, constants among them, so they are smooth.  Only
+test functions and the edges of a field window jump, so only they have
+breakpoints and take `side`: `side=+1` gives the right-continuous value
+at a breakpoint, `side=-1` the limit from the left.  The integrator needs
+the left limit for the last stage of a step that ends exactly on a
+breakpoint.
 
 Test functions and field profiles take one time or an array of times (with
 one side or a matching array of sides) and return one row per time, so a
@@ -14,36 +15,14 @@ whole run of integrator stages is evaluated at once.
 
 from __future__ import annotations
 
-import abc
 import math
 
 import numpy as np
 
 
-class TimeSignal(abc.ABC):
-    """Complex-valued smooth function of time."""
-
-    @abc.abstractmethod
-    def value(self, t: float) -> complex:
-        ...
-
-
-class Constant(TimeSignal):
-    def __init__(self, value: complex = 0.0):
-        self._value = complex(value)
-
-    def value(self, t):
-        return self._value
-
-    def __repr__(self):
-        return f"Constant({self._value})"
-
-
-ZERO = Constant(0.0)
-
-
-class Harmonic(TimeSignal):
-    """amplitude * exp(i * (phase + frequency * t))."""
+class Harmonic:
+    """amplitude * exp(i * (phase + frequency * t)): every smooth signal,
+    a constant being the harmonic of zero phase and frequency."""
 
     def __init__(self, amplitude: complex, phase: float = 0.0,
                  frequency: float = 0.0):
@@ -58,22 +37,26 @@ class Harmonic(TimeSignal):
         return f"Harmonic({self.amplitude}, {self.phase}, {self.frequency})"
 
 
-def as_harmonic(sig: TimeSignal) -> tuple[complex, float, float]:
-    """(amplitude, phase, frequency) of a constant or a harmonic."""
-    if isinstance(sig, Harmonic):
-        return sig.amplitude, sig.phase, sig.frequency
-    return sig.value(0.0), 0.0, 0.0
+class Constant(Harmonic):
+    """The harmonic of zero phase and frequency.  It holds nothing of its
+    own; its type marks a signal that the frozen route may evaluate once
+    per segment (see `generator.context_is_piecewise_static`)."""
+
+    def __init__(self, value: complex = 0.0):
+        super().__init__(value)
+
+
+ZERO = Constant(0.0)
 
 
 class SignalTable:
-    """A family of constants and harmonics evaluated together, from one
-    (amplitude, phase, frequency) row per signal."""
+    """A family of signals evaluated together, from one (amplitude, phase,
+    frequency) row per signal."""
 
     def __init__(self, signals):
-        rows = [as_harmonic(s) for s in signals]
-        self.amplitude = np.array([r[0] for r in rows], dtype=complex)
-        self.phase = np.array([r[1] for r in rows], dtype=float)
-        self.frequency = np.array([r[2] for r in rows], dtype=float)
+        self.amplitude = np.array([s.amplitude for s in signals], complex)
+        self.phase = np.array([s.phase for s in signals], float)
+        self.frequency = np.array([s.frequency for s in signals], float)
 
     def __call__(self, t) -> np.ndarray:
         """Values at time t, or one row of values per entry of an array t."""

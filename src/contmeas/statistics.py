@@ -41,7 +41,7 @@ from .evolution import EvolutionConfig, evolve
 from .generator import GeneratorStack, context_is_piecewise_static
 from .measurement import ObservableSpec
 from .model import ModelSpec
-from .signals import FieldProfile, TestFunction, as_harmonic, segments
+from .signals import FieldProfile, TestFunction, segments
 
 COUNTING_IMAG_TOL = 1e-6
 NEGATIVE_PROB_TOL = 1e-7
@@ -120,7 +120,7 @@ def _check_observable(obs: ObservableSpec, observable: int, counting: bool):
     integer eigenvalues and no quadrature profile, a diffusive one zero
     eigenvalues and a nonzero profile."""
     ev = obs.eigenvalues[observable - 1]
-    profile = any(abs(as_harmonic(h)[0]) > obs.CHECK_TOL
+    profile = any(abs(h.amplitude) > obs.CHECK_TOL
                   for h in obs.h[observable - 1])
     if counting and (profile or (ev < 0).any() or (ev != np.round(ev)).any()):
         raise ValidationError(

@@ -296,6 +296,10 @@ MALFORMED = [
     ("counting", "field.window", -1.0, "counts", 2),
     ("dpo", "field.window", -2.0, "evolve", 2),
     ("counting", "evolution.contractivity_tol", -1.0, "counts", 2),
+    ("counting", "field.signals", [{"type": "triangle"}], "counts", 2),
+    ("counting", "field.signals", [{"type": "constant", "phase": 0.0}],
+     "counts", 2),
+    ("counting", "field.signals", ["constant"], "counts", 2),
 ]
 
 
@@ -361,13 +365,55 @@ def test_one_diverging_homodyne_member_exit_4(tmp_path, capsys, recwarn,
 
 
 def test_step_budget_exit_4(tmp_path, capsys):
-    # dt 1e-12 asks for about 1e12 steps; the budget of 10 is checked
-    # before a segment is assembled, so the run fails at once with exit 4
-    cfg = dpo_config(evolution={"dt": 1e-12, "max_steps": 10})
-    t0 = time.perf_counter()
-    assert main(["evolve", "--config", write(tmp_path, cfg)]) == 4
-    assert time.perf_counter() - t0 < 30.0
-    assert capsys.readouterr().err.startswith("integration failure:")
+    # dt 1e-12 asks for about 1e12 steps, dt 5e-324 for more than a float
+    # holds; the budget of 10 is checked before a segment is assembled, so
+    # the run fails at once with exit 4
+    for dt in (1e-12, 5e-324):
+        cfg = dpo_config(evolution={"dt": dt, "max_steps": 10})
+        t0 = time.perf_counter()
+        assert main(["evolve", "--config", write(tmp_path, cfg)]) == 4
+        assert time.perf_counter() - t0 < 30.0
+        assert capsys.readouterr().err.startswith(
+            "integration failure: step budget exhausted")
+
+
+OVERFLOWING = [
+    # (shipped config, subcommand, {dotted key: value}, exit code)
+    ("dpo_validate.json", "validate", {"model.params.omega_c": 1e308}, 3),
+    ("dpo_validate.json", "validate",
+     {"model.params.omega_c": 1e308,
+      "model.truncation": {"n_max": 2, "m_max": 2}}, 3),
+    ("dpo_validate.json", "evolve", {"model.params.omega_c": 1e308}, 3),
+    ("dpo_validate.json", "validate",
+     {"model.params.kappa": 1e307,
+      "model.params.alpha": [(2e307 / 3) ** 0.5] * 3 + [0.0]}, 3),
+    ("dpo_validate.json", "charfunc", {"evolution.dt": 5e-324}, 4),
+    ("poisson_counts.json", "counts", {"evolution.dt": 5e-324}, 4),
+    ("poisson_counts.json", "counts",
+     {"observables.horizon": 1e308, "run.t_end": 1e308}, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "name, command, over, code", OVERFLOWING,
+    ids=["omega_c", "omega_c-dim9", "omega_c-evolve", "dissipativity-block",
+         "dt-charfunc", "dt-counts", "horizon-counts"])
+def test_overflow_exit_code(tmp_path, capsys, recwarn, name, command, over,
+                            code):
+    # an operator or a dissipativity block that overflows is refused
+    # (exit 3), and so is a step count beyond a float (exit 4), with no
+    # traceback, warning or report; a NaN residual once passed validate
+    cfg = json.loads((SHIPPED / name).read_text())
+    for key, value in over.items():
+        _set(cfg, key.split("."), value)
+    out = tmp_path / "report.out"
+    assert main([command, "--config", write(tmp_path, cfg),
+                 "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(
+        "validation failure:" if code == 3
+        else "integration failure: step budget exhausted")
+    assert not out.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize(

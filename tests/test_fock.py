@@ -20,31 +20,30 @@ def test_index_unravel_roundtrip():
     assert seen == set(range(sp.dim))
 
 
-def test_basis_vector():
-    sp = TruncatedSpace(2, 2)
-    v = sp.basis_vector(1, 2)
-    assert v[sp.index(1, 2)] == 1.0
-    assert np.sum(np.abs(v)) == 1.0
+def basis_vector(space, n, m):
+    v = np.zeros(space.dim, dtype=complex)
+    v[space.index(n, m)] = 1.0
+    return v
 
 
 def test_ladder_entries():
     sp = TruncatedSpace(4, 3)
     a = ladder_a(sp)
     # a |n, m> = sqrt(n) |n-1, m>
-    v = a.to_dense() @ sp.basis_vector(3, 1)
+    v = a.to_dense() @ basis_vector(sp, 3, 1)
     assert v[sp.index(2, 1)] == pytest.approx(np.sqrt(3))
     assert np.count_nonzero(v) == 1
     b = ladder_b(sp)
-    w = b.to_dense() @ sp.basis_vector(0, 3)
+    w = b.to_dense() @ basis_vector(sp, 0, 3)
     assert w[sp.index(0, 2)] == pytest.approx(np.sqrt(3))
 
 
 def test_raising_drops_top_row():
     sp = TruncatedSpace(3, 2)
     ad = ladder_a_dag(sp)
-    assert np.all(ad.to_dense() @ sp.basis_vector(3, 1) == 0)
+    assert np.all(ad.to_dense() @ basis_vector(sp, 3, 1) == 0)
     bd = ladder_b_dag(sp)
-    assert np.all(bd.to_dense() @ sp.basis_vector(0, 2) == 0)
+    assert np.all(bd.to_dense() @ basis_vector(sp, 0, 2) == 0)
 
 
 def test_commutator_on_interior():
@@ -112,7 +111,7 @@ def test_algebra_operators():
     assert np.allclose((2.0 * a).to_dense(), 2.0 * a.to_dense(), atol=1e-15)
     assert np.allclose((a * 0.5j).to_dense(), 0.5j * a.to_dense(),
                        atol=1e-15)
-    assert (0.0 * a).nnz == 0   # exact zeros are dropped
+    assert len((0.0 * a).csr[-1]) == 0   # exact zeros are dropped
 
 
 def test_space_mismatch_raises():
@@ -129,7 +128,7 @@ def test_from_entries_and_entry():
     assert dense[0, 1] == 2.5j
     assert dense[3, 3] == -1.0
     assert dense[1, 0] == 0.0
-    assert op.nnz == 2
+    assert len(op.csr[-1]) == 2
 
 
 def test_guard_band_leakage():

@@ -53,7 +53,8 @@ def test_zero_coupling_allowed():
     p.validate()
     model = dpo_model(p, TruncatedSpace(3, 3))
     # without the crystal the two modes never exchange photons
-    assert model.K.nnz == model.space.dim - 1   # diagonal only, (0,0) entry is 0
+    # diagonal only, the (0,0) entry is 0
+    assert len(model.K.csr[-1]) == model.space.dim - 1
 
 
 def test_drift_coupling_entries():
@@ -122,6 +123,17 @@ def test_dissipativity_is_exact_off_basis():
     assert rep.interior_dim == 2
 
 
+def test_dissipativity_overflow_raises():
+    # each entry of K is finite, but K + K^dag overflows; eigvalsh would
+    # fail on it, or a NaN residual would pass every comparison
+    space = TruncatedSpace(1, 0)
+    K = SystemOperator.from_entries(space, {(0, 0): -1e308, (1, 1): -1.0})
+    model = ModelSpec(space=space, d=1, K=K, R=(SystemOperator.zero(space),),
+                      S=np.eye(1))
+    with pytest.raises(ValidationError, match="overflows"):
+        check_dissipativity(model, guard=0)
+
+
 def test_guard_too_large_raises():
     p = default_params()
     model = dpo_model(p, TruncatedSpace(2, 2))
@@ -149,14 +161,21 @@ def test_model_spec_validation():
     with pytest.raises(ValidationError):
         ModelSpec(space=model.space, d=8, K=model.K, R=model.R,
                   S=np.eye(7))
+    # a non-finite entry anywhere, as an overflowing omega_c gives K
+    bad = SystemOperator.from_entries(model.space, {(0, 1): np.inf})
+    for K, R, S in ((bad, model.R, np.eye(8)),
+                    (model.K, (bad,) + model.R[1:], np.eye(8)),
+                    (model.K, model.R, np.diag([np.nan] + [1.0] * 7))):
+        with pytest.raises(ValidationError, match="finite"):
+            ModelSpec(space=model.space, d=8, K=K, R=R, S=S)
 
 
 def test_trivial_model():
     m = trivial_model(3)
     assert m.space.dim == 1
     assert m.d == 3
-    assert all(op.nnz == 0 for op in m.R)
-    assert m.K.nnz == 0
+    assert all(len(op.csr[-1]) == 0 for op in m.R)
+    assert len(m.K.csr[-1]) == 0
 
 
 def test_laser_field_profile():

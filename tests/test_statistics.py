@@ -37,7 +37,8 @@ def driven_dpo(occupied=((1, 0),)):
     model = dpo_model(params, space)
     obs = dpo_observables(params, 1.0)
     field = dpo_laser_field(params, 1.0)
-    v = sum(space.basis_vector(n, m) for n, m in occupied)
+    v = np.zeros(space.dim, dtype=complex)
+    v[[space.index(n, m) for n, m in occupied]] = 1.0
     return model, obs, field, np.outer(v, v.conj()) / len(occupied)
 
 
