@@ -115,22 +115,34 @@ def rk4_stages(stack: GeneratorStack, start: float, stop: float,
         g0 = g1
 
 
-def rk4_step(a0, a_mid, a1, h, tau):
-    """One classical RK4 step of length h for d tau = a(tau), with the
-    maps a0, a_mid and a1 at the start, middle and end of the step.
+def step_constants(h: float) -> tuple:
+    """h/2, h, h/6 and 2 as `rk4_step` takes them: complex (1, 1, 1)."""
+    return tuple(np.array([0.5 * h, h, h / 6.0, 2.0],
+                          dtype=complex).reshape(4, 1, 1, 1))
+
+
+def rk4_step(a0, a_mid, a1, constants, tau):
+    """One classical RK4 step for d tau = a(tau), with the maps a0, a_mid
+    and a1 at the start, middle and end of the step and the
+    `step_constants` of its length h.
 
     k1 + 2 k2 + 2 k3 + k4 is summed left to right, as the textbook
     expression is, but as each stage finishes, so that k1 and k2 are
-    freed as soon as the sum and the next stage are done with them."""
+    freed as soon as the sum and the next stage are done with them.
+    numpy takes a Python float factor as the complex h + 0j; a complex
+    (1, 1, 1) array gives the same bits in about 0.45 us a product on a
+    1x1 stack, not 0.85-0.9 us (numpy 2.4; numpy scalars: 0.74-1.4 us).
+    `2 k` stays a product: `k + k` ran 1.7x slower from dim 20 up."""
+    half, h, sixth, two = constants
     k1 = a0(tau)
-    k2 = a_mid(tau + 0.5 * h * k1)
-    total = k1 + 2.0 * k2
+    k2 = a_mid(tau + half * k1)
+    total = k1 + two * k2
     del k1
-    k3 = a_mid(tau + 0.5 * h * k2)
+    k3 = a_mid(tau + half * k2)
     del k2
-    total += 2.0 * k3
+    total += two * k3
     total += a1(tau + h * k3)
-    return tau + (h / 6.0) * total
+    return tau + sixth * total
 
 
 def _traces(tau: np.ndarray) -> np.ndarray:
@@ -144,7 +156,9 @@ def _walk(segs, tau: np.ndarray, config: EvolutionConfig, check: bool,
     """RK4 over the segments `segs` for an (n, dim, dim) stack tau;
     `steps(lo, hi, count)` gives the (start, middle, end) generators of
     each step of a segment.  Returns the final tau, the number of
-    steps and the peak |trace| of each member.
+    steps and the peak |trace| of each member.  Each segment builds its
+    `step_constants` once; as arrays they halve a product's interpreter
+    cost and keep its bits (`rk4_step`).
 
     A segment whose steps would exceed `max_steps` raises IntegrationError
     before `steps` is asked for its generators.  At the end of each
@@ -158,9 +172,9 @@ def _walk(segs, tau: np.ndarray, config: EvolutionConfig, check: bool,
         count = step_count(lo, hi, config.dt)
         if n_steps + count > config.max_steps:
             raise IntegrationError("step budget exhausted")
-        h = (hi - lo) / count
+        constants = step_constants((hi - lo) / count)
         for g0, g_mid, g1 in steps(lo, hi, count):
-            tau = rk4_step(g0.apply, g_mid.apply, g1.apply, h, tau)
+            tau = rk4_step(g0.apply, g_mid.apply, g1.apply, constants, tau)
         n_steps += count
         tr = np.abs(_traces(tau))
         if not (np.isfinite(tr).all() and np.isfinite(tau).all()):

@@ -59,47 +59,62 @@ from .signals import Constant, FieldProfile, TestFunction, segments
 
 
 def _product(op: tuple, X: np.ndarray, out: np.ndarray | None = None):
-    """op X for op = (rows, cols, indptr, indices, data) and a 2-D X: the
-    kernel call scipy's CSR matrix makes for `op * X` after its checks,
+    """op X for op = (rows, cols, indptr, indices, data) and X of `cols`
+    rows, 2-D or flat: scipy's kernel call for `op * X` after its checks,
     into `out` if given, a zeroed C-contiguous array of the result's size."""
     rows, cols, indptr, indices, data = op
     if out is None:
-        out = np.zeros((rows, X.shape[1]), dtype=complex)
-    csr_matvecs(rows, cols, X.shape[1], indptr, indices, data, X.ravel(),
-                out.ravel())
+        out = np.zeros((rows, X.size // cols), dtype=complex)
+    csr_matvecs(rows, cols, X.size // cols, indptr, indices, data,
+                X.ravel(), out.ravel())
     return out
+
+
+class _Workspace:
+    """`_act`'s two scratch (1 + G, n, dim, dim) arrays of one stack, held
+    flat, and every view of them that an application uses."""
+
+    __slots__ = ("products", "operands", "product0", "product0_t", "sandwich",
+                 "sandwich_src", "sandwich_t", "operand0", "operand_rest")
+
+    def __init__(self, shape: tuple):
+        products = np.empty(shape, dtype=complex)
+        operands = np.empty(shape, dtype=complex)
+        self.products, self.operands = products.ravel(), operands.ravel()
+        self.product0, self.sandwich = products[0], products[1:]
+        self.product0_t = self.product0.transpose(0, 2, 1)
+        self.sandwich_src = products[1:].transpose(0, 1, 3, 2)
+        self.sandwich_t = tuple(self.sandwich_src)
+        self.operand0, self.operand_rest = operands[0], operands[1:]
 
 
 def _act(X, scalar, ops, weights, stack) -> np.ndarray:
     """scalar_k X_k + left X_k + X_k right + sum_g w_kg a_g X_k a_g^dag
     on each member X_k of an (n, dim, dim) stack, for one (1, 1) scalar
-    and one row of group weights per member, in two kernel calls on the
-    operators `ops` of `GeneratorStack.operands` (None for a model
+    per member and the (G, n, 1, 1) group weights, in two kernel calls on
+    the operators `ops` of `GeneratorStack.operands` (None for a model
     without operators): [left; a_1; ...; a_G] on the members, then
     diag(right^T, b_1, ..., b_G) on X_k^T and every (a_g X_k)^T, each
     block once per member, where b_g = conj a_g makes (b_g (a_g X_k)^T)^T
-    the sandwich.  Both calls write into `stack.workspace`, two scratch
-    (1 + G, n, dim, dim) arrays, built only when there are operators.
+    the sandwich, in views of `stack.workspace` built once per stack.
     The terms are added in the order above, so every entry of member k
     is formed by the same operations, in the same order, whatever n is."""
     out = scalar * X
     if ops is None:
         return out
-    n, dim, _ = X.shape
-    products, operands = stack.workspace
-    products.fill(0)
-    _product(ops[0], X.reshape(n * dim, dim), products)
-    out += products[0]
-    operands[0] = X.transpose(0, 2, 1)
-    operands[1:] = products[1:].transpose(0, 1, 3, 2)
-    products.fill(0)
-    _product(ops[1], operands.reshape(-1, dim), products)
-    out += products[0].transpose(0, 2, 1)
-    for w, term in zip(weights.T, products[1:]):
-        # the weights stay the first operand of `*`: numpy's complex
-        # product is not commutative to the last bit
-        out += np.multiply(w[:, None, None], term, out=term).transpose(
-            0, 2, 1)
+    ws = stack.workspace
+    ws.products.fill(0)
+    _product(ops[0], X, ws.products)
+    out += ws.product0
+    ws.operand0[...] = X.transpose(0, 2, 1)
+    ws.operand_rest[...] = ws.sandwich_src
+    ws.products.fill(0)
+    _product(ops[1], ws.operands, ws.products)
+    out += ws.product0_t
+    # weights first: numpy's complex product is not commutative in bits
+    np.multiply(weights, ws.sandwich, out=ws.sandwich)
+    for term in ws.sandwich_t:
+        out += term
     return out
 
 
@@ -123,10 +138,10 @@ class FrozenGenerator:
     `apply_adjoint` forms the transposed operators on its first call and
     keeps them in `ops_adj`.
 
-    `s`, `w_group`, `left` and `right` hold one row per member and
-    `scalar` one (1, 1) entry per member, so that it scales each member
-    directly.  Row k of `left` is (1, w_left, w_left_dag), the weights of
-    K, R_1..R_d and R_1^dag..R_d^dag in K_L; row k of `right` is
+    `s`, `left` and `right` hold one row per member, `scalar` (n, 1, 1)
+    and `w_group` (G, n, 1, 1) one entry per member, to scale it directly.
+    Row k of `left` is (1, w_left, w_left_dag), the weights of K,
+    R_1..R_d and R_1^dag..R_d^dag in K_L; row k of `right` is
     (1, conj w_right_dag, conj w_right), their weights in conj K_R^T.
 
     Weight layout (mu = S lam, r_pm = r(+/-kappa; t)):
@@ -148,7 +163,7 @@ class FrozenGenerator:
         self.stack = stack
         self.s = s
         self.scalar = scalar[:, None, None]
-        self.w_group = w_group
+        self.w_group = w_group.T[:, :, None, None]
         self.left = left
         self.right = right
         basis = stack.model.operators.basis
@@ -217,10 +232,11 @@ class GeneratorStack:
         return self.model.operators.stacked(len(self), adjoint=True)
 
     @functools.cached_property
-    def workspace(self):
+    def workspace(self) -> _Workspace:
+        """`_act`'s scratch arrays and all their views, built once."""
         dim = self.model.space.dim
-        shape = (1 + len(self.model.operators.sandwich), len(self), dim, dim)
-        return np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+        return _Workspace((1 + len(self.model.operators.sandwich), len(self),
+                           dim, dim))
 
     def operands(self, left, right_t, adjoint: bool = False) -> tuple:
         """The two kernel operators of `_act` with the drift data `left`

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .evolution import (EvolutionConfig, evolve, rk4_stages, rk4_step,
-                        step_count)
+                        step_constants, step_count)
 from .generator import GeneratorContext
 from .measurement import ObservableSpec
 from .model import ModelSpec
@@ -144,12 +144,12 @@ def duality_check(ctx: GeneratorContext, rho0: np.ndarray, X: np.ndarray,
     Y = np.array(X, dtype=complex)[None]
     for lo, hi in reversed(ctx.segments(t)):
         count = step_count(lo, hi, config.dt)
-        h = (hi - lo) / count
+        constants = step_constants((hi - lo) / count)
         # dY/ds = -A'_s[Y] run from hi down to lo is forward RK4 in -s on
         # the adjoint; the stages start at hi from the left and end at lo
         # from the right
         for g0, g_mid, g1 in rk4_stages(ctx, hi, lo, count):
             Y = rk4_step(g0.apply_adjoint, g_mid.apply_adjoint,
-                          g1.apply_adjoint, h, Y)
+                          g1.apply_adjoint, constants, Y)
     rhs = complex(np.trace(Y[0] @ np.array(rho0, dtype=complex)))
     return {"forward": lhs, "backward": rhs, "residual": abs(lhs - rhs)}

@@ -254,23 +254,25 @@ def test_composition_at_any_split(s):
 
 
 def test_rk4_step_is_the_textbook_formula():
-    # the stages are summed as they finish, with the bits of the textbook
-    # expression, for steps of either sign
+    # the stages are summed as they finish, with array-valued step
+    # constants, and give the bits of the textbook expression in Python
+    # floats, for steps of either sign, on a one-member 1x1 stack too
     rng = np.random.default_rng(43)
-    n, dim = 3, 4
+    for n, dim in [(3, 4), (1, 1), (2, 9)]:
+        def random_map():
+            M = (rng.standard_normal((dim * dim, dim * dim))
+                 + 1j * rng.standard_normal((dim * dim, dim * dim)))
+            return lambda X: (X.reshape(n, -1) @ M.T).reshape(X.shape)
 
-    def random_map():
-        M = (rng.standard_normal((dim * dim, dim * dim))
-             + 1j * rng.standard_normal((dim * dim, dim * dim)))
-        return lambda X: (X.reshape(n, -1) @ M.T).reshape(X.shape)
-
-    a0, a_mid, a1 = random_map(), random_map(), random_map()
-    for h in (0.01, 0.37, -0.05, -1.3):
-        tau = (rng.standard_normal((n, dim, dim))
-               + 1j * rng.standard_normal((n, dim, dim)))
-        k1 = a0(tau)
-        k2 = a_mid(tau + 0.5 * h * k1)
-        k3 = a_mid(tau + 0.5 * h * k2)
-        k4 = a1(tau + h * k3)
-        assert np.array_equal(evolution.rk4_step(a0, a_mid, a1, h, tau),
-                              tau + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
+        a0, a_mid, a1 = random_map(), random_map(), random_map()
+        for h in (0.01, 0.37, -0.05, -1.3):
+            tau = (rng.standard_normal((n, dim, dim))
+                   + 1j * rng.standard_normal((n, dim, dim)))
+            k1 = a0(tau)
+            k2 = a_mid(tau + 0.5 * h * k1)
+            k3 = a_mid(tau + 0.5 * h * k2)
+            k4 = a1(tau + h * k3)
+            constants = evolution.step_constants(h)
+            assert np.array_equal(
+                evolution.rk4_step(a0, a_mid, a1, constants, tau),
+                tau + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4))

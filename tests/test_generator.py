@@ -221,7 +221,8 @@ def test_application_matches_per_product_arithmetic(build, n):
             X = (rng.standard_normal((n, dim, dim))
                  + 1j * rng.standard_normal((n, dim, dim)))
             ref = helpers.per_product_act(
-                X, g.scalar, *_per_product_operands(g, adjoint), g.w_group)
+                X, g.scalar, *_per_product_operands(g, adjoint),
+                g.w_group[:, :, 0, 0].T)
             got = (g.apply_adjoint if adjoint else g.apply)(X)
             assert np.array_equal(got, ref)
 
@@ -253,6 +254,26 @@ def test_workspace_does_not_leak_between_applications():
     config = EvolutionConfig(dt=0.05, contractivity_check="off")
     first = evolve(three, rho, 1.6, config).final
     assert np.array_equal(evolve(three, rho, 1.6, config).final, first)
+
+
+def test_workspace_views_are_built_once_per_stack():
+    # every view a stack hands `_act` lies in one of its two scratch
+    # arrays, and stacks of 1 and 3 members on one model share neither
+    model, obs, field, kappas, _ = _dpo_members()
+    stacks = [GeneratorStack(model, obs, field, kappas[:n]) for n in (1, 3)]
+    arrays = []
+    for stack in stacks:
+        ws = stack.workspace
+        assert stack.workspace is ws
+        assert len(ws.sandwich_t) == len(model.operators.sandwich) > 0
+        for name in type(ws).__slots__:
+            views = getattr(ws, name)
+            for view in views if isinstance(views, tuple) else (views,):
+                assert any(np.shares_memory(view, a)
+                           for a in (ws.products, ws.operands)), name
+        arrays += [ws.products, ws.operands]
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
 def test_channel_groups_decline_non_proportional_operators():

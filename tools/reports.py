@@ -29,6 +29,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = ("validate", "evolve", "charfunc", "counts", "homodyne",
             "oracle-compare")
 SEED = 7
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 
 def runs(out_dir: str) -> list[tuple[str, str]]:
@@ -42,13 +43,22 @@ def runs(out_dir: str) -> list[tuple[str, str]]:
     for name in shipped:
         shutil.copy(os.path.join(ROOT, "configs", name + ".json"), configs)
     pairs = [(name, command) for name in shipped for command in COMMANDS]
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    from workloads import WORKLOADS, make_config
+    from workloads import WORKLOADS
     for workload, (command, _, _) in sorted(WORKLOADS.items()):
-        with open(os.path.join(configs, workload + ".json"), "w") as f:
-            json.dump(make_config(workload, SEED), f, indent=2)
+        write_workload_config(configs, workload)
         pairs.append((workload, command))
     return pairs
+
+
+def write_workload_config(configs: str, workload: str) -> str:
+    """Write the seed-SEED config of a benchmark workload to
+    CONFIGS/WORKLOAD.json and return its path.  Reports carry the sha256
+    of their config, so every comparison of their bytes writes it here."""
+    from workloads import make_config
+    path = os.path.join(configs, workload + ".json")
+    with open(path, "w") as f:
+        json.dump(make_config(workload, SEED), f, indent=2)
+    return path
 
 
 def main(argv) -> int:
