@@ -25,12 +25,12 @@ steps assembles 2 count + 1 generators.
 
 When every coefficient is constant between breakpoints, or when
 `EvolutionConfig.freeze` asks for it, each segment instead uses one
-generator frozen at the segment midpoint (`generator.generator_at`).
+generator frozen at the segment midpoint (`generator.generator_at`),
+whose `apply` is bound once for all the segment's steps.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -73,13 +73,23 @@ class EvolutionResult:
 
 
 def is_state(rho: np.ndarray, tol: float = 1e-9) -> bool:
-    """Hermitian, unit-trace, positive up to tol."""
+    """Square, and Hermitian, unit-trace, positive up to tol."""
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        return False
     if np.max(np.abs(rho - rho.conj().T)) > tol:
         return False
     if abs(np.trace(rho) - 1.0) > tol:
         return False
     evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
     return bool(evals.min() > -tol)
+
+
+def contractivity(config: EvolutionConfig, rho0: np.ndarray) -> str:
+    """`config.contractivity_check` with "auto" decided: "on" when the
+    complex array rho0 is a state, else "off"."""
+    if config.contractivity_check != "auto":
+        return config.contractivity_check
+    return "on" if is_state(rho0) else "off"
 
 
 def step_count(lo: float, hi: float, dt: float) -> int:
@@ -154,8 +164,8 @@ def _traces(tau: np.ndarray) -> np.ndarray:
 def _walk(segs, tau: np.ndarray, config: EvolutionConfig, check: bool,
           steps):
     """RK4 over the segments `segs` for an (n, dim, dim) stack tau;
-    `steps(lo, hi, count)` gives the (start, middle, end) generators of
-    each step of a segment.  Returns the final tau, the number of
+    `steps(lo, hi, count)` gives the (start, middle, end) maps of each
+    step of a segment.  Returns the final tau, the number of
     steps and the peak |trace| of each member.  Each segment builds its
     `step_constants` once; as arrays they halve a product's interpreter
     cost and keep its bits (`rk4_step`).
@@ -173,8 +183,8 @@ def _walk(segs, tau: np.ndarray, config: EvolutionConfig, check: bool,
         if n_steps + count > config.max_steps:
             raise IntegrationError("step budget exhausted")
         constants = step_constants((hi - lo) / count)
-        for g0, g_mid, g1 in steps(lo, hi, count):
-            tau = rk4_step(g0.apply, g_mid.apply, g1.apply, constants, tau)
+        for a0, a_mid, a1 in steps(lo, hi, count):
+            tau = rk4_step(a0, a_mid, a1, constants, tau)
         n_steps += count
         tr = np.abs(_traces(tau))
         if not (np.isfinite(tr).all() and np.isfinite(tau).all()):
@@ -211,17 +221,20 @@ def evolve(stack: GeneratorStack, rho0: np.ndarray, t_end: float,
     tau = np.array(rho0, dtype=complex)
     if tau.shape != (dim, dim):
         raise IntegrationError(f"initial matrix must be {dim}x{dim}")
-    check = config.contractivity_check == "on" or (
-        config.contractivity_check == "auto" and is_state(tau))
+    check = contractivity(config, tau) == "on"
     if not t_start <= t_end:
         raise IntegrationError("t_end must not precede t_start")
 
+    # a step's maps are the generators' bound `apply`; the frozen route
+    # binds its one generator's once per segment
     if config.freeze or context_is_piecewise_static(stack):
         def steps(lo, hi, count):
             return itertools.repeat(
-                (generator_at(stack, 0.5 * (lo + hi)),) * 3, count)
+                (generator_at(stack, 0.5 * (lo + hi)).apply,) * 3, count)
     else:
-        steps = functools.partial(rk4_stages, stack)
+        def steps(lo, hi, count):
+            return ((g0.apply, g_mid.apply, g1.apply)
+                    for g0, g_mid, g1 in rk4_stages(stack, lo, hi, count))
 
     # rebinding tau frees the (dim, dim) copy before the walk: kept alive
     # across it, it nearly tripled a dim-117 run's minor page faults

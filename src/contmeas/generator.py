@@ -42,7 +42,11 @@ call of that kernel (`_product`).
 once: the signals, s, r(+/-kappa), the scalar rate and the weights of
 every member are array expressions over a block of (time, member) rows,
 and each generator's K_L and K_R^T are formed only when it is handed
-out.  `generator_at` is its one-time case.
+out.  `generator_at` is its one-time case.  On a one-member stack from
+`GeneratorStack.split` it forms the member's generator from the member's
+row of the split stack's weights, which that stack assembles once per
+time for all its members.  A model without operators has its scalar rate
+as its generator, so an application is the one product scalar * tau.
 """
 
 from __future__ import annotations
@@ -92,16 +96,14 @@ def _act(X, scalar, ops, weights, stack) -> np.ndarray:
     """scalar_k X_k + left X_k + X_k right + sum_g w_kg a_g X_k a_g^dag
     on each member X_k of an (n, dim, dim) stack, for one (1, 1) scalar
     per member and the (G, n, 1, 1) group weights, in two kernel calls on
-    the operators `ops` of `GeneratorStack.operands` (None for a model
-    without operators): [left; a_1; ...; a_G] on the members, then
-    diag(right^T, b_1, ..., b_G) on X_k^T and every (a_g X_k)^T, each
-    block once per member, where b_g = conj a_g makes (b_g (a_g X_k)^T)^T
-    the sandwich, in views of `stack.workspace` built once per stack.
+    the operators `ops` of `GeneratorStack.operands`: [left; a_1; ...;
+    a_G] on the members, then diag(right^T, b_1, ..., b_G) on X_k^T and
+    every (a_g X_k)^T, each block once per member, where b_g = conj a_g
+    makes (b_g (a_g X_k)^T)^T the sandwich, in views of `stack.workspace`
+    built once per stack.
     The terms are added in the order above, so every entry of member k
     is formed by the same operations, in the same order, whatever n is."""
     out = scalar * X
-    if ops is None:
-        return out
     ws = stack.workspace
     ws.products.fill(0)
     _product(ops[0], X, ws.products)
@@ -136,7 +138,8 @@ class FrozenGenerator:
     stack's two kernel operators (`ops`, see `_act`); applying the
     generator costs those two kernel calls, in the stack's workspace.
     `apply_adjoint` forms the transposed operators on its first call and
-    keeps them in `ops_adj`.
+    keeps them in `ops_adj`.  Without operators (`ops` None) both maps are
+    the one product scalar_k tau_k.
 
     `s`, `left` and `right` hold one row per member, `scalar` (n, 1, 1)
     and `w_group` (G, n, 1, 1) one entry per member, to scale it directly.
@@ -176,6 +179,8 @@ class FrozenGenerator:
                 np.conj(np.matmul(right[:, None], basis)).ravel())
 
     def apply(self, X: np.ndarray) -> np.ndarray:
+        if self.ops is None:
+            return self.scalar * X
         return _act(X, self.scalar, self.ops, self.w_group, self.stack)
 
     def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
@@ -185,7 +190,9 @@ class FrozenGenerator:
 
         on the drift data of `apply`, transposed by the cached permutation.
         """
-        if self.ops_adj is None and self.ops is not None:
+        if self.ops is None:
+            return self.scalar * X
+        if self.ops_adj is None:
             c = self.stack.model.operators
             m = len(self.stack) * c.basis.shape[1]
             self.ops_adj = self.stack.operands(
@@ -203,7 +210,13 @@ class GeneratorStack:
     have one pattern and one set of sandwich data per stack, and every
     application runs in one workspace per stack; each is built the first
     time a generator asks for it.
+
+    A member of `split` has `group`, the stack split, and `row`, its index
+    there.
     """
+
+    group: GeneratorStack | None = None
+    row = 0
 
     def __init__(self, model: ModelSpec, observables: ObservableSpec,
                  field: FieldProfile, kappas):
@@ -237,6 +250,19 @@ class GeneratorStack:
         dim = self.model.space.dim
         return _Workspace((1 + len(self.model.operators.sandwich), len(self),
                            dim, dim))
+
+    def split(self) -> list[GeneratorStack]:
+        """The members as one-member stacks, in order.  `generator_at`
+        takes their generators from this stack's weights, which it keeps
+        in `frozen_rows` by (t, side)."""
+        self.frozen_rows = {}
+        members = []
+        for row, kappa in enumerate(self.kappas):
+            member = GeneratorStack(self.model, self.observables, self.field,
+                                    [kappa])
+            member.group, member.row = self, row
+            members.append(member)
+        return members
 
     def operands(self, left, right_t, adjoint: bool = False) -> tuple:
         """The two kernel operators of `_act` with the drift data `left`
@@ -288,14 +314,14 @@ def _weight_rows(model: ModelSpec, obs: ObservableSpec, lam: np.ndarray,
     return s, scalar, w_group, left, right
 
 
-def stage_generators(stack: GeneratorStack, times, sides):
-    """Yield the generator of every member of `stack` at each time of
-    `times`, in order, taken from the side of the matching entry of
-    `sides` (as in `signals`).
+def stage_rows(stack: GeneratorStack, times, sides):
+    """Yield s, scalar, w_group, left and right (see `FrozenGenerator`),
+    one row per member of `stack`, at each time of `times`, in order,
+    taken from the side of the matching entry of `sides` (as in
+    `signals`).
 
     The weights of all members are formed with array operations, for as
-    many times at once as BLOCK rows hold; each generator's kernel
-    operators are formed only when it is yielded.
+    many times at once as BLOCK rows hold.
     """
     times = np.asarray(times, dtype=float)
     sides = np.asarray(sides)
@@ -311,15 +337,35 @@ def stage_generators(stack: GeneratorStack, times, sides):
         s, scalar, w_group, left, right = (
             r.reshape((len(t), n) + r.shape[1:]) for r in rows)
         for k in range(len(t)):
-            yield FrozenGenerator(stack, s[k], scalar[k], w_group[k],
-                                  left[k], right[k])
+            yield s[k], scalar[k], w_group[k], left[k], right[k]
+
+
+def stage_generators(stack: GeneratorStack, times, sides):
+    """Yield the generator of every member of `stack` at each time of
+    `times`, from `stage_rows`; each generator's kernel operators are
+    formed only when it is yielded."""
+    for rows in stage_rows(stack, times, sides):
+        yield FrozenGenerator(stack, *rows)
 
 
 def generator_at(stack: GeneratorStack, t: float,
                  side: int = 1) -> FrozenGenerator:
     """Assemble the generators of every member of `stack` at time t;
-    `side` as in `signals`."""
-    return next(stage_generators(stack, (t,), (side,)))
+    `side` as in `signals`.
+
+    A member of `GeneratorStack.split` takes its row of the group's
+    weights at (t, side), formed for all members on the first such call
+    and kept on the group.  A row does not depend on how many rows its
+    block holds, so the member gets the bits of its own assembly."""
+    group = stack.group
+    if group is None:
+        return next(stage_generators(stack, (t,), (side,)))
+    rows = group.frozen_rows.get((t, side))
+    if rows is None:
+        rows = group.frozen_rows[t, side] = next(
+            stage_rows(group, (t,), (side,)))
+    j = stack.row
+    return FrozenGenerator(stack, *(r[j:j + 1] for r in rows))
 
 
 def context_is_piecewise_static(stack: GeneratorStack) -> bool:

@@ -4,10 +4,13 @@ A kappa sweep is a list of piecewise-constant test functions; the trace
 of each one's propagation to the final time is its characteristic value.
 Every propagation is one call of `evolution.evolve` on a
 `generator.GeneratorStack` of test functions, which gives each member
-exactly the value of its own one-member run.  With a time-dependent
-generator, the test functions that share their segments form one stack;
-a piecewise-static generator takes the frozen route, one test function
-per stack.  For a marginal, `on_interval` builds one test function per
+exactly the value of its own one-member run.  The test functions that
+share their segments form one group, on either route.  With a
+time-dependent generator a group is one stack and one propagation; on
+the frozen route of a piecewise-static generator each member is
+propagated alone, on its one-member stack from `GeneratorStack.split`,
+and the group assembles each segment's midpoint generator once for all
+its members.  For a marginal, `on_interval` builds one test function per
 kappa sample, holding it on [0, t_end] for one observable; joint
 statistics over several windows come from passing multi-interval test
 functions instead.
@@ -33,11 +36,12 @@ profile.
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import AliasingError, InversionQualityError, ValidationError
-from .evolution import EvolutionConfig, evolve
+from .evolution import EvolutionConfig, contractivity, evolve
 from .generator import GeneratorStack, context_is_piecewise_static
 from .measurement import ObservableSpec
 from .model import ModelSpec
@@ -85,29 +89,34 @@ def joint_charfunc(model: ModelSpec, obs: ObservableSpec, field: FieldProfile,
     1-D complex array in their order.  Each test function's final state is
     appended to `finals`, in the same order, when it is given.
 
-    The test functions are propagated in groups, one stack each, so that
-    each gets exactly the value of its one-member run: on the RK4 route a
-    group is the test functions with equal segments; on the frozen route
-    (a piecewise-static generator, or `config.freeze`) it is one test
-    function.
+    The test functions with equal segments form one group, one stack, and
+    each gets exactly the value of its one-member run.  On the RK4 route a
+    group is one `evolve` call.  On the frozen route (a piecewise-static
+    generator, or `config.freeze`) each member of a group is one `evolve`
+    call on its stack from `GeneratorStack.split`, and the group assembles
+    its generator at each segment midpoint once for all of them.  A
+    `contractivity_check` of "auto" is decided once for the sweep.
     """
     if config is None:
         config = EvolutionConfig()
+    config = replace(config, contractivity_check=contractivity(
+        config, np.asarray(rho0, dtype=complex)))
     stack = GeneratorStack(model, obs, field, kappas)
     frozen = config.freeze or context_is_piecewise_static(stack)
     groups = {}
     for j, kappa in enumerate(kappas):
-        # frozen: one run each; the tracer test pins it until ROADMAP item 1
-        key = j if frozen else tuple(segments(t_end, field, kappa))
-        groups.setdefault(key, []).append(j)
+        groups.setdefault(tuple(segments(t_end, field, kappa)), []).append(j)
     out = np.empty(len(kappas), dtype=complex)
     states = [None] * len(kappas)
     for members in groups.values():
-        res = evolve(GeneratorStack(model, obs, field,
-                                    [kappas[j] for j in members]),
-                     rho0, t_end, config)
-        out[members] = res.trace
-        for j, state in zip(members, res.final):
+        group = GeneratorStack(model, obs, field, [kappas[j] for j in members])
+        # frozen: one run per member, which the tracer test pins until
+        # ROADMAP item 1; stacking them is then only dropping the split
+        results = [evolve(part, rho0, t_end, config)
+                   for part in (group.split() if frozen else [group])]
+        out[members] = np.concatenate([res.trace for res in results])
+        for j, state in zip(members,
+                            (state for res in results for state in res.final)):
             states[j] = state
     if finals is not None:
         finals.extend(states)

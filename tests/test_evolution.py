@@ -167,6 +167,19 @@ def test_is_state():
     assert not is_state(bad)
 
 
+def test_contractivity_decides_auto_by_the_initial_state():
+    rng = np.random.default_rng(6)
+    rho = helpers.random_density(5, rng)
+    auto = EvolutionConfig()
+    assert evolution.contractivity(auto, rho) == "on"
+    assert evolution.contractivity(auto, 2.0 * rho) == "off"
+    assert evolution.contractivity(auto, rho[:, :4]) == "off"   # not square
+    for given in ("on", "off"):
+        config = EvolutionConfig(contractivity_check=given)
+        for x in (rho, 2.0 * rho):
+            assert evolution.contractivity(config, x) == given
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         EvolutionConfig(dt=0.0)

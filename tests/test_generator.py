@@ -371,19 +371,49 @@ def test_operators_are_canonical_csr():
 
 
 def test_system_free_apply_is_scalar():
-    # dim 1, K = 0, R_i = 0: the generator is its scalar rate, exactly
-    model = trivial_model(2)
-    obs = ObservableSpec.counting_only(2, 1.0, np.array([[1.0, 0.0]]))
-    field = FieldProfile((Constant(1.2 - 0.4j), Constant(0.3)), 1.0)
-    ctx = GeneratorContext(model=model, observables=obs, field=field,
-                           kappa=TestFunction([0.0, 1.0], [[0.9]]))
-    g = generator_at(ctx, 0.5)
-    assert g.scalar[0] != 0
-    tau = np.array([[0.3 + 0.2j]])
-    assert np.array_equal(g.apply(tau[None])[0], g.scalar[0] * tau)
-    assert np.array_equal(g.apply_adjoint(tau[None])[0], g.scalar[0] * tau)
-    # with no operator to apply, the stack builds no workspace
-    assert "workspace" not in ctx.__dict__
+    # dim 1, K = 0, R_i = 0: the generator is its scalar rate, and each
+    # map is the one product scalar * X, for one member and for several
+    model, obs, field, kappas, _ = _trivial_members()
+    rng = np.random.default_rng(5)
+    for n in (1, 3):
+        stack = GeneratorStack(model, obs, field, kappas[:n])
+        g = generator_at(stack, 0.5)
+        assert g.scalar[0] != 0
+        X = rng.standard_normal((n, 1, 1)) + 1j * rng.standard_normal(
+            (n, 1, 1))
+        assert np.array_equal(g.apply(X), g.scalar * X)
+        assert np.array_equal(g.apply_adjoint(X), g.scalar * X)
+        # with no operator to apply, the stack builds no workspace
+        assert "workspace" not in stack.__dict__
+
+
+@pytest.mark.parametrize("build", [_dpo_members, _hand_built_members,
+                                   _trivial_members],
+                         ids=["dpo", "hand-built", "trivial"])
+def test_split_member_generator_is_its_own_assembly(build):
+    # a member of a split stack takes its row of the group's assembly,
+    # made once per (t, side), and gets the bits of its own one-member
+    # stack's generator, at every breakpoint from both sides
+    model, obs, field, kappas, edges = build()
+    group = GeneratorStack(model, obs, field, kappas)
+    members = group.split()
+    assert [m.kappas for m in members] == [[k] for k in kappas]
+    rng = np.random.default_rng(9)
+    dim = model.space.dim
+    X = (rng.standard_normal((1, dim, dim))
+         + 1j * rng.standard_normal((1, dim, dim)))
+    for t in edges:
+        for side in (1, -1):
+            for member, kappa in zip(members, kappas):
+                g = generator_at(member, t, side)
+                own = generator_at(GeneratorStack(model, obs, field, [kappa]),
+                                   t, side)
+                assert g.stack is member
+                for name in ("s", "scalar", "w_group", "left", "right"):
+                    assert np.array_equal(getattr(g, name),
+                                          getattr(own, name)), name
+                assert np.array_equal(g.apply(X), own.apply(X))
+    assert len(group.frozen_rows) == 2 * len(edges)
 
 
 def test_trace_annihilated_without_test_function():

@@ -1,12 +1,17 @@
-"""The reports of the four benchmark workloads, pinned to their bytes.
+"""Reports of `tools/reports.py`'s runs, pinned to their bytes.
 
-`golden/workloads.json` holds, for each perfbench workload's command on
-its seed-7 config (written by `tools/reports.py`), the sha256 of the
-report and the numbers parsed from it, together with the numpy and scipy
-versions and the CPU features numpy had enabled when it was made.  On
-that same build the test compares bytes.  On any other it compares the
-parsed numbers within RTOL and ATOL, since another build may round the
-last digits differently; it prints which mode ran.
+`golden/reports.json` holds, for some of the runs in `tools/reports.py`'s
+run list, the run's exit code and either the sha256 of its report and
+the numbers parsed from it or, for a run that fails, its standard error;
+with them the numpy and scipy versions and the CPU features numpy had
+enabled when it was made.  The pinned runs are each benchmark workload's
+command on its seed-7 config, named by the workload; the shipped-config
+runs that reach the frozen-midpoint route, named CONFIG.COMMAND; and
+every run that exits nonzero.  Each runs in this process.  On the build
+that made the goldens the test compares bytes.  On any other it compares
+the parsed numbers within RTOL and ATOL, since another build may round
+the last digits differently; it prints which mode ran.  Exit codes and
+standard error are compared exactly in both modes.
 
 Rewrite the goldens only in a change that means to move the reports:
 
@@ -15,8 +20,10 @@ Rewrite the goldens only in a change that means to move the reports:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -26,7 +33,7 @@ import pytest
 import scipy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-GOLDEN = os.path.join(ROOT, "tests", "golden", "workloads.json")
+GOLDEN = os.path.join(ROOT, "tests", "golden", "reports.json")
 RTOL = 1e-9     # numbers mode: relative tolerance
 ATOL = 1e-12    # numbers mode: absolute tolerance, for entries near 0
 
@@ -85,14 +92,35 @@ def numbers(text: str, suffix: str) -> dict:
     return fields
 
 
-def record(workload: str, directory: str) -> dict:
-    """Run the workload's command in this process, on its config written
-    by `tools/reports.py`; its exit code and its report's hash and fields."""
+def run_id(name: str, command: str) -> str:
+    """A workload's run is named by the workload, a shipped config's by
+    CONFIG.COMMAND."""
+    return name if name in WORKLOADS else f"{name}.{command}"
+
+
+RUNS = {run_id(name, command): (name, command)
+        for name, command in reports.runs()}
+# the shipped runs whose generator is piecewise static, and
+# oracle-compare's freeze=True propagation on a shipped config
+FROZEN = ("poisson_counts.evolve", "poisson_counts.charfunc",
+          "poisson_counts.counts", "poisson_counts.oracle-compare",
+          "dpo_small_oracle.oracle-compare")
+
+
+def record(run: str, directory: str) -> dict:
+    """Run `run` in this process, on its config written by
+    `tools/reports.py`; its exit code, and its report's hash and fields or,
+    if it fails, its standard error."""
     from contmeas import cli
-    command, _, suffix = WORKLOADS[workload]
-    config = reports.write_workload_config(directory, workload)
-    out = os.path.join(directory, f"{workload}.{suffix}")
-    rc = cli.main([command, "--config", config, "--out", out])
+    name, command = RUNS[run]
+    config = reports.write_config(directory, name)
+    suffix = "csv" if command in ("counts", "homodyne") else "json"
+    out = os.path.join(directory, f"{run}.{suffix}")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main([command, "--config", config, "--out", out])
+    if rc:
+        return {"command": command, "exit": rc, "stderr": err.getvalue()}
     with open(out, "rb") as f:
         report = f.read()
     return {"command": command, "exit": rc,
@@ -100,19 +128,24 @@ def record(workload: str, directory: str) -> dict:
             "numbers": numbers(report.decode(), suffix)}
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_report_matches_golden(workload, tmp_path):
-    with open(GOLDEN) as f:
-        goldens = json.load(f)
-    golden = goldens["runs"][workload]
-    got = record(workload, str(tmp_path))
+with open(GOLDEN) as f:
+    GOLDENS = json.load(f)
+
+
+@pytest.mark.parametrize("run", sorted(GOLDENS["runs"]))
+def test_report_matches_golden(run, tmp_path):
+    golden = GOLDENS["runs"][run]
+    got = record(run, str(tmp_path))
     assert (got["command"], got["exit"]) == (golden["command"],
                                              golden["exit"])
-    if build() == goldens["build"]:
-        print(f"{workload}: comparing bytes")
+    if got["exit"]:
+        assert got["stderr"] == golden["stderr"]
+        return
+    if build() == GOLDENS["build"]:
+        print(f"{run}: comparing bytes")
         assert got["sha256"] == golden["sha256"]
         return
-    print(f"{workload}: another numpy, scipy or CPU than the goldens': "
+    print(f"{run}: another numpy, scipy or CPU than the goldens': "
           f"comparing numbers within rtol {RTOL:g}, atol {ATOL:g}")
     want = golden["numbers"]
     assert got["numbers"].keys() == want.keys()
@@ -127,7 +160,10 @@ def test_report_matches_golden(workload, tmp_path):
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
-        runs = {w: record(w, tmp) for w in sorted(WORKLOADS)}
+        got = {run: record(run, tmp) for run in RUNS}
     with open(GOLDEN, "w") as f:
-        json.dump({"build": build(), "runs": runs}, f, indent=1)
+        json.dump({"build": build(),
+                   "runs": {run: r for run, r in sorted(got.items())
+                            if RUNS[run][0] in WORKLOADS or run in FROZEN
+                            or r["exit"]}}, f, indent=1)
         f.write("\n")

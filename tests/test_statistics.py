@@ -357,3 +357,50 @@ def test_one_member_losing_contractivity_fails_the_stack():
     with pytest.raises(ContractivityError) as stacked:
         joint_charfunc(model, obs, field, rho0, [good, bad], 1.0, config)
     assert str(stacked.value) == str(single.value)
+
+
+def _poisson_grid():
+    model, obs, field, rho0 = poisson_setup()
+    return (model, obs, field, rho0,
+            on_interval(obs.m, 1, 1.0, counting_axis(8)), [(8, 0.5)],
+            EvolutionConfig(dt=0.05))
+
+
+def _frozen_dpo_groups():
+    # two segmentations, so two groups: [0, 1] and [0, 0.4], [0.4, 1]
+    model, obs, field, rho0 = driven_dpo()
+    kappas = (on_interval(obs.m, 3, 1.0, [0.3, -1.7, 0.0])
+              + _two_windows([0.5, -1.2]))
+    return (model, obs, field, rho0, kappas, [(3, 0.5), (2, 0.2), (2, 0.7)],
+            EvolutionConfig(dt=0.05, freeze=True))
+
+
+@pytest.mark.parametrize("build", [_poisson_grid, _frozen_dpo_groups],
+                         ids=["system-free", "dpo-freeze"])
+def test_frozen_sweep_assembles_once_per_group(monkeypatch, build):
+    # on the frozen route every test function is still its own
+    # propagation, with the bits of its own one-member run, while its
+    # group assembles each segment's midpoint generator once for all of
+    # its members
+    from contmeas import generator
+    model, obs, field, rho0, kappas, assemblies, config = build()
+    alone = [evolve(GeneratorContext(model=model, observables=obs,
+                                     field=field, kappa=k),
+                    rho0, 1.0, config) for k in kappas]
+    assembled = []
+    stage_rows = generator.stage_rows
+
+    def counting(stack, times, sides):
+        assembled.extend((len(stack), t) for t in times)
+        return stage_rows(stack, times, sides)
+
+    monkeypatch.setattr(generator, "stage_rows", counting)
+    sizes = count_members(monkeypatch)
+    finals = []
+    phi = joint_charfunc(model, obs, field, rho0, kappas, 1.0, config,
+                         finals)
+    assert sizes == [1] * len(kappas)
+    assert assembled == assemblies
+    assert np.array_equal(phi, [res.trace[0] for res in alone])
+    assert all(np.array_equal(f, res.final[0])
+               for f, res in zip(finals, alone))

@@ -32,32 +32,30 @@ SEED = 7
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 
-def runs(out_dir: str) -> list[tuple[str, str]]:
-    """(config name, subcommand) pairs, with every config written to
-    OUT_DIR/configs."""
-    configs = os.path.join(out_dir, "configs")
-    os.makedirs(configs, exist_ok=True)
+def runs() -> list[tuple[str, str]]:
+    """(config name, subcommand) pairs: every subcommand on every shipped
+    config, then each benchmark workload's subcommand on its config."""
+    from workloads import WORKLOADS
     shipped = sorted(f[:-len(".json")]
                      for f in os.listdir(os.path.join(ROOT, "configs"))
                      if f.endswith(".json"))
-    for name in shipped:
-        shutil.copy(os.path.join(ROOT, "configs", name + ".json"), configs)
-    pairs = [(name, command) for name in shipped for command in COMMANDS]
-    from workloads import WORKLOADS
-    for workload, (command, _, _) in sorted(WORKLOADS.items()):
-        write_workload_config(configs, workload)
-        pairs.append((workload, command))
-    return pairs
+    return ([(name, command) for name in shipped for command in COMMANDS]
+            + [(workload, command)
+               for workload, (command, _, _) in sorted(WORKLOADS.items())])
 
 
-def write_workload_config(configs: str, workload: str) -> str:
-    """Write the seed-SEED config of a benchmark workload to
-    CONFIGS/WORKLOAD.json and return its path.  Reports carry the sha256
-    of their config, so every comparison of their bytes writes it here."""
-    from workloads import make_config
-    path = os.path.join(configs, workload + ".json")
-    with open(path, "w") as f:
-        json.dump(make_config(workload, SEED), f, indent=2)
+def write_config(configs: str, name: str) -> str:
+    """Write the config that the runs of NAME read to CONFIGS/NAME.json
+    and return its path: a shipped config as it is, a benchmark workload's
+    generated at seed SEED.  Reports carry the sha256 of their config, so
+    every comparison of their bytes writes it here."""
+    from workloads import WORKLOADS, make_config
+    path = os.path.join(configs, name + ".json")
+    if name in WORKLOADS:
+        with open(path, "w") as f:
+            json.dump(make_config(name, SEED), f, indent=2)
+    else:
+        shutil.copy(os.path.join(ROOT, "configs", name + ".json"), path)
     return path
 
 
@@ -69,7 +67,12 @@ def main(argv) -> int:
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONHASHSEED="0")
-    for name, command in runs(out_dir):
+    pairs = runs()
+    configs = os.path.join(out_dir, "configs")
+    os.makedirs(configs, exist_ok=True)
+    for name in dict.fromkeys(name for name, _ in pairs):
+        write_config(configs, name)
+    for name, command in pairs:
         stem = f"{name}.{command}"
         report = stem + ".out"
         if os.path.exists(os.path.join(out_dir, report)):
