@@ -1,13 +1,12 @@
 """Reports of `tools/reports.py`'s runs, pinned to their bytes.
 
-`golden/reports.json` holds, for some of the runs in `tools/reports.py`'s
-run list, the run's exit code and either the sha256 of its report and
-the numbers parsed from it or, for a run that fails, its standard error;
+`golden/reports.json` holds, for every run in `tools/reports.py`'s run
+list, the run's exit code and either the sha256 of its report and the
+numbers parsed from it or, for a run that fails, its standard error;
 with them the numpy and scipy versions and the CPU features numpy had
-enabled when it was made.  The pinned runs are each benchmark workload's
-command on its seed-7 config, named by the workload; the shipped-config
-runs that reach the frozen-midpoint route, named CONFIG.COMMAND; and
-every run that exits nonzero.  Each runs in this process.  On the build
+enabled when it was made.  A benchmark workload's command on its seed-7
+config is named by the workload, a shipped config's by CONFIG.COMMAND.
+Each runs in this process.  On the build
 that made the goldens the test compares bytes.  On any other it compares
 the parsed numbers within RTOL and ATOL, since another build may round
 the last digits differently; it prints which mode ran.  Exit codes and
@@ -100,11 +99,6 @@ def run_id(name: str, command: str) -> str:
 
 RUNS = {run_id(name, command): (name, command)
         for name, command in reports.runs()}
-# the shipped runs whose generator is piecewise static, and
-# oracle-compare's freeze=True propagation on a shipped config
-FROZEN = ("poisson_counts.evolve", "poisson_counts.charfunc",
-          "poisson_counts.counts", "poisson_counts.oracle-compare",
-          "dpo_small_oracle.oracle-compare")
 
 
 def record(run: str, directory: str) -> dict:
@@ -162,8 +156,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         got = {run: record(run, tmp) for run in RUNS}
     with open(GOLDEN, "w") as f:
-        json.dump({"build": build(),
-                   "runs": {run: r for run, r in sorted(got.items())
-                            if RUNS[run][0] in WORKLOADS or run in FROZEN
-                            or r["exit"]}}, f, indent=1)
+        json.dump({"build": build(), "runs": dict(sorted(got.items()))},
+                  f, indent=1)
         f.write("\n")
