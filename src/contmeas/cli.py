@@ -49,18 +49,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _jsonable(obj):
+def _json_value(obj):
+    """`json.dumps`'s hook for what it cannot write itself: a complex
+    number as [re, im], any other numpy scalar as its Python value."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"cannot write a {type(obj).__name__} as JSON")
 
 
 class Run:
@@ -139,7 +135,7 @@ def _write(text: str, out: str | None):
 
 
 def _emit(payload: dict, out: str | None):
-    _write(json.dumps(_jsonable(payload), indent=2) + "\n", out)
+    _write(json.dumps(payload, indent=2, default=_json_value) + "\n", out)
 
 
 def _emit_csv(header: dict, columns: dict, out: str | None):

@@ -4,16 +4,18 @@ over [t_start, t_end], in absolute time.
 The coefficients are smooth except at finitely many breakpoints (edges of
 the field window, steps of the test function).  The stepper never
 straddles a breakpoint: the interval is split into smooth segments and
-each segment is covered by whole steps, with the last RK stage of a step
-that ends a segment taking the left limit of the coefficients.  Inside a
-segment everything is smooth, so classical fourth-order Runge-Kutta keeps
-its full order.  Because times are absolute, propagation to s, then from
-s to t, meets every breakpoint from the same side as the one-shot run.
+each segment is covered by whole steps.  On a segment the test functions
+and the field window are constant, so every stage of its steps, both ends
+included, reads them once at the segment's start; inside it everything is
+smooth, so classical fourth-order Runge-Kutta keeps its full order.
+Because times are absolute, propagation to s, then from s to t, splits at
+the same breakpoints as the one-shot run.
 
 `evolve` is the one propagation function.  Its state is an
 (n, dim, dim) stack, one matrix per member of a `generator.GeneratorStack`
-(n = 1 for a `GeneratorContext`), run through one segment walk, RK4
-step, step budget and per-member finiteness and contractivity check.
+(n = 1 for a `GeneratorContext`), run through one segment walk (`_walk`),
+RK4 step, step budget and per-member finiteness and contractivity check.
+The backward run of `oracle.duality_check` takes the same walk.
 Each member's arithmetic is that of its own run, so a member whose
 segments are the stack's gets exactly the state of its one-member run.
 
@@ -66,7 +68,6 @@ class EvolutionResult:
     max_abs_trace shape (n,).  A one-member run reads entry 0 of each."""
 
     final: np.ndarray
-    t_end: float
     n_steps: int
     trace: np.ndarray
     max_abs_trace: np.ndarray
@@ -92,9 +93,10 @@ def contractivity(config: EvolutionConfig, rho0: np.ndarray) -> str:
     return "on" if is_state(rho0) else "off"
 
 
-def step_count(lo: float, hi: float, dt: float) -> int:
-    """Number of equal steps of at most dt that cover [lo, hi]."""
-    count = np.ceil((hi - lo) / dt - 1e-12)
+def step_count(start: float, stop: float, dt: float) -> int:
+    """Number of equal steps of at most dt that cover the interval from
+    start to stop, in either direction."""
+    count = np.ceil(abs(stop - start) / dt - 1e-12)
     if count == np.inf:     # more than a float holds: beyond any budget
         raise IntegrationError("step budget exhausted")
     return max(1, int(count))
@@ -107,17 +109,15 @@ def rk4_stages(stack: GeneratorStack, start: float, stop: float,
     direction, from `generator.stage_generators`.
 
     The stage times are start + k (stop - start) / (2 count), the last
-    one exactly `stop`.  Both ends take the side that faces into the
-    segment; every other stage lies strictly inside it.  The end generator
-    of one step is the start generator of the next, so a segment assembles
+    one exactly `stop`.  [start, stop] is one segment, read at its lower
+    end min(start, stop), so the backward run reads the same test
+    functions and field window as the forward one.  The end generator of
+    one step is the start generator of the next, so a segment assembles
     2 count + 1 generators.
     """
-    inward = 1 if stop > start else -1
     times = start + np.arange(2 * count + 1) * (0.5 * (stop - start) / count)
     times[-1] = stop
-    sides = np.ones(len(times), dtype=np.int8)
-    sides[0], sides[-1] = inward, -inward
-    stages = stage_generators(stack, times, sides)
+    stages = stage_generators(stack, times, min(start, stop))
     g0 = next(stages)
     for _ in range(count):
         g_mid, g1 = next(stages), next(stages)
@@ -163,12 +163,14 @@ def _traces(tau: np.ndarray) -> np.ndarray:
 
 def _walk(segs, tau: np.ndarray, config: EvolutionConfig, check: bool,
           steps):
-    """RK4 over the segments `segs` for an (n, dim, dim) stack tau;
-    `steps(lo, hi, count)` gives the (start, middle, end) maps of each
-    step of a segment.  Returns the final tau, the number of
-    steps and the peak |trace| of each member.  Each segment builds its
-    `step_constants` once; as arrays they halve a product's interpreter
-    cost and keep its bits (`rk4_step`).
+    """RK4 over the segments `segs`, each a (start, stop) pair walked from
+    start to stop in either direction, for an (n, dim, dim) stack tau;
+    `steps(start, stop, count)` gives the (start, middle, end) maps of
+    each step of a segment, whose length is |stop - start| / count.
+    Returns the final tau, the number of steps and the peak |trace| of
+    each member.  Each segment builds its `step_constants` once; as arrays
+    they halve a product's interpreter cost and keep its bits
+    (`rk4_step`).
 
     A segment whose steps would exceed `max_steps` raises IntegrationError
     before `steps` is asked for its generators.  At the end of each
@@ -178,23 +180,23 @@ def _walk(segs, tau: np.ndarray, config: EvolutionConfig, check: bool,
     """
     n_steps = 0
     peak = np.abs(_traces(tau))
-    for lo, hi in segs:
-        count = step_count(lo, hi, config.dt)
+    for start, stop in segs:
+        count = step_count(start, stop, config.dt)
         if n_steps + count > config.max_steps:
             raise IntegrationError("step budget exhausted")
-        constants = step_constants((hi - lo) / count)
-        for a0, a_mid, a1 in steps(lo, hi, count):
+        constants = step_constants(abs(stop - start) / count)
+        for a0, a_mid, a1 in steps(start, stop, count):
             tau = rk4_step(a0, a_mid, a1, constants, tau)
         n_steps += count
         tr = np.abs(_traces(tau))
         if not (np.isfinite(tr).all() and np.isfinite(tau).all()):
-            raise IntegrationError(f"non-finite state at t = {hi:.6g}; "
+            raise IntegrationError(f"non-finite state at t = {stop:.6g}; "
                                    "the step is too large")
         peak = np.maximum(peak, tr)
         over = tr > 1.0 + config.contractivity_tol
         if check and over.any():
             raise ContractivityError(
-                f"|trace| = {tr[over][0]:.12g} exceeds 1 at t = {hi:.6g}; "
+                f"|trace| = {tr[over][0]:.12g} exceeds 1 at t = {stop:.6g}; "
                 "the truncation is too small or the step too large")
     return tau, n_steps, peak
 
@@ -241,8 +243,8 @@ def evolve(stack: GeneratorStack, rho0: np.ndarray, t_end: float,
     tau = np.repeat(tau[None], len(stack), axis=0)
     tau, n_steps, peak = _walk(stack.segments(t_end, start=t_start), tau,
                                config, check, steps)
-    return EvolutionResult(final=tau, t_end=t_end, n_steps=n_steps,
-                           trace=_traces(tau), max_abs_trace=peak)
+    return EvolutionResult(final=tau, n_steps=n_steps, trace=_traces(tau),
+                           max_abs_trace=peak)
 
 
 def composition_check(ctx: GeneratorContext, rho0: np.ndarray, s: float,

@@ -38,11 +38,13 @@ a cached transposing permutation.  Every sparse operator is held, like
 (rows, cols, indptr, indices, data), and every sparse product is one
 call of that kernel (`_product`).
 
-`stage_generators` assembles the generators at a whole run of times at
-once: the signals, s, r(+/-kappa), the scalar rate and the weights of
-every member are array expressions over a block of (time, member) rows,
-and each generator's K_L and K_R^T are formed only when it is handed
-out.  `generator_at` is its one-time case.  On a one-member stack from
+`stage_generators` assembles the generators at a whole run of times
+inside one segment at once.  It reads every member's kappa and the field
+window once, at the segment's start; the smooth signals, s, r(+/-kappa),
+the scalar rate and the weights of every member are array expressions
+over a block of (time, member) rows, and each generator's K_L and K_R^T
+are formed only when it is handed out.  `generator_at` is its one-time
+case, reading everything at its time.  On a one-member stack from
 `GeneratorStack.split` it forms the member's generator from the member's
 row of the split stack's weights, which that stack assembles once per
 time for all its members.  A model without operators has its scalar rate
@@ -141,8 +143,8 @@ class FrozenGenerator:
     keeps them in `ops_adj`.  Without operators (`ops` None) both maps are
     the one product scalar_k tau_k.
 
-    `s`, `left` and `right` hold one row per member, `scalar` (n, 1, 1)
-    and `w_group` (G, n, 1, 1) one entry per member, to scale it directly.
+    `left` and `right` hold one row per member, `scalar` (n, 1, 1) and
+    `w_group` (G, n, 1, 1) one entry per member, to scale it directly.
     Row k of `left` is (1, w_left, w_left_dag), the weights of K,
     R_1..R_d and R_1^dag..R_d^dag in K_L; row k of `right` is
     (1, conj w_right_dag, conj w_right), their weights in conj K_R^T.
@@ -158,13 +160,11 @@ class FrozenGenerator:
     parts of the two drift operators.
     """
 
-    __slots__ = ("stack", "s", "scalar", "w_group", "left", "right", "ops",
+    __slots__ = ("stack", "scalar", "w_group", "left", "right", "ops",
                  "ops_adj")
 
-    def __init__(self, stack: GeneratorStack, s, scalar, w_group, left,
-                 right):
+    def __init__(self, stack: GeneratorStack, scalar, w_group, left, right):
         self.stack = stack
-        self.s = s
         self.scalar = scalar[:, None, None]
         self.w_group = w_group.T[:, :, None, None]
         self.left = left
@@ -254,7 +254,7 @@ class GeneratorStack:
     def split(self) -> list[GeneratorStack]:
         """The members as one-member stacks, in order.  `generator_at`
         takes their generators from this stack's weights, which it keeps
-        in `frozen_rows` by (t, side)."""
+        in `frozen_rows` by time."""
         self.frozen_rows = {}
         members = []
         for row, kappa in enumerate(self.kappas):
@@ -294,7 +294,7 @@ BLOCK = 4096
 
 def _weight_rows(model: ModelSpec, obs: ObservableSpec, lam: np.ndarray,
                  kappa: np.ndarray, t: np.ndarray):
-    """s, scalar, w_group and the left and right basis weights (see
+    """scalar, w_group and the left and right basis weights (see
     `FrozenGenerator`) for the field values `lam` and test-function values
     `kappa` at the times t, one row per time."""
     s, r_plus, r_minus, rate = obs.coefficients(kappa, t)
@@ -311,59 +311,61 @@ def _weight_rows(model: ModelSpec, obs: ObservableSpec, lam: np.ndarray,
     one = np.ones((len(t), 1))
     left = np.concatenate((one, r_minus_conj + s * mu_conj, -mu), axis=1)
     right = np.concatenate((one, np.conj(r_plus + s * mu), -mu), axis=1)
-    return s, scalar, w_group, left, right
+    return scalar, w_group, left, right
 
 
-def stage_rows(stack: GeneratorStack, times, sides):
-    """Yield s, scalar, w_group, left and right (see `FrozenGenerator`),
-    one row per member of `stack`, at each time of `times`, in order,
-    taken from the side of the matching entry of `sides` (as in
-    `signals`).
+def stage_rows(stack: GeneratorStack, times, start: float):
+    """Yield scalar, w_group, left and right (see `FrozenGenerator`), one
+    row per member of `stack`, at each time of `times`, in order; `start`
+    is the start of the segment (see `signals.segments`) that holds them.
 
-    The weights of all members are formed with array operations, for as
-    many times at once as BLOCK rows hold.
+    Every member's kappa and the field window are constant on the
+    segment, so they are read once, right-continuously at `start`; only
+    the smooth signals are evaluated at each time.  The weights of all
+    members are formed with array operations, for as many times at once
+    as BLOCK rows hold.
     """
     times = np.asarray(times, dtype=float)
-    sides = np.asarray(sides)
     n = len(stack)
+    field = stack.field
+    on = field.covers(start)
+    kappa = np.stack([k.value(start) for k in stack.kappas])
     block = max(1, BLOCK // n)
     for lo in range(0, len(times), block):
-        t, side = times[lo:lo + block], sides[lo:lo + block]
+        t = times[lo:lo + block]
+        lam = np.where(on, field.table(t), 0j)
         # one row per (time, member), time-major
-        kappa = np.stack([k.value(t, side) for k in stack.kappas], axis=1)
         rows = _weight_rows(stack.model, stack.observables,
-                            np.repeat(stack.field.value(t, side), n, axis=0),
-                            kappa.reshape(len(t) * n, -1), np.repeat(t, n))
-        s, scalar, w_group, left, right = (
+                            np.repeat(lam, n, axis=0),
+                            np.tile(kappa, (len(t), 1)), np.repeat(t, n))
+        scalar, w_group, left, right = (
             r.reshape((len(t), n) + r.shape[1:]) for r in rows)
         for k in range(len(t)):
-            yield s[k], scalar[k], w_group[k], left[k], right[k]
+            yield scalar[k], w_group[k], left[k], right[k]
 
 
-def stage_generators(stack: GeneratorStack, times, sides):
+def stage_generators(stack: GeneratorStack, times, start: float):
     """Yield the generator of every member of `stack` at each time of
-    `times`, from `stage_rows`; each generator's kernel operators are
-    formed only when it is yielded."""
-    for rows in stage_rows(stack, times, sides):
+    `times` (in the segment from `start`), from `stage_rows`; each
+    generator's kernel operators are formed only when it is yielded."""
+    for rows in stage_rows(stack, times, start):
         yield FrozenGenerator(stack, *rows)
 
 
-def generator_at(stack: GeneratorStack, t: float,
-                 side: int = 1) -> FrozenGenerator:
-    """Assemble the generators of every member of `stack` at time t;
-    `side` as in `signals`.
+def generator_at(stack: GeneratorStack, t: float) -> FrozenGenerator:
+    """Assemble the generators of every member of `stack` at time t,
+    reading every coefficient there.
 
     A member of `GeneratorStack.split` takes its row of the group's
-    weights at (t, side), formed for all members on the first such call
-    and kept on the group.  A row does not depend on how many rows its
-    block holds, so the member gets the bits of its own assembly."""
+    weights at t, formed for all members on the first such call and kept
+    on the group.  A row does not depend on how many rows its block
+    holds, so the member gets the bits of its own assembly."""
     group = stack.group
     if group is None:
-        return next(stage_generators(stack, (t,), (side,)))
-    rows = group.frozen_rows.get((t, side))
+        return next(stage_generators(stack, (t,), t))
+    rows = group.frozen_rows.get(t)
     if rows is None:
-        rows = group.frozen_rows[t, side] = next(
-            stage_rows(group, (t,), (side,)))
+        rows = group.frozen_rows[t] = next(stage_rows(group, (t,), t))
     j = stack.row
     return FrozenGenerator(stack, *(r[j:j + 1] for r in rows))
 

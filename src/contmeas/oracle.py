@@ -23,8 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .evolution import (EvolutionConfig, evolve, rk4_stages, rk4_step,
-                        step_constants, step_count)
+from .evolution import EvolutionConfig, _walk, evolve, rk4_stages
 from .generator import GeneratorContext
 from .measurement import ObservableSpec
 from .model import ModelSpec
@@ -128,28 +127,29 @@ def dense_expm_propagate(model: ModelSpec, obs: ObservableSpec,
     return vec.reshape(dim, dim, order="F")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def duality_check(ctx: GeneratorContext, rho0: np.ndarray, X: np.ndarray,
                   t: float, config: EvolutionConfig | None = None) -> dict:
     """Forward-backward consistency of the trace pairing.
 
     Evolve rho0 forward to time t.  Evolve X backward from t to 0 through
-    the adjoint generator.  Both routes evaluate the same number:
-    Tr(X tau(t)) = Tr(Y(0) rho0).
+    the adjoint generator, on the segment walk of `evolve`, step budget
+    and finiteness check (IntegrationError) included.  Both routes
+    evaluate the same number: Tr(X tau(t)) = Tr(Y(0) rho0).
     """
     if config is None:
         config = EvolutionConfig()
     forward = evolve(ctx, rho0, t, config).final[0]
     lhs = complex(np.trace(X @ forward))
 
-    Y = np.array(X, dtype=complex)[None]
-    for lo, hi in reversed(ctx.segments(t)):
-        count = step_count(lo, hi, config.dt)
-        constants = step_constants((hi - lo) / count)
-        # dY/ds = -A'_s[Y] run from hi down to lo is forward RK4 in -s on
-        # the adjoint; the stages start at hi from the left and end at lo
-        # from the right
-        for g0, g_mid, g1 in rk4_stages(ctx, hi, lo, count):
-            Y = rk4_step(g0.apply_adjoint, g_mid.apply_adjoint,
-                          g1.apply_adjoint, constants, Y)
+    # dY/ds = -A'_s[Y] run from hi down to lo is forward RK4 in -s on the
+    # adjoint, with the step (hi - lo) / count
+    def steps(hi, lo, count):
+        return ((g0.apply_adjoint, g_mid.apply_adjoint, g1.apply_adjoint)
+                for g0, g_mid, g1 in rk4_stages(ctx, hi, lo, count))
+
+    backward = [(hi, lo) for lo, hi in reversed(ctx.segments(t))]
+    Y, _, _ = _walk(backward, np.array(X, dtype=complex)[None], config,
+                    False, steps)
     rhs = complex(np.trace(Y[0] @ np.array(rho0, dtype=complex)))
     return {"forward": lhs, "backward": rhs, "residual": abs(lhs - rhs)}

@@ -2,15 +2,12 @@
 field profiles and the smooth segments between their breakpoints.
 
 Signals are harmonics, constants among them, so they are smooth.  Only
-test functions and the edges of a field window jump, so only they have
-breakpoints and take `side`: `side=+1` gives the right-continuous value
-at a breakpoint, `side=-1` the limit from the left.  The integrator needs
-the left limit for the last stage of a step that ends exactly on a
-breakpoint.
-
-Test functions and field profiles take one time or an array of times (with
-one side or a matching array of sides) and return one row per time, so a
-whole run of integrator stages is evaluated at once.
+test functions and the edges of a field window jump, and `segments`
+splits a run at every such jump.  So between two breakpoints a test
+function and the window's on/off state are constant: the integrator reads
+them once per segment, right-continuously at its start
+(`TestFunction.value`, `FieldProfile.covers`), and evaluates only the
+field's smooth `SignalTable` at each stage.
 """
 
 from __future__ import annotations
@@ -64,16 +61,6 @@ class SignalTable:
             1j * (self.phase + np.multiply.outer(t, self.frequency)))
 
 
-def piece(breaks: np.ndarray, t, side=1):
-    """Index of the piece of time t between increasing `breaks`: 0 before
-    the first, len(breaks) after the last.  At a breakpoint, side > 0
-    takes the piece to its right and side <= 0 the piece to its left.
-    Elementwise for an array t, with one side or an array of sides."""
-    return np.where(np.greater(side, 0),
-                    np.searchsorted(breaks, t, side="right"),
-                    np.searchsorted(breaks, t, side="left"))
-
-
 class TestFunction:
     """Piecewise-constant R^m-valued test function, zero outside its span.
 
@@ -105,10 +92,11 @@ class TestFunction:
     def is_zero(self) -> bool:
         return self.values.size == 0 or not np.any(self.values)
 
-    def value(self, t, side=1) -> np.ndarray:
-        """Value at t, length m, or one row per time for an array t (with
-        one side or an array of sides)."""
-        return np.take(self._rows, piece(self.breaks, t, side), axis=0)
+    def value(self, t: float) -> np.ndarray:
+        """Value at time t, length m, or one row per time for an array t;
+        right-continuous at a breakpoint."""
+        return np.take(self._rows, np.searchsorted(self.breaks, t, "right"),
+                       axis=0)
 
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(self.breaks)
@@ -122,18 +110,19 @@ class FieldProfile:
         self.window = float(window)
         if not self.window >= 0:
             raise ValueError(f"field window must be >= 0, got {window!r}")
-        self._edges = np.array([0.0, self.window])
-        self._table = SignalTable(self.signals)
+        self.table = SignalTable(self.signals)
 
     @property
     def d(self) -> int:
         return len(self.signals)
 
-    def value(self, t, side=1) -> np.ndarray:
-        """Value at t, length d, or one row per time for an array t (with
-        one side or an array of sides)."""
-        inside = piece(self._edges, t, side) == 1
-        return np.where(inside[..., None], self._table(t), 0j)
+    def covers(self, t: float) -> bool:
+        """Whether the field is on at time t, in [0, window)."""
+        return 0.0 <= t < self.window
+
+    def value(self, t: float) -> np.ndarray:
+        """Value at time t, length d."""
+        return np.where(self.covers(t), self.table(t), 0j)
 
     def breakpoints(self) -> tuple[float, ...]:
         return (0.0, self.window)

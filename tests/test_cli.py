@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from contmeas.cli import main
+from contmeas.cli import _emit, main
 
 
 def dpo_config(**over):
@@ -114,6 +114,24 @@ def test_homodyne_aliasing_exit_5(tmp_path, capsys):
     code = main(["homodyne", "--config", write(tmp_path, cfg)])
     assert code == 5
     assert "kappa_max" in capsys.readouterr().err
+
+
+def test_emit_writes_numpy_scalars(capsys):
+    # complex numbers as [re, im] pairs and other numpy scalars as their
+    # Python values, nested in dicts and lists: the text `_emit` wrote
+    # before json.dumps took a hook
+    _emit({"phi": np.complex128(0.1 + 0.2j),
+           "run": {"trace": np.float64(1 / 3), "n_steps": np.int64(200),
+                   "pair": [np.complex128(-1.5e-17 - 2j), np.float64(-0.0)]}},
+          None)
+    assert capsys.readouterr().out == (
+        '{\n  "phi": [\n    0.1,\n    0.2\n  ],\n  "run": {\n'
+        '    "trace": 0.3333333333333333,\n    "n_steps": 200,\n'
+        '    "pair": [\n      [\n        -1.5e-17,\n        -2.0\n      ],\n'
+        '      -0.0\n    ]\n  }\n}\n')
+    # an integer is no pair, and a numpy bool is written as a bool
+    _emit({"n": np.int64(3), "ok": np.bool_(True)}, None)
+    assert capsys.readouterr().out == '{\n  "n": 3,\n  "ok": true\n}\n'
 
 
 def test_evolve_report(tmp_path, capsys):

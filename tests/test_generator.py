@@ -87,37 +87,45 @@ def _hand_built_context():
 
 
 def test_stage_generators_match_one_point_assembly():
-    # the batched assembly over many (t, side) pairs, across weight blocks,
-    # equals the one-point assembly at each pair: at the breakpoints of a
-    # two-interval test function from both sides, outside the field window
-    # (which ends at 1.5, inside the horizon 2) and where kappa = 0
+    # on every segment of a test function stepping at 0.2, 0.9 and 1.3
+    # and a field window ending at 1.5, inside the horizon 2, the batched
+    # assembly over both ends and many inner times, across weight blocks,
+    # equals the one-point assembly at each time on that segment
     rng, params, model, obs, _ = build_setup(seed=4)
     field = dpo_laser_field(params, 1.5)
     kappa = TestFunction([0.2, 0.9, 1.3], [[0.5, -0.3, 0.8], [0.0, 0.0, -1.1]])
     ctx = GeneratorContext(model=model, observables=obs, field=field,
                            kappa=kappa)
-    edges = [0.0, 0.2, 0.9, 1.3, 1.5, 2.0]
-    times = np.concatenate((edges, edges, rng.uniform(-0.3, 2.3, 2 * BLOCK)))
-    sides = np.concatenate((np.ones(6), -np.ones(6),
-                            rng.choice([-1, 1], 2 * BLOCK))).astype(int)
-    gens = list(stage_generators(ctx, times, sides))
-    assert len(gens) == len(times) > BLOCK
-    for t, side, g in zip(times, sides, gens):
-        ref = generator_at(ctx, t, side)
-        for name in ("scalar", "s", "w_group", "left", "right"):
-            assert np.max(np.abs(getattr(g, name) - getattr(ref, name))) \
-                <= 1e-15, name
-        for op, ref_op in zip(g.ops, ref.ops):   # K_L, K_R^T data first
-            assert np.max(np.abs(op[-1] - ref_op[-1])) <= 1e-15
-    # the cases the batch must cover do occur
-    kappa_zero = [not np.any(kappa.value(t, sd)) for t, sd in zip(times, sides)]
-    outside = [not np.any(field.value(t, sd)) for t, sd in zip(times, sides)]
-    assert 0 < sum(kappa_zero) < len(times)
-    assert 0 < sum(outside) < len(times)
+    segs = ctx.segments(2.0)
+    assert segs == [(0.0, 0.2), (0.2, 0.9), (0.9, 1.3), (1.3, 1.5),
+                    (1.5, 2.0)]
     w_left = slice(1, 1 + model.d)   # in the rows of `left`
-    for k, t in enumerate(edges[1:4], start=1):   # the sides differ there
-        assert np.max(np.abs(gens[k].left[0, w_left]
-                             - gens[6 + k].left[0, w_left])) > 1e-3
+    mu = slice(1 + model.d, None)    # -S lam there
+    for lo, hi in segs:
+        inner = rng.uniform(lo, hi, BLOCK + 1 if lo == 0.2 else 100)
+        times = np.concatenate(([lo], inner, [hi]))
+        gens = list(stage_generators(ctx, times, lo))
+        assert len(gens) == len(times)
+        for t, g in zip(times, gens):
+            ref = next(stage_generators(ctx, (t,), lo))
+            for name in ("scalar", "w_group", "left", "right"):
+                assert np.max(np.abs(getattr(g, name)
+                                     - getattr(ref, name))) <= 1e-15, name
+            for op, ref_op in zip(g.ops, ref.ops):   # K_L, K_R^T data first
+                assert np.max(np.abs(op[-1] - ref_op[-1])) <= 1e-15
+        if hi in kappa.breakpoints():
+            # the end stage carries this segment's kappa, not the next one's
+            held = GeneratorContext(
+                model=model, observables=obs, field=field,
+                kappa=TestFunction([0.0, 2.0], [kappa.value(lo)]))
+            assert np.array_equal(gens[-1].left,
+                                  generator_at(held, hi).left)
+            assert np.max(np.abs(gens[-1].left[0, w_left]
+                                 - generator_at(ctx, hi).left[0, w_left])) \
+                > 1e-3
+        # the field is on up to 1.5, that end included, and off after it
+        on = [np.any(g.left[0, mu]) for g in gens]
+        assert on == [hi <= 1.5] * len(gens)
 
 
 def _dpo_members():
@@ -144,28 +152,29 @@ def _hand_built_members():
 @pytest.mark.parametrize("build", [_dpo_members, _hand_built_members],
                          ids=["dpo", "hand-built"])
 def test_stacked_generators_apply_each_members_generator(build):
-    # across weight blocks, at every breakpoint from both sides, and where
-    # a member's kappa is zero, member k of an n-member application is
-    # exactly member k's own one-member application
+    # on every segment, both ends included, across weight blocks, and
+    # where a member's kappa is zero, member k of an n-member application
+    # is exactly member k's own one-member application
     model, obs, field, kappas, edges = build()
     rng = np.random.default_rng(8)
+    stack = GeneratorStack(model, obs, field, kappas)
     contexts = [GeneratorContext(model=model, observables=obs, field=field,
                                  kappa=k) for k in kappas]
-    n = len(edges)
-    times = np.concatenate((edges, edges, rng.uniform(-0.3, edges[-1] + 0.3,
-                                                      BLOCK)))
-    sides = np.concatenate((np.ones(n), -np.ones(n),
-                            rng.choice([-1, 1], BLOCK))).astype(int)
+    segs = stack.segments(edges[-1])
+    assert [lo for lo, _ in segs] == edges[:-1]
     dim = model.space.dim
     X = (rng.standard_normal((len(kappas), dim, dim))
          + 1j * rng.standard_normal((len(kappas), dim, dim)))
-    stacked = list(stage_generators(GeneratorStack(model, obs, field, kappas),
-                                    times, sides))
-    assert len(stacked) == len(times) > BLOCK
-    for k, ctx in enumerate(contexts):
-        own = stage_generators(ctx, times, sides)
-        for g, g_own in zip(stacked, own):
-            assert np.array_equal(g.apply(X)[k], g_own.apply(X[k:k + 1])[0])
+    for lo, hi in segs:
+        inner = rng.uniform(lo, hi, BLOCK // 2 if lo == 0.0 else 64)
+        times = np.concatenate(([lo], inner, [hi]))
+        stacked = list(stage_generators(stack, times, lo))
+        assert len(stacked) == len(times)
+        for k, ctx in enumerate(contexts):
+            own = stage_generators(ctx, times, lo)
+            for g, g_own in zip(stacked, own):
+                assert np.array_equal(g.apply(X)[k],
+                                      g_own.apply(X[k:k + 1])[0])
 
 
 def _trivial_members():
@@ -392,8 +401,8 @@ def test_system_free_apply_is_scalar():
                          ids=["dpo", "hand-built", "trivial"])
 def test_split_member_generator_is_its_own_assembly(build):
     # a member of a split stack takes its row of the group's assembly,
-    # made once per (t, side), and gets the bits of its own one-member
-    # stack's generator, at every breakpoint from both sides
+    # made once per time, and gets the bits of its own one-member stack's
+    # generator, at every breakpoint
     model, obs, field, kappas, edges = build()
     group = GeneratorStack(model, obs, field, kappas)
     members = group.split()
@@ -403,17 +412,15 @@ def test_split_member_generator_is_its_own_assembly(build):
     X = (rng.standard_normal((1, dim, dim))
          + 1j * rng.standard_normal((1, dim, dim)))
     for t in edges:
-        for side in (1, -1):
-            for member, kappa in zip(members, kappas):
-                g = generator_at(member, t, side)
-                own = generator_at(GeneratorStack(model, obs, field, [kappa]),
-                                   t, side)
-                assert g.stack is member
-                for name in ("s", "scalar", "w_group", "left", "right"):
-                    assert np.array_equal(getattr(g, name),
-                                          getattr(own, name)), name
-                assert np.array_equal(g.apply(X), own.apply(X))
-    assert len(group.frozen_rows) == 2 * len(edges)
+        for member, kappa in zip(members, kappas):
+            g = generator_at(member, t)
+            own = generator_at(GeneratorStack(model, obs, field, [kappa]), t)
+            assert g.stack is member
+            for name in ("scalar", "w_group", "left", "right"):
+                assert np.array_equal(getattr(g, name),
+                                      getattr(own, name)), name
+            assert np.array_equal(g.apply(X), own.apply(X))
+    assert len(group.frozen_rows) == len(edges)
 
 
 def test_trace_annihilated_without_test_function():
@@ -501,7 +508,8 @@ def test_kernel_coefficient_layout():
     w_left_dag = -mu
     w_right = -np.conj(mu)
     w_right_dag = r_p + s * mu
-    assert np.allclose(g.s[0], s)
+    assert np.allclose(g.w_group[:, 0, 0, 0],
+                       s @ model.operators.group_weights)
     assert np.allclose(g.left[0], np.concatenate(([1], w_left, w_left_dag)))
     assert np.allclose(g.right[0], np.concatenate(
         ([1], np.conj(w_right_dag), np.conj(w_right))))

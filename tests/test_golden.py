@@ -6,11 +6,11 @@ numbers parsed from it or, for a run that fails, its standard error;
 with them the numpy and scipy versions and the CPU features numpy had
 enabled when it was made.  A benchmark workload's command on its seed-7
 config is named by the workload, a shipped config's by CONFIG.COMMAND.
-Each runs in this process.  On the build
-that made the goldens the test compares bytes.  On any other it compares
-the parsed numbers within RTOL and ATOL, since another build may round
-the last digits differently; it prints which mode ran.  Exit codes and
-standard error are compared exactly in both modes.
+Each runs in this process.  On the build that made the goldens the test
+compares bytes.  On any other it compares the parsed numbers within RTOL
+and ATOL, since another build may round the last digits differently; it
+prints which mode ran.  Exit codes and standard error are compared
+exactly in both modes.
 
 Rewrite the goldens only in a change that means to move the reports:
 

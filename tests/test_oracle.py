@@ -3,11 +3,12 @@ import pytest
 
 import helpers
 from contmeas import (Constant, EvolutionConfig, FieldProfile,
-                      GeneratorContext, Harmonic, ObservableSpec,
-                      TestFunction, TruncatedSpace, ValidationError, ZERO,
-                      dense_expm_propagate, dpo_laser_field, dpo_model,
-                      dpo_observables, duality_check, evolve,
-                      system_free_charfunc, trivial_model)
+                      GeneratorContext, Harmonic, IntegrationError,
+                      ObservableSpec, TestFunction, TruncatedSpace,
+                      ValidationError, ZERO, dense_expm_propagate,
+                      dpo_laser_field, dpo_model, dpo_observables,
+                      duality_check, evolve, system_free_charfunc,
+                      trivial_model)
 
 
 def small_dpo(seed, n_max=2, m_max=2, horizon=2.0):
@@ -82,3 +83,18 @@ def test_duality_residual_small(window):
     out = duality_check(ctx, rho0, X, 1.7, EvolutionConfig(dt=1e-3))
     assert out["residual"] < 1e-9
     assert abs(out["forward"] - out["backward"]) == out["residual"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_duality_rejects_non_finite_functional(bad):
+    # the backward pass takes the segment walk of `evolve`, whose
+    # finiteness check raises rather than reporting a NaN residual
+    model, obs, field, rng = small_dpo(seed=5)
+    ctx = GeneratorContext(model=model, observables=obs, field=field,
+                           kappa=TestFunction([0.0, 0.9], [[0.3, 0.1, -0.4]]))
+    dim = model.space.dim
+    X = helpers.random_hermitian(dim, rng)
+    X[1, 0] = bad
+    with pytest.raises(IntegrationError, match="non-finite"):
+        duality_check(ctx, helpers.random_density(dim, rng), X, 1.2,
+                      EvolutionConfig(dt=1e-2))

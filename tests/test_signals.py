@@ -22,8 +22,10 @@ def test_test_function_basics():
     assert k.m == 2
     assert not k.is_zero
     assert np.allclose(k.value(0.2), [1.0, 0.0])
-    assert np.allclose(k.value(1.0, side=-1), [1.0, 0.0])
-    assert np.allclose(k.value(1.0, side=+1), [0.5, -2.0])
+    # right-continuous at a breakpoint
+    assert np.allclose(k.value(0.0), [1.0, 0.0])
+    assert np.allclose(k.value(1.0), [0.5, -2.0])
+    assert np.allclose(k.value(2.5), [0.0, 0.0])
     assert np.allclose(k.value(3.0), [0.0, 0.0])
     assert np.allclose(k.value(-1.0), [0.0, 0.0])
     with pytest.raises(ValueError):
@@ -43,11 +45,16 @@ def test_field_profile():
     assert f.d == 2
     assert f.breakpoints() == (0.0, 2.0)
     assert np.allclose(f.value(0.5), [1.0 + 2.0j, 0.0])
-    assert np.allclose(f.value(2.0, side=+1), [0.0, 0.0])
-    assert np.allclose(f.value(2.0, side=-1), [1.0 + 2.0j, 0.0])
+    # right-continuous at the window's edges
+    assert np.allclose(f.value(0.0), [1.0 + 2.0j, 0.0])
+    assert np.allclose(f.value(2.0), [0.0, 0.0])
     assert np.allclose(f.value(-0.5), [0.0, 0.0])
+    assert f.covers(0.0) and f.covers(1.3)
+    assert not f.covers(2.0) and not f.covers(-0.5)
     # a zero window switches the field off; a negative or NaN one is refused
-    assert np.allclose(FieldProfile((Constant(1.0),), 0.0).value(0.0), [0.0])
+    off = FieldProfile((Constant(1.0),), 0.0)
+    assert not off.covers(0.0)
+    assert np.allclose(off.value(0.0), [0.0])
     for window in (-1.0, float("nan")):
         with pytest.raises(ValueError):
             FieldProfile((Constant(1.0),), window)

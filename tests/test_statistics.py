@@ -68,7 +68,7 @@ def test_on_interval_test_functions():
         assert k.m == 3
         assert k.breakpoints() == (0.0, 1.5)
         assert np.array_equal(k.value(0.2), [0.0, kap, 0.0])
-        assert np.array_equal(k.value(1.5, side=-1), [0.0, kap, 0.0])
+        assert np.array_equal(k.value(0.0), [0.0, kap, 0.0])
         assert np.array_equal(k.value(1.5), np.zeros(3))
         assert np.array_equal(k.value(-0.1), np.zeros(3))
 
@@ -319,14 +319,14 @@ def test_stack_step_budget_checked_before_assembly(monkeypatch):
     assembled = []
     original = evolution.stage_generators
 
-    def counting(stack, times, sides):
-        for g in original(stack, times, sides):
+    def counting(stack, times, start):
+        for g in original(stack, times, start):
             assembled[-1] += 1
             yield g
 
-    def wrapped(stack, times, sides):
+    def wrapped(stack, times, start):
         assembled.append(0)
-        return counting(stack, times, sides)
+        return counting(stack, times, start)
 
     monkeypatch.setattr(evolution, "stage_generators", wrapped)
     for budget, want in ((10, [2 * 8 + 1]), (5, [])):
@@ -390,9 +390,9 @@ def test_frozen_sweep_assembles_once_per_group(monkeypatch, build):
     assembled = []
     stage_rows = generator.stage_rows
 
-    def counting(stack, times, sides):
+    def counting(stack, times, start):
         assembled.extend((len(stack), t) for t in times)
-        return stage_rows(stack, times, sides)
+        return stage_rows(stack, times, start)
 
     monkeypatch.setattr(generator, "stage_rows", counting)
     sizes = count_members(monkeypatch)
