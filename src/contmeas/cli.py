@@ -13,7 +13,8 @@ an observable that `counts` or `homodyne` cannot invert, a counting
 eigenvalue at or above `n_points`, and a model whose operators, or whose
 dissipativity block, overflow), 4 integration failure (including a state
 that is no longer finite, and a step count too large for a float, as a
-dt of 5e-324 asks for), 5 inversion-quality failure.
+dt of 5e-324 asks for), 5 inversion-quality failure (including a homodyne
+x grid, or density, that is not finite).
 """
 
 from __future__ import annotations
@@ -219,7 +220,8 @@ def cmd_homodyne(run: Run, out):
     x_min = run.run.get("x_min", -6.0)
     x_max = run.run.get("x_max", 6.0)
     x_points = run.run.get("x_points", 201)
-    x = np.linspace(x_min, x_max, x_points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.linspace(x_min, x_max, x_points)   # invert_homodyne checks it
     finals = []
     p = homodyne_distribution(run.model, run.obs, run.field, run.rho0,
                               run.observable(), t_end, kappa_max, x,

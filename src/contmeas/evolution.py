@@ -15,7 +15,8 @@ the same breakpoints as the one-shot run.
 (n, dim, dim) stack, one matrix per member of a `generator.GeneratorStack`
 (n = 1 for a `GeneratorContext`), run through one segment walk (`_walk`),
 RK4 step, step budget and per-member finiteness and contractivity check.
-The backward run of `oracle.duality_check` takes the same walk.
+The backward run of `oracle.duality_check` takes the same walk, on
+stage generators that hold only the adjoint's kernel operators.
 Each member's arithmetic is that of its own run, so a member whose
 segments are the stack's gets exactly the state of its one-member run.
 
@@ -103,10 +104,11 @@ def step_count(start: float, stop: float, dt: float) -> int:
 
 
 def rk4_stages(stack: GeneratorStack, start: float, stop: float,
-               count: int):
+               count: int, adjoint: bool = False):
     """Stage generators (start, middle, end) of the members of `stack` for
     each of `count` equal RK4 steps from `start` to `stop`, in either
-    direction, from `generator.stage_generators`.
+    direction, from `generator.stage_generators`, with the kernel
+    operators of `apply`, or of `apply_adjoint` if `adjoint`.
 
     The stage times are start + k (stop - start) / (2 count), the last
     one exactly `stop`.  [start, stop] is one segment, read at its lower
@@ -117,7 +119,7 @@ def rk4_stages(stack: GeneratorStack, start: float, stop: float,
     """
     times = start + np.arange(2 * count + 1) * (0.5 * (stop - start) / count)
     times[-1] = stop
-    stages = stage_generators(stack, times, min(start, stop))
+    stages = stage_generators(stack, times, min(start, stop), adjoint)
     g0 = next(stages)
     for _ in range(count):
         g_mid, g1 = next(stages), next(stages)

@@ -32,28 +32,34 @@ members and of the first call's products.  Each block is tiled once per
 member.  The stack builds the patterns and the sandwich data of both
 operators once, and one workspace that every application reuses; each
 generator adds only the data of its K_L and K_R^T.  The adjoint takes
-the transposed pattern and the sandwich pairs of P_g^dag X P_g, through
-a cached transposing permutation.  Every sparse operator is held, like
-`SystemOperator.csr`, as the arguments of scipy's CSR kernel,
-(rows, cols, indptr, indices, data), and every sparse product is one
-call of that kernel (`_product`).
+the transposed pattern and the sandwich pairs of P_g^dag X P_g, its
+drift data gathered through a cached transposing permutation.  Every
+sparse operator is held, like `SystemOperator.csr`, as the arguments of
+scipy's CSR kernel, (rows, cols, indptr, indices, data), and every
+sparse product is one call of that kernel (`_product`).
 
 `stage_generators` assembles the generators at a whole run of times
-inside one segment at once.  It reads every member's kappa and the field
-window once, at the segment's start; the smooth signals, s, r(+/-kappa),
-the scalar rate and the weights of every member are array expressions
-over a block of (time, member) rows, and each generator's K_L and K_R^T
-are formed only when it is handed out.  `generator_at` is its one-time
-case, reading everything at its time.  On a one-member stack from
-`GeneratorStack.split` it forms the member's generator from the member's
-row of the split stack's weights, which that stack assembles once per
-time for all its members.  A model without operators has its scalar rate
-as its generator, so an application is the one product scalar * tau.
+inside one segment at once, a block at a time.  It reads every member's
+kappa and the field window once, at the segment's start, and forms each
+factor at its own rank: the smooth signals once per time, s once per
+member, and only r(+/-kappa), the scalar rate and the weights per (time,
+member).  The kernel operators of a sub-block of times, bounded by
+OPERAND_BUDGET entries, come from one stacked product into one data
+array per operator, a row per time (`_operands`).  They are those of
+`apply`, or, for a backward run, directly those of `apply_adjoint`; a
+generator asked for the other map forms its operators then, by the same
+routine.  `generator_at` is its one-time case, reading everything at
+its time.  On a one-member stack from `GeneratorStack.split` it forms
+the member's generator from the member's row of the split stack's
+weights, which that stack assembles once per time for all its members.
+A model without operators has its scalar rate as its generator, so an
+application is the one product scalar * tau.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -136,12 +142,14 @@ class FrozenGenerator:
     and one sandwich per group g of proportional channel operators
     R_i = c_i P_g, with w_g = sum_{i in g} s_i |c_i|^2 (`ModelSpec.operators`
     holds the groups).  K_L and K_R^T of all members are weighted sums of
-    the cached basis, formed once per assembly as the drift data of the
-    stack's two kernel operators (`ops`, see `_act`); applying the
-    generator costs those two kernel calls, in the stack's workspace.
-    `apply_adjoint` forms the transposed operators on its first call and
-    keeps them in `ops_adj`.  Without operators (`ops` None) both maps are
-    the one product scalar_k tau_k.
+    the cached basis, the drift data of the stack's two kernel operators
+    (`ops`, see `_act`), formed with those of a whole sub-block of times
+    (`_operands`); applying the generator costs those two kernel calls,
+    in the stack's workspace.  `ops` are the operators of `apply`, or,
+    if `adjoint`, of `apply_adjoint`; the other map forms its operators
+    on each call, so a backward run asks `stage_generators` for adjoint
+    generators.  Without operators (`ops` None) both maps are the one
+    product scalar_k tau_k.
 
     `left` and `right` hold one row per member, `scalar` (n, 1, 1) and
     `w_group` (G, n, 1, 1) one entry per member, to scale it directly.
@@ -161,44 +169,43 @@ class FrozenGenerator:
     """
 
     __slots__ = ("stack", "scalar", "w_group", "left", "right", "ops",
-                 "ops_adj")
+                 "adjoint")
 
-    def __init__(self, stack: GeneratorStack, scalar, w_group, left, right):
+    def __init__(self, stack: GeneratorStack, scalar, w_group, left, right,
+                 ops, adjoint: bool = False):
         self.stack = stack
-        self.scalar = scalar[:, None, None]
-        self.w_group = w_group.T[:, :, None, None]
+        self.scalar = scalar
+        self.w_group = w_group
         self.left = left
         self.right = right
-        basis = stack.model.operators.basis
-        self.ops = self.ops_adj = None
-        if basis.shape[1]:
-            # one vector-matrix product per member: a matrix-matrix
-            # product would round differently as the member count changes
-            self.ops = stack.operands(
-                np.matmul(left[:, None], basis).ravel(),
-                np.conj(np.matmul(right[:, None], basis)).ravel())
+        self.ops = ops
+        self.adjoint = adjoint
+
+    def _ops_for(self, adjoint: bool):
+        """`ops` if they were formed for `adjoint`, else the other map's,
+        formed now from `left` and `right` by `_operands`."""
+        if adjoint == self.adjoint:
+            return self.ops
+        return _operands(self.stack, self.left[None], self.right[None],
+                         adjoint)[0]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         if self.ops is None:
             return self.scalar * X
-        return _act(X, self.scalar, self.ops, self.w_group, self.stack)
+        return _act(X, self.scalar, self._ops_for(False), self.w_group,
+                    self.stack)
 
     def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
         """Dual map under the pairing Tr(X tau):
 
             X -> scalar X + K_R X + X K_L + sum_g w_g P_g^dag X P_g,
 
-        on the drift data of `apply`, transposed by the cached permutation.
+        on the transposed pattern (see `_operands`).
         """
         if self.ops is None:
             return self.scalar * X
-        if self.ops_adj is None:
-            c = self.stack.model.operators
-            m = len(self.stack) * c.basis.shape[1]
-            self.ops_adj = self.stack.operands(
-                c.transpose(self.ops[1][-1][:m])[-1],
-                c.transpose(self.ops[0][-1][:m])[-1], adjoint=True)
-        return _act(X, self.scalar, self.ops_adj, self.w_group, self.stack)
+        return _act(X, self.scalar, self._ops_for(True), self.w_group,
+                    self.stack)
 
 
 class GeneratorStack:
@@ -264,14 +271,6 @@ class GeneratorStack:
             members.append(member)
         return members
 
-    def operands(self, left, right_t, adjoint: bool = False) -> tuple:
-        """The two kernel operators of `_act` with the drift data `left`
-        and `right_t` of all members laid end to end."""
-        (first, fixed), (second, fixed_t) = (
-            self.layout_adj if adjoint else self.layout)
-        return (first + (np.concatenate((left, fixed)),),
-                second + (np.concatenate((right_t, fixed_t)),))
-
     def segments(self, t_end: float,
                  start: float = 0.0) -> list[tuple[float, float]]:
         """Smooth pieces of [start, t_end] of every member's generator,
@@ -290,66 +289,133 @@ class GeneratorContext(GeneratorStack):
 # (time, member) weight rows formed together in one pass, and at least
 # one time, so that a pass's memory does not grow with the member count
 BLOCK = 4096
+# complex entries of the data array of one kernel operator shared by a
+# sub-block of stage generators, and at least one time: 64 KB a sub-block
+OPERAND_BUDGET = 4096
 
 
 def _weight_rows(model: ModelSpec, obs: ObservableSpec, lam: np.ndarray,
                  kappa: np.ndarray, t: np.ndarray):
     """scalar, w_group and the left and right basis weights (see
-    `FrozenGenerator`) for the field values `lam` and test-function values
-    `kappa` at the times t, one row per time."""
-    s, r_plus, r_minus, rate = obs.coefficients(kappa, t)
+    `FrozenGenerator`) for the field values `lam` (T, d) at the T times t
+    and the test-function values `kappa` (n, m) of n members.
+
+    Each factor is formed at its own rank: mu and the signals once per
+    time, s and w_group (n, G) once per member, and only r(+/-kappa),
+    scalar (T, n) and left and right (T, n, 1 + 2d) per (time, member),
+    by broadcasting.  Every entry is formed by the operations, in the
+    order, of its own one-row assembly."""
+    s, r_plus, r_minus, rate = obs.coefficients(kappa, t[:, None])
     # mu = S lam and w_group = s G as plain sums, so that each row comes
     # out the same however many rows there are
-    mu = (lam[:, None, :] * model.S).sum(axis=-1)
+    mu = (lam[:, None, :] * model.S).sum(axis=-1)[:, None]
     w_group = (s[:, :, None] * model.operators.group_weights).sum(axis=-2)
     r_minus_conj = np.conj(r_minus)
     mu_conj = np.conj(mu)
-    half_norm2 = 0.5 * (np.abs(lam) ** 2).sum(axis=-1)
+    half_norm2 = 0.5 * (np.abs(lam) ** 2).sum(axis=-1)[:, None]
     scalar = (-half_norm2 + (r_minus_conj * mu).sum(axis=-1)
               + (-half_norm2 + (r_plus * mu_conj).sum(axis=-1))
               + (s * np.abs(mu) ** 2).sum(axis=-1) + rate)
-    one = np.ones((len(t), 1))
-    left = np.concatenate((one, r_minus_conj + s * mu_conj, -mu), axis=1)
-    right = np.concatenate((one, np.conj(r_plus + s * mu), -mu), axis=1)
+    d = model.d
+    left = np.empty(scalar.shape + (1 + 2 * d,), dtype=complex)
+    right = np.empty_like(left)
+    left[..., 0] = right[..., 0] = 1.0
+    left[..., 1:1 + d] = r_minus_conj + s * mu_conj
+    right[..., 1:1 + d] = np.conj(r_plus + s * mu)
+    left[..., 1 + d:] = right[..., 1 + d:] = -mu
     return scalar, w_group, left, right
 
 
 def stage_rows(stack: GeneratorStack, times, start: float):
-    """Yield scalar, w_group, left and right (see `FrozenGenerator`), one
-    row per member of `stack`, at each time of `times`, in order; `start`
-    is the start of the segment (see `signals.segments`) that holds them.
+    """Yield scalar, w_group, left and right (see `_weight_rows`) for the
+    members of `stack` at the times `times`, one block of times after
+    another, in order; `start` is the start of the segment (see
+    `signals.segments`) that holds them.
 
     Every member's kappa and the field window are constant on the
     segment, so they are read once, right-continuously at `start`; only
-    the smooth signals are evaluated at each time.  The weights of all
-    members are formed with array operations, for as many times at once
-    as BLOCK rows hold.
+    the smooth signals are evaluated at each time.  A block holds as many
+    times as BLOCK (time, member) rows hold.
     """
     times = np.asarray(times, dtype=float)
-    n = len(stack)
     field = stack.field
     on = field.covers(start)
     kappa = np.stack([k.value(start) for k in stack.kappas])
-    block = max(1, BLOCK // n)
+    block = max(1, BLOCK // len(stack))
     for lo in range(0, len(times), block):
         t = times[lo:lo + block]
         lam = np.where(on, field.table(t), 0j)
-        # one row per (time, member), time-major
-        rows = _weight_rows(stack.model, stack.observables,
-                            np.repeat(lam, n, axis=0),
-                            np.tile(kappa, (len(t), 1)), np.repeat(t, n))
-        scalar, w_group, left, right = (
-            r.reshape((len(t), n) + r.shape[1:]) for r in rows)
-        for k in range(len(t)):
-            yield scalar[k], w_group[k], left[k], right[k]
+        yield _weight_rows(stack.model, stack.observables, lam, kappa, t)
 
 
-def stage_generators(stack: GeneratorStack, times, start: float):
+def _operands(stack: GeneratorStack, left, right, adjoint: bool) -> list:
+    """The two kernel operators of `_act` (see `_OperatorCache.stacked`)
+    of the members of `stack` at each of k times, from their basis
+    weights `left` and `right` (k, n, 1 + 2d); with `adjoint`, those of
+    `FrozenGenerator.apply_adjoint`.
+
+    Each operator keeps the data of all k times in one array, a row per
+    time: the drift data of its n members end to end, then the stack's
+    sandwich data, copied in once.  One stacked product forms every
+    drift; each (time, member) is still its own vector-matrix product,
+    as a matrix-matrix product would round differently as the member
+    count changes.  The adjoint's drift data, K_R and K_L^T, are those
+    products gathered onto the transposed pattern by
+    `_OperatorCache.transpose`.  Returns each time's pair of operators,
+    their data a row view."""
+    c = stack.model.operators
+    k, n, _ = left.shape
+    m = n * c.basis.shape[1]
+    (first, fixed), (second, fixed_t) = (stack.layout_adj if adjoint
+                                         else stack.layout)
+    arrays, drift = [], []
+    for sandwich in (fixed, fixed_t):
+        array = np.empty((k, m + len(sandwich)), dtype=complex)
+        array[:, m:] = sandwich
+        arrays.append(array)
+        drift.append(np.reshape(array[:, :m], (k, n, 1, -1), copy=False))
+    if adjoint:     # K_R = (K_R^T)^T, K_R^T = conj(right basis), and K_L^T
+        c.transpose(np.conj(np.matmul(right[:, :, None], c.basis)),
+                    out=drift[0])
+        c.transpose(np.matmul(left[:, :, None], c.basis), out=drift[1])
+    else:           # K_L and K_R^T
+        np.matmul(left[:, :, None], c.basis, out=drift[0])
+        np.matmul(right[:, :, None], c.basis, out=drift[1])
+        np.conjugate(drift[1], out=drift[1])
+    return [(first + (a,), second + (b,)) for a, b in zip(*arrays)]
+
+
+def _block_generators(stack: GeneratorStack, rows, adjoint: bool = False):
+    """Yield the generators of the members of `stack` at each time of one
+    `stage_rows` block `rows`, forming their kernel operators
+    (`_operands`) a sub-block of times at a time, as many as
+    OPERAND_BUDGET entries of an operator's data hold."""
+    scalar, w_group, left, right = rows
+    scalar = scalar[:, :, None, None]
+    w_group = w_group.T[:, :, None, None]
+    nnz = stack.model.operators.basis.shape[1]
+    step = len(scalar)
+    if nnz:
+        per_time = len(stack) * nnz + len(stack.layout[0][1])
+        step = max(1, OPERAND_BUDGET // per_time)
+    for lo in range(0, len(scalar), step):
+        sub = slice(lo, lo + step)
+        ops = (_operands(stack, left[sub], right[sub], adjoint) if nnz
+               else itertools.repeat(None))
+        for scalar_k, left_k, right_k, ops_k in zip(
+                scalar[sub], left[sub], right[sub], ops):
+            yield FrozenGenerator(stack, scalar_k, w_group, left_k, right_k,
+                                  ops_k, adjoint)
+
+
+def stage_generators(stack: GeneratorStack, times, start: float,
+                     adjoint: bool = False):
     """Yield the generator of every member of `stack` at each time of
-    `times` (in the segment from `start`), from `stage_rows`; each
-    generator's kernel operators are formed only when it is yielded."""
+    `times` (in the segment from `start`), from `stage_rows`, with the
+    kernel operators of `apply`, or of `apply_adjoint` if `adjoint`,
+    formed a sub-block of times at a time (`_block_generators`)."""
     for rows in stage_rows(stack, times, start):
-        yield FrozenGenerator(stack, *rows)
+        yield from _block_generators(stack, rows, adjoint)
 
 
 def generator_at(stack: GeneratorStack, t: float) -> FrozenGenerator:
@@ -366,8 +432,10 @@ def generator_at(stack: GeneratorStack, t: float) -> FrozenGenerator:
     rows = group.frozen_rows.get(t)
     if rows is None:
         rows = group.frozen_rows[t] = next(stage_rows(group, (t,), t))
-    j = stack.row
-    return FrozenGenerator(stack, *(r[j:j + 1] for r in rows))
+    scalar, w_group, left, right = rows
+    j = slice(stack.row, stack.row + 1)
+    return next(_block_generators(
+        stack, (scalar[:, j], w_group[j], left[:, j], right[:, j])))
 
 
 def context_is_piecewise_static(stack: GeneratorStack) -> bool:

@@ -114,8 +114,9 @@ class ObservableSpec:
     def coefficients(self, kappa: np.ndarray, t):
         """s(kappa), r(+/-kappa; t) (see `r_vector`) and the scalar rate
         c(kappa; t) = sum_i (s_i - 1)|b_i|^2 + i kappa.c - |kappa.h|^2 / 2
-        of the generator, for one kappa and time, or row by row for
-        kappas of shape (n, m) and n times."""
+        of the generator, for one kappa and time, or for kappas of shape
+        (n, m) and times t broadcast against them: times of shape (T, 1)
+        give s per kappa, (n, d), and the rest per (time, kappa)."""
         kappa = np.asarray(kappa, dtype=float)
         s = self.kernel_diagonal(kappa)
         vals = self._table(t)

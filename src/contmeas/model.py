@@ -36,8 +36,9 @@ class _OperatorCache:
     sparsity patterns; row j of `basis` holds the entries of the j-th of
     them on it, so a weighted sum of these operators costs one
     vector-matrix product.  `transpose` moves data on the pattern to the
-    transposed pattern through a fixed index permutation, and `stacked`
-    lays out the two kernel operands of one application to n members.
+    transposed pattern, `t_pattern`, through a fixed index permutation,
+    and `stacked` lays out the two kernel operands of one application to
+    n members.
 
     The nonzero channel operators are grouped as R_i = c_i P_g, P_g the
     first operator of its group; `group_weights[i, g]` is |c_i|^2 (zero
@@ -100,12 +101,11 @@ class _OperatorCache:
                 _tiled((drift, *(b for _, b in pairs)), n,
                        range(0, blocks * n, n), blocks * n * dim))
 
-    def transpose(self, data: np.ndarray) -> tuple:
-        """The transpose of the operator with `data` on the pattern; for
-        the data of several operators laid end to end, their transposes'
-        data the same way."""
-        return self.t_pattern + (
-            data.reshape(-1, len(self.t_perm))[:, self.t_perm].ravel(),)
+    def transpose(self, data: np.ndarray, out: np.ndarray | None = None):
+        """The data, on `t_pattern`, of the transpose of the operator with
+        `data` on the pattern; for operators stacked along the leading
+        axes of `data`, each one's, into `out` if given."""
+        return np.take(data, self.t_perm, axis=-1, out=out)
 
 
 def _tiled(ops, n: int, shift, cols: int) -> tuple:

@@ -143,10 +143,11 @@ def duality_check(ctx: GeneratorContext, rho0: np.ndarray, X: np.ndarray,
     lhs = complex(np.trace(X @ forward))
 
     # dY/ds = -A'_s[Y] run from hi down to lo is forward RK4 in -s on the
-    # adjoint, with the step (hi - lo) / count
+    # adjoint, with the step (hi - lo) / count; its generators hold only
+    # the adjoint's kernel operators
     def steps(hi, lo, count):
         return ((g0.apply_adjoint, g_mid.apply_adjoint, g1.apply_adjoint)
-                for g0, g_mid, g1 in rk4_stages(ctx, hi, lo, count))
+                for g0, g_mid, g1 in rk4_stages(ctx, hi, lo, count, True))
 
     backward = [(hi, lo) for lo, hi in reversed(ctx.segments(t))]
     Y, _, _ = _walk(backward, np.array(X, dtype=complex)[None], config,

@@ -167,6 +167,7 @@ def invert_counting(phi: np.ndarray) -> np.ndarray:
     return p
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def invert_homodyne(kappas: np.ndarray, phi: np.ndarray,
                     x: np.ndarray) -> np.ndarray:
     """Density p(x) = (1/2 pi) int phi(kappa) exp(-i kappa x) d kappa
@@ -174,10 +175,15 @@ def invert_homodyne(kappas: np.ndarray, phi: np.ndarray,
 
     The quadrature makes the result periodic in x with period
     2 pi / (kappa spacing), so the x window must be narrower than that.
+    A non-finite x grid, or a density that overflows to a non-finite
+    value, raises InversionQualityError; numpy's warnings on the way
+    there are silenced in its favour.
     """
     kappas = np.asarray(kappas, dtype=float)
     phi = np.asarray(phi, dtype=complex)
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise InversionQualityError("x grid is not finite")
     edge = max(abs(phi[0]), abs(phi[-1]))
     if edge > DECAY_TOL:
         raise AliasingError(
@@ -193,6 +199,9 @@ def invert_homodyne(kappas: np.ndarray, phi: np.ndarray,
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     kernel = np.exp(-1j * np.outer(x, kappas))
     vals = trapezoid(kernel * phi[None, :], kappas, axis=1) / (2.0 * np.pi)
+    if not np.isfinite(vals).all():
+        raise InversionQualityError("homodyne density is not finite; the "
+                                    "x window is too far out")
     residue = float(np.max(np.abs(vals.imag)))
     if residue > COUNTING_IMAG_TOL:
         raise InversionQualityError(

@@ -395,6 +395,10 @@ def test_step_budget_exit_4(tmp_path, capsys):
             "integration failure: step budget exhausted")
 
 
+# the shipped homodyne run on a coarse grid and step
+SMALL_HOMODYNE = {"run.kappa_max": 8, "run.n_points": 17,
+                  "evolution.dt": 0.02}
+
 OVERFLOWING = [
     # (shipped config, subcommand, {dotted key: value}, exit code)
     ("dpo_validate.json", "validate", {"model.params.omega_c": 1e308}, 3),
@@ -409,18 +413,27 @@ OVERFLOWING = [
     ("poisson_counts.json", "counts", {"evolution.dt": 5e-324}, 4),
     ("poisson_counts.json", "counts",
      {"observables.horizon": 1e308, "run.t_end": 1e308}, 4),
+    ("dpo_homodyne.json", "homodyne",
+     {**SMALL_HOMODYNE, "run.x_min": 1e308, "run.x_max": 1e308,
+      "run.x_points": 1}, 5),
+    ("dpo_homodyne.json", "homodyne",
+     {**SMALL_HOMODYNE, "run.x_min": -1e308, "run.x_max": 1e308,
+      "run.x_points": 2}, 5),
 ]
 
 
 @pytest.mark.parametrize(
     "name, command, over, code", OVERFLOWING,
     ids=["omega_c", "omega_c-dim9", "omega_c-evolve", "dissipativity-block",
-         "dt-charfunc", "dt-counts", "horizon-counts"])
+         "dt-charfunc", "dt-counts", "horizon-counts", "x-density",
+         "x-grid"])
 def test_overflow_exit_code(tmp_path, capsys, recwarn, name, command, over,
                             code):
     # an operator or a dissipativity block that overflows is refused
-    # (exit 3), and so is a step count beyond a float (exit 4), with no
-    # traceback, warning or report; a NaN residual once passed validate
+    # (exit 3), so is a step count beyond a float (exit 4), and so are an
+    # x grid and a homodyne density that overflow (exit 5), with no
+    # traceback, warning or report; a NaN residual once passed validate,
+    # and a NaN density was once written with exit 0
     cfg = json.loads((SHIPPED / name).read_text())
     for key, value in over.items():
         _set(cfg, key.split("."), value)
@@ -428,8 +441,9 @@ def test_overflow_exit_code(tmp_path, capsys, recwarn, name, command, over,
     assert main([command, "--config", write(tmp_path, cfg),
                  "--out", str(out)]) == code
     assert capsys.readouterr().err.startswith(
-        "validation failure:" if code == 3
-        else "integration failure: step budget exhausted")
+        {3: "validation failure:",
+         4: "integration failure: step budget exhausted",
+         5: "inversion-quality failure:"}[code])
     assert not out.exists()
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 

@@ -142,14 +142,14 @@ def test_stages_shared_between_steps(monkeypatch):
     assembled = []
     original = evolution.stage_generators
 
-    def counting(stack, times, start):
-        for g in original(stack, times, start):
+    def counting(stack, times, start, adjoint):
+        for g in original(stack, times, start, adjoint):
             assembled[-1] += 1
             yield g
 
-    def wrapped(stack, times, start):
+    def wrapped(stack, times, start, adjoint=False):
         assembled.append(0)
-        return counting(stack, times, start)
+        return counting(stack, times, start, adjoint)
 
     monkeypatch.setattr(evolution, "stage_generators", wrapped)
     res = evolve(ctx, rho0, 1.0, EvolutionConfig(dt=dt))

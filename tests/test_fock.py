@@ -82,8 +82,8 @@ def test_adjoint_matches_dense():
     for row, ref in zip(cache.basis, dense):
         op = cache.pattern + (row,)
         assert np.max(np.abs(helpers.dense_operand(op) - ref)) == 0
-        assert np.max(np.abs(helpers.dense_operand(cache.transpose(row))
-                             - ref.T)) == 0
+        op_t = cache.t_pattern + (cache.transpose(row),)
+        assert np.max(np.abs(helpers.dense_operand(op_t) - ref.T)) == 0
 
 
 def test_density_applications_match_dense():
@@ -101,8 +101,8 @@ def test_density_applications_match_dense():
         + 1j * rng.standard_normal((sp.dim, sp.dim))
     Xd = helpers.dense_operand(X)
     assert np.allclose(_product(X, rho), Xd @ rho, atol=1e-14)
-    assert np.allclose(_product(cache.transpose(X[-1]), rho.T).T, rho @ Xd,
-                       atol=1e-14)
+    X_t = cache.t_pattern + (cache.transpose(X[-1]),)
+    assert np.allclose(_product(X_t, rho.T).T, rho @ Xd, atol=1e-14)
 
 
 def test_algebra_operators():

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -9,9 +12,15 @@ from contmeas import (Constant, DpoParams, EvolutionConfig, FieldProfile,
                       ValidationError, ZERO, dpo_laser_field, dpo_model,
                       dpo_observables, evolve, generator_at, ladder_a,
                       ladder_b, trivial_model)
+from contmeas import generator
+from contmeas.cli import Run
 from contmeas.generator import (BLOCK, GeneratorStack, _product,
                                 context_is_piecewise_static, stage_generators)
+from contmeas.statistics import diffusive_axis, on_interval
 from contmeas.oracle import _dense_superoperator
+
+
+CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 
 
 def build_setup(seed=0, n_max=4, m_max=3, horizon=2.0):
@@ -86,48 +95,6 @@ def _hand_built_context():
                             kappa=kappa)
 
 
-def test_stage_generators_match_one_point_assembly():
-    # on every segment of a test function stepping at 0.2, 0.9 and 1.3
-    # and a field window ending at 1.5, inside the horizon 2, the batched
-    # assembly over both ends and many inner times, across weight blocks,
-    # equals the one-point assembly at each time on that segment
-    rng, params, model, obs, _ = build_setup(seed=4)
-    field = dpo_laser_field(params, 1.5)
-    kappa = TestFunction([0.2, 0.9, 1.3], [[0.5, -0.3, 0.8], [0.0, 0.0, -1.1]])
-    ctx = GeneratorContext(model=model, observables=obs, field=field,
-                           kappa=kappa)
-    segs = ctx.segments(2.0)
-    assert segs == [(0.0, 0.2), (0.2, 0.9), (0.9, 1.3), (1.3, 1.5),
-                    (1.5, 2.0)]
-    w_left = slice(1, 1 + model.d)   # in the rows of `left`
-    mu = slice(1 + model.d, None)    # -S lam there
-    for lo, hi in segs:
-        inner = rng.uniform(lo, hi, BLOCK + 1 if lo == 0.2 else 100)
-        times = np.concatenate(([lo], inner, [hi]))
-        gens = list(stage_generators(ctx, times, lo))
-        assert len(gens) == len(times)
-        for t, g in zip(times, gens):
-            ref = next(stage_generators(ctx, (t,), lo))
-            for name in ("scalar", "w_group", "left", "right"):
-                assert np.max(np.abs(getattr(g, name)
-                                     - getattr(ref, name))) <= 1e-15, name
-            for op, ref_op in zip(g.ops, ref.ops):   # K_L, K_R^T data first
-                assert np.max(np.abs(op[-1] - ref_op[-1])) <= 1e-15
-        if hi in kappa.breakpoints():
-            # the end stage carries this segment's kappa, not the next one's
-            held = GeneratorContext(
-                model=model, observables=obs, field=field,
-                kappa=TestFunction([0.0, 2.0], [kappa.value(lo)]))
-            assert np.array_equal(gens[-1].left,
-                                  generator_at(held, hi).left)
-            assert np.max(np.abs(gens[-1].left[0, w_left]
-                                 - generator_at(ctx, hi).left[0, w_left])) \
-                > 1e-3
-        # the field is on up to 1.5, that end included, and off after it
-        on = [np.any(g.left[0, mu]) for g in gens]
-        assert on == [hi <= 1.5] * len(gens)
-
-
 def _dpo_members():
     """The oscillator with its field window ending at 1.5 and three test
     functions stepping at 0.2, 0.9 and 1.3, one of them zero."""
@@ -147,6 +114,137 @@ def _hand_built_members():
     values = ([[0.7, -1.3]], [[0.0, 0.0]], [[-0.4, 2.1]])
     return (ctx.model, ctx.observables, ctx.field,
             [TestFunction([0.0, 0.6], v) for v in values], [0.0, 0.6, 1.0])
+
+
+def _stepping_context():
+    """The oscillator with its field window ending at 1.5 and one test
+    function stepping at 0.2, 0.9 and 1.3, inside the horizon 2."""
+    _, params, model, obs, _ = build_setup(seed=4)
+    return (model, obs, dpo_laser_field(params, 1.5),
+            [TestFunction([0.2, 0.9, 1.3],
+                          [[0.5, -0.3, 0.8], [0.0, 0.0, -1.1]])],
+            [0.0, 0.2, 0.9, 1.3, 1.5, 2.0])
+
+
+def _adjoint_operands(g):
+    """The kernel operators of g's `apply_adjoint` from g's forward drift
+    data, transposed by `_OperatorCache.transpose`, and the stack's
+    adjoint sandwich data."""
+    stack = g.stack
+    c, n = stack.model.operators, len(stack)
+    m = n * c.basis.shape[1]
+    return tuple(
+        pattern + (np.concatenate((c.transpose(
+            op[-1][:m].reshape(n, -1)).ravel(), fixed)),)
+        for (pattern, fixed), op in zip(stack.layout_adj, g.ops[::-1]))
+
+
+def _assert_same_operators(ops, ref):
+    for op, ref_op in zip(ops, ref, strict=True):
+        assert op[:2] == ref_op[:2]
+        for a, b in zip(op[2:], ref_op[2:], strict=True):
+            assert np.array_equal(a, b)
+
+
+def test_stage_generators_match_one_point_assembly(monkeypatch):
+    # on every segment, both ends included, across weight blocks, and
+    # with sub-blocks of one stage time, several and all of them, the
+    # batched assembly equals the one-point assembly at each time on that
+    # segment bit for bit, and so do the adjoint's operators formed
+    # directly and transposed from the forward ones; for one member and
+    # for three
+    for build in (_stepping_context, _dpo_members, _hand_built_members):
+        for times_per_block in (1, 7, None):
+            _check_stage_assembly(monkeypatch, build, times_per_block)
+
+
+def _check_stage_assembly(monkeypatch, build, times_per_block):
+    model, obs, field, kappas, edges = build()
+    stack = GeneratorStack(model, obs, field, kappas)
+    n, c = len(stack), model.operators
+    per_time = n * c.basis.shape[1] + len(stack.layout[0][1])
+    monkeypatch.setattr(generator, "OPERAND_BUDGET",
+                        10**9 if times_per_block is None
+                        else times_per_block * per_time)
+    rng = np.random.default_rng(4)
+    dim = model.space.dim
+    X = (rng.standard_normal((n, dim, dim))
+         + 1j * rng.standard_normal((n, dim, dim)))
+    segs = stack.segments(edges[-1])
+    assert [lo for lo, _ in segs] == edges[:-1]
+    for lo, hi in segs:
+        inner = rng.uniform(lo, hi, BLOCK // n + 1 if lo == edges[1] else 40)
+        times = np.concatenate(([lo], inner, [hi]))
+        gens = list(stage_generators(stack, times, lo))
+        adjoints = list(stage_generators(stack, times, lo, adjoint=True))
+        assert len(gens) == len(adjoints) == len(times)
+        for k, (t, g, a) in enumerate(zip(times, gens, adjoints)):
+            ref = next(stage_generators(stack, (t,), lo))
+            for name in ("scalar", "w_group", "left", "right"):
+                assert np.array_equal(getattr(g, name), getattr(ref, name))
+                assert np.array_equal(getattr(a, name), getattr(ref, name))
+            _assert_same_operators(g.ops, ref.ops)
+            _assert_same_operators(a.ops, _adjoint_operands(ref))
+            if k % 16 == 0:   # either map, formed for it or on demand
+                assert np.array_equal(a.apply_adjoint(X),
+                                      ref.apply_adjoint(X))
+                assert np.array_equal(a.apply(X), ref.apply(X))
+
+
+def test_stage_generators_read_each_segment_at_its_start():
+    # the end stage on a kappa step carries its own segment's kappa, and
+    # the field is on up to the end of its window, that end included
+    model, obs, field, (kappa,), _ = _stepping_context()
+    ctx = GeneratorContext(model=model, observables=obs, field=field,
+                           kappa=kappa)
+    w_left = slice(1, 1 + model.d)   # in the rows of `left`
+    mu = slice(1 + model.d, None)    # -S lam there
+    for lo, hi in ctx.segments(2.0):
+        gens = list(stage_generators(ctx, np.linspace(lo, hi, 9), lo))
+        if hi in kappa.breakpoints():
+            held = GeneratorContext(
+                model=model, observables=obs, field=field,
+                kappa=TestFunction([0.0, 2.0], [kappa.value(lo)]))
+            assert np.array_equal(gens[-1].left,
+                                  generator_at(held, hi).left)
+            assert np.max(np.abs(gens[-1].left[0, w_left]
+                                 - generator_at(ctx, hi).left[0, w_left])) \
+                > 1e-3
+        on = [np.any(g.left[0, mu]) for g in gens]
+        assert on == [hi <= 1.5] * len(gens)
+
+
+@pytest.mark.parametrize("dims", ["117-1", "20-129"])
+def test_operand_sub_blocks_stay_in_budget(dims):
+    # the data array that a sub-block's generators share holds at most
+    # OPERAND_BUDGET entries, or one stage time's if that alone is more,
+    # for one member at dim 117 and the 129 members of the shipped
+    # dpo_homodyne sweep at dim 20; each generator's data is a row view
+    if dims == "117-1":
+        rng, params, model, obs, field = build_setup(n_max=12, m_max=8)
+        stack = GeneratorStack(model, obs, field, [random_kappa(rng, 2.0)])
+    else:
+        run = Run(json.loads((CONFIGS / "dpo_homodyne.json").read_text()))
+        samples = diffusive_axis(run.run["kappa_max"], run.run["n_points"])
+        kappas = on_interval(run.obs.m, run.observable(), run.t_end(),
+                             samples[len(samples) // 2:])
+        stack = GeneratorStack(run.model, run.obs, run.field, kappas)
+    n, model = len(stack), stack.model
+    assert (model.space.dim, n) == tuple(map(int, dims.split("-")))
+    per_time = n * model.operators.basis.shape[1] + len(stack.layout[0][1])
+    arrays = {}
+    for adjoint in (False, True):
+        for g in stage_generators(stack, np.linspace(0.0, 0.5, 21), 0.0,
+                                  adjoint):
+            for op in g.ops:
+                data = op[-1]
+                assert data.base is not None and data.base.ndim == 2
+                assert data.base.shape[1] == data.size == per_time
+                arrays[id(data.base)] = data.base
+    sizes = [a.size for a in arrays.values()]
+    assert all(size <= max(generator.OPERAND_BUDGET, per_time)
+               for size in sizes)
+    assert sum(len(a) for a in arrays.values()) == 2 * 2 * 21
 
 
 @pytest.mark.parametrize("build", [_dpo_members, _hand_built_members],
@@ -322,14 +420,14 @@ def test_kernel_product_matches_scipy():
     rng, params, model, obs, field = build_setup(seed=5)
     kappas = [random_kappa(rng, 2.0) for _ in range(3)]
     g = generator_at(GeneratorStack(model, obs, field, kappas), 0.7)
-    one = generator_at(GeneratorContext(model=model, observables=obs,
-                                        field=field, kappa=kappas[0]), 0.7)
+    one = next(stage_generators(GeneratorContext(
+        model=model, observables=obs, field=field, kappa=kappas[0]),
+        (0.7,), 0.7, adjoint=True))
     dim = model.space.dim
-    one.apply_adjoint(np.zeros((1, dim, dim), dtype=complex))
     blocks = 1 + len(model.operators.sandwich)
     assert g.ops[0][:2] == (blocks * 3 * dim, 3 * dim)
     assert g.ops[1][:2] == (blocks * 3 * dim, blocks * 3 * dim)
-    ops = [*g.ops, *one.ops_adj]
+    ops = [*g.ops, *one.ops]
     for m in (model, _hand_built_context().model):
         assert len(m.operators.sandwich) >= 2
         for pair in m.operators.sandwich + m.operators.sandwich_adj:

@@ -1,7 +1,11 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
 import helpers
+from contmeas import generator
 from contmeas import (Constant, EvolutionConfig, FieldProfile,
                       GeneratorContext, Harmonic, IntegrationError,
                       ObservableSpec, TestFunction, TruncatedSpace,
@@ -98,3 +102,56 @@ def test_duality_rejects_non_finite_functional(bad):
     with pytest.raises(IntegrationError, match="non-finite"):
         duality_check(ctx, helpers.random_density(dim, rng), X, 1.2,
                       EvolutionConfig(dt=1e-2))
+
+
+def test_duality_backward_walk_forms_only_adjoint_operators(monkeypatch):
+    # on the oracle_dpo9 benchmark config (seed 7), the forward propagation
+    # forms only the operators of `apply` and the backward walk only
+    # those of `apply_adjoint`, a sub-block of stage times at a time, with
+    # one transposing gather per operator and sub-block, not per generator
+    from contmeas import oracle
+    from contmeas.cli import Run
+    from contmeas.model import _OperatorCache
+    root = pathlib.Path(__file__).parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    run = Run(workloads.make_config("oracle_dpo9", 7))
+    ctx = run.context()
+
+    walk, operands = oracle._walk, generator._operands
+    transpose = _OperatorCache.transpose
+    backward, formed, gathers = [False], [], []
+
+    def backward_walk(*args):
+        backward[0] = True
+        try:
+            return walk(*args)
+        finally:
+            backward[0] = False
+
+    def counted_operands(stack, left, right, adjoint):
+        formed.append((backward[0], adjoint, len(left)))
+        return operands(stack, left, right, adjoint)
+
+    def counted_transpose(self, data, out=None):
+        gathers.append(backward[0])
+        return transpose(self, data, out)
+
+    monkeypatch.setattr(oracle, "_walk", backward_walk)
+    monkeypatch.setattr(generator, "_operands", counted_operands)
+    monkeypatch.setattr(_OperatorCache, "transpose", counted_transpose)
+    dim = run.model.space.dim
+    duality_check(ctx, run.rho0, np.eye(dim), run.t_end(), run.evo)
+    assert {(back, adjoint) for back, adjoint, _ in formed} == {
+        (False, False), (True, True)}
+    stages = [sum(k for back, _, k in formed if back == side)
+              for side in (False, True)]
+    assert stages == [402, 402]      # 2 segments of 100 steps, each way
+    per_time = (run.model.operators.basis.shape[1]
+                + len(ctx.layout[0][1]))
+    step = generator.OPERAND_BUDGET // per_time
+    blocks = sum(back for back, _, _ in formed)
+    assert step > 1 and blocks == 2 * -(-201 // step)
+    assert gathers == [True] * 2 * blocks

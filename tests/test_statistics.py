@@ -319,14 +319,14 @@ def test_stack_step_budget_checked_before_assembly(monkeypatch):
     assembled = []
     original = evolution.stage_generators
 
-    def counting(stack, times, start):
-        for g in original(stack, times, start):
+    def counting(stack, times, start, adjoint):
+        for g in original(stack, times, start, adjoint):
             assembled[-1] += 1
             yield g
 
-    def wrapped(stack, times, start):
+    def wrapped(stack, times, start, adjoint=False):
         assembled.append(0)
-        return counting(stack, times, start)
+        return counting(stack, times, start, adjoint)
 
     monkeypatch.setattr(evolution, "stage_generators", wrapped)
     for budget, want in ((10, [2 * 8 + 1]), (5, [])):
