@@ -104,11 +104,11 @@ def _act(X, scalar, ops, weights, stack) -> np.ndarray:
     """scalar_k X_k + left X_k + X_k right + sum_g w_kg a_g X_k a_g^dag
     on each member X_k of an (n, dim, dim) stack, for one (1, 1) scalar
     per member and the (G, n, 1, 1) group weights, in two kernel calls on
-    the operators `ops` of `GeneratorStack.operands`: [left; a_1; ...;
-    a_G] on the members, then diag(right^T, b_1, ..., b_G) on X_k^T and
-    every (a_g X_k)^T, each block once per member, where b_g = conj a_g
-    makes (b_g (a_g X_k)^T)^T the sandwich, in views of `stack.workspace`
-    built once per stack.
+    the operators `ops` (`FrozenGenerator.ops`, formed by `_operands`):
+    [left; a_1; ...; a_G] on the members, then diag(right^T, b_1, ...,
+    b_G) on X_k^T and every (a_g X_k)^T, each block once per member,
+    where b_g = conj a_g makes (b_g (a_g X_k)^T)^T the sandwich, in views
+    of `stack.workspace` built once per stack.
     The terms are added in the order above, so every entry of member k
     is formed by the same operations, in the same order, whatever n is."""
     out = scalar * X
@@ -183,7 +183,9 @@ class FrozenGenerator:
 
     def _ops_for(self, adjoint: bool):
         """`ops` if they were formed for `adjoint`, else the other map's,
-        formed now from `left` and `right` by `_operands`."""
+        formed now from `left` and `right` by `_operands`, on every call
+        and kept nowhere.  Only tests take the other map: `evolve` applies
+        forward generators and `duality_check` asks for adjoint ones."""
         if adjoint == self.adjoint:
             return self.ops
         return _operands(self.stack, self.left[None], self.right[None],
@@ -290,8 +292,11 @@ class GeneratorContext(GeneratorStack):
 # one time, so that a pass's memory does not grow with the member count
 BLOCK = 4096
 # complex entries of the data array of one kernel operator shared by a
-# sub-block of stage generators, and at least one time: 64 KB a sub-block
-OPERAND_BUDGET = 4096
+# sub-block of stage generators, and at least one time: 16 KB a sub-block.
+# Kept small: at dim 117, freeing two 59 KB arrays (4096 entries) joined
+# the heap's top chunk, pushed it past glibc's trim threshold (twice the
+# (dim, dim) RK4 temporaries) and made most steps page-fault afresh
+OPERAND_BUDGET = 1024
 
 
 def _weight_rows(model: ModelSpec, obs: ObservableSpec, lam: np.ndarray,
@@ -373,7 +378,7 @@ def _operands(stack: GeneratorStack, left, right, adjoint: bool) -> list:
         array = np.empty((k, m + len(sandwich)), dtype=complex)
         array[:, m:] = sandwich
         arrays.append(array)
-        drift.append(np.reshape(array[:, :m], (k, n, 1, -1), copy=False))
+        drift.append(array[:, :m].reshape(k, n, 1, -1))
     if adjoint:     # K_R = (K_R^T)^T, K_R^T = conj(right basis), and K_L^T
         c.transpose(np.conj(np.matmul(right[:, :, None], c.basis)),
                     out=drift[0])
