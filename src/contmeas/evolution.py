@@ -15,8 +15,8 @@ the same breakpoints as the one-shot run.
 (n, dim, dim) stack, one matrix per member of a `generator.GeneratorStack`
 (n = 1 for a `GeneratorContext`), run through one segment walk (`_walk`),
 RK4 step, step budget and per-member finiteness and contractivity check.
-The backward run of `oracle.duality_check` takes the same walk, on
-stage generators that hold only the adjoint's kernel operators.
+The backward run of `oracle.duality_check` takes the same walk, on the
+stage generators of the dual stack (`GeneratorStack.dual`).
 Each member's arithmetic is that of its own run, so a member whose
 segments are the stack's gets exactly the state of its one-member run.
 
@@ -104,11 +104,10 @@ def step_count(start: float, stop: float, dt: float) -> int:
 
 
 def rk4_stages(stack: GeneratorStack, start: float, stop: float,
-               count: int, adjoint: bool = False):
+               count: int):
     """Stage generators (start, middle, end) of the members of `stack` for
     each of `count` equal RK4 steps from `start` to `stop`, in either
-    direction, from `generator.stage_generators`, with the kernel
-    operators of `apply`, or of `apply_adjoint` if `adjoint`.
+    direction, from `generator.stage_generators`.
 
     The stage times are start + k (stop - start) / (2 count), the last
     one exactly `stop`.  [start, stop] is one segment, read at its lower
@@ -119,7 +118,7 @@ def rk4_stages(stack: GeneratorStack, start: float, stop: float,
     """
     times = start + np.arange(2 * count + 1) * (0.5 * (stop - start) / count)
     times[-1] = stop
-    stages = stage_generators(stack, times, min(start, stop), adjoint)
+    stages = stage_generators(stack, times, min(start, stop))
     g0 = next(stages)
     for _ in range(count):
         g_mid, g1 = next(stages), next(stages)

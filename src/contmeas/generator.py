@@ -31,12 +31,12 @@ then K_R^T and every conj P_g, block-diagonal, on the transposes of the
 members and of the first call's products.  Each block is tiled once per
 member.  The stack builds the patterns and the sandwich data of both
 operators once, and one workspace that every application reuses; each
-generator adds only the data of its K_L and K_R^T.  The adjoint takes
-the transposed pattern and the sandwich pairs of P_g^dag X P_g, its
-drift data gathered through a cached transposing permutation.  Every
-sparse operator is held, like `SystemOperator.csr`, as the arguments of
-scipy's CSR kernel, (rows, cols, indptr, indices, data), and every
-sparse product is one call of that kernel (`_product`).
+generator adds only the data of its K_L and K_R^T.  The adjoint, under
+the pairing Tr(X tau), is the generator of the dual stack
+(`GeneratorStack.dual`) on the dual model (`ModelSpec.dual`), in the
+same layout.  Every sparse operator is held, like `SystemOperator.csr`,
+as the arguments of scipy's CSR kernel, (rows, cols, indptr, indices,
+data), and every sparse product is one call of that kernel (`_product`).
 
 `stage_generators` assembles the generators at a whole run of times
 inside one segment at once, a block at a time.  It reads every member's
@@ -45,15 +45,13 @@ factor at its own rank: the smooth signals once per time, s once per
 member, and only r(+/-kappa), the scalar rate and the weights per (time,
 member).  The kernel operators of a sub-block of times, bounded by
 OPERAND_BUDGET entries, come from one stacked product into one data
-array per operator, a row per time (`_operands`).  They are those of
-`apply`, or, for a backward run, directly those of `apply_adjoint`; a
-generator asked for the other map forms its operators then, by the same
-routine.  `generator_at` is its one-time case, reading everything at
-its time.  On a one-member stack from `GeneratorStack.split` it forms
-the member's generator from the member's row of the split stack's
-weights, which that stack assembles once per time for all its members.
-A model without operators has its scalar rate as its generator, so an
-application is the one product scalar * tau.
+array per operator, a row per time (`_operands`).  `generator_at` is
+its one-time case, reading everything at its time.  On a one-member
+stack from `GeneratorStack.split` it forms the member's generator from
+the member's row of the split stack's weights, which that stack
+assembles once per time for all its members.  A model without operators
+has its scalar rate as its generator, so an application is the one
+product scalar * tau.
 """
 
 from __future__ import annotations
@@ -145,11 +143,9 @@ class FrozenGenerator:
     the cached basis, the drift data of the stack's two kernel operators
     (`ops`, see `_act`), formed with those of a whole sub-block of times
     (`_operands`); applying the generator costs those two kernel calls,
-    in the stack's workspace.  `ops` are the operators of `apply`, or,
-    if `adjoint`, of `apply_adjoint`; the other map forms its operators
-    on each call, so a backward run asks `stage_generators` for adjoint
-    generators.  Without operators (`ops` None) both maps are the one
-    product scalar_k tau_k.
+    in the stack's workspace.  Without operators (`ops` None) it is the
+    one product scalar_k tau_k.  The adjoint is the generator of the
+    dual stack (`GeneratorStack.dual`).
 
     `left` and `right` hold one row per member, `scalar` (n, 1, 1) and
     `w_group` (G, n, 1, 1) one entry per member, to scale it directly.
@@ -168,46 +164,25 @@ class FrozenGenerator:
     parts of the two drift operators.
     """
 
-    __slots__ = ("stack", "scalar", "w_group", "left", "right", "ops",
-                 "adjoint")
+    __slots__ = ("stack", "scalar", "w_group", "left", "right", "ops")
 
     def __init__(self, stack: GeneratorStack, scalar, w_group, left, right,
-                 ops, adjoint: bool = False):
+                 ops):
         self.stack = stack
         self.scalar = scalar
         self.w_group = w_group
         self.left = left
         self.right = right
         self.ops = ops
-        self.adjoint = adjoint
-
-    def _ops_for(self, adjoint: bool):
-        """`ops` if they were formed for `adjoint`, else the other map's,
-        formed now from `left` and `right` by `_operands`, on every call
-        and kept nowhere.  Only tests take the other map: `evolve` applies
-        forward generators and `duality_check` asks for adjoint ones."""
-        if adjoint == self.adjoint:
-            return self.ops
-        return _operands(self.stack, self.left[None], self.right[None],
-                         adjoint)[0]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         if self.ops is None:
             return self.scalar * X
-        return _act(X, self.scalar, self._ops_for(False), self.w_group,
-                    self.stack)
+        return _act(X, self.scalar, self.ops, self.w_group, self.stack)
 
-    def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
-        """Dual map under the pairing Tr(X tau):
-
-            X -> scalar X + K_R X + X K_L + sum_g w_g P_g^dag X P_g,
-
-        on the transposed pattern (see `_operands`).
-        """
-        if self.ops is None:
-            return self.scalar * X
-        return _act(X, self.scalar, self._ops_for(True), self.w_group,
-                    self.stack)
+    # the name `oracle.duality_check` applies a dual stack's generators by,
+    # so that a tracer counts its applications apart from `apply`'s
+    apply_adjoint = apply
 
 
 class GeneratorStack:
@@ -221,11 +196,12 @@ class GeneratorStack:
     time a generator asks for it.
 
     A member of `split` has `group`, the stack split, and `row`, its index
-    there.
+    there.  A stack from `dual` has `primal`, the stack it is the dual of.
     """
 
     group: GeneratorStack | None = None
     row = 0
+    primal: GeneratorStack | None = None
 
     def __init__(self, model: ModelSpec, observables: ObservableSpec,
                  field: FieldProfile, kappas):
@@ -250,10 +226,6 @@ class GeneratorStack:
         return self.model.operators.stacked(len(self))
 
     @functools.cached_property
-    def layout_adj(self):
-        return self.model.operators.stacked(len(self), adjoint=True)
-
-    @functools.cached_property
     def workspace(self) -> _Workspace:
         """`_act`'s scratch arrays and all their views, built once."""
         dim = self.model.space.dim
@@ -272,6 +244,14 @@ class GeneratorStack:
             member.group, member.row = self, row
             members.append(member)
         return members
+
+    def dual(self) -> GeneratorStack:
+        """This stack on the dual model (`ModelSpec.dual`): its member k's
+        generator is the adjoint of member k's here (see `stage_rows`)."""
+        dual = GeneratorStack(self.model.dual, self.observables, self.field,
+                              self.kappas)
+        dual.primal = self
+        return dual
 
     def segments(self, t_end: float,
                  start: float = 0.0) -> list[tuple[float, float]]:
@@ -340,7 +320,9 @@ def stage_rows(stack: GeneratorStack, times, start: float):
     Every member's kappa and the field window are constant on the
     segment, so they are read once, right-continuously at `start`; only
     the smooth signals are evaluated at each time.  A block holds as many
-    times as BLOCK (time, member) rows hold.
+    times as BLOCK (time, member) rows hold.  On a dual stack, whose K_L
+    is the primal's K_R^dag and K_R its K_L^dag, `left` is conj(right)
+    and `right` conj(left).
     """
     times = np.asarray(times, dtype=float)
     field = stack.field
@@ -350,47 +332,42 @@ def stage_rows(stack: GeneratorStack, times, start: float):
     for lo in range(0, len(times), block):
         t = times[lo:lo + block]
         lam = np.where(on, field.table(t), 0j)
-        yield _weight_rows(stack.model, stack.observables, lam, kappa, t)
+        scalar, w_group, left, right = _weight_rows(
+            stack.model, stack.observables, lam, kappa, t)
+        if stack.primal is not None:
+            left, right = np.conj(right), np.conj(left)
+        yield scalar, w_group, left, right
 
 
-def _operands(stack: GeneratorStack, left, right, adjoint: bool) -> list:
+def _operands(stack: GeneratorStack, left, right) -> list:
     """The two kernel operators of `_act` (see `_OperatorCache.stacked`)
-    of the members of `stack` at each of k times, from their basis
-    weights `left` and `right` (k, n, 1 + 2d); with `adjoint`, those of
-    `FrozenGenerator.apply_adjoint`.
+    of the members of `stack` at each of k times, K_L and K_R^T from
+    their basis weights `left` and `right` (k, n, 1 + 2d).
 
     Each operator keeps the data of all k times in one array, a row per
     time: the drift data of its n members end to end, then the stack's
     sandwich data, copied in once.  One stacked product forms every
     drift; each (time, member) is still its own vector-matrix product,
     as a matrix-matrix product would round differently as the member
-    count changes.  The adjoint's drift data, K_R and K_L^T, are those
-    products gathered onto the transposed pattern by
-    `_OperatorCache.transpose`.  Returns each time's pair of operators,
-    their data a row view."""
+    count changes.  Returns each time's pair of operators, their data a
+    row view."""
     c = stack.model.operators
     k, n, _ = left.shape
     m = n * c.basis.shape[1]
-    (first, fixed), (second, fixed_t) = (stack.layout_adj if adjoint
-                                         else stack.layout)
+    (first, fixed), (second, fixed_t) = stack.layout
     arrays, drift = [], []
     for sandwich in (fixed, fixed_t):
         array = np.empty((k, m + len(sandwich)), dtype=complex)
         array[:, m:] = sandwich
         arrays.append(array)
         drift.append(array[:, :m].reshape(k, n, 1, -1))
-    if adjoint:     # K_R = (K_R^T)^T, K_R^T = conj(right basis), and K_L^T
-        c.transpose(np.conj(np.matmul(right[:, :, None], c.basis)),
-                    out=drift[0])
-        c.transpose(np.matmul(left[:, :, None], c.basis), out=drift[1])
-    else:           # K_L and K_R^T
-        np.matmul(left[:, :, None], c.basis, out=drift[0])
-        np.matmul(right[:, :, None], c.basis, out=drift[1])
-        np.conjugate(drift[1], out=drift[1])
+    np.matmul(left[:, :, None], c.basis, out=drift[0])
+    np.matmul(right[:, :, None], c.basis, out=drift[1])
+    np.conjugate(drift[1], out=drift[1])
     return [(first + (a,), second + (b,)) for a, b in zip(*arrays)]
 
 
-def _block_generators(stack: GeneratorStack, rows, adjoint: bool = False):
+def _block_generators(stack: GeneratorStack, rows):
     """Yield the generators of the members of `stack` at each time of one
     `stage_rows` block `rows`, forming their kernel operators
     (`_operands`) a sub-block of times at a time, as many as
@@ -405,22 +382,20 @@ def _block_generators(stack: GeneratorStack, rows, adjoint: bool = False):
         step = max(1, OPERAND_BUDGET // per_time)
     for lo in range(0, len(scalar), step):
         sub = slice(lo, lo + step)
-        ops = (_operands(stack, left[sub], right[sub], adjoint) if nnz
+        ops = (_operands(stack, left[sub], right[sub]) if nnz
                else itertools.repeat(None))
         for scalar_k, left_k, right_k, ops_k in zip(
                 scalar[sub], left[sub], right[sub], ops):
             yield FrozenGenerator(stack, scalar_k, w_group, left_k, right_k,
-                                  ops_k, adjoint)
+                                  ops_k)
 
 
-def stage_generators(stack: GeneratorStack, times, start: float,
-                     adjoint: bool = False):
+def stage_generators(stack: GeneratorStack, times, start: float):
     """Yield the generator of every member of `stack` at each time of
-    `times` (in the segment from `start`), from `stage_rows`, with the
-    kernel operators of `apply`, or of `apply_adjoint` if `adjoint`,
-    formed a sub-block of times at a time (`_block_generators`)."""
+    `times` (in the segment from `start`), from `stage_rows`, their
+    operators formed a sub-block of times at a time (`_block_generators`)."""
     for rows in stage_rows(stack, times, start):
-        yield from _block_generators(stack, rows, adjoint)
+        yield from _block_generators(stack, rows)
 
 
 def generator_at(stack: GeneratorStack, t: float) -> FrozenGenerator:

@@ -35,20 +35,17 @@ class _OperatorCache:
     R_1^dag..R_d^dag all live on one `pattern`, the union of their
     sparsity patterns; row j of `basis` holds the entries of the j-th of
     them on it, so a weighted sum of these operators costs one
-    vector-matrix product.  `transpose` moves data on the pattern to the
-    transposed pattern, `t_pattern`, through a fixed index permutation,
-    and `stacked` lays out the two kernel operands of one application to
-    n members.
+    vector-matrix product.  `stacked` lays out the two kernel operands
+    of one application to n members.
 
     The nonzero channel operators are grouped as R_i = c_i P_g, P_g the
     first operator of its group; `group_weights[i, g]` is |c_i|^2 (zero
     off the group).  `sandwich[g]` is (P_g, conj P_g), so that
-    P_g tau P_g^dag = (conj P_g (P_g tau)^T)^T, and `sandwich_adj[g]` is
-    (P_g^dag, P_g^T) for P_g^dag X P_g in the same form.
+    P_g tau P_g^dag = (conj P_g (P_g tau)^T)^T.  The adjoint's operators
+    are those of the dual model's cache (`ModelSpec.dual`).
     """
 
-    __slots__ = ("pattern", "t_pattern", "t_perm", "basis",
-                 "group_weights", "sandwich", "sandwich_adj")
+    __slots__ = ("pattern", "basis", "group_weights", "sandwich")
 
     def __init__(self, model: "ModelSpec"):
         dim = model.space.dim
@@ -60,11 +57,7 @@ class _OperatorCache:
         self.basis = np.zeros((len(keys), len(union)), dtype=complex)
         for j, (key, val) in enumerate(zip(keys, vals)):
             self.basis[j, np.searchsorted(union, key)] = val
-        rows, cols = np.divmod(union, dim)
-        self.t_perm = np.argsort(cols * dim + rows)
-        self.pattern = csr_pattern(rows, cols, dim)
-        self.t_pattern = csr_pattern(cols[self.t_perm], rows[self.t_perm],
-                                     dim)
+        self.pattern = csr_pattern(*np.divmod(union, dim), dim)
 
         first, columns = [], []   # first channel of each group, |c_i|^2
         for i in range(model.d):
@@ -82,30 +75,20 @@ class _OperatorCache:
         self.group_weights = np.array(columns).reshape(-1, model.d).T
         P = [model.R[i] for i in first]
         self.sandwich = [(p.csr, p.conjugate().csr) for p in P]
-        self.sandwich_adj = [(p.transpose().conjugate().csr,
-                              p.transpose().csr) for p in P]
 
-    def stacked(self, n: int, adjoint: bool = False) -> tuple:
+    def stacked(self, n: int) -> tuple:
         """The two kernel operators of one application to n members (see
         `generator._act`) as (pattern, sandwich data) pairs; the drift
         data, first in each, is every generator's own.  The first holds
         the drift and each a_g one below the other, each as n diagonal
         blocks, ((1 + G) n dim, n dim); the second is block-diagonal,
-        the drift n times, then each b_g n times.  `adjoint` takes the
-        transposed pattern and `sandwich_adj`."""
-        drift = self.t_pattern if adjoint else self.pattern
-        pairs = self.sandwich_adj if adjoint else self.sandwich
+        the drift n times, then each b_g n times."""
+        drift, pairs = self.pattern, self.sandwich
         dim, blocks = drift[0], 1 + len(pairs)
         return (_tiled((drift, *(a for a, _ in pairs)), n, [0] * blocks,
                        n * dim),
                 _tiled((drift, *(b for _, b in pairs)), n,
                        range(0, blocks * n, n), blocks * n * dim))
-
-    def transpose(self, data: np.ndarray, out: np.ndarray | None = None):
-        """The data, on `t_pattern`, of the transpose of the operator with
-        `data` on the pattern; for operators stacked along the leading
-        axes of `data`, each one's, into `out` if given."""
-        return np.take(data, self.t_perm, axis=-1, out=out)
 
 
 def _tiled(ops, n: int, shift, cols: int) -> tuple:
@@ -169,6 +152,20 @@ class ModelSpec:
         """K, R_i and their adjoints on one sparse pattern, and the channel
         groups, built on first use."""
         return _OperatorCache(self)
+
+    @functools.cached_property
+    def dual(self) -> ModelSpec:
+        """The model with K^dag and every R_i^dag, each built in one pass,
+        and S.  Under Tr(X tau) the dual of s tau + K_L tau + tau K_R +
+        sum_g w_g P_g tau P_g^dag is s X + K_R X + X K_L + sum_g w_g
+        P_g^dag X P_g, so with the drift weights exchanged and conjugated
+        (`generator.stage_rows`) its generator is this model's adjoint."""
+        def adjoint(op):
+            rows, cols, data = op.coo()
+            return SystemOperator._from_coo(self.space, cols, rows,
+                                            data.conj())
+        return ModelSpec(self.space, self.d, adjoint(self.K),
+                         tuple(map(adjoint, self.R)), self.S, self.label)
 
 
 @dataclass(frozen=True)

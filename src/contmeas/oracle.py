@@ -11,7 +11,8 @@ path:
   the matrix exponential.  The superoperator is assembled from the raw
   model and observable data, not from the production generator code.
 * `duality_check`: propagate a functional backward through the adjoint
-  generator and compare the two ways of evaluating the same pairing.
+  generator, the production one of `ModelSpec.dual`, and compare the two
+  ways of evaluating the same pairing.
 
 `expm` and `quad` are imported inside the two oracles that call them, on
 first use, so the production commands never load `scipy.linalg` or
@@ -40,13 +41,14 @@ def system_free_charfunc(obs: ObservableSpec, field: FieldProfile,
                          - (1/2) sum_ab k_a k_b <h^a(t), h^b(t)>
                          + sum_i (s_i(k) - 1) |f_i + b_i|^2 ] dt )
 
-    with all inner products taken pointwise over the channel index.
+    with all inner products taken pointwise over the channel index, and
+    s_i(k) = exp(i sum_a k_a B^a_i) formed here.
     """
     from scipy.integrate import quad
 
     def integrand(t: float) -> complex:
-        k = kappa.value(t)
-        s = obs.kernel_diagonal(k)
+        k = np.asarray(kappa.value(t), dtype=float)
+        s = np.exp(1j * (k @ obs.eigenvalues))
         f = field.value(t)
         h = np.array([[obs.h[a][i].value(t) for i in range(obs.d)]
                       for a in range(obs.m)])
@@ -133,9 +135,10 @@ def duality_check(ctx: GeneratorContext, rho0: np.ndarray, X: np.ndarray,
     """Forward-backward consistency of the trace pairing.
 
     Evolve rho0 forward to time t.  Evolve X backward from t to 0 through
-    the adjoint generator, on the segment walk of `evolve`, step budget
-    and finiteness check (IntegrationError) included.  Both routes
-    evaluate the same number: Tr(X tau(t)) = Tr(Y(0) rho0).
+    the adjoint generator, that of the dual stack `ctx.dual()`, on the
+    segment walk of `evolve`, step budget and finiteness check
+    (IntegrationError) included.  Both routes evaluate the same number:
+    Tr(X tau(t)) = Tr(Y(0) rho0).
     """
     if config is None:
         config = EvolutionConfig()
@@ -143,11 +146,12 @@ def duality_check(ctx: GeneratorContext, rho0: np.ndarray, X: np.ndarray,
     lhs = complex(np.trace(X @ forward))
 
     # dY/ds = -A'_s[Y] run from hi down to lo is forward RK4 in -s on the
-    # adjoint, with the step (hi - lo) / count; its generators hold only
-    # the adjoint's kernel operators
+    # adjoint, with the step (hi - lo) / count
+    dual = ctx.dual()
+
     def steps(hi, lo, count):
         return ((g0.apply_adjoint, g_mid.apply_adjoint, g1.apply_adjoint)
-                for g0, g_mid, g1 in rk4_stages(ctx, hi, lo, count, True))
+                for g0, g_mid, g1 in rk4_stages(dual, hi, lo, count))
 
     backward = [(hi, lo) for lo, hi in reversed(ctx.segments(t))]
     Y, _, _ = _walk(backward, np.array(X, dtype=complex)[None], config,

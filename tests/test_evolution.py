@@ -142,14 +142,14 @@ def test_stages_shared_between_steps(monkeypatch):
     assembled = []
     original = evolution.stage_generators
 
-    def counting(stack, times, start, adjoint):
-        for g in original(stack, times, start, adjoint):
+    def counting(stack, times, start):
+        for g in original(stack, times, start):
             assembled[-1] += 1
             yield g
 
-    def wrapped(stack, times, start, adjoint=False):
+    def wrapped(stack, times, start):
         assembled.append(0)
-        return counting(stack, times, start, adjoint)
+        return counting(stack, times, start)
 
     monkeypatch.setattr(evolution, "stage_generators", wrapped)
     res = evolve(ctx, rho0, 1.0, EvolutionConfig(dt=dt))

@@ -69,31 +69,34 @@ def test_number_operators():
 
 
 def test_adjoint_matches_dense():
-    # the model's cached K, R_i and adjoints R_i^dag on one pattern, built
-    # once per model
+    # the model's cached K, R_i and adjoints R_i^dag on one pattern, and
+    # the dual model's K^dag, R_i^dag and R_i on its own, each built once
+    # per model
     params = DpoParams.from_splittings(omega_c=1.0, g=0.3, kappa=0.5,
                                        kappa_p=1.0, nbar=0.2, nbar_p=0.1)
     model = dpo_model(params, TruncatedSpace(3, 2))
-    cache = model.operators
-    assert model.operators is cache
+    cache, dual = model.operators, model.dual.operators
+    assert model.operators is cache and model.dual.operators is dual
     dense = [model.K.to_dense()] + [R.to_dense() for R in model.R] \
         + [R.to_dense().conj().T for R in model.R]
-    assert len(cache.basis) == len(dense)
-    for row, ref in zip(cache.basis, dense):
+    assert len(cache.basis) == len(dual.basis) == len(dense)
+    for row, dual_row, ref in zip(cache.basis, dual.basis, dense):
         op = cache.pattern + (row,)
         assert np.max(np.abs(helpers.dense_operand(op) - ref)) == 0
-        op_t = cache.t_pattern + (cache.transpose(row),)
-        assert np.max(np.abs(helpers.dense_operand(op_t) - ref.T)) == 0
+        op_dual = dual.pattern + (dual_row,)
+        assert np.max(np.abs(helpers.dense_operand(op_dual)
+                             - ref.conj().T)) == 0
 
 
 def test_density_applications_match_dense():
-    # X tau and tau X on the cached pattern, the latter through the
-    # cached transposed pattern as (X^T tau^T)^T
+    # X tau and tau X on the cached patterns, the latter as (X^T tau^T)^T
+    # with X^T = conj(X^dag) on the dual model's pattern
     rng = np.random.default_rng(3)
     sp = TruncatedSpace(3, 3)
     params = DpoParams.from_splittings(omega_c=1.0, g=0.3, kappa=0.5,
                                        kappa_p=1.0)
-    cache = dpo_model(params, sp).operators
+    model = dpo_model(params, sp)
+    cache, dual = model.operators, model.dual.operators
     w = rng.standard_normal(len(cache.basis)) \
         + 1j * rng.standard_normal(len(cache.basis))
     X = cache.pattern + (w @ cache.basis,)
@@ -101,7 +104,7 @@ def test_density_applications_match_dense():
         + 1j * rng.standard_normal((sp.dim, sp.dim))
     Xd = helpers.dense_operand(X)
     assert np.allclose(_product(X, rho), Xd @ rho, atol=1e-14)
-    X_t = cache.t_pattern + (cache.transpose(X[-1]),)
+    X_t = dual.pattern + (np.conj(np.conj(w) @ dual.basis),)
     assert np.allclose(_product(X_t, rho.T).T, rho @ Xd, atol=1e-14)
 
 

@@ -61,12 +61,13 @@ def test_adjoint_is_trace_dual():
     ctx = GeneratorContext(model=model, observables=obs, field=field,
                            kappa=kappa)
     g = generator_at(ctx, 0.77)
+    g_dual = generator_at(ctx.dual(), 0.77)
     dim = model.space.dim
     for _ in range(5):
         tau = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         X = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         lhs = np.trace(X @ g.apply(tau[None])[0])
-        rhs = np.trace(g.apply_adjoint(X[None])[0] @ tau)
+        rhs = np.trace(g_dual.apply_adjoint(X[None])[0] @ tau)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
@@ -126,17 +127,20 @@ def _stepping_context():
             [0.0, 0.2, 0.9, 1.3, 1.5, 2.0])
 
 
-def _adjoint_operands(g):
-    """The kernel operators of g's `apply_adjoint` from g's forward drift
-    data, transposed by `_OperatorCache.transpose`, and the stack's
-    adjoint sandwich data."""
-    stack = g.stack
-    c, n = stack.model.operators, len(stack)
-    m = n * c.basis.shape[1]
+def _adjoint_operands(g, dual):
+    """The kernel operators of g's adjoint, K_R and K_L^T, from g's
+    forward drift data K_R^T and K_L, each moved to the transposed
+    pattern by a permutation formed here, with the sandwich data of the
+    dual stack `dual`."""
+    c, n = g.stack.model.operators, len(g.stack)
+    dim, _, indptr, indices = c.pattern
+    rows = np.repeat(np.arange(dim), np.diff(indptr))
+    perm = np.argsort(indices.astype(np.int64) * dim + rows)
+    m = n * len(perm)
     return tuple(
-        pattern + (np.concatenate((c.transpose(
-            op[-1][:m].reshape(n, -1)).ravel(), fixed)),)
-        for (pattern, fixed), op in zip(stack.layout_adj, g.ops[::-1]))
+        pattern + (np.concatenate((op[-1][:m].reshape(n, -1)[:, perm].ravel(),
+                                   fixed)),)
+        for (pattern, fixed), op in zip(dual.layout, g.ops[::-1]))
 
 
 def _assert_same_operators(ops, ref):
@@ -150,9 +154,9 @@ def test_stage_generators_match_one_point_assembly(monkeypatch):
     # on every segment, both ends included, across weight blocks, and
     # with sub-blocks of one stage time, several and all of them, the
     # batched assembly equals the one-point assembly at each time on that
-    # segment bit for bit, and so do the adjoint's operators formed
-    # directly and transposed from the forward ones; for one member and
-    # for three
+    # segment bit for bit, on the stack and on its dual, and the dual's
+    # operators are the forward ones transposed; for one member and for
+    # three
     for build in (_stepping_context, _dpo_members, _hand_built_members):
         for times_per_block in (1, 7, None):
             _check_stage_assembly(monkeypatch, build, times_per_block)
@@ -161,6 +165,7 @@ def test_stage_generators_match_one_point_assembly(monkeypatch):
 def _check_stage_assembly(monkeypatch, build, times_per_block):
     model, obs, field, kappas, edges = build()
     stack = GeneratorStack(model, obs, field, kappas)
+    dual = stack.dual()
     n, c = len(stack), model.operators
     per_time = n * c.basis.shape[1] + len(stack.layout[0][1])
     monkeypatch.setattr(generator, "OPERAND_BUDGET",
@@ -176,19 +181,26 @@ def _check_stage_assembly(monkeypatch, build, times_per_block):
         inner = rng.uniform(lo, hi, BLOCK // n + 1 if lo == edges[1] else 40)
         times = np.concatenate(([lo], inner, [hi]))
         gens = list(stage_generators(stack, times, lo))
-        adjoints = list(stage_generators(stack, times, lo, adjoint=True))
+        adjoints = list(stage_generators(dual, times, lo))
         assert len(gens) == len(adjoints) == len(times)
         for k, (t, g, a) in enumerate(zip(times, gens, adjoints)):
             ref = next(stage_generators(stack, (t,), lo))
+            ref_dual = next(stage_generators(dual, (t,), lo))
             for name in ("scalar", "w_group", "left", "right"):
                 assert np.array_equal(getattr(g, name), getattr(ref, name))
+                assert np.array_equal(getattr(a, name),
+                                      getattr(ref_dual, name))
+            for name in ("scalar", "w_group"):
                 assert np.array_equal(getattr(a, name), getattr(ref, name))
+            assert np.array_equal(a.left, np.conj(ref.right))
+            assert np.array_equal(a.right, np.conj(ref.left))
             _assert_same_operators(g.ops, ref.ops)
-            _assert_same_operators(a.ops, _adjoint_operands(ref))
-            if k % 16 == 0:   # either map, formed for it or on demand
+            _assert_same_operators(a.ops, ref_dual.ops)
+            _assert_same_operators(a.ops, _adjoint_operands(ref, dual))
+            if k % 16 == 0:
                 assert np.array_equal(a.apply_adjoint(X),
-                                      ref.apply_adjoint(X))
-                assert np.array_equal(a.apply(X), ref.apply(X))
+                                      ref_dual.apply_adjoint(X))
+                assert np.array_equal(g.apply(X), ref.apply(X))
 
 
 def test_stage_generators_read_each_segment_at_its_start():
@@ -233,9 +245,8 @@ def test_operand_sub_blocks_stay_in_budget(dims):
     assert (model.space.dim, n) == tuple(map(int, dims.split("-")))
     per_time = n * model.operators.basis.shape[1] + len(stack.layout[0][1])
     arrays = {}
-    for adjoint in (False, True):
-        for g in stage_generators(stack, np.linspace(0.0, 0.5, 21), 0.0,
-                                  adjoint):
+    for own in (stack, stack.dual()):
+        for g in stage_generators(own, np.linspace(0.0, 0.5, 21), 0.0):
             for op in g.ops:
                 data = op[-1]
                 assert data.base is not None and data.base.ndim == 2
@@ -288,7 +299,8 @@ def _trivial_members():
 def _per_product_operands(g, adjoint=False):
     """The operands of `helpers.per_product_act` for the generator g: its
     members' drift operators, from the drift data g holds, as
-    block-diagonal scipy matrices, and the model's sandwich pairs."""
+    block-diagonal scipy matrices, and the model's sandwich pairs; with
+    `adjoint`, those of g's adjoint, transposed by scipy."""
     if g.ops is None:
         return None, None, []
     c, n = g.stack.model.operators, len(g.stack)
@@ -296,17 +308,18 @@ def _per_product_operands(g, adjoint=False):
     drift = [[scipy.sparse.csr_matrix((d, indices, indptr), shape=(dim, dim))
               for d in op[-1][:n * c.basis.shape[1]].reshape(n, -1)]
              for op in g.ops]   # K_L, K_R^T
-    if adjoint:   # K_R, K_L^T
-        drift = [[A.T.tocsr() for A in ops] for ops in drift[::-1]]
 
     def csr(op):
         rows, cols, indptr, indices, data = op
         return scipy.sparse.csr_matrix((data, indices, indptr),
                                        shape=(rows, cols))
 
+    pairs = [(csr(a), csr(b)) for a, b in c.sandwich]   # P_g, conj P_g
+    if adjoint:   # K_R, K_L^T; P_g^dag, P_g^T
+        drift = [[A.T.tocsr() for A in ops] for ops in drift[::-1]]
+        pairs = [(b.T.tocsr(), a.T.tocsr()) for a, b in pairs]
     return (*(scipy.sparse.block_diag(ops, format="csr") for ops in drift),
-            [(csr(a), csr(b))
-             for a, b in (c.sandwich_adj if adjoint else c.sandwich)])
+            pairs)
 
 
 @pytest.mark.parametrize("build, n", [(_dpo_members, 1), (_dpo_members, 3),
@@ -316,10 +329,12 @@ def _per_product_operands(g, adjoint=False):
                          ids=["dpo-1", "dpo-3", "hand-built-1",
                               "hand-built-3", "trivial-1"])
 def test_application_matches_per_product_arithmetic(build, n):
-    # the two kernel calls of an application, and of its adjoint, give
-    # the bits of one sparse product at a time, whatever the stack size
+    # the two kernel calls of an application, and of the dual stack's,
+    # give the bits of one sparse product at a time of the generator and
+    # of its adjoint, whatever the stack size
     model, obs, field, kappas, edges = build()
     stack = GeneratorStack(model, obs, field, kappas[:n])
+    dual = stack.dual()
     rng = np.random.default_rng(31)
     dim = model.space.dim
     for t in rng.uniform(0.0, edges[-1], 3):
@@ -330,7 +345,8 @@ def test_application_matches_per_product_arithmetic(build, n):
             ref = helpers.per_product_act(
                 X, g.scalar, *_per_product_operands(g, adjoint),
                 g.w_group[:, :, 0, 0].T)
-            got = (g.apply_adjoint if adjoint else g.apply)(X)
+            got = (generator_at(dual, t).apply_adjoint(X) if adjoint
+                   else g.apply(X))
             assert np.array_equal(got, ref)
 
 
@@ -341,6 +357,7 @@ def test_workspace_does_not_leak_between_applications():
     model, obs, field, kappas, _ = _dpo_members()
     three = GeneratorStack(model, obs, field, kappas)
     one = GeneratorStack(model, obs, field, kappas[2:])
+    duals = {3: three.dual(), 1: one.dual()}
     rng = np.random.default_rng(37)
     dim = model.space.dim
     gens = {}
@@ -348,15 +365,14 @@ def test_workspace_does_not_leak_between_applications():
                               (one, 0.3, False), (three, 0.3, True),
                               (one, 1.7, True), (three, 1.1, False),
                               (one, 0.3, False), (three, 1.1, True)]:
-        g = gens.setdefault((len(stack), t), generator_at(stack, t))
+        own = duals[len(stack)] if adjoint else stack
+        g = gens.setdefault((len(stack), t, adjoint), generator_at(own, t))
         X = (rng.standard_normal((len(stack), dim, dim))
              + 1j * rng.standard_normal((len(stack), dim, dim)))
-        fresh = generator_at(GeneratorStack(model, obs, field, stack.kappas),
-                             t)
+        fresh = GeneratorStack(model, obs, field, stack.kappas)
         if adjoint:
-            assert np.array_equal(g.apply_adjoint(X), fresh.apply_adjoint(X))
-        else:
-            assert np.array_equal(g.apply(X), fresh.apply(X))
+            fresh = fresh.dual()
+        assert np.array_equal(g.apply(X), generator_at(fresh, t).apply(X))
     rho = helpers.random_density(dim, rng)
     config = EvolutionConfig(dt=0.05, contractivity_check="off")
     first = evolve(three, rho, 1.6, config).final
@@ -385,17 +401,20 @@ def test_workspace_views_are_built_once_per_stack():
 
 def test_channel_groups_decline_non_proportional_operators():
     # only exact multiples share a sandwich: {a, 2i a}, {a changed},
-    # {a + b, -(a + b)/2}; the fused kernel still matches the dense
-    # superoperator and its adjoint stays trace-dual
+    # {a + b, -(a + b)/2}, in the model and in its dual; the fused kernel
+    # still matches the dense superoperator and the dual's stays
+    # trace-dual to it
     ctx = _hand_built_context()
     model = ctx.model
-    weights = model.operators.group_weights
-    assert np.array_equal(weights, [[1, 0, 0], [0, 1, 0], [0, 0, 1],
-                                    [4, 0, 0], [0, 0, 0.25]])
+    dual = ctx.dual()
+    for weights in (model.operators.group_weights,
+                    model.dual.operators.group_weights):
+        assert np.array_equal(weights, [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                        [4, 0, 0], [0, 0, 0.25]])
     rng = np.random.default_rng(23)
     dim = model.space.dim
     for t in (0.2, 0.6):
-        g = generator_at(ctx, t)
+        g, g_dual = generator_at(ctx, t), generator_at(dual, t)
         M = _dense_superoperator(model, ctx.observables, ctx.field,
                                  ctx.kappas[0], t)
         for _ in range(3):
@@ -407,22 +426,56 @@ def test_channel_groups_decline_non_proportional_operators():
                                                              order="F")
             assert np.max(np.abs(g.apply(tau[None])[0] - dense)) < 1e-12
             lhs = np.trace(X @ g.apply(tau[None])[0])
-            rhs = np.trace(g.apply_adjoint(X[None])[0] @ tau)
+            rhs = np.trace(g_dual.apply_adjoint(X[None])[0] @ tau)
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("build", [_dpo_members, _hand_built_members],
+                         ids=["dpo", "hand-built"])
+def test_dual_stack_applies_the_dense_adjoint(build):
+    # at stage times inside every segment, member k of the dual stack's
+    # application is the transpose of the oracle's dense superoperator of
+    # member k under the bilinear pairing Tr(X tau) = vec(X^T) . vec(tau)
+    # (column-stacked), so A'[X] = (M^T vec(X^T))^T; the dual model keeps
+    # the channel groups, and its own dual is the model again
+    model, obs, field, kappas, edges = build()
+    stack = GeneratorStack(model, obs, field, kappas)
+    dual = stack.dual()
+    rng = np.random.default_rng(41)
+    dim, n = model.space.dim, len(kappas)
+    for lo, hi in stack.segments(edges[-1]):
+        times = lo + (hi - lo) * np.array([0.1, 0.5, 0.9])
+        for t, g in zip(times, stage_generators(dual, times, lo)):
+            X = (rng.standard_normal((n, dim, dim))
+                 + 1j * rng.standard_normal((n, dim, dim)))
+            got = g.apply_adjoint(X)
+            for k, kappa in enumerate(kappas):
+                M = _dense_superoperator(model, obs, field, kappa, t)
+                want = (M.T @ X[k].ravel()).reshape(dim, dim)
+                assert np.max(np.abs(got[k] - want)) < 1e-12
+    assert np.array_equal(model.dual.operators.group_weights,
+                          model.operators.group_weights)
+    for op, again in zip((model.K, *model.R),
+                         (model.dual.dual.K, *model.dual.dual.R),
+                         strict=True):
+        assert op.csr[:2] == again.csr[:2]
+        for a, b in zip(op.csr[2:], again.csr[2:], strict=True):
+            assert np.array_equal(a, b)
 
 
 def test_kernel_product_matches_scipy():
     # `_product` calls scipy's private CSR kernel directly; it must equal
     # scipy's own sparse product bit for bit on every operand `_act` uses
-    # (the two stacked operators of a three-member stack, the adjoint
-    # pair on the transposed pattern, every sandwich operand of two
-    # models), for C-contiguous and transposed-view inputs alike
+    # (the two stacked operators of a three-member stack, the pair of a
+    # one-member dual stack on the transposed pattern, every sandwich
+    # operand of two models and of their duals), for C-contiguous and
+    # transposed-view inputs alike
     rng, params, model, obs, field = build_setup(seed=5)
     kappas = [random_kappa(rng, 2.0) for _ in range(3)]
     g = generator_at(GeneratorStack(model, obs, field, kappas), 0.7)
     one = next(stage_generators(GeneratorContext(
-        model=model, observables=obs, field=field, kappa=kappas[0]),
-        (0.7,), 0.7, adjoint=True))
+        model=model, observables=obs, field=field,
+        kappa=kappas[0]).dual(), (0.7,), 0.7))
     dim = model.space.dim
     blocks = 1 + len(model.operators.sandwich)
     assert g.ops[0][:2] == (blocks * 3 * dim, 3 * dim)
@@ -430,7 +483,7 @@ def test_kernel_product_matches_scipy():
     ops = [*g.ops, *one.ops]
     for m in (model, _hand_built_context().model):
         assert len(m.operators.sandwich) >= 2
-        for pair in m.operators.sandwich + m.operators.sandwich_adj:
+        for pair in m.operators.sandwich + m.dual.operators.sandwich:
             ops.extend(pair)
     for op in ops:
         rows, cols, indptr, indices, data = op
@@ -489,7 +542,8 @@ def test_system_free_apply_is_scalar():
         X = rng.standard_normal((n, 1, 1)) + 1j * rng.standard_normal(
             (n, 1, 1))
         assert np.array_equal(g.apply(X), g.scalar * X)
-        assert np.array_equal(g.apply_adjoint(X), g.scalar * X)
+        assert np.array_equal(generator_at(stack.dual(), 0.5)
+                              .apply_adjoint(X), g.scalar * X)
         # with no operator to apply, the stack builds no workspace
         assert "workspace" not in stack.__dict__
 

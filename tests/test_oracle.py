@@ -106,12 +106,11 @@ def test_duality_rejects_non_finite_functional(bad):
 
 def test_duality_backward_walk_forms_only_adjoint_operators(monkeypatch):
     # on the oracle_dpo9 benchmark config (seed 7), the forward propagation
-    # forms only the operators of `apply` and the backward walk only
-    # those of `apply_adjoint`, a sub-block of stage times at a time, with
-    # one transposing gather per operator and sub-block, not per generator
+    # forms operators only on the context and the backward walk only on
+    # its one dual stack, whose generators are the adjoint's, a sub-block
+    # of stage times at a time
     from contmeas import oracle
     from contmeas.cli import Run
-    from contmeas.model import _OperatorCache
     root = pathlib.Path(__file__).parent.parent
     spec = importlib.util.spec_from_file_location(
         "workloads", root / "perfbench" / "workloads.py")
@@ -121,8 +120,7 @@ def test_duality_backward_walk_forms_only_adjoint_operators(monkeypatch):
     ctx = run.context()
 
     walk, operands = oracle._walk, generator._operands
-    transpose = _OperatorCache.transpose
-    backward, formed, gathers = [False], [], []
+    backward, formed = [False], []
 
     def backward_walk(*args):
         backward[0] = True
@@ -131,21 +129,19 @@ def test_duality_backward_walk_forms_only_adjoint_operators(monkeypatch):
         finally:
             backward[0] = False
 
-    def counted_operands(stack, left, right, adjoint):
-        formed.append((backward[0], adjoint, len(left)))
-        return operands(stack, left, right, adjoint)
-
-    def counted_transpose(self, data, out=None):
-        gathers.append(backward[0])
-        return transpose(self, data, out)
+    def counted_operands(stack, left, right):
+        formed.append((backward[0], stack, len(left)))
+        return operands(stack, left, right)
 
     monkeypatch.setattr(oracle, "_walk", backward_walk)
     monkeypatch.setattr(generator, "_operands", counted_operands)
-    monkeypatch.setattr(_OperatorCache, "transpose", counted_transpose)
     dim = run.model.space.dim
     duality_check(ctx, run.rho0, np.eye(dim), run.t_end(), run.evo)
-    assert {(back, adjoint) for back, adjoint, _ in formed} == {
-        (False, False), (True, True)}
+    assert {id(stack) for back, stack, _ in formed if not back} == {id(ctx)}
+    duals = {id(stack): stack for back, stack, _ in formed if back}
+    assert len(duals) == 1
+    dual, = duals.values()
+    assert dual.primal is ctx and dual.model is run.model.dual
     stages = [sum(k for back, _, k in formed if back == side)
               for side in (False, True)]
     assert stages == [402, 402]      # 2 segments of 100 steps, each way
@@ -154,4 +150,3 @@ def test_duality_backward_walk_forms_only_adjoint_operators(monkeypatch):
     step = generator.OPERAND_BUDGET // per_time
     blocks = sum(back for back, _, _ in formed)
     assert step > 1 and blocks == 2 * -(-201 // step)
-    assert gathers == [True] * 2 * blocks

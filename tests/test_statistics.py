@@ -319,14 +319,14 @@ def test_stack_step_budget_checked_before_assembly(monkeypatch):
     assembled = []
     original = evolution.stage_generators
 
-    def counting(stack, times, start, adjoint):
-        for g in original(stack, times, start, adjoint):
+    def counting(stack, times, start):
+        for g in original(stack, times, start):
             assembled[-1] += 1
             yield g
 
-    def wrapped(stack, times, start, adjoint=False):
+    def wrapped(stack, times, start):
         assembled.append(0)
-        return counting(stack, times, start, adjoint)
+        return counting(stack, times, start)
 
     monkeypatch.setattr(evolution, "stage_generators", wrapped)
     for budget, want in ((10, [2 * 8 + 1]), (5, [])):
