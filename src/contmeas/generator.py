@@ -321,8 +321,8 @@ def stage_rows(stack: GeneratorStack, times, start: float):
     segment, so they are read once, right-continuously at `start`; only
     the smooth signals are evaluated at each time.  A block holds as many
     times as BLOCK (time, member) rows hold.  On a dual stack, whose K_L
-    is the primal's K_R^dag and K_R its K_L^dag, `left` is conj(right)
-    and `right` conj(left).
+    is the primal's K_R and K_R its K_L, on the basis K^dag, R_i^dag,
+    R_i, `left` is conj(right) and `right` conj(left).
     """
     times = np.asarray(times, dtype=float)
     field = stack.field
