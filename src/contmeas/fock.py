@@ -23,11 +23,35 @@ from .errors import DimensionMismatchError
 _SPARSETOOLS = "scipy.sparse._sparsetools"
 
 
+class _BindKernel:
+    """Meta path finder that, when `scipy.sparse` is imported after the
+    kernel module was loaded on its own, binds the kernel to the package
+    as `_sparsetools` before the package's `__init__` runs: Python binds
+    a submodule to its package only when it loads the submodule, and
+    this one is already in `sys.modules`.  It removes itself on use."""
+
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        if name != "scipy.sparse":
+            return None
+        sys.meta_path.remove(cls)
+        spec = importlib.util.find_spec(name)
+        exec_module = spec.loader.exec_module
+
+        def bind_and_exec(module):
+            module._sparsetools = sys.modules[_SPARSETOOLS]
+            exec_module(module)
+
+        spec.loader.exec_module = bind_and_exec
+        return spec
+
+
 def _load_sparsetools():
     """scipy's compiled sparse kernel module, without importing the
     `scipy.sparse` package: its `__init__` loads about 300 modules, the
     kernel nothing but numpy.  The module is registered under its own
-    name, so `scipy.sparse`, imported before or after, shares it."""
+    name, so `scipy.sparse`, imported before or after, shares it, and
+    has it as its `_sparsetools` either way (`_BindKernel`)."""
     if _SPARSETOOLS not in sys.modules:
         scipy = importlib.util.find_spec("scipy")
         spec = scipy and importlib.machinery.PathFinder.find_spec(
@@ -40,6 +64,7 @@ def _load_sparsetools():
                               "installed; contmeas needs scipy>=1.10)")
         sys.modules[_SPARSETOOLS] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[_SPARSETOOLS])
+        sys.meta_path.insert(0, _BindKernel)
     return sys.modules[_SPARSETOOLS]
 
 
@@ -166,10 +191,6 @@ class SystemOperator:
     def transpose(self) -> "SystemOperator":
         rows, cols, data = self.coo()
         return SystemOperator._from_coo(self.space, cols, rows, data)
-
-    def conjugate(self) -> "SystemOperator":
-        rows, cols, data = self.coo()
-        return SystemOperator._from_coo(self.space, rows, cols, data.conj())
 
 
 # -- ladder operators ----------------------------------------------------

@@ -18,21 +18,26 @@ direction of the chosen observables.
 Expanding B_i(lam) = R_i + (S lam)_i folds every drift and channel term
 into two sparse operators, K_L acting from the left and K_R from the
 right, plus one sandwich P_g tau P_g^dag per group of proportional channel
-operators R_i = c_i P_g.  The model caches K, R_i and R_i^dag on one
-sparse pattern and the groups once (`ModelSpec.operators`).
+operators R_i = c_i P_g.  The model caches K, R_i, R_i^dag and the
+identity on one sparse pattern, and the groups, once
+(`ModelSpec.operators`).
 
 A `GeneratorStack` is the one spec of a generator: n test functions on
 one model, observable family and field, checked against them once per
 stack.  A `GeneratorContext` is its one-member case, built from a single
 test function.  A `FrozenGenerator` is the stack's generators at one
 time, applied to an (n, dim, dim) stack in two calls of scipy's CSR
-kernel (`_act`): K_L and every P_g, stacked by rows, on the members,
-then K_R^T and every conj P_g, block-diagonal, on the transposes of the
-members and of the first call's products.  Each block is tiled once per
-member.  The stack builds the patterns and the sandwich data of both
-operators once, and one workspace that every application reuses; each
-generator adds only the data of its K_L and K_R^T.  The adjoint, under
-the pairing Tr(X tau), is the generator of the dual stack
+kernel (`_act`) that do all of its arithmetic: K_L + s I, with the
+scalar rate s on the identity, and every P_g, stacked by rows, on the
+members; then, into one output plane per member,
+[K_R^T | w_1 conj P_1 | ... | w_G conj P_G], with the sandwich weights
+w_g in its data, on the transposes of the member and of its first-call
+products.  Each block is tiled once per member, and one add of the two
+products ends the application.  The stack builds the patterns of both
+operators and the sandwich data of the first once, and one workspace
+that every application reuses; each generator adds the data of its
+K_L + s I and all of the second operator's.  The adjoint, under the
+pairing Tr(X tau), is the generator of the dual stack
 (`GeneratorStack.dual`) on the dual model (`ModelSpec.dual`), in the
 same layout.  Every sparse operator is held, like `SystemOperator.csr`,
 as the arguments of scipy's CSR kernel, (rows, cols, indptr, indices,
@@ -43,15 +48,16 @@ inside one segment at once, a block at a time.  It reads every member's
 kappa and the field window once, at the segment's start, and forms each
 factor at its own rank: the smooth signals once per time, s once per
 member, and only r(+/-kappa), the scalar rate and the weights per (time,
-member).  The kernel operators of a sub-block of times, bounded by
-OPERAND_BUDGET entries, come from one stacked product into one data
-array per operator, a row per time (`_operands`).  `generator_at` is
-its one-time case, reading everything at its time.  On a one-member
-stack from `GeneratorStack.split` it forms the member's generator from
-the member's row of the split stack's weights, which that stack
-assembles once per time for all its members.  A model without operators
-has its scalar rate as its generator, so an application is the one
-product scalar * tau.
+member).  The data of each kernel operator for a sub-block of times,
+bounded by OPERAND_BUDGET entries, comes from one stacked product of
+the weight rows and a basis of the model into one array, a row per
+time (`_operands`).  `generator_at` is its one-time case, reading
+everything at its time.  On a one-member stack from
+`GeneratorStack.split` it forms the member's generator from the
+member's row of the split stack's weights, which that stack assembles
+once per time for all its members.  A model without operators has its
+scalar rate as its generator, so an application is the one product
+scalar * tau.
 """
 
 from __future__ import annotations
@@ -81,49 +87,45 @@ def _product(op: tuple, X: np.ndarray, out: np.ndarray | None = None):
 
 
 class _Workspace:
-    """`_act`'s two scratch (1 + G, n, dim, dim) arrays of one stack, held
-    flat, and every view of them that an application uses."""
+    """`_act`'s scratch arrays of one stack, held flat: the left-hand
+    products and the right-hand operands, each (1 + G, n, dim, dim), and
+    the right-hand products, (n, dim, dim); with every view of them that
+    an application uses."""
 
-    __slots__ = ("products", "operands", "product0", "product0_t", "sandwich",
-                 "sandwich_src", "sandwich_t", "operand0", "operand_rest")
+    __slots__ = ("products", "operands", "right", "product0", "sandwich_t",
+                 "operand0", "operand_rest", "right_t")
 
     def __init__(self, shape: tuple):
         products = np.empty(shape, dtype=complex)
         operands = np.empty(shape, dtype=complex)
+        right = np.empty(shape[1:], dtype=complex)
         self.products, self.operands = products.ravel(), operands.ravel()
-        self.product0, self.sandwich = products[0], products[1:]
-        self.product0_t = self.product0.transpose(0, 2, 1)
-        self.sandwich_src = products[1:].transpose(0, 1, 3, 2)
-        self.sandwich_t = tuple(self.sandwich_src)
+        self.right = right.ravel()
+        self.product0 = products[0]
+        self.sandwich_t = products[1:].transpose(0, 1, 3, 2)
         self.operand0, self.operand_rest = operands[0], operands[1:]
+        self.right_t = right.transpose(0, 2, 1)
 
 
-def _act(X, scalar, ops, weights, stack) -> np.ndarray:
-    """scalar_k X_k + left X_k + X_k right + sum_g w_kg a_g X_k a_g^dag
-    on each member X_k of an (n, dim, dim) stack, for one (1, 1) scalar
-    per member and the (G, n, 1, 1) group weights, in two kernel calls on
-    the operators `ops` (`FrozenGenerator.ops`, formed by `_operands`):
-    [left; a_1; ...; a_G] on the members, then diag(right^T, b_1, ...,
-    b_G) on X_k^T and every (a_g X_k)^T, each block once per member,
-    where b_g = conj a_g makes (b_g (a_g X_k)^T)^T the sandwich, in views
-    of `stack.workspace` built once per stack.
-    The terms are added in the order above, so every entry of member k
-    is formed by the same operations, in the same order, whatever n is."""
-    out = scalar * X
-    ws = stack.workspace
+def _act(X, ops, ws: _Workspace) -> np.ndarray:
+    """(K_L,k + s_k) X_k + X_k K_R,k + sum_g w_kg P_g X_k P_g^dag on each
+    member X_k of an (n, dim, dim) stack, in two kernel calls on the
+    operators `ops` (`FrozenGenerator.ops`, formed by `_operands`), in
+    views of the stack's workspace `ws`: [K_L + s I; P_1; ...; P_G] on
+    the members, then, into one output plane per member,
+    [K_R^T | w_1 conj P_1 | ... | w_G conj P_G] on X_k^T and every
+    (P_g X_k)^T stacked, each block once per member.  The second call
+    gives (X_k K_R + sum_g w_kg P_g X_k P_g^dag)^T, since
+    conj P_g (P_g X)^T = (P_g X P_g^dag)^T, and one add of the two
+    products ends the application.  Every entry of member k is formed
+    by the same operations, in the same order, whatever n is."""
     ws.products.fill(0)
     _product(ops[0], X, ws.products)
-    out += ws.product0
     ws.operand0[...] = X.transpose(0, 2, 1)
-    ws.operand_rest[...] = ws.sandwich_src
-    ws.products.fill(0)
-    _product(ops[1], ws.operands, ws.products)
-    out += ws.product0_t
-    # weights first: numpy's complex product is not commutative in bits
-    np.multiply(weights, ws.sandwich, out=ws.sandwich)
-    for term in ws.sandwich_t:
-        out += term
-    return out
+    ws.operand_rest[...] = ws.sandwich_t
+    ws.right.fill(0)
+    _product(ops[1], ws.operands, ws.right)
+    return ws.product0 + ws.right_t
 
 
 class FrozenGenerator:
@@ -139,19 +141,22 @@ class FrozenGenerator:
         K_R = K^dag + sum_i (w_right_i R_i + w_right_dag_i R_i^dag)
     and one sandwich per group g of proportional channel operators
     R_i = c_i P_g, with w_g = sum_{i in g} s_i |c_i|^2 (`ModelSpec.operators`
-    holds the groups).  K_L and K_R^T of all members are weighted sums of
-    the cached basis, the drift data of the stack's two kernel operators
-    (`ops`, see `_act`), formed with those of a whole sub-block of times
-    (`_operands`); applying the generator costs those two kernel calls,
-    in the stack's workspace.  Without operators (`ops` None) it is the
-    one product scalar_k tau_k.  The adjoint is the generator of the
-    dual stack (`GeneratorStack.dual`).
+    holds the groups).  The data of the stack's two kernel operators
+    (`ops`, see `_act`) are weighted sums of the cached bases: K_L + s I
+    of `left`, and [K_R^T | w_1 conj P_1 | ...] of `right`, formed with
+    those of a whole sub-block of times (`_operands`); applying the
+    generator costs those two kernel calls, in the stack's workspace.
+    Without operators (`ops` None) it is the one product scalar_k tau_k.
+    The adjoint is the generator of the dual stack
+    (`GeneratorStack.dual`).
 
-    `left` and `right` hold one row per member, `scalar` (n, 1, 1) and
-    `w_group` (G, n, 1, 1) one entry per member, to scale it directly.
-    Row k of `left` is (1, w_left, w_left_dag), the weights of K,
-    R_1..R_d and R_1^dag..R_d^dag in K_L; row k of `right` is
-    (1, conj w_right_dag, conj w_right), their weights in conj K_R^T.
+    `left` and `right` hold one row per member, `scalar` (n, 1, 1) one
+    entry per member, to scale it directly.  Row k of `left` is
+    (1, w_left, w_left_dag, scalar), the weights of K, R_1..R_d,
+    R_1^dag..R_d^dag and the identity in K_L + s I; row k of `right` is
+    (1, w_right_dag, w_right, w_1..w_G), the weights of conj K, conj
+    R_1..conj R_d and conj R_1^dag..conj R_d^dag in K_R^T and of each
+    conj P_g.
 
     Weight layout (mu = S lam, r_pm = r(+/-kappa; t)):
         R_i tau         : w_left_i      = conj(r_minus_i) + s_i conj(mu_i)
@@ -164,13 +169,11 @@ class FrozenGenerator:
     parts of the two drift operators.
     """
 
-    __slots__ = ("stack", "scalar", "w_group", "left", "right", "ops")
+    __slots__ = ("stack", "scalar", "left", "right", "ops")
 
-    def __init__(self, stack: GeneratorStack, scalar, w_group, left, right,
-                 ops):
+    def __init__(self, stack: GeneratorStack, scalar, left, right, ops):
         self.stack = stack
         self.scalar = scalar
-        self.w_group = w_group
         self.left = left
         self.right = right
         self.ops = ops
@@ -178,7 +181,7 @@ class FrozenGenerator:
     def apply(self, X: np.ndarray) -> np.ndarray:
         if self.ops is None:
             return self.scalar * X
-        return _act(X, self.scalar, self.ops, self.w_group, self.stack)
+        return _act(X, self.ops, self.stack.workspace)
 
     # the name `oracle.duality_check` applies a dual stack's generators by,
     # so that a tracer counts its applications apart from `apply`'s
@@ -191,9 +194,9 @@ class GeneratorStack:
     `kappas[k]`.
 
     The kernel operators of every application (`_OperatorCache.stacked`)
-    have one pattern and one set of sandwich data per stack, and every
-    application runs in one workspace per stack; each is built the first
-    time a generator asks for it.
+    have their patterns and the left-hand sandwich data once per stack,
+    and every application runs in one workspace per stack; each is built
+    the first time a generator asks for it.
 
     A member of `split` has `group`, the stack split, and `row`, its index
     there.  A stack from `dual` has `primal`, the stack it is the dual of.
@@ -281,9 +284,10 @@ OPERAND_BUDGET = 1024
 
 def _weight_rows(model: ModelSpec, obs: ObservableSpec, lam: np.ndarray,
                  kappa: np.ndarray, t: np.ndarray):
-    """scalar, w_group and the left and right basis weights (see
-    `FrozenGenerator`) for the field values `lam` (T, d) at the T times t
-    and the test-function values `kappa` (n, m) of n members.
+    """scalar, w_group and the drift parts of the left and right weight
+    rows (see `FrozenGenerator`: their first 1 + 2d entries) for the
+    field values `lam` (T, d) at the T times t and the test-function
+    values `kappa` (n, m) of n members.
 
     Each factor is formed at its own rank: mu and the signals once per
     time, s and w_group (n, G) once per member, and only r(+/-kappa),
@@ -306,13 +310,14 @@ def _weight_rows(model: ModelSpec, obs: ObservableSpec, lam: np.ndarray,
     right = np.empty_like(left)
     left[..., 0] = right[..., 0] = 1.0
     left[..., 1:1 + d] = r_minus_conj + s * mu_conj
-    right[..., 1:1 + d] = np.conj(r_plus + s * mu)
-    left[..., 1 + d:] = right[..., 1 + d:] = -mu
+    right[..., 1:1 + d] = r_plus + s * mu
+    left[..., 1 + d:] = -mu
+    right[..., 1 + d:] = -mu_conj
     return scalar, w_group, left, right
 
 
 def stage_rows(stack: GeneratorStack, times, start: float):
-    """Yield scalar, w_group, left and right (see `_weight_rows`) for the
+    """Yield scalar, left and right (see `FrozenGenerator`) for the
     members of `stack` at the times `times`, one block of times after
     another, in order; `start` is the start of the segment (see
     `signals.segments`) that holds them.
@@ -322,7 +327,10 @@ def stage_rows(stack: GeneratorStack, times, start: float):
     the smooth signals are evaluated at each time.  A block holds as many
     times as BLOCK (time, member) rows hold.  On a dual stack, whose K_L
     is the primal's K_R and K_R its K_L, on the basis K^dag, R_i^dag,
-    R_i, `left` is conj(right) and `right` conj(left).
+    R_i, the drift parts of `left` and `right` (`_weight_rows`) are
+    exchanged.  Then the scalar rate is appended to `left` and w_group
+    to `right`, unexchanged: the adjoint keeps both, and the dual model
+    keeps the model's channel groups.
     """
     times = np.asarray(times, dtype=float)
     field = stack.field
@@ -335,46 +343,47 @@ def stage_rows(stack: GeneratorStack, times, start: float):
         scalar, w_group, left, right = _weight_rows(
             stack.model, stack.observables, lam, kappa, t)
         if stack.primal is not None:
-            left, right = np.conj(right), np.conj(left)
-        yield scalar, w_group, left, right
+            left, right = right, left
+        w_group = np.broadcast_to(w_group, scalar.shape + w_group.shape[1:])
+        yield (scalar, np.concatenate((left, scalar[..., None]), axis=-1),
+               np.concatenate((right, w_group), axis=-1))
 
 
 def _operands(stack: GeneratorStack, left, right) -> list:
     """The two kernel operators of `_act` (see `_OperatorCache.stacked`)
-    of the members of `stack` at each of k times, K_L and K_R^T from
-    their basis weights `left` and `right` (k, n, 1 + 2d).
+    of the members of `stack` at each of k times, K_L + s I and
+    [K_R^T | w_1 conj P_1 | ...] from their weight rows `left` and
+    `right` (k, n, .).
 
     Each operator keeps the data of all k times in one array, a row per
-    time: the drift data of its n members end to end, then the stack's
-    sandwich data, copied in once.  One stacked product forms every
-    drift; each (time, member) is still its own vector-matrix product,
-    as a matrix-matrix product would round differently as the member
-    count changes.  Returns each time's pair of operators, their data a
-    row view."""
+    time.  The first holds the drift data of its n members end to end,
+    then the stack's sandwich data, copied in once; the second only its
+    members' data.  One stacked product forms each operator's members'
+    data; each (time, member) is still its own vector-matrix product, as
+    a matrix-matrix product would round differently as the member count
+    changes.  Returns each time's pair of operators, their data a row
+    view."""
     c = stack.model.operators
     k, n, _ = left.shape
     m = n * c.basis.shape[1]
-    (first, fixed), (second, fixed_t) = stack.layout
-    arrays, drift = [], []
-    for sandwich in (fixed, fixed_t):
-        array = np.empty((k, m + len(sandwich)), dtype=complex)
-        array[:, m:] = sandwich
-        arrays.append(array)
-        drift.append(array[:, :m].reshape(k, n, 1, -1))
-    np.matmul(left[:, :, None], c.basis, out=drift[0])
-    np.matmul(right[:, :, None], c.basis, out=drift[1])
-    np.conjugate(drift[1], out=drift[1])
-    return [(first + (a,), second + (b,)) for a, b in zip(*arrays)]
+    (first, fixed), second = stack.layout
+    lhs = np.empty((k, m + len(fixed)), dtype=complex)
+    lhs[:, m:] = fixed
+    rhs = np.empty((k, n * c.right_basis.shape[1]), dtype=complex)
+    np.matmul(left[:, :, None], c.basis,
+              out=lhs[:, :m].reshape(k, n, 1, -1))
+    np.matmul(right[:, :, None], c.right_basis, out=rhs.reshape(k, n, 1, -1))
+    return [(first + (a,), second + (b,)) for a, b in zip(lhs, rhs)]
 
 
 def _block_generators(stack: GeneratorStack, rows):
     """Yield the generators of the members of `stack` at each time of one
     `stage_rows` block `rows`, forming their kernel operators
     (`_operands`) a sub-block of times at a time, as many as
-    OPERAND_BUDGET entries of an operator's data hold."""
-    scalar, w_group, left, right = rows
+    OPERAND_BUDGET entries of an operator's data hold (both hold the
+    same number per time)."""
+    scalar, left, right = rows
     scalar = scalar[:, :, None, None]
-    w_group = w_group.T[:, :, None, None]
     nnz = stack.model.operators.basis.shape[1]
     step = len(scalar)
     if nnz:
@@ -386,8 +395,7 @@ def _block_generators(stack: GeneratorStack, rows):
                else itertools.repeat(None))
         for scalar_k, left_k, right_k, ops_k in zip(
                 scalar[sub], left[sub], right[sub], ops):
-            yield FrozenGenerator(stack, scalar_k, w_group, left_k, right_k,
-                                  ops_k)
+            yield FrozenGenerator(stack, scalar_k, left_k, right_k, ops_k)
 
 
 def stage_generators(stack: GeneratorStack, times, start: float):
@@ -412,10 +420,8 @@ def generator_at(stack: GeneratorStack, t: float) -> FrozenGenerator:
     rows = group.frozen_rows.get(t)
     if rows is None:
         rows = group.frozen_rows[t] = next(stage_rows(group, (t,), t))
-    scalar, w_group, left, right = rows
     j = slice(stack.row, stack.row + 1)
-    return next(_block_generators(
-        stack, (scalar[:, j], w_group[j], left[:, j], right[:, j])))
+    return next(_block_generators(stack, [part[:, j] for part in rows]))
 
 
 def context_is_piecewise_static(stack: GeneratorStack) -> bool:

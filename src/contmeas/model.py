@@ -31,71 +31,108 @@ class _OperatorCache:
 
     Every operator is held, like `SystemOperator.csr`, as the arguments
     of scipy's CSR kernel, (rows, cols, indptr, indices, data), and a
-    pattern as the same without the data.  K, R_1..R_d and
-    R_1^dag..R_d^dag all live on one `pattern`, the union of their
+    pattern as the same without the data.  K, R_1..R_d, R_1^dag..R_d^dag
+    and the identity all live on one `pattern`, the union of their
     sparsity patterns; row j of `basis` holds the entries of the j-th of
-    them on it, so a weighted sum of these operators costs one
-    vector-matrix product.  `stacked` lays out the two kernel operands
-    of one application to n members.
+    them on it, so a weighted sum of these operators, the scalar rate
+    included, costs one vector-matrix product.  A model without
+    operators keeps an empty pattern: its generator is its scalar rate.
 
     The nonzero channel operators are grouped as R_i = c_i P_g, P_g the
-    first operator of its group; `group_weights[i, g]` is |c_i|^2 (zero
-    off the group).  `sandwich[g]` is (P_g, conj P_g), so that
-    P_g tau P_g^dag = (conj P_g (P_g tau)^T)^T.  The adjoint's operators
-    are those of the dual model's cache (`ModelSpec.dual`).
+    operator of the group's first channel `channels[g]`;
+    `group_weights[i, g]` is |c_i|^2 (zero off the group) and
+    `sandwich[g]` is P_g.  The right-hand operator of one member,
+    [K_R^T | w_1 conj P_1 | ... | w_G conj P_G], has `right_pattern`,
+    dim rows and (1 + G) dim columns, the columns of conj P_g moved
+    right by g + 1 blocks.  Each row holds the entries of `pattern`
+    there, then those of each conj P_g.  Row j of `right_basis` holds,
+    in that order, the entries of conj K, conj R_1..conj R_d, conj
+    R_1^dag..conj R_d^dag (K_R^T is their weighted sum) and then of
+    each conj P_g, so the operator's data is one vector-matrix product
+    too.  `stacked` tiles both operators for n members.  The adjoint's
+    operators are those of the dual model's cache (`ModelSpec.dual`),
+    which takes `channels` and `group_weights` from this one.
     """
 
-    __slots__ = ("pattern", "basis", "group_weights", "sandwich")
+    __slots__ = ("pattern", "basis", "channels", "group_weights",
+                 "sandwich", "right_pattern", "right_basis")
 
-    def __init__(self, model: "ModelSpec"):
-        dim = model.space.dim
+    def __init__(self, model: "ModelSpec",
+                 groups_of: "_OperatorCache | None" = None):
+        dim, d = model.space.dim, model.d
         coos = [op.coo() for op in (model.K, *model.R)]
         keys = [r * dim + c for r, c, _ in coos]
         keys += [c.astype(np.int64) * dim + r for r, c, _ in coos[1:]]
         vals = [v for _, _, v in coos] + [v.conj() for _, _, v in coos[1:]]
         union = np.unique(np.concatenate(keys))
+        identity = np.arange(dim if len(union) else 0) * (dim + 1)
+        union = np.union1d(union, identity)
+        keys.append(identity)
+        vals.append(np.ones(len(identity), dtype=complex))
         self.basis = np.zeros((len(keys), len(union)), dtype=complex)
         for j, (key, val) in enumerate(zip(keys, vals)):
             self.basis[j, np.searchsorted(union, key)] = val
         self.pattern = csr_pattern(*np.divmod(union, dim), dim)
 
-        first, columns = [], []   # first channel of each group, |c_i|^2
-        for i in range(model.d):
-            key, val = keys[1 + i], vals[1 + i]
-            if len(val) == 0:
-                continue
-            for g, j in enumerate(first):
-                c = _proportion(key, val, keys[1 + j], vals[1 + j])
-                if c is not None:
-                    columns[g][i] = abs(c) ** 2
-                    break
-            else:
-                first.append(i)
-                columns.append(np.eye(model.d)[i])
-        self.group_weights = np.array(columns).reshape(-1, model.d).T
-        P = [model.R[i] for i in first]
-        self.sandwich = [(p.csr, p.conjugate().csr) for p in P]
+        if groups_of is None:
+            self.channels, self.group_weights = _channel_groups(
+                keys[1:1 + d], vals[1:1 + d])
+        else:
+            self.channels = groups_of.channels
+            self.group_weights = groups_of.group_weights
+        self.sandwich = [model.R[i].csr for i in self.channels]
+        self.right_pattern, self.right_basis = _right_operator(
+            self.pattern, self.basis[:1 + 2 * d], self.sandwich)
 
     def stacked(self, n: int) -> tuple:
         """The two kernel operators of one application to n members (see
-        `generator._act`) as (pattern, sandwich data) pairs; the drift
-        data, first in each, is every generator's own.  The first holds
-        the drift and each a_g one below the other, each as n diagonal
-        blocks, ((1 + G) n dim, n dim); the second is block-diagonal,
-        the drift n times, then each b_g n times."""
-        drift, pairs = self.pattern, self.sandwich
-        dim, blocks = drift[0], 1 + len(pairs)
-        return (_tiled((drift, *(a for a, _ in pairs)), n, [0] * blocks,
-                       n * dim),
-                _tiled((drift, *(b for _, b in pairs)), n,
-                       range(0, blocks * n, n), blocks * n * dim))
+        `generator._act`): the first as (pattern, sandwich data), the
+        drift data, first in its data, being every generator's own; the
+        second as a pattern, all of its data every generator's own.  The
+        first holds the drift and each P_g one below the other, each as
+        n diagonal blocks, ((1 + G) n dim, n dim); the second is n
+        copies of `right_pattern`, (n dim, (1 + G) n dim), that of member
+        k reading block k of each group of n column blocks."""
+        dim, ops = self.pattern[0], (self.pattern, *self.sandwich)
+        first = _tiled(ops, n, [0] * len(ops), n * dim)
+        plane = self.right_pattern[3] // dim
+        second, _ = _tiled((self.right_pattern,), n, [plane * (n - 1)],
+                           n * self.right_pattern[1])
+        return first, second
+
+
+def _right_operator(pattern, drift, sandwich) -> tuple:
+    """`right_pattern` and `right_basis` of `_OperatorCache`, from the
+    drift `pattern`, the basis rows `drift` of K, R_i and R_i^dag on it,
+    and the P_g (`sandwich`): the entries of each operator, in turn, put
+    into row-major order, the columns of the g-th moved right by g
+    blocks, and each operator's conjugated data placed where its entries
+    went."""
+    dim = pattern[0]
+    ops = [pattern + (drift,)] + [p[:4] + (p[4][None],) for p in sandwich]
+    rows = np.concatenate([np.repeat(np.arange(dim), np.diff(op[2]))
+                           for op in ops])
+    cols = np.concatenate([op[3] + g * dim for g, op in enumerate(ops)])
+    order = np.lexsort((cols, rows))
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))
+    basis = np.zeros((sum(len(op[4]) for op in ops), len(order)),
+                     dtype=complex)
+    row = entry = 0
+    for *_, data in ops:
+        count = data.shape[1]
+        basis[row:row + len(data), at[entry:entry + count]] = data.conj()
+        row, entry = row + len(data), entry + count
+    return ((dim, len(ops) * dim)
+            + csr_pattern(rows[order], cols[order], dim)[2:]), basis
 
 
 def _tiled(ops, n: int, shift, cols: int) -> tuple:
     """(pattern, data) of the operators `ops` one below the other, each
-    repeated as n diagonal blocks, those of ops[j] moved right by
-    shift[j] blocks; the data is that of all but the first, a bare
-    pattern, tiled once per block."""
+    repeated as n diagonal blocks of dim rows, the entries of ops[j]
+    moved right by shift[j] blocks (a number, or one per entry); the
+    data is that of all but the first, a bare pattern, tiled once per
+    block."""
     dim, member = ops[0][0], np.arange(n)[:, None]
     indptr, indices, start = [[0]], [], 0
     for (_, _, ptr, idx, *_), s in zip(ops, shift):
@@ -107,6 +144,27 @@ def _tiled(ops, n: int, shift, cols: int) -> tuple:
              np.concatenate(indices).astype(np.int32)),
             np.concatenate([np.zeros(0, dtype=complex)]
                            + [np.tile(op[4], n) for op in ops[1:]]))
+
+
+def _channel_groups(keys, vals) -> tuple:
+    """(channels, group_weights) of the channel operators with entries
+    `vals` at the flat positions `keys`: the first channel of each group
+    of nonzero operators proportional to it, and the (d, G) array of
+    |c_i|^2 for R_i = c_i R_channels[g], zero off the group."""
+    d = len(keys)
+    first, columns = [], []
+    for i, (key, val) in enumerate(zip(keys, vals)):
+        if len(val) == 0:
+            continue
+        for g, j in enumerate(first):
+            c = _proportion(key, val, keys[j], vals[j])
+            if c is not None:
+                columns[g][i] = abs(c) ** 2
+                break
+        else:
+            first.append(i)
+            columns.append(np.eye(d)[i])
+    return first, np.array(columns).reshape(-1, d).T
 
 
 def _proportion(key, val, rkey, rval) -> complex | None:
@@ -158,14 +216,18 @@ class ModelSpec:
         """The model with K^dag and every R_i^dag, each built in one pass,
         and S.  Under Tr(X tau) the dual of s tau + K_L tau + tau K_R +
         sum_g w_g P_g tau P_g^dag is s X + K_R X + X K_L + sum_g w_g
-        P_g^dag X P_g, so with the drift weights exchanged and conjugated
-        (`generator.stage_rows`) its generator is this model's adjoint."""
+        P_g^dag X P_g, so with the drift weights exchanged
+        (`generator.stage_rows`) its generator is this model's adjoint.
+        Its operator cache keeps this model's channel groups and their
+        weights, bit for bit."""
         def adjoint(op):
             rows, cols, data = op.coo()
             return SystemOperator._from_coo(self.space, cols, rows,
                                             data.conj())
-        return ModelSpec(self.space, self.d, adjoint(self.K),
+        dual = ModelSpec(self.space, self.d, adjoint(self.K),
                          tuple(map(adjoint, self.R)), self.S, self.label)
+        dual.__dict__["operators"] = _OperatorCache(dual, self.operators)
+        return dual
 
 
 @dataclass(frozen=True)

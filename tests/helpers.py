@@ -91,25 +91,20 @@ def dense_operand(op):
     return out
 
 
-def per_product_act(X, scalar, left, right_t, sandwiches, weights):
-    """scalar_k X_k + left X_k + X_k right + sum_g w_kg a_g X_k a_g^dag on
-    each member of an (n, dim, dim) stack, one sparse product at a time:
-    `left` and `right_t = right^T` are block-diagonal scipy CSR matrices
-    over the members (or None), each sandwich pair (a_g, b_g = conj a_g)
-    is applied to the members side by side as (b_g (a_g X)^T)^T, and the
-    weights are the first operand of their product.  This is the
-    generator arithmetic whose bits every report was built on."""
-    n, dim, _ = X.shape
-    out = scalar * X
-    if left is not None:
-        out += (left @ X.reshape(n * dim, dim)).reshape(n, dim, dim)
-        out += (right_t @ X.transpose(0, 2, 1).reshape(n * dim, dim)
-                ).reshape(n, dim, dim).transpose(0, 2, 1)
-    side = X.transpose(1, 0, 2).reshape(dim, n * dim)
-    for (a, b), w in zip(sandwiches, weights.T):
-        aX_t = (a @ side).reshape(dim, n, dim).transpose(2, 1, 0)
-        out += w[:, None, None] * (b @ aX_t.reshape(dim, n * dim)).reshape(
-            dim, n, dim).transpose(1, 2, 0)
+def per_product_act(X, left, right, sandwiches):
+    """(K_L,k + s_k) X_k + X_k K_R,k + sum_g w_kg P_g X_k P_g^dag on each
+    member X_k of an (n, dim, dim) stack, one sparse product at a time:
+    `left[k]` is member k's K_L + s I as a scipy CSR matrix, `right[k]`
+    its [K_R^T | w_1 conj P_1 | ... | w_G conj P_G], one row per row of
+    the result, and `sandwiches` the P_g.  The right-hand matrix acts on
+    X_k^T and every (P_g X_k)^T, stacked, which gives the transpose of
+    X_k K_R + sum_g w_kg P_g X_k P_g^dag; the two products are added
+    last.  This is the generator arithmetic whose bits every report is
+    built on."""
+    out = np.empty_like(X)
+    for k, (X_k, L, R) in enumerate(zip(X, left, right, strict=True)):
+        operand = np.vstack([X_k.T] + [(P @ X_k).T for P in sandwiches])
+        out[k] = L @ X_k + (R @ operand).T
     return out
 
 

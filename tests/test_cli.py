@@ -554,7 +554,7 @@ if {sparse_first}:
     import scipy.sparse
 from contmeas import fock
 from contmeas.generator import _product
-import scipy.sparse
+import scipy.sparse._sparsetools
 kernel = sys.modules["scipy.sparse._sparsetools"]
 rng = np.random.default_rng(4)
 A = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
@@ -563,6 +563,7 @@ op = fock.SystemOperator(fock.TruncatedSpace(3, 2), A)
 X = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
 print(json.dumps({{
     "shared": kernel.csr_matvecs is fock.csr_matvecs,
+    "bound": scipy.sparse._sparsetools is kernel,
     "equal": bool(np.array_equal(scipy.sparse.csr_matrix(A) @ X,
                                  _product(op.csr, X)))}}))
 """
@@ -571,7 +572,8 @@ print(json.dumps({{
 @pytest.mark.parametrize("sparse_first", [True, False])
 def test_one_kernel_module_in_either_import_order(sparse_first):
     # contmeas loads scipy's kernel module under its own name, so the
-    # scipy.sparse package, imported before or after, shares it, and its
-    # product equals contmeas's bit for bit
+    # scipy.sparse package, imported before or after, shares it and has
+    # it as its attribute `_sparsetools`, and its product equals
+    # contmeas's bit for bit
     seen = _probe(KERNEL_PROBE.format(sparse_first=sparse_first))
-    assert seen == {"shared": True, "equal": True}
+    assert seen == {"shared": True, "bound": True, "equal": True}

@@ -69,16 +69,17 @@ def test_number_operators():
 
 
 def test_adjoint_matches_dense():
-    # the model's cached K, R_i and adjoints R_i^dag on one pattern, and
-    # the dual model's K^dag, R_i^dag and R_i on its own, each built once
-    # per model
+    # the model's cached K, R_i, adjoints R_i^dag and identity on one
+    # pattern, and the dual model's K^dag, R_i^dag, R_i and identity on
+    # its own, each built once per model
     params = DpoParams.from_splittings(omega_c=1.0, g=0.3, kappa=0.5,
                                        kappa_p=1.0, nbar=0.2, nbar_p=0.1)
     model = dpo_model(params, TruncatedSpace(3, 2))
     cache, dual = model.operators, model.dual.operators
     assert model.operators is cache and model.dual.operators is dual
     dense = [model.K.to_dense()] + [R.to_dense() for R in model.R] \
-        + [R.to_dense().conj().T for R in model.R]
+        + [R.to_dense().conj().T for R in model.R] \
+        + [np.eye(model.space.dim)]
     assert len(cache.basis) == len(dual.basis) == len(dense)
     for row, dual_row, ref in zip(cache.basis, dual.basis, dense):
         op = cache.pattern + (row,)

@@ -127,22 +127,6 @@ def _stepping_context():
             [0.0, 0.2, 0.9, 1.3, 1.5, 2.0])
 
 
-def _adjoint_operands(g, dual):
-    """The kernel operators of g's adjoint, K_R and K_L^T, from g's
-    forward drift data K_R^T and K_L, each moved to the transposed
-    pattern by a permutation formed here, with the sandwich data of the
-    dual stack `dual`."""
-    c, n = g.stack.model.operators, len(g.stack)
-    dim, _, indptr, indices = c.pattern
-    rows = np.repeat(np.arange(dim), np.diff(indptr))
-    perm = np.argsort(indices.astype(np.int64) * dim + rows)
-    m = n * len(perm)
-    return tuple(
-        pattern + (np.concatenate((op[-1][:m].reshape(n, -1)[:, perm].ravel(),
-                                   fixed)),)
-        for (pattern, fixed), op in zip(dual.layout, g.ops[::-1]))
-
-
 def _assert_same_operators(ops, ref):
     for op, ref_op in zip(ops, ref, strict=True):
         assert op[:2] == ref_op[:2]
@@ -155,8 +139,8 @@ def test_stage_generators_match_one_point_assembly(monkeypatch):
     # with sub-blocks of one stage time, several and all of them, the
     # batched assembly equals the one-point assembly at each time on that
     # segment bit for bit, on the stack and on its dual, and the dual's
-    # operators are the forward ones transposed; for one member and for
-    # three
+    # weight rows are the forward ones with the drift parts exchanged;
+    # for one member and for three
     for build in (_stepping_context, _dpo_members, _hand_built_members):
         for times_per_block in (1, 7, None):
             _check_stage_assembly(monkeypatch, build, times_per_block)
@@ -166,7 +150,8 @@ def _check_stage_assembly(monkeypatch, build, times_per_block):
     model, obs, field, kappas, edges = build()
     stack = GeneratorStack(model, obs, field, kappas)
     dual = stack.dual()
-    n, c = len(stack), model.operators
+    n, c, d = len(stack), model.operators, model.d
+    drift = slice(0, 1 + 2 * d)   # of both weight rows
     per_time = n * c.basis.shape[1] + len(stack.layout[0][1])
     monkeypatch.setattr(generator, "OPERAND_BUDGET",
                         10**9 if times_per_block is None
@@ -186,17 +171,18 @@ def _check_stage_assembly(monkeypatch, build, times_per_block):
         for k, (t, g, a) in enumerate(zip(times, gens, adjoints)):
             ref = next(stage_generators(stack, (t,), lo))
             ref_dual = next(stage_generators(dual, (t,), lo))
-            for name in ("scalar", "w_group", "left", "right"):
+            for name in ("scalar", "left", "right"):
                 assert np.array_equal(getattr(g, name), getattr(ref, name))
                 assert np.array_equal(getattr(a, name),
                                       getattr(ref_dual, name))
-            for name in ("scalar", "w_group"):
-                assert np.array_equal(getattr(a, name), getattr(ref, name))
-            assert np.array_equal(a.left, np.conj(ref.right))
-            assert np.array_equal(a.right, np.conj(ref.left))
+            assert np.array_equal(a.scalar, ref.scalar)
+            assert np.array_equal(a.left[:, drift], ref.right[:, drift])
+            assert np.array_equal(a.right[:, drift], ref.left[:, drift])
+            assert np.array_equal(a.left[:, -1], ref.left[:, -1])   # s
+            assert np.array_equal(a.right[:, 1 + 2 * d:],
+                                  ref.right[:, 1 + 2 * d:])         # w_g
             _assert_same_operators(g.ops, ref.ops)
             _assert_same_operators(a.ops, ref_dual.ops)
-            _assert_same_operators(a.ops, _adjoint_operands(ref, dual))
             if k % 16 == 0:
                 assert np.array_equal(a.apply_adjoint(X),
                                       ref_dual.apply_adjoint(X))
@@ -209,8 +195,8 @@ def test_stage_generators_read_each_segment_at_its_start():
     model, obs, field, (kappa,), _ = _stepping_context()
     ctx = GeneratorContext(model=model, observables=obs, field=field,
                            kappa=kappa)
-    w_left = slice(1, 1 + model.d)   # in the rows of `left`
-    mu = slice(1 + model.d, None)    # -S lam there
+    w_left = slice(1, 1 + model.d)            # in the rows of `left`
+    mu = slice(1 + model.d, 1 + 2 * model.d)  # -S lam there
     for lo, hi in ctx.segments(2.0):
         gens = list(stage_generators(ctx, np.linspace(lo, hi, 9), lo))
         if hi in kappa.breakpoints():
@@ -296,30 +282,21 @@ def _trivial_members():
             [0.0, 1.0])
 
 
-def _per_product_operands(g, adjoint=False):
-    """The operands of `helpers.per_product_act` for the generator g: its
-    members' drift operators, from the drift data g holds, as
-    block-diagonal scipy matrices, and the model's sandwich pairs; with
-    `adjoint`, those of g's adjoint, transposed by scipy."""
-    if g.ops is None:
-        return None, None, []
+def _per_product_operands(g):
+    """The operands of `helpers.per_product_act` for the generator g:
+    each member's K_L + s I and right-hand matrix, from the data g holds,
+    and the model's P_g, as scipy CSR matrices."""
     c, n = g.stack.model.operators, len(g.stack)
-    dim, _, indptr, indices = c.pattern
-    drift = [[scipy.sparse.csr_matrix((d, indices, indptr), shape=(dim, dim))
-              for d in op[-1][:n * c.basis.shape[1]].reshape(n, -1)]
-             for op in g.ops]   # K_L, K_R^T
 
-    def csr(op):
-        rows, cols, indptr, indices, data = op
+    def csr(pattern, data):
+        rows, cols, indptr, indices = pattern
         return scipy.sparse.csr_matrix((data, indices, indptr),
                                        shape=(rows, cols))
 
-    pairs = [(csr(a), csr(b)) for a, b in c.sandwich]   # P_g, conj P_g
-    if adjoint:   # K_R, K_L^T; P_g^dag, P_g^T
-        drift = [[A.T.tocsr() for A in ops] for ops in drift[::-1]]
-        pairs = [(b.T.tocsr(), a.T.tocsr()) for a, b in pairs]
-    return (*(scipy.sparse.block_diag(ops, format="csr") for ops in drift),
-            pairs)
+    left = [csr(c.pattern, d)
+            for d in g.ops[0][-1][:n * c.basis.shape[1]].reshape(n, -1)]
+    right = [csr(c.right_pattern, d) for d in g.ops[1][-1].reshape(n, -1)]
+    return left, right, [csr(p[:4], p[4]) for p in c.sandwich]
 
 
 @pytest.mark.parametrize("build, n", [(_dpo_members, 1), (_dpo_members, 3),
@@ -330,24 +307,20 @@ def _per_product_operands(g, adjoint=False):
                               "hand-built-3", "trivial-1"])
 def test_application_matches_per_product_arithmetic(build, n):
     # the two kernel calls of an application, and of the dual stack's,
-    # give the bits of one sparse product at a time of the generator and
-    # of its adjoint, whatever the stack size
+    # give the bits of one sparse product at a time of each member's
+    # generator and of its adjoint, whatever the stack size
     model, obs, field, kappas, edges = build()
     stack = GeneratorStack(model, obs, field, kappas[:n])
     dual = stack.dual()
     rng = np.random.default_rng(31)
     dim = model.space.dim
     for t in rng.uniform(0.0, edges[-1], 3):
-        g = generator_at(stack, t)
-        for adjoint in (False, True):
+        for g in (generator_at(stack, t), generator_at(dual, t)):
             X = (rng.standard_normal((n, dim, dim))
                  + 1j * rng.standard_normal((n, dim, dim)))
-            ref = helpers.per_product_act(
-                X, g.scalar, *_per_product_operands(g, adjoint),
-                g.w_group[:, :, 0, 0].T)
-            got = (generator_at(dual, t).apply_adjoint(X) if adjoint
-                   else g.apply(X))
-            assert np.array_equal(got, ref)
+            ref = (g.scalar * X if g.ops is None else
+                   helpers.per_product_act(X, *_per_product_operands(g)))
+            assert np.array_equal(g.apply(X), ref)
 
 
 def test_workspace_does_not_leak_between_applications():
@@ -380,8 +353,8 @@ def test_workspace_does_not_leak_between_applications():
 
 
 def test_workspace_views_are_built_once_per_stack():
-    # every view a stack hands `_act` lies in one of its two scratch
-    # arrays, and stacks of 1 and 3 members on one model share neither
+    # every view a stack hands `_act` lies in one of its three scratch
+    # arrays, and stacks of 1 and 3 members on one model share none
     model, obs, field, kappas, _ = _dpo_members()
     stacks = [GeneratorStack(model, obs, field, kappas[:n]) for n in (1, 3)]
     arrays = []
@@ -389,12 +362,11 @@ def test_workspace_views_are_built_once_per_stack():
         ws = stack.workspace
         assert stack.workspace is ws
         assert len(ws.sandwich_t) == len(model.operators.sandwich) > 0
+        own = (ws.products, ws.operands, ws.right)
         for name in type(ws).__slots__:
-            views = getattr(ws, name)
-            for view in views if isinstance(views, tuple) else (views,):
-                assert any(np.shares_memory(view, a)
-                           for a in (ws.products, ws.operands)), name
-        arrays += [ws.products, ws.operands]
+            assert any(np.shares_memory(getattr(ws, name), a)
+                       for a in own), name
+        arrays += own
     assert not any(np.shares_memory(a, b)
                    for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
@@ -428,6 +400,30 @@ def test_channel_groups_decline_non_proportional_operators():
             lhs = np.trace(X @ g.apply(tau[None])[0])
             rhs = np.trace(g_dual.apply_adjoint(X[None])[0] @ tau)
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("build", [_dpo_members, _hand_built_members],
+                         ids=["dpo", "hand-built"])
+def test_stack_applies_the_dense_generator(build):
+    # at stage times inside every segment, member k of the stack's
+    # application is the oracle's dense superoperator of member k on the
+    # column-stacked member, A[X] = M vec(X)
+    model, obs, field, kappas, edges = build()
+    stack = GeneratorStack(model, obs, field, kappas)
+    rng = np.random.default_rng(43)
+    dim, n = model.space.dim, len(kappas)
+    assert n == 3
+    for lo, hi in stack.segments(edges[-1]):
+        times = lo + (hi - lo) * np.array([0.1, 0.5, 0.9])
+        for t, g in zip(times, stage_generators(stack, times, lo)):
+            X = (rng.standard_normal((n, dim, dim))
+                 + 1j * rng.standard_normal((n, dim, dim)))
+            got = g.apply(X)
+            for k, kappa in enumerate(kappas):
+                M = _dense_superoperator(model, obs, field, kappa, t)
+                want = (M @ X[k].reshape(-1, order="F")).reshape(
+                    dim, dim, order="F")
+                assert np.max(np.abs(got[k] - want)) < 1e-12
 
 
 @pytest.mark.parametrize("build", [_dpo_members, _hand_built_members],
@@ -479,12 +475,11 @@ def test_kernel_product_matches_scipy():
     dim = model.space.dim
     blocks = 1 + len(model.operators.sandwich)
     assert g.ops[0][:2] == (blocks * 3 * dim, 3 * dim)
-    assert g.ops[1][:2] == (blocks * 3 * dim, blocks * 3 * dim)
+    assert g.ops[1][:2] == (3 * dim, blocks * 3 * dim)
     ops = [*g.ops, *one.ops]
     for m in (model, _hand_built_context().model):
         assert len(m.operators.sandwich) >= 2
-        for pair in m.operators.sandwich + m.dual.operators.sandwich:
-            ops.extend(pair)
+        ops += m.operators.sandwich + m.dual.operators.sandwich
     for op in ops:
         rows, cols, indptr, indices, data = op
         A = scipy.sparse.csr_matrix((data, indices, indptr),
@@ -522,9 +517,9 @@ def test_operators_are_canonical_csr():
         for ladder in (ladder_a(space), ladder_b(space)):
             c = complex(rng.standard_normal(), rng.standard_normal())
             assert_same(ladder * c, scipy_csr(ladder.to_dense()) * c)
-            ops += [ladder, ladder.transpose(), (c * ladder).conjugate()]
+            ops += [ladder, ladder.transpose()]
         model = dpo_model(helpers.random_dpo_params(rng), space)
-        ops += [model.K, *model.R]
+        ops += [model.K, *model.R, model.dual.K, *model.dual.R]
     assert {op.space.dim for op in ops} == {12, 9, 117}
     for op in ops:
         assert_same(op, scipy_csr(op.to_dense()))
@@ -568,7 +563,7 @@ def test_split_member_generator_is_its_own_assembly(build):
             g = generator_at(member, t)
             own = generator_at(GeneratorStack(model, obs, field, [kappa]), t)
             assert g.stack is member
-            for name in ("scalar", "w_group", "left", "right"):
+            for name in ("scalar", "left", "right"):
                 assert np.array_equal(getattr(g, name),
                                       getattr(own, name)), name
             assert np.array_equal(g.apply(X), own.apply(X))
@@ -643,8 +638,9 @@ def test_kernel_coefficient_symmetry():
 
 
 def test_kernel_coefficient_layout():
-    # generator_at folds s, r(+/-kappa) and the scalar rate into the
-    # weights in the layout documented on FrozenGenerator
+    # generator_at folds s, r(+/-kappa), the sandwich weights and the
+    # scalar rate into the weights in the layout documented on
+    # FrozenGenerator
     rng, params, model, obs, field = build_setup(seed=3)
     kappa = np.array([0.5, -0.2, 0.8])
     ctx = GeneratorContext(model=model, observables=obs, field=field,
@@ -660,15 +656,15 @@ def test_kernel_coefficient_layout():
     w_left_dag = -mu
     w_right = -np.conj(mu)
     w_right_dag = r_p + s * mu
-    assert np.allclose(g.w_group[:, 0, 0, 0],
-                       s @ model.operators.group_weights)
-    assert np.allclose(g.left[0], np.concatenate(([1], w_left, w_left_dag)))
-    assert np.allclose(g.right[0], np.concatenate(
-        ([1], np.conj(w_right_dag), np.conj(w_right))))
     scalar = (-np.vdot(lam, lam).real + np.conj(r_m) @ mu
               + r_p @ np.conj(mu) + s @ np.abs(mu) ** 2
               + obs.coefficients(kappa, t)[3])
     assert g.scalar.item() == pytest.approx(scalar, abs=1e-12)
+    assert g.left[0, -1] == g.scalar.item()
+    assert np.allclose(g.left[0], np.concatenate(
+        ([1], w_left, w_left_dag, [scalar])))
+    assert np.allclose(g.right[0], np.concatenate(
+        ([1], w_right_dag, w_right, s @ model.operators.group_weights)))
 
 
 def test_context_validation():

@@ -10,7 +10,9 @@ Each runs in this process.  On the build that made the goldens the test
 compares bytes.  On any other it compares the parsed numbers within RTOL
 and ATOL, since another build may round the last digits differently; it
 prints which mode ran.  Exit codes and standard error are compared
-exactly in both modes.
+exactly in both modes.  When bytes differ, the failure gives the run's
+largest absolute and relative change of its parsed numbers, so that a
+rounding move can be told from a real one.
 
 Rewrite the goldens only in a change that means to move the reports:
 
@@ -122,6 +124,25 @@ def record(run: str, directory: str) -> dict:
             "numbers": numbers(report.decode(), suffix)}
 
 
+def changes(got: dict, want: dict) -> str:
+    """The largest absolute and relative change from the numbers `want`
+    to `got`, over the fields both hold as numbers, and the fields that
+    differ otherwise."""
+    worst_abs = worst_rel = 0.0
+    other = sorted(set(got) ^ set(want))
+    for key in want.keys() & got.keys():
+        a, b = got[key], want[key]
+        if not (isinstance(a, float) and isinstance(b, float)):
+            if a != b:
+                other.append(key)
+        elif a != b and not (math.isnan(a) and math.isnan(b)):
+            worst_abs = max(worst_abs, abs(a - b))
+            if b:
+                worst_rel = max(worst_rel, abs(a - b) / abs(b))
+    return (f"largest |change| {worst_abs:.3g}, largest relative change "
+            f"{worst_rel:.3g}, other fields changed: {sorted(other)}")
+
+
 with open(GOLDEN) as f:
     GOLDENS = json.load(f)
 
@@ -137,7 +158,8 @@ def test_report_matches_golden(run, tmp_path):
         return
     if build() == GOLDENS["build"]:
         print(f"{run}: comparing bytes")
-        assert got["sha256"] == golden["sha256"]
+        assert got["sha256"] == golden["sha256"], changes(got["numbers"],
+                                                          golden["numbers"])
         return
     print(f"{run}: another numpy, scipy or CPU than the goldens': "
           f"comparing numbers within rtol {RTOL:g}, atol {ATOL:g}")

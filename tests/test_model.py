@@ -188,3 +188,23 @@ def test_laser_field_profile():
     assert val[3] == pytest.approx(expected)
     assert np.all(val[:3] == 0) and np.all(val[4:] == 0)
     assert np.all(f.value(4.5) == 0)
+
+
+def test_dual_keeps_the_channel_groups_bit_for_bit():
+    # R_1 = P and R_2 = c P with P = [[0, 1], [e^{i phi}, 0]]: the two
+    # entries of P tie in size, so the ratio c read off R_i^dag comes from
+    # the other entry, and |c|^2 found afresh for the dual could round
+    # differently; the dual model takes the model's groups instead
+    rng = np.random.default_rng(11)
+    space = TruncatedSpace(1, 0)
+    zero = SystemOperator.zero(space)
+    for _ in range(2000):
+        P = np.array([[0, 1], [np.exp(1j * rng.uniform(0, 2 * np.pi)), 0]])
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        model = ModelSpec(space=space, d=2, K=zero,
+                          R=(SystemOperator(space, P),
+                             SystemOperator(space, c * P)),
+                          S=np.eye(2))
+        weights = model.operators.group_weights
+        assert weights.shape == (2, 1)
+        assert np.array_equal(model.dual.operators.group_weights, weights)
