@@ -284,18 +284,18 @@ def _trivial_members():
 
 def _per_product_operands(g):
     """The operands of `helpers.per_product_act` for the generator g:
-    each member's K_L + s I and right-hand matrix, from the data g holds,
-    and the model's P_g, as scipy CSR matrices."""
-    c, n = g.stack.model.operators, len(g.stack)
+    each member's K_L + s I and right-hand matrix, their data one
+    member's weight row times the model's basis at a time, and the
+    model's P_g, as scipy CSR matrices."""
+    c = g.stack.model.operators
 
     def csr(pattern, data):
         rows, cols, indptr, indices = pattern
         return scipy.sparse.csr_matrix((data, indices, indptr),
                                        shape=(rows, cols))
 
-    left = [csr(c.pattern, d)
-            for d in g.ops[0][-1][:n * c.basis.shape[1]].reshape(n, -1)]
-    right = [csr(c.right_pattern, d) for d in g.ops[1][-1].reshape(n, -1)]
+    left = [csr(c.pattern, row @ c.basis) for row in g.left]
+    right = [csr(c.right_pattern, row @ c.right_basis) for row in g.right]
     return left, right, [csr(p[:4], p[4]) for p in c.sandwich]
 
 

@@ -126,21 +126,22 @@ def record(run: str, directory: str) -> dict:
 
 def changes(got: dict, want: dict) -> str:
     """The largest absolute and relative change from the numbers `want`
-    to `got`, over the fields both hold as numbers, and the fields that
-    differ otherwise."""
-    worst_abs = worst_rel = 0.0
-    other = sorted(set(got) ^ set(want))
-    for key in want.keys() & got.keys():
+    to `got`, each with its field, over the fields both hold as numbers,
+    and the fields that differ otherwise."""
+    worst_abs = worst_rel = (0.0, None)
+    other = list(set(got) ^ set(want))
+    for key in sorted(want.keys() & got.keys()):
         a, b = got[key], want[key]
         if not (isinstance(a, float) and isinstance(b, float)):
             if a != b:
                 other.append(key)
         elif a != b and not (math.isnan(a) and math.isnan(b)):
-            worst_abs = max(worst_abs, abs(a - b))
+            worst_abs = max(worst_abs, (abs(a - b), key))
             if b:
-                worst_rel = max(worst_rel, abs(a - b) / abs(b))
-    return (f"largest |change| {worst_abs:.3g}, largest relative change "
-            f"{worst_rel:.3g}, other fields changed: {sorted(other)}")
+                worst_rel = max(worst_rel, (abs(a - b) / abs(b), key))
+    return (f"largest |change| {worst_abs[0]:.3g} ({worst_abs[1]}), "
+            f"largest relative change {worst_rel[0]:.3g} ({worst_rel[1]}), "
+            f"other fields changed: {sorted(other)}")
 
 
 with open(GOLDEN) as f:
