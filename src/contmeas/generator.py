@@ -235,18 +235,17 @@ class GeneratorStack:
         return _Workspace((1 + len(self.model.operators.sandwich), len(self),
                            dim, dim))
 
-    def split(self) -> list[GeneratorStack]:
-        """The members as one-member stacks, in order.  `generator_at`
-        takes their generators from this stack's weights, which it keeps
-        in `frozen_rows` by time."""
+    def split(self):
+        """Yield the members as one-member stacks, in order, each made as
+        the one before it is done with.  `generator_at` takes their
+        generators from this stack's weights, which it keeps in
+        `frozen_rows` by time."""
         self.frozen_rows = {}
-        members = []
         for row, kappa in enumerate(self.kappas):
             member = GeneratorStack(self.model, self.observables, self.field,
                                     [kappa])
             member.group, member.row = self, row
-            members.append(member)
-        return members
+            yield member
 
     def dual(self) -> GeneratorStack:
         """This stack on the dual model (`ModelSpec.dual`): its member k's
@@ -282,40 +281,6 @@ BLOCK = 4096
 OPERAND_BUDGET = 1024
 
 
-def _weight_rows(model: ModelSpec, obs: ObservableSpec, lam: np.ndarray,
-                 kappa: np.ndarray, t: np.ndarray):
-    """scalar, w_group and the drift parts of the left and right weight
-    rows (see `FrozenGenerator`: their first 1 + 2d entries) for the
-    field values `lam` (T, d) at the T times t and the test-function
-    values `kappa` (n, m) of n members.
-
-    Each factor is formed at its own rank: mu and the signals once per
-    time, s and w_group (n, G) once per member, and only r(+/-kappa),
-    scalar (T, n) and left and right (T, n, 1 + 2d) per (time, member),
-    by broadcasting.  Every entry is formed by the operations, in the
-    order, of its own one-row assembly."""
-    s, r_plus, r_minus, rate = obs.coefficients(kappa, t[:, None])
-    # mu = S lam and w_group = s G as plain sums, so that each row comes
-    # out the same however many rows there are
-    mu = (lam[:, None, :] * model.S).sum(axis=-1)[:, None]
-    w_group = (s[:, :, None] * model.operators.group_weights).sum(axis=-2)
-    r_minus_conj = np.conj(r_minus)
-    mu_conj = np.conj(mu)
-    half_norm2 = 0.5 * (np.abs(lam) ** 2).sum(axis=-1)[:, None]
-    scalar = (-half_norm2 + (r_minus_conj * mu).sum(axis=-1)
-              + (-half_norm2 + (r_plus * mu_conj).sum(axis=-1))
-              + (s * np.abs(mu) ** 2).sum(axis=-1) + rate)
-    d = model.d
-    left = np.empty(scalar.shape + (1 + 2 * d,), dtype=complex)
-    right = np.empty_like(left)
-    left[..., 0] = right[..., 0] = 1.0
-    left[..., 1:1 + d] = r_minus_conj + s * mu_conj
-    right[..., 1:1 + d] = r_plus + s * mu
-    left[..., 1 + d:] = -mu
-    right[..., 1 + d:] = -mu_conj
-    return scalar, w_group, left, right
-
-
 def stage_rows(stack: GeneratorStack, times, start: float):
     """Yield scalar, left and right (see `FrozenGenerator`) for the
     members of `stack` at the times `times`, one block of times after
@@ -325,28 +290,48 @@ def stage_rows(stack: GeneratorStack, times, start: float):
     Every member's kappa and the field window are constant on the
     segment, so they are read once, right-continuously at `start`; only
     the smooth signals are evaluated at each time.  A block holds as many
-    times as BLOCK (time, member) rows hold.  On a dual stack, whose K_L
-    is the primal's K_R and K_R its K_L, on the basis K^dag, R_i^dag,
-    R_i, the drift parts of `left` and `right` (`_weight_rows`) are
-    exchanged.  Then the scalar rate is appended to `left` and w_group
-    to `right`, unexchanged: the adjoint keeps both, and the dual model
-    keeps the model's channel groups.
+    times as BLOCK (time, member) rows hold.  Each factor is formed at
+    its own rank: mu = S lam and the signals once per time, s and the
+    sandwich weights w_g = sum_i s_i |c_i|^2 once per member, and only
+    r(+/-kappa), the scalar rate and the drift weights per (time,
+    member), by broadcasting, each written straight into its place in
+    `left` (T, n, 2 + 2d) or `right` (T, n, 1 + 2d + G); `scalar` is
+    the last column of `left`.  Every entry is formed by the operations,
+    in the order, of its own one-row assembly.  On a dual stack, whose
+    K_L is the primal's K_R and K_R its K_L, on the basis K^dag, R_i^dag,
+    R_i, the drift parts go into the other array; the scalar rate and
+    the w_g stay where they are, as the adjoint keeps both and the dual
+    model finds the same channel groups.
     """
     times = np.asarray(times, dtype=float)
-    field = stack.field
+    model, obs, field = stack.model, stack.observables, stack.field
+    d, n, weights = model.d, len(stack), model.operators.group_weights
     on = field.covers(start)
     kappa = np.stack([k.value(start) for k in stack.kappas])
-    block = max(1, BLOCK // len(stack))
+    block = max(1, BLOCK // n)
     for lo in range(0, len(times), block):
         t = times[lo:lo + block]
         lam = np.where(on, field.table(t), 0j)
-        scalar, w_group, left, right = _weight_rows(
-            stack.model, stack.observables, lam, kappa, t)
-        if stack.primal is not None:
-            left, right = right, left
-        w_group = np.broadcast_to(w_group, scalar.shape + w_group.shape[1:])
-        yield (scalar, np.concatenate((left, scalar[..., None]), axis=-1),
-               np.concatenate((right, w_group), axis=-1))
+        s, r_plus, r_minus, rate = obs.coefficients(kappa, t[:, None])
+        left = np.empty((len(t), n, 2 + 2 * d), complex)
+        right = np.empty((len(t), n, 1 + 2 * d + weights.shape[1]), complex)
+        drift_left, drift_right = ((right, left) if stack.primal is not None
+                                   else (left, right))
+        # mu = S lam and w_g = s G as plain sums, so that each row comes
+        # out the same however many rows there are
+        mu = (lam[:, None, :] * model.S).sum(axis=-1)[:, None]
+        right[..., 1 + 2 * d:] = (s[:, :, None] * weights).sum(axis=-2)
+        r_minus_conj, mu_conj = np.conj(r_minus), np.conj(mu)
+        half_norm2 = 0.5 * (np.abs(lam) ** 2).sum(axis=-1)[:, None]
+        left[..., -1] = (-half_norm2 + (r_minus_conj * mu).sum(axis=-1)
+                         + (-half_norm2 + (r_plus * mu_conj).sum(axis=-1))
+                         + (s * np.abs(mu) ** 2).sum(axis=-1) + rate)
+        drift_left[..., 0] = drift_right[..., 0] = 1.0
+        drift_left[..., 1:1 + d] = r_minus_conj + s * mu_conj
+        drift_right[..., 1:1 + d] = r_plus + s * mu
+        drift_left[..., 1 + d:1 + 2 * d] = -mu
+        drift_right[..., 1 + d:1 + 2 * d] = -mu_conj
+        yield left[..., -1], left, right
 
 
 def _operands(stack: GeneratorStack, left, right) -> list:

@@ -41,24 +41,23 @@ class _OperatorCache:
     The nonzero channel operators are grouped as R_i = c_i P_g, P_g the
     operator of the group's first channel `channels[g]`;
     `group_weights[i, g]` is |c_i|^2 (zero off the group) and
-    `sandwich[g]` is P_g.  The right-hand operator of one member,
-    [K_R^T | w_1 conj P_1 | ... | w_G conj P_G], has `right_pattern`,
-    dim rows and (1 + G) dim columns, the columns of conj P_g moved
-    right by g + 1 blocks.  Each row holds the entries of `pattern`
-    there, then those of each conj P_g.  Row j of `right_basis` holds,
-    in that order, the entries of conj K, conj R_1..conj R_d, conj
-    R_1^dag..conj R_d^dag (K_R^T is their weighted sum) and then of
-    each conj P_g, so the operator's data is one vector-matrix product
-    too.  `stacked` tiles both operators for n members.  The adjoint's
-    operators are those of the dual model's cache (`ModelSpec.dual`),
-    which takes `channels` and `group_weights` from this one.
+    `sandwich[g]` is P_g (`_channel_groups`).  The right-hand operator
+    of one member, [K_R^T | w_1 conj P_1 | ... | w_G conj P_G], has
+    `right_pattern`, dim rows and (1 + G) dim columns, the columns of
+    conj P_g moved right by g + 1 blocks.  Each row holds the entries of
+    `pattern` there, then those of each conj P_g.  Row j of
+    `right_basis` holds, in that order, the entries of conj K, conj
+    R_1..conj R_d, conj R_1^dag..conj R_d^dag (K_R^T is their weighted
+    sum) and then of each conj P_g, so the operator's data is one
+    vector-matrix product too.  `stacked` tiles both operators for n
+    members.  The adjoint's operators are those of the dual model's
+    cache (`ModelSpec.dual`), which finds the same groups and weights.
     """
 
     __slots__ = ("pattern", "basis", "channels", "group_weights",
                  "sandwich", "right_pattern", "right_basis")
 
-    def __init__(self, model: "ModelSpec",
-                 groups_of: "_OperatorCache | None" = None):
+    def __init__(self, model: "ModelSpec"):
         dim, d = model.space.dim, model.d
         coos = [op.coo() for op in (model.K, *model.R)]
         keys = [r * dim + c for r, c, _ in coos]
@@ -74,12 +73,8 @@ class _OperatorCache:
             self.basis[j, np.searchsorted(union, key)] = val
         self.pattern = csr_pattern(*np.divmod(union, dim), dim)
 
-        if groups_of is None:
-            self.channels, self.group_weights = _channel_groups(
-                keys[1:1 + d], vals[1:1 + d])
-        else:
-            self.channels = groups_of.channels
-            self.group_weights = groups_of.group_weights
+        self.channels, self.group_weights = _channel_groups(
+            keys[1:1 + d], vals[1:1 + d])
         self.sandwich = [model.R[i].csr for i in self.channels]
         self.right_pattern, self.right_basis = _right_operator(
             self.pattern, self.basis[:1 + 2 * d], self.sandwich)
@@ -150,16 +145,19 @@ def _channel_groups(keys, vals) -> tuple:
     """(channels, group_weights) of the channel operators with entries
     `vals` at the flat positions `keys`: the first channel of each group
     of nonzero operators proportional to it, and the (d, G) array of
-    |c_i|^2 for R_i = c_i R_channels[g], zero off the group."""
+    |c_i|^2 for R_i = c_i R_channels[g], zero off the group.  |c_i| is
+    max|R_i| / max|P_g|: R_i^dag's entries have the moduli of R_i's, bit
+    for bit, so the dual model (`ModelSpec.dual`) finds the same weights,
+    where a ratio of two entries could be read at another entry there."""
     d = len(keys)
     first, columns = [], []
     for i, (key, val) in enumerate(zip(keys, vals)):
         if len(val) == 0:
             continue
         for g, j in enumerate(first):
-            c = _proportion(key, val, keys[j], vals[j])
-            if c is not None:
-                columns[g][i] = abs(c) ** 2
+            if _proportional(key, val, keys[j], vals[j]):
+                columns[g][i] = (np.max(np.abs(val))
+                                 / np.max(np.abs(vals[j]))) ** 2
                 break
         else:
             first.append(i)
@@ -167,14 +165,14 @@ def _channel_groups(keys, vals) -> tuple:
     return first, np.array(columns).reshape(-1, d).T
 
 
-def _proportion(key, val, rkey, rval) -> complex | None:
-    """c with val = c * rval entrywise on the same pattern, or None."""
+def _proportional(key, val, rkey, rval) -> bool:
+    """Whether val = c * rval entrywise on the same pattern, for some c."""
     if not np.array_equal(key, rkey):
-        return None
+        return False
     k = int(np.argmax(np.abs(rval)))
     c = val[k] / rval[k]
     tol = _PROPORTIONAL_ULPS * np.finfo(float).eps * np.max(np.abs(val))
-    return c if np.max(np.abs(val - c * rval)) <= tol else None
+    return bool(np.max(np.abs(val - c * rval)) <= tol)
 
 
 @dataclass(frozen=True)
@@ -218,16 +216,14 @@ class ModelSpec:
         sum_g w_g P_g tau P_g^dag is s X + K_R X + X K_L + sum_g w_g
         P_g^dag X P_g, so with the drift weights exchanged
         (`generator.stage_rows`) its generator is this model's adjoint.
-        Its operator cache keeps this model's channel groups and their
-        weights, bit for bit."""
+        Its operator cache finds this model's channel groups and their
+        weights itself, bit for bit (`_channel_groups`)."""
         def adjoint(op):
             rows, cols, data = op.coo()
             return SystemOperator._from_coo(self.space, cols, rows,
                                             data.conj())
-        dual = ModelSpec(self.space, self.d, adjoint(self.K),
+        return ModelSpec(self.space, self.d, adjoint(self.K),
                          tuple(map(adjoint, self.R)), self.S, self.label)
-        dual.__dict__["operators"] = _OperatorCache(dual, self.operators)
-        return dual
 
 
 @dataclass(frozen=True)

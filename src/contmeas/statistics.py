@@ -107,19 +107,20 @@ def joint_charfunc(model: ModelSpec, obs: ObservableSpec, field: FieldProfile,
     for j, kappa in enumerate(kappas):
         groups.setdefault(tuple(segments(t_end, field, kappa)), []).append(j)
     out = np.empty(len(kappas), dtype=complex)
-    states = [None] * len(kappas)
+    states = {}
     for members in groups.values():
         group = GeneratorStack(model, obs, field, [kappas[j] for j in members])
         # frozen: one run per member, which the tracer test pins until
-        # ROADMAP item 1; stacking them is then only dropping the split
-        results = [evolve(part, rho0, t_end, config)
-                   for part in (group.split() if frozen else [group])]
-        out[members] = np.concatenate([res.trace for res in results])
-        for j, state in zip(members,
-                            (state for res in results for state in res.final)):
-            states[j] = state
+        # ROADMAP item 1; stacking them is then only dropping the split.
+        # A member's stack is gone before the next member's run starts
+        for part in (group.split() if frozen else [group]):
+            res = evolve(part, rho0, t_end, config)
+            rows = members[part.row:part.row + len(part)]
+            out[rows] = res.trace
+            if finals is not None:
+                states.update(zip(rows, res.final))
     if finals is not None:
-        finals.extend(states)
+        finals.extend(states[j] for j in range(len(kappas)))
     return out
 
 

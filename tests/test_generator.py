@@ -552,7 +552,7 @@ def test_split_member_generator_is_its_own_assembly(build):
     # generator, at every breakpoint
     model, obs, field, kappas, edges = build()
     group = GeneratorStack(model, obs, field, kappas)
-    members = group.split()
+    members = list(group.split())
     assert [m.kappas for m in members] == [[k] for k in kappas]
     rng = np.random.default_rng(9)
     dim = model.space.dim

@@ -192,9 +192,10 @@ def test_laser_field_profile():
 
 def test_dual_keeps_the_channel_groups_bit_for_bit():
     # R_1 = P and R_2 = c P with P = [[0, 1], [e^{i phi}, 0]]: the two
-    # entries of P tie in size, so the ratio c read off R_i^dag comes from
-    # the other entry, and |c|^2 found afresh for the dual could round
-    # differently; the dual model takes the model's groups instead
+    # entries of P tie in size, so a ratio of entries read off R_i^dag
+    # could come from the other entry and round differently; the dual
+    # finds its groups itself, from the largest entries, which R_i and
+    # R_i^dag share, and gets the model's weights bit for bit
     rng = np.random.default_rng(11)
     space = TruncatedSpace(1, 0)
     zero = SystemOperator.zero(space)
@@ -208,3 +209,16 @@ def test_dual_keeps_the_channel_groups_bit_for_bit():
         weights = model.operators.group_weights
         assert weights.shape == (2, 1)
         assert np.array_equal(model.dual.operators.group_weights, weights)
+
+
+def test_dual_dpo_finds_the_channel_groups_bit_for_bit():
+    # random splittings give unequal complex amplitudes, so |c_i|^2 is
+    # not 1, and thermal channels give the groups a, b, b^dag and a^dag
+    space = TruncatedSpace(3, 2)
+    for seed in range(300):
+        params = helpers.random_dpo_params(np.random.default_rng(seed))
+        model = dpo_model(params, space)
+        ops, dual = model.operators, model.dual.operators
+        assert ops.channels == dual.channels == [0, 1, 6, 7]
+        assert not np.isin(ops.group_weights, (0, 1)).all()
+        assert np.array_equal(dual.group_weights, ops.group_weights)

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -404,3 +405,23 @@ def test_frozen_sweep_assembles_once_per_group(monkeypatch, build):
     assert np.array_equal(phi, [res.trace[0] for res in alone])
     assert all(np.array_equal(f, res.final[0])
                for f, res in zip(finals, alone))
+
+
+def test_frozen_sweep_drops_each_member_before_the_next(monkeypatch):
+    # on the frozen route each member's one-member stack, with its kernel
+    # layout and workspace, is gone when the next member's run starts, so
+    # a sweep's memory does not grow with its number of points
+    model, obs, field, rho0 = driven_dpo()
+    kappas = on_interval(obs.m, 1, 1.0, counting_axis(8))
+    members = []
+    evolve = statistics.evolve
+
+    def watched(stack, *args, **kwargs):
+        assert [ref() for ref in members] == [None] * len(members)
+        members.append(weakref.ref(stack))
+        return evolve(stack, *args, **kwargs)
+
+    monkeypatch.setattr(statistics, "evolve", watched)
+    joint_charfunc(model, obs, field, rho0, kappas, 1.0,
+                   EvolutionConfig(dt=0.1, freeze=True))
+    assert len(members) == len(kappas)
