@@ -15,6 +15,9 @@ the same breakpoints as the one-shot run.
 (n, dim, dim) stack, one matrix per member of a `generator.GeneratorStack`
 (n = 1 for a `GeneratorContext`), run through one segment walk (`_walk`),
 RK4 step, step budget and per-member finiteness and contractivity check.
+A one-member system-free run (1x1, a model without operators) holds its
+state as a Python complex instead, with the same bits: on one-element
+arrays numpy's per-call cost was most of its time (see `evolve`).
 The backward run of `oracle.duality_check` takes the same walk, on the
 stage generators of the dual stack (`GeneratorStack.dual`).
 Each member's arithmetic is that of its own run, so a member whose
@@ -126,10 +129,15 @@ def rk4_stages(stack: GeneratorStack, start: float, stop: float,
         g0 = g1
 
 
-def step_constants(h: float) -> tuple:
-    """h/2, h, h/6 and 2 as `rk4_step` takes them: complex (1, 1, 1)."""
-    return tuple(np.array([0.5 * h, h, h / 6.0, 2.0],
-                          dtype=complex).reshape(4, 1, 1, 1))
+def step_constants(h: float, scalar: bool = False) -> tuple:
+    """h/2, h, h/6 and 2 as `rk4_step` takes them: complex (1, 1, 1)
+    arrays, or Python complex numbers for a state held as one (`evolve`).
+    Each is real, so its products with the state have the same bits
+    either way."""
+    values = (0.5 * h, h, h / 6.0, 2.0)
+    if scalar:
+        return tuple(map(complex, values))
+    return tuple(np.array(values, dtype=complex).reshape(4, 1, 1, 1))
 
 
 def rk4_step(a0, a_mid, a1, constants, tau):
@@ -156,22 +164,25 @@ def rk4_step(a0, a_mid, a1, constants, tau):
     return tau + sixth * total
 
 
-def _traces(tau: np.ndarray) -> np.ndarray:
+def _traces(tau) -> np.ndarray:
     """Trace of each member of a stack, each taken as `np.trace` of that
-    matrix alone."""
+    matrix alone; a state held as a Python complex is its own trace."""
+    if isinstance(tau, complex):
+        return np.array([tau])
     return np.array([np.trace(x) for x in tau])
 
 
-def _walk(segs, tau: np.ndarray, config: EvolutionConfig, check: bool,
-          steps):
+def _walk(segs, tau, config: EvolutionConfig, check: bool, steps):
     """RK4 over the segments `segs`, each a (start, stop) pair walked from
-    start to stop in either direction, for an (n, dim, dim) stack tau;
+    start to stop in either direction, for an (n, dim, dim) stack tau, or
+    a one-member 1x1 state held as a Python complex (see `evolve`);
     `steps(start, stop, count)` gives the (start, middle, end) maps of
     each step of a segment, whose length is |stop - start| / count.
     Returns the final tau, the number of steps and the peak |trace| of
-    each member.  Each segment builds its `step_constants` once; as arrays
-    they halve a product's interpreter cost and keep its bits
-    (`rk4_step`).
+    each member, as an array either way.  Each segment builds its
+    `step_constants` once, of tau's kind; as arrays they halve a
+    product's interpreter cost and keep its bits (`rk4_step`).  The
+    checks below read a complex tau through the same numpy calls.
 
     A segment whose steps would exceed `max_steps` raises IntegrationError
     before `steps` is asked for its generators.  At the end of each
@@ -180,12 +191,13 @@ def _walk(segs, tau: np.ndarray, config: EvolutionConfig, check: bool,
     ContractivityError.
     """
     n_steps = 0
+    scalar = isinstance(tau, complex)
     peak = np.abs(_traces(tau))
     for start, stop in segs:
         count = step_count(start, stop, config.dt)
         if n_steps + count > config.max_steps:
             raise IntegrationError("step budget exhausted")
-        constants = step_constants(abs(stop - start) / count)
+        constants = step_constants(abs(stop - start) / count, scalar)
         for a0, a_mid, a1 in steps(start, stop, count):
             tau = rk4_step(a0, a_mid, a1, constants, tau)
         n_steps += count
@@ -217,6 +229,15 @@ def evolve(stack: GeneratorStack, rho0: np.ndarray, t_end: float,
     end of a segment raises IntegrationError whatever
     `contractivity_check` says; numpy's overflow warnings on the way there
     are silenced in its favour.
+
+    A one-member stack on a 1x1 space whose model has no operators (a
+    system-free run, `FrozenGenerator.ops` None) holds its state as a
+    Python complex, not an array: each step is then about 17 numpy calls
+    on one-element arrays, whose interpreter cost was most of the run.
+    The arithmetic is the same bits: the step's products are with real
+    constants, where Python and numpy agree, and the generator's product
+    stays numpy's (`FrozenGenerator.apply`).  The result holds arrays of
+    the usual shapes either way.
     """
     if config is None:
         config = EvolutionConfig()
@@ -241,10 +262,14 @@ def evolve(stack: GeneratorStack, rho0: np.ndarray, t_end: float,
 
     # rebinding tau frees the (dim, dim) copy before the walk: kept alive
     # across it, it nearly tripled a dim-117 run's minor page faults
-    tau = np.repeat(tau[None], len(stack), axis=0)
+    if dim == len(stack) == 1 and not stack.model.operators.basis.shape[1]:
+        tau = complex(tau[0, 0])
+    else:
+        tau = np.repeat(tau[None], len(stack), axis=0)
     tau, n_steps, peak = _walk(stack.segments(t_end, start=t_start), tau,
                                config, check, steps)
-    return EvolutionResult(final=tau, n_steps=n_steps, trace=_traces(tau),
+    final = np.full((1, 1, 1), tau) if isinstance(tau, complex) else tau
+    return EvolutionResult(final=final, n_steps=n_steps, trace=_traces(tau),
                            max_abs_trace=peak)
 
 

@@ -57,7 +57,8 @@ everything at its time.  On a one-member stack from
 member's row of the split stack's weights, which that stack assembles
 once per time for all its members.  A model without operators has its
 scalar rate as its generator, so an application is the one product
-scalar * tau.
+scalar * tau, numpy's even on the Python complex state of a one-member
+1x1 run (`FrozenGenerator.apply`).
 """
 
 from __future__ import annotations
@@ -178,9 +179,16 @@ class FrozenGenerator:
         self.right = right
         self.ops = ops
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
+    def apply(self, X):
+        """A_k[X_k] for each member X_k of an (n, dim, dim) stack X, or for
+        the Python complex state of a one-member system-free run
+        (`evolution.evolve`), which gets a Python complex back.  That
+        product is still numpy's, through a (1, 1, 1) array: numpy's
+        complex product uses fused multiply-adds and Python's does not,
+        so about 4 in 10 of Python's products differ in the last bit."""
         if self.ops is None:
-            return self.scalar * X
+            product = self.scalar * X
+            return product.item() if isinstance(X, complex) else product
         return _act(X, self.ops, self.stack.workspace)
 
     # the name `oracle.duality_check` applies a dual stack's generators by,
@@ -198,8 +206,8 @@ class GeneratorStack:
     and every application runs in one workspace per stack; each is built
     the first time a generator asks for it.
 
-    A member of `split` has `group`, the stack split, and `row`, its index
-    there.  A stack from `dual` has `primal`, the stack it is the dual of.
+    A part of `split` has `group`, the stack split, and `row`, the index
+    there of its first member.  A stack from `dual` has `primal`, the stack it is the dual of.
     """
 
     group: GeneratorStack | None = None
@@ -235,17 +243,17 @@ class GeneratorStack:
         return _Workspace((1 + len(self.model.operators.sandwich), len(self),
                            dim, dim))
 
-    def split(self):
-        """Yield the members as one-member stacks, in order, each made as
-        the one before it is done with.  `generator_at` takes their
-        generators from this stack's weights, which it keeps in
-        `frozen_rows` by time."""
+    def split(self, size: int = 1):
+        """Yield the members, in order, as stacks of `size` members (the
+        last may hold fewer), each made as the one before it is done
+        with.  `generator_at` takes their generators from this stack's
+        weights, which it keeps in `frozen_rows` by time."""
         self.frozen_rows = {}
-        for row, kappa in enumerate(self.kappas):
-            member = GeneratorStack(self.model, self.observables, self.field,
-                                    [kappa])
-            member.group, member.row = self, row
-            yield member
+        for row in range(0, len(self), size):
+            part = GeneratorStack(self.model, self.observables, self.field,
+                                  self.kappas[row:row + size])
+            part.group, part.row = self, row
+            yield part
 
     def dual(self) -> GeneratorStack:
         """This stack on the dual model (`ModelSpec.dual`): its member k's
@@ -395,17 +403,17 @@ def generator_at(stack: GeneratorStack, t: float) -> FrozenGenerator:
     """Assemble the generators of every member of `stack` at time t,
     reading every coefficient there.
 
-    A member of `GeneratorStack.split` takes its row of the group's
+    A part of `GeneratorStack.split` takes its rows of the group's
     weights at t, formed for all members on the first such call and kept
     on the group.  A row does not depend on how many rows its block
-    holds, so the member gets the bits of its own assembly."""
+    holds, so each member gets the bits of its own assembly."""
     group = stack.group
     if group is None:
         return next(stage_generators(stack, (t,), t))
     rows = group.frozen_rows.get(t)
     if rows is None:
         rows = group.frozen_rows[t] = next(stage_rows(group, (t,), t))
-    j = slice(stack.row, stack.row + 1)
+    j = slice(stack.row, stack.row + len(stack))
     return next(_block_generators(stack, [part[:, j] for part in rows]))
 
 

@@ -6,11 +6,12 @@ Every propagation is one call of `evolution.evolve` on a
 `generator.GeneratorStack` of test functions, which gives each member
 exactly the value of its own one-member run.  The test functions that
 share their segments form one group, on either route.  With a
-time-dependent generator a group is one stack and one propagation; on
-the frozen route of a piecewise-static generator each member is
-propagated alone, on its one-member stack from `GeneratorStack.split`,
-and the group assembles each segment's midpoint generator once for all
-its members.  For a marginal, `on_interval` builds one test function per
+time-dependent generator a group is one stack and one propagation, or
+several where its states would exceed STACK_BUDGET entries; on the
+frozen route of a piecewise-static generator each member is propagated
+alone, on its one-member stack from `GeneratorStack.split`, and the
+group assembles each segment's midpoint generator once for all its
+members.  For a marginal, `on_interval` builds one test function per
 kappa sample, holding it on [0, t_end] for one observable; joint
 statistics over several windows come from passing multi-interval test
 functions instead.
@@ -50,6 +51,11 @@ from .signals import FieldProfile, TestFunction, segments
 COUNTING_IMAG_TOL = 1e-6
 NEGATIVE_PROB_TOL = 1e-7
 DECAY_TOL = 1e-8
+# (dim, dim) entries of the states of one stack on the RK4 route, and at
+# least one member: the state, the RK4 temporaries and the workspace of
+# the generator grow with it, about 3 MB a member at dim 117.  Holds the
+# 129 members of the shipped homodyne grid at dim 20 in one stack
+STACK_BUDGET = 1 << 16
 
 
 def counting_axis(n_points: int = 256) -> np.ndarray:
@@ -91,11 +97,14 @@ def joint_charfunc(model: ModelSpec, obs: ObservableSpec, field: FieldProfile,
 
     The test functions with equal segments form one group, one stack, and
     each gets exactly the value of its one-member run.  On the RK4 route a
-    group is one `evolve` call.  On the frozen route (a piecewise-static
-    generator, or `config.freeze`) each member of a group is one `evolve`
-    call on its stack from `GeneratorStack.split`, and the group assembles
-    its generator at each segment midpoint once for all of them.  A
-    `contractivity_check` of "auto" is decided once for the sweep.
+    group is one `evolve` call per part of `GeneratorStack.split` of at
+    most STACK_BUDGET (dim, dim) entries, so that the sweep's memory does
+    not grow with its number of points.  On the frozen route (a
+    piecewise-static generator, or `config.freeze`) each member of a
+    group is one `evolve` call on its one-member part, and the group
+    assembles its generator at each segment midpoint once for all of
+    them.  A `contractivity_check` of "auto" is decided once for the
+    sweep.
     """
     if config is None:
         config = EvolutionConfig()
@@ -103,6 +112,7 @@ def joint_charfunc(model: ModelSpec, obs: ObservableSpec, field: FieldProfile,
         config, np.asarray(rho0, dtype=complex)))
     stack = GeneratorStack(model, obs, field, kappas)
     frozen = config.freeze or context_is_piecewise_static(stack)
+    size = 1 if frozen else max(1, STACK_BUDGET // model.space.dim ** 2)
     groups = {}
     for j, kappa in enumerate(kappas):
         groups.setdefault(tuple(segments(t_end, field, kappa)), []).append(j)
@@ -111,9 +121,9 @@ def joint_charfunc(model: ModelSpec, obs: ObservableSpec, field: FieldProfile,
     for members in groups.values():
         group = GeneratorStack(model, obs, field, [kappas[j] for j in members])
         # frozen: one run per member, which the tracer test pins until
-        # ROADMAP item 1; stacking them is then only dropping the split.
-        # A member's stack is gone before the next member's run starts
-        for part in (group.split() if frozen else [group]):
+        # ROADMAP item 1; stacking them is then only a larger size.  A
+        # part's stack is gone before the next part's run starts
+        for part in group.split(size):
             res = evolve(part, rho0, t_end, config)
             rows = members[part.row:part.row + len(part)]
             out[rows] = res.trace

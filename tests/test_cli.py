@@ -361,6 +361,18 @@ def test_diverging_run_exit_4(tmp_path, capsys, recwarn, command, check):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_system_free_contractivity_exit_4(tmp_path, capsys):
+    # dt 10 covers the shipped counting run in one RK4 step, whose |trace|
+    # at some kappa exceeds 1; the one-member runs step a Python complex
+    # and report the value the arrays did
+    cfg = json.loads((SHIPPED / "poisson_counts.json").read_text())
+    cfg["evolution"]["dt"] = 10
+    assert main(["counts", "--config", write(tmp_path, cfg)]) == 4
+    assert capsys.readouterr().err == (
+        "integration failure: |trace| = 1.01771320315 exceeds 1 at t = 1; "
+        "the truncation is too small or the step too large\n")
+
+
 @pytest.mark.parametrize("check", ["off", None])
 def test_one_diverging_homodyne_member_exit_4(tmp_path, capsys, recwarn,
                                               check):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import helpers
 from contmeas import (Constant, ContractivityError, EvolutionConfig,
-                      FieldProfile, GeneratorContext, Harmonic,
+                      FieldProfile, GeneratorContext, GeneratorStack,
+                      Harmonic,
                       IntegrationError,
                       ModelSpec, ObservableSpec, SystemOperator, TestFunction,
                       TruncatedSpace, ZERO, composition_check,
@@ -223,6 +224,78 @@ def test_static_fast_path_matches_generic():
     mu = abs(0.7 + 0.2j) ** 2
     exact = np.exp((np.exp(0.5j) - 1) * mu + (np.exp(1.1j) - 1) * mu)
     assert abs(fast.final[0][0, 0] - exact) < 1e-10
+
+
+def _system_free_stacks(signal, amplitude, horizon, kappa):
+    """A one-member and a two-member stack of the test function `kappa`
+    on a system-free counting model whose field is `signal` of
+    `amplitude`, with a window of `horizon`."""
+    obs = ObservableSpec.counting_only(1, horizon, np.array([[1.0]]))
+    field = FieldProfile((signal(amplitude),), horizon)
+    return [GeneratorStack(trivial_model(1), obs, field, [kappa] * n)
+            for n in (1, 2)]
+
+
+SYSTEM_FREE_ROUTES = [Constant, lambda a: Harmonic(a, 0.3, 1.5)]
+
+
+@pytest.mark.parametrize("signal", SYSTEM_FREE_ROUTES,
+                         ids=["frozen", "stages"])
+def test_system_free_scalar_state_matches_stack(monkeypatch, signal):
+    # a one-member run of an operator-free 1x1 model steps a Python
+    # complex; member 0 of a two-member stack of the same test function
+    # steps arrays, and both end with the same bits.  At dt 0.01 a
+    # product rounded as Python rounds it changed the final state of
+    # 5 or 6 of these 8 test functions
+    kinds = []
+    rk4_step = evolution.rk4_step
+
+    def recorded(a0, a_mid, a1, constants, tau):
+        kinds.append(type(tau))
+        return rk4_step(a0, a_mid, a1, constants, tau)
+
+    monkeypatch.setattr(evolution, "rk4_step", recorded)
+    config = EvolutionConfig(dt=1e-2)
+    for j in range(8):
+        kappa = TestFunction([0.0, 1.0, 2.0],
+                             [[0.4 + 0.7 * j], [2.9 - 0.6 * j]])
+        one, two = _system_free_stacks(signal, 1.5 + 0.5j, 2.0, kappa)
+        assert context_is_piecewise_static(one) == (signal is Constant)
+        kinds.clear()
+        alone = evolve(one, np.array([[1.0 + 0j]]), 2.0, config)
+        assert set(kinds) == {complex}
+        kinds.clear()
+        stacked = evolve(two, np.array([[1.0 + 0j]]), 2.0, config)
+        assert set(kinds) == {np.ndarray}
+        assert alone.n_steps == stacked.n_steps == 200
+        assert alone.final.shape == (1, 1, 1)
+        for name in ("final", "trace", "max_abs_trace"):
+            got, want = getattr(alone, name), getattr(stacked, name)[:1]
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (j, name)
+
+
+@pytest.mark.parametrize("signal", SYSTEM_FREE_ROUTES,
+                         ids=["frozen", "stages"])
+@pytest.mark.parametrize("t_end, check, error, text", [
+    (1.0, "on", ContractivityError, "|trace| = 3547 exceeds 1 at t = 1;"),
+    (200.0, "on", IntegrationError, "non-finite state at t = 200;"),
+    (200.0, "off", IntegrationError, "non-finite state at t = 200;"),
+])
+def test_system_free_scalar_state_fails_as_stack(signal, t_end, check,
+                                                 error, text):
+    # with |f|^2 = 9 at kappa = pi the rate is -18, and one step of h = 1
+    # multiplies tau by the RK4 polynomial at -18, 3547; 200 of them
+    # overflow.  The scalar state raises what a two-member stack raises
+    kappa = TestFunction([0.0, t_end], [[np.pi]])
+    config = EvolutionConfig(dt=1.0, contractivity_check=check)
+    messages = []
+    for stack in _system_free_stacks(signal, 3.0, t_end, kappa):
+        with pytest.raises(error) as failed:
+            evolve(stack, np.array([[1.0 + 0j]]), t_end, config)
+        messages.append(str(failed.value))
+    assert messages[0] == messages[1]
+    assert text in messages[0]
 
 
 def system_free_context(kappa):

@@ -543,6 +543,24 @@ def test_system_free_apply_is_scalar():
         assert "workspace" not in stack.__dict__
 
 
+def test_system_free_apply_on_a_python_complex():
+    # the state of a one-member system-free run is a Python complex; apply
+    # returns one with the bits of the array product, also where Python's
+    # own complex product rounds differently
+    model, obs, field, kappas, _ = _trivial_members()
+    g = generator_at(GeneratorStack(model, obs, field, kappas[:1]), 0.5)
+    scalar = g.scalar.item()
+    rng = np.random.default_rng(11)
+    python_differs = 0
+    for x in rng.standard_normal(400) + 1j * rng.standard_normal(400):
+        x = complex(x)
+        got = g.apply(x)
+        assert type(got) is complex
+        assert got == g.apply(np.full((1, 1, 1), x))[0, 0, 0]
+        python_differs += scalar * x != got
+    assert python_differs > 0
+
+
 @pytest.mark.parametrize("build", [_dpo_members, _hand_built_members,
                                    _trivial_members],
                          ids=["dpo", "hand-built", "trivial"])

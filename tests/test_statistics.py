@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import weakref
 
 import numpy as np
@@ -302,6 +304,43 @@ def test_stacked_sweep_equals_per_point_evolve(monkeypatch, build, stacks):
     assert np.array_equal(phi, [res.trace[0] for res in alone])
     assert all(np.array_equal(f, res.final[0])
                for f, res in zip(finals, alone))
+
+
+@pytest.mark.parametrize("members, sizes", [(4, [4, 4, 4, 1]),
+                                            (0, [1] * 13)])
+def test_stacked_sweep_parts_stay_in_budget(monkeypatch, members, sizes):
+    # a group whose states would exceed STACK_BUDGET entries runs in parts
+    # of at most that many, or of one member where one is more, with
+    # the bits of the one-stack run
+    model, obs, field, rho0, kappas = _kappa_grid()
+    config = EvolutionConfig(dt=0.04)
+    whole_finals = []
+    whole = joint_charfunc(model, obs, field, rho0, kappas, 1.0, config,
+                           whole_finals)
+    entries = model.space.dim ** 2
+    propagated = count_members(monkeypatch)
+    monkeypatch.setattr(statistics, "STACK_BUDGET",
+                        (members + 1) * entries - 1)
+    finals = []
+    phi = joint_charfunc(model, obs, field, rho0, kappas, 1.0, config,
+                         finals)
+    assert propagated == sizes
+    assert all(n * entries <= max(entries, statistics.STACK_BUDGET)
+               for n in propagated)
+    assert np.array_equal(phi, whole)
+    assert all(np.array_equal(f, g) for f, g in zip(finals, whole_finals))
+
+
+def test_shipped_sweeps_are_one_stack():
+    # the largest shipped sweep on the RK4 route, the 129 members of the
+    # dim-20 homodyne grid, runs as one stack
+    cfg = json.loads((pathlib.Path(__file__).parent.parent / "configs"
+                      / "dpo_homodyne.json").read_text())
+    truncation = cfg["model"]["truncation"]
+    dim = (truncation["n_max"] + 1) * (truncation["m_max"] + 1)
+    members = len(diffusive_axis(1.0, cfg["run"]["n_points"])) // 2 + 1
+    assert (dim, members) == (20, 129)
+    assert members * dim ** 2 <= statistics.STACK_BUDGET
 
 
 def _two_windows(second):
