@@ -16,8 +16,10 @@ the same breakpoints as the one-shot run.
 (n = 1 for a `GeneratorContext`), run through one segment walk (`_walk`),
 RK4 step, step budget and per-member finiteness and contractivity check.
 A one-member system-free run (1x1, a model without operators) holds its
-state as a Python complex instead, with the same bits: on one-element
-arrays numpy's per-call cost was most of its time (see `evolve`).
+state as a Python complex instead, since on one-element arrays numpy's
+per-call cost was most of its time; the generator's product stays
+numpy's, whose fused multiply-adds Python's product lacks, so the bits
+are the same (see `evolve`).
 The backward run of `oracle.duality_check` takes the same walk, on the
 stage generators of the dual stack (`GeneratorStack.dual`).
 Each member's arithmetic is that of its own run, so a member whose
@@ -131,9 +133,11 @@ def rk4_stages(stack: GeneratorStack, start: float, stop: float,
 
 def step_constants(h: float, scalar: bool = False) -> tuple:
     """h/2, h, h/6 and 2 as `rk4_step` takes them: complex (1, 1, 1)
-    arrays, or Python complex numbers for a state held as one (`evolve`).
-    Each is real, so its products with the state have the same bits
-    either way."""
+    arrays, or Python complex numbers for the Python complex state of a
+    one-member system-free run (`evolve`).  Each is real, so its
+    products with the state have the same bits either way; only the
+    generator's product, a complex one, must stay numpy's
+    (`FrozenGenerator.apply`)."""
     values = (0.5 * h, h, h / 6.0, 2.0)
     if scalar:
         return tuple(map(complex, values))
@@ -175,7 +179,8 @@ def _traces(tau) -> np.ndarray:
 def _walk(segs, tau, config: EvolutionConfig, check: bool, steps):
     """RK4 over the segments `segs`, each a (start, stop) pair walked from
     start to stop in either direction, for an (n, dim, dim) stack tau, or
-    a one-member 1x1 state held as a Python complex (see `evolve`);
+    the Python complex state of a one-member system-free run, whose maps
+    keep numpy's complex product (see `evolve`);
     `steps(start, stop, count)` gives the (start, middle, end) maps of
     each step of a segment, whose length is |stop - start| / count.
     Returns the final tau, the number of steps and the peak |trace| of

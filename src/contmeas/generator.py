@@ -207,7 +207,8 @@ class GeneratorStack:
     the first time a generator asks for it.
 
     A part of `split` has `group`, the stack split, and `row`, the index
-    there of its first member.  A stack from `dual` has `primal`, the stack it is the dual of.
+    there of its first member.  A stack from `dual` has `primal`, the
+    stack it is the dual of.
     """
 
     group: GeneratorStack | None = None

@@ -565,27 +565,30 @@ def test_system_free_apply_on_a_python_complex():
                                    _trivial_members],
                          ids=["dpo", "hand-built", "trivial"])
 def test_split_member_generator_is_its_own_assembly(build):
-    # a member of a split stack takes its row of the group's assembly,
-    # made once per time, and gets the bits of its own one-member stack's
-    # generator, at every breakpoint
+    # a part of a split stack, of one member or of two, takes its rows of
+    # the group's assembly, made once per time, and gets the bits of its
+    # own stack's generators, at every breakpoint
     model, obs, field, kappas, edges = build()
     group = GeneratorStack(model, obs, field, kappas)
-    members = list(group.split())
-    assert [m.kappas for m in members] == [[k] for k in kappas]
     rng = np.random.default_rng(9)
     dim = model.space.dim
-    X = (rng.standard_normal((1, dim, dim))
-         + 1j * rng.standard_normal((1, dim, dim)))
-    for t in edges:
-        for member, kappa in zip(members, kappas):
-            g = generator_at(member, t)
-            own = generator_at(GeneratorStack(model, obs, field, [kappa]), t)
-            assert g.stack is member
-            for name in ("scalar", "left", "right"):
-                assert np.array_equal(getattr(g, name),
-                                      getattr(own, name)), name
-            assert np.array_equal(g.apply(X), own.apply(X))
-    assert len(group.frozen_rows) == len(edges)
+    for size in (1, 2):
+        parts = list(group.split(size))
+        assert [p.kappas for p in parts] == [
+            kappas[row:row + size] for row in range(0, len(kappas), size)]
+        for t in edges:
+            for part in parts:
+                g = generator_at(part, t)
+                own = generator_at(GeneratorStack(model, obs, field,
+                                                  part.kappas), t)
+                assert g.stack is part
+                for name in ("scalar", "left", "right"):
+                    assert np.array_equal(getattr(g, name),
+                                          getattr(own, name)), name
+                X = (rng.standard_normal((len(part), dim, dim))
+                     + 1j * rng.standard_normal((len(part), dim, dim)))
+                assert np.array_equal(g.apply(X), own.apply(X))
+        assert len(group.frozen_rows) == len(edges)
 
 
 def test_trace_annihilated_without_test_function():
