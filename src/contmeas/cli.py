@@ -222,7 +222,7 @@ def cmd_homodyne(run: Run, out):
     x_points = run.run.get("x_points", 201)
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.linspace(x_min, x_max, x_points)   # invert_homodyne checks it
-    finals = []
+    finals = {0: None}      # the kappa = 0 member, for the leakage
     p = homodyne_distribution(run.model, run.obs, run.field, run.rho0,
                               run.observable(), t_end, kappa_max, x,
                               n_points, run.evo, finals)

@@ -19,7 +19,7 @@ Expanding B_i(lam) = R_i + (S lam)_i folds every drift and channel term
 into two sparse operators, K_L acting from the left and K_R from the
 right, plus one sandwich P_g tau P_g^dag per group of proportional channel
 operators R_i = c_i P_g.  The model caches K, R_i, R_i^dag and the
-identity on one sparse pattern, and the groups, once
+identity on the union of their sparse patterns, and the groups, once
 (`ModelSpec.operators`).
 
 A `GeneratorStack` is the one spec of a generator: n test functions on
@@ -33,10 +33,16 @@ members; then, into one output plane per member,
 [K_R^T | w_1 conj P_1 | ... | w_G conj P_G], with the sandwich weights
 w_g in its data, on the transposes of the member and of its first-call
 products.  Each block is tiled once per member, and one add of the two
-products ends the application.  The stack builds the patterns of both
-operators and the sandwich data of the first once, and one workspace
-that every application reuses; each generator adds the data of its
-K_L + s I and all of the second operator's.  The adjoint, under the
+products ends the application.  Both operators hold only the entries
+that the live basis rows of the generator's `stage_rows` block reach,
+the rows whose weight is nonzero at some time and member of the block:
+with few channels carrying a field or an observable, most drift weights
+are zero over a whole segment.  The model's cache builds the patterns
+of both operators and the sandwich data of the first once per member
+count and live rows, for all the model's stacks
+(`_OperatorCache.stacked`); the stack builds one workspace that every
+application reuses; each generator adds the data of its K_L + s I and
+all of the second operator's.  The adjoint, under the
 pairing Tr(X tau), is the generator of the dual stack
 (`GeneratorStack.dual`) on the dual model (`ModelSpec.dual`), in the
 same layout.  Every sparse operator is held, like `SystemOperator.csr`,
@@ -50,8 +56,9 @@ factor at its own rank: the smooth signals once per time, s once per
 member, and only r(+/-kappa), the scalar rate and the weights per (time,
 member).  The data of each kernel operator for a sub-block of times,
 bounded by OPERAND_BUDGET entries, comes from one stacked product of
-the weight rows and a basis of the model into one array, a row per
-time (`_operands`).  `generator_at` is its one-time case, reading
+the weight rows and a whole basis of the model, of which the columns
+of the kept entries are taken into one array, a row per time
+(`_operands`).  `generator_at` is its one-time case, reading
 everything at its time.  On a one-member stack from
 `GeneratorStack.split` it forms the member's generator from the
 member's row of the split stack's weights, which that stack assembles
@@ -119,7 +126,11 @@ def _act(X, ops, ws: _Workspace) -> np.ndarray:
     gives (X_k K_R + sum_g w_kg P_g X_k P_g^dag)^T, since
     conj P_g (P_g X)^T = (P_g X P_g^dag)^T, and one add of the two
     products ends the application.  Every entry of member k is formed
-    by the same operations, in the same order, whatever n is."""
+    by the same operations, in the same order, whatever n is, and
+    whatever entries the operators leave out beyond those that the live
+    rows of the member's own weights reach: a left-out entry is zero,
+    and the kernel, which starts each sum at +0 and so never holds -0,
+    adds its zero product to a finite X without changing a bit."""
     ws.products.fill(0)
     _product(ops[0], X, ws.products)
     ws.operand0[...] = X.transpose(0, 2, 1)
@@ -144,8 +155,9 @@ class FrozenGenerator:
     R_i = c_i P_g, with w_g = sum_{i in g} s_i |c_i|^2 (`ModelSpec.operators`
     holds the groups).  The data of the stack's two kernel operators
     (`ops`, see `_act`) are weighted sums of the cached bases: K_L + s I
-    of `left`, and [K_R^T | w_1 conj P_1 | ...] of `right`, formed with
-    those of a whole sub-block of times (`_operands`); applying the
+    of `left`, and [K_R^T | w_1 conj P_1 | ...] of `right`, on the
+    entries that the live rows of their block reach, formed with those
+    of a whole sub-block of times (`_operands`); applying the
     generator costs those two kernel calls, in the stack's workspace.
     Without operators (`ops` None) it is the one product scalar_k tau_k.
     The adjoint is the generator of the dual stack
@@ -201,10 +213,10 @@ class GeneratorStack:
     and field, propagated together; member k is the generator tilted by
     `kappas[k]`.
 
-    The kernel operators of every application (`_OperatorCache.stacked`)
-    have their patterns and the left-hand sandwich data once per stack,
-    and every application runs in one workspace per stack; each is built
-    the first time a generator asks for it.
+    The kernel operators of every application have their patterns and
+    the left-hand sandwich data once per model, member count and live
+    rows (`_OperatorCache.stacked`), and every application runs in one
+    workspace per stack, built the first time a generator asks for it.
 
     A part of `split` has `group`, the stack split, and `row`, the index
     there of its first member.  A stack from `dual` has `primal`, the
@@ -232,10 +244,6 @@ class GeneratorStack:
 
     def __len__(self) -> int:
         return len(self.kappas)
-
-    @functools.cached_property
-    def layout(self):
-        return self.model.operators.stacked(len(self))
 
     @functools.cached_property
     def workspace(self) -> _Workspace:
@@ -343,49 +351,64 @@ def stage_rows(stack: GeneratorStack, times, start: float):
         yield left[..., -1], left, right
 
 
-def _operands(stack: GeneratorStack, left, right) -> list:
-    """The two kernel operators of `_act` (see `_OperatorCache.stacked`)
-    of the members of `stack` at each of k times, K_L + s I and
-    [K_R^T | w_1 conj P_1 | ...] from their weight rows `left` and
-    `right` (k, n, .).
+def _operands(stack: GeneratorStack, layout, left, right) -> list:
+    """The two kernel operators of `_act` of the members of `stack` at
+    each of k times, K_L + s I and [K_R^T | w_1 conj P_1 | ...] from
+    their weight rows `left` and `right` (k, n, .), on `layout`
+    (`_OperatorCache.stacked`), which keeps the entries of the columns
+    `layout.left` of the model's `basis` and `layout.right` of its
+    `right_basis`.
 
     Each operator keeps the data of all k times in one array, a row per
     time.  The first holds the drift data of its n members end to end,
-    then the stack's sandwich data, copied in once; the second only its
-    members' data.  One stacked product forms each operator's members'
-    data; each (time, member) is still its own vector-matrix product, as
-    a matrix-matrix product would round differently as the member count
+    then the layout's sandwich data, copied in once; the second only its
+    members' data.  One stacked product with the whole basis forms each
+    operator's members' data, of which the kept columns are taken, so
+    every kept entry has the bits it has in the whole layout; each
+    (time, member) is still its own vector-matrix product, as a
+    matrix-matrix product would round differently as the member count
     changes.  Returns each time's pair of operators, their data a row
     view."""
     c = stack.model.operators
     k, n, _ = left.shape
-    m = n * c.basis.shape[1]
-    (first, fixed), second = stack.layout
-    lhs = np.empty((k, m + len(fixed)), dtype=complex)
-    lhs[:, m:] = fixed
-    rhs = np.empty((k, n * c.right_basis.shape[1]), dtype=complex)
-    np.matmul(left[:, :, None], c.basis,
-              out=lhs[:, :m].reshape(k, n, 1, -1))
-    np.matmul(right[:, :, None], c.right_basis, out=rhs.reshape(k, n, 1, -1))
+    m = n * len(layout.left)
+    lhs = np.empty((k, m + len(layout.fixed)), dtype=complex)
+    lhs[:, m:] = layout.fixed
+    rhs = np.empty((k, n * len(layout.right)), dtype=complex)
+    # the kept columns are in range, and "clip" takes them straight into
+    # `out`, where "raise" would go through a buffer
+    for rows, basis, kept, out in ((left, c.basis, layout.left, lhs[:, :m]),
+                                   (right, c.right_basis, layout.right, rhs)):
+        np.take(np.matmul(rows[:, :, None], basis), kept, axis=-1,
+                out=out.reshape(k, n, 1, -1), mode="clip")
+    first, second = layout.first, layout.second
     return [(first + (a,), second + (b,)) for a, b in zip(lhs, rhs)]
 
 
 def _block_generators(stack: GeneratorStack, rows):
     """Yield the generators of the members of `stack` at each time of one
-    `stage_rows` block `rows`, forming their kernel operators
+    `stage_rows` block `rows`, on the layout of the block's live basis
+    rows, those whose weight is nonzero at some time and member of the
+    block (`_OperatorCache.stacked`), forming their kernel operators
     (`_operands`) a sub-block of times at a time, as many as
-    OPERAND_BUDGET entries of an operator's data hold (both hold the
-    same number per time)."""
+    OPERAND_BUDGET entries of the larger operator's data hold.  An entry
+    that no live row reaches is zero in every generator of the block,
+    so leaving it out changes no bit of an application of a finite
+    state (`_act`); a state that is not finite still fails
+    `evolution._walk`'s check at the same segment end."""
     scalar, left, right = rows
     scalar = scalar[:, :, None, None]
-    nnz = stack.model.operators.basis.shape[1]
+    c, n = stack.model.operators, len(stack)
+    nnz = c.basis.shape[1]
     step = len(scalar)
     if nnz:
-        per_time = len(stack) * nnz + len(stack.layout[0][1])
+        layout = c.stacked(n, left.any(axis=(0, 1)), right.any(axis=(0, 1)))
+        per_time = max(n * len(layout.left) + len(layout.fixed),
+                       n * len(layout.right))
         step = max(1, OPERAND_BUDGET // per_time)
     for lo in range(0, len(scalar), step):
         sub = slice(lo, lo + step)
-        ops = (_operands(stack, left[sub], right[sub]) if nnz
+        ops = (_operands(stack, layout, left[sub], right[sub]) if nnz
                else itertools.repeat(None))
         for scalar_k, left_k, right_k, ops_k in zip(
                 scalar[sub], left[sub], right[sub], ops):

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .fock import (SystemOperator, TruncatedSpace, csr_pattern, ladder_a,
-                   ladder_a_dag, ladder_b, ladder_b_dag)
+from .fock import (SystemOperator, TruncatedSpace, csr_matvecs, csr_pattern,
+                   ladder_a, ladder_a_dag, ladder_b, ladder_b_dag)
 
 
 # Two channel operators share a sandwich product when one is a scalar
@@ -31,12 +32,12 @@ class _OperatorCache:
 
     Every operator is held, like `SystemOperator.csr`, as the arguments
     of scipy's CSR kernel, (rows, cols, indptr, indices, data), and a
-    pattern as the same without the data.  K, R_1..R_d, R_1^dag..R_d^dag
-    and the identity all live on one `pattern`, the union of their
-    sparsity patterns; row j of `basis` holds the entries of the j-th of
-    them on it, so a weighted sum of these operators, the scalar rate
-    included, costs one vector-matrix product.  A model without
-    operators keeps an empty pattern: its generator is its scalar rate.
+    pattern as the same without the data.  `pattern` is the union of the
+    sparsity patterns of K, R_1..R_d, R_1^dag..R_d^dag and the identity;
+    row j of `basis` holds the entries of the j-th of them on it, so a
+    weighted sum of these operators, the scalar rate included, costs one
+    vector-matrix product.  A model without operators keeps an empty
+    pattern: its generator is its scalar rate.
 
     The nonzero channel operators are grouped as R_i = c_i P_g, P_g the
     operator of the group's first channel `channels[g]`;
@@ -50,12 +51,14 @@ class _OperatorCache:
     R_1..conj R_d, conj R_1^dag..conj R_d^dag (K_R^T is their weighted
     sum) and then of each conj P_g, so the operator's data is one
     vector-matrix product too.  `stacked` tiles both operators for n
-    members.  The adjoint's operators are those of the dual model's
+    members, each on only the entries that its live basis rows reach,
+    and keeps every layout it builds in `layouts`, for all the stacks of
+    the model.  The adjoint's operators are those of the dual model's
     cache (`ModelSpec.dual`), which finds the same groups and weights.
     """
 
     __slots__ = ("pattern", "basis", "channels", "group_weights",
-                 "sandwich", "right_pattern", "right_basis")
+                 "sandwich", "right_pattern", "right_basis", "layouts")
 
     def __init__(self, model: "ModelSpec"):
         dim, d = model.space.dim, model.d
@@ -78,22 +81,66 @@ class _OperatorCache:
         self.sandwich = [model.R[i].csr for i in self.channels]
         self.right_pattern, self.right_basis = _right_operator(
             self.pattern, self.basis[:1 + 2 * d], self.sandwich)
+        self.layouts = {}
 
-    def stacked(self, n: int) -> tuple:
+    def stacked(self, n: int, live_left, live_right) -> _Layout:
         """The two kernel operators of one application to n members (see
-        `generator._act`): the first as (pattern, sandwich data), the
-        drift data, first in its data, being every generator's own; the
-        second as a pattern, all of its data every generator's own.  The
-        first holds the drift and each P_g one below the other, each as
-        n diagonal blocks, ((1 + G) n dim, n dim); the second is n
-        copies of `right_pattern`, (n dim, (1 + G) n dim), that of member
-        k reading block k of each group of n column blocks."""
-        dim, ops = self.pattern[0], (self.pattern, *self.sandwich)
-        first = _tiled(ops, n, [0] * len(ops), n * dim)
-        plane = self.right_pattern[3] // dim
-        second, _ = _tiled((self.right_pattern,), n, [plane * (n - 1)],
-                           n * self.right_pattern[1])
-        return first, second
+        `generator._act`) whose weights are zero outside the rows
+        `live_left` of `basis` and `live_right` of `right_basis` (boolean
+        masks): each keeps only the entries of its pattern that a live
+        row reaches, the columns `left` of `basis` and `right` of
+        `right_basis`.  Every other entry is zero in each such generator.
+        With every row live this is the whole union layout, less the
+        right-hand entries that no row of `right_basis` reaches (the
+        diagonal of the identity, which only the left-hand basis has,
+        where K has no entry).
+
+        The first operator is held as (pattern, sandwich data), the drift
+        data, first in its data, being every generator's own; the second
+        as a pattern, all of its data every generator's own.  The first
+        holds the drift and each P_g one below the other, each as n
+        diagonal blocks, ((1 + G) n dim, n dim); the second is n copies
+        of the kept `right_pattern`, (n dim, (1 + G) n dim), that of
+        member k reading block k of each group of n column blocks.  Built
+        once per (n, live rows) and kept in `layouts`."""
+        key = (n, live_left.tobytes(), live_right.tobytes())
+        layout = self.layouts.get(key)
+        if layout is None:
+            left = np.flatnonzero(self.basis[live_left].any(axis=0))
+            right = np.flatnonzero(self.right_basis[live_right].any(axis=0))
+            drift = _restricted(self.pattern, left)
+            kept = _restricted(self.right_pattern, right)
+            dim, ops = self.pattern[0], (drift, *self.sandwich)
+            first, fixed = _tiled(ops, n, [0] * len(ops), n * dim)
+            second, _ = _tiled((kept,), n, [kept[3] // dim * (n - 1)],
+                               n * kept[1])
+            layout = self.layouts[key] = _Layout(first, fixed, second, left,
+                                                right)
+        return layout
+
+
+class _Layout(NamedTuple):
+    """The kernel operators of one application to n members, from
+    `_OperatorCache.stacked`: the patterns `first` and `second`, the
+    sandwich data `fixed` of the first, and the columns `left` of
+    `basis` and `right` of `right_basis` whose weighted sums give the
+    rest of their data."""
+
+    first: tuple
+    fixed: np.ndarray
+    second: tuple
+    left: np.ndarray
+    right: np.ndarray
+
+
+def _restricted(pattern, entries) -> tuple:
+    """The CSR pattern of the entries `entries` (indices, in order) of
+    `pattern`."""
+    rows, cols, indptr, indices = pattern
+    kept = np.zeros(len(indices) + 1, dtype=np.int32)
+    kept[entries + 1] = 1
+    return (rows, cols, np.cumsum(kept, dtype=np.int32)[indptr],
+            indices[entries])
 
 
 def _right_operator(pattern, drift, sandwich) -> tuple:
@@ -387,17 +434,28 @@ def check_dissipativity(model: ModelSpec, guard: int = 2) -> DissipativityReport
     if len(interior) == 0:
         raise ValueError(f"guard={guard} leaves no interior on "
                          f"({space.n_max}, {space.m_max})")
-    K = model.K.to_dense()
-    D = K + K.conj().T
-    for op in model.R:
-        R = op.to_dense()
-        D += R.conj().T @ R
-    block = D[np.ix_(interior, interior)]
+    block = _dissipation(model)[np.ix_(interior, interior)]
     if not np.isfinite(block).all():
         raise ValidationError("K + K^dag + sum_k R_k^dag R_k overflows")
     return DissipativityReport(
         max_residual=float(np.max(np.abs(np.linalg.eigvalsh(block)))),
         interior_dim=len(interior))
+
+
+def _dissipation(model: ModelSpec) -> np.ndarray:
+    """D = K + K^dag + sum_k R_k^dag R_k, dense.  Each R_k^dag R_k is one
+    call of the CSR kernel, R_k^dag (of `ModelSpec.dual`) on the dense
+    R_k: nnz(R_k) dim multiply-adds, where a dense product takes dim^3."""
+    K = model.K.to_dense()
+    D = K + K.conj().T
+    product = np.empty_like(D)
+    for op, adjoint in zip(model.R, model.dual.R):
+        rows, cols, indptr, indices, data = adjoint.csr
+        product.fill(0)
+        csr_matvecs(rows, cols, cols, indptr, indices, data,
+                    op.to_dense().ravel(), product.ravel())
+        D += product
+    return D
 
 
 def check_S_unitary(model: ModelSpec) -> float:

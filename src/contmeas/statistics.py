@@ -90,10 +90,12 @@ def on_interval(m: int, observable: int, t_end: float,
 def joint_charfunc(model: ModelSpec, obs: ObservableSpec, field: FieldProfile,
                    rho0: np.ndarray, kappas: list[TestFunction],
                    t_end: float, config: EvolutionConfig | None = None,
-                   finals: list | None = None) -> np.ndarray:
+                   finals: dict | None = None) -> np.ndarray:
     """Characteristic values at t_end of a sequence of test functions, as a
-    1-D complex array in their order.  Each test function's final state is
-    appended to `finals`, in the same order, when it is given.
+    1-D complex array in their order.  The keys of `finals`, when it is
+    given, name the test functions, by index, whose final states the
+    caller needs: each gets its state, a copy, as its value, and no other
+    state is kept.
 
     The test functions with equal segments form one group, one stack, and
     each gets exactly the value of its one-member run.  On the RK4 route a
@@ -117,7 +119,6 @@ def joint_charfunc(model: ModelSpec, obs: ObservableSpec, field: FieldProfile,
     for j, kappa in enumerate(kappas):
         groups.setdefault(tuple(segments(t_end, field, kappa)), []).append(j)
     out = np.empty(len(kappas), dtype=complex)
-    states = {}
     for members in groups.values():
         group = GeneratorStack(model, obs, field, [kappas[j] for j in members])
         # frozen: one run per member, which the tracer test pins until
@@ -127,10 +128,10 @@ def joint_charfunc(model: ModelSpec, obs: ObservableSpec, field: FieldProfile,
             res = evolve(part, rho0, t_end, config)
             rows = members[part.row:part.row + len(part)]
             out[rows] = res.trace
-            if finals is not None:
-                states.update(zip(rows, res.final))
-    if finals is not None:
-        finals.extend(states[j] for j in range(len(kappas)))
+            if finals:
+                finals.update((j, final.copy())
+                              for j, final in zip(rows, res.final)
+                              if j in finals)
     return out
 
 
@@ -242,14 +243,14 @@ def homodyne_distribution(model: ModelSpec, obs: ObservableSpec,
                           observable: int, t_end: float, kappa_max: float,
                           x: np.ndarray, n_points: int = 257,
                           config: EvolutionConfig | None = None,
-                          finals: list | None = None) -> np.ndarray:
+                          finals: dict | None = None) -> np.ndarray:
     """Density of one diffusive observable over x at t_end.  Only the
     kappa >= 0 half of `diffusive_axis(kappa_max, n_points)` is
     propagated; phi(-kappa) is taken as conj phi(kappa), which is exact
     for a Hermitian rho0 (checked) and real classical offsets (checked
-    by `ObservableSpec`).  The final states of the propagated half are
-    appended to `finals` when it is given; the first, at kappa = 0, is
-    the plain run's."""
+    by `ObservableSpec`).  `finals` names members of the propagated half
+    whose final states the caller needs, as `joint_charfunc` takes it;
+    member 0, at kappa = 0, is the plain run."""
     _check_observable(obs, observable, counting=False)
     rho0 = np.asarray(rho0)
     dev = float(np.max(np.abs(rho0 - rho0.conj().T)))

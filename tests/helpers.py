@@ -155,3 +155,15 @@ def difference(k1, k2):
     breaks = np.union1d(k1.breaks, k2.breaks)
     mids = 0.5 * (breaks[:-1] + breaks[1:])
     return TestFunction(breaks, k1.value(mids) - k2.value(mids))
+
+
+def workload_config(name, seed):
+    """The config of the benchmark workload `name` at `seed`, from
+    perfbench/workloads.py, which imports nothing of the program."""
+    import importlib.util
+    import pathlib
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.make_config(name, seed)

@@ -7,15 +7,17 @@ import scipy.sparse
 
 import helpers
 from contmeas import (Constant, DpoParams, EvolutionConfig, FieldProfile,
-                      GeneratorContext, ModelSpec, ObservableSpec,
-                      SystemOperator, TestFunction, TruncatedSpace,
-                      ValidationError, ZERO, dpo_laser_field, dpo_model,
+                      GeneratorContext, IntegrationError, ModelSpec,
+                      ObservableSpec, SystemOperator, TestFunction,
+                      TruncatedSpace, ValidationError, ZERO, dpo_laser_field, dpo_model,
                       dpo_observables, evolve, generator_at, ladder_a,
                       ladder_b, trivial_model)
 from contmeas import generator
 from contmeas.cli import Run
 from contmeas.generator import (BLOCK, GeneratorStack, _product,
-                                context_is_piecewise_static, stage_generators)
+                                context_is_piecewise_static, stage_generators,
+                                stage_rows)
+from contmeas.model import _Layout, _OperatorCache, _tiled
 from contmeas.statistics import diffusive_axis, on_interval
 from contmeas.oracle import _dense_superoperator
 
@@ -127,6 +129,14 @@ def _stepping_context():
             [0.0, 0.2, 0.9, 1.3, 1.5, 2.0])
 
 
+def _union_per_time(stack):
+    """Entries of each kernel operator's data per stage time of `stack`
+    on the whole union layout, the most that any live layout holds."""
+    c = stack.model.operators
+    return len(stack) * (c.basis.shape[1]
+                         + sum(len(p[4]) for p in c.sandwich))
+
+
 def _assert_same_operators(ops, ref):
     for op, ref_op in zip(ops, ref, strict=True):
         assert op[:2] == ref_op[:2]
@@ -150,9 +160,9 @@ def _check_stage_assembly(monkeypatch, build, times_per_block):
     model, obs, field, kappas, edges = build()
     stack = GeneratorStack(model, obs, field, kappas)
     dual = stack.dual()
-    n, c, d = len(stack), model.operators, model.d
+    n, d = len(stack), model.d
     drift = slice(0, 1 + 2 * d)   # of both weight rows
-    per_time = n * c.basis.shape[1] + len(stack.layout[0][1])
+    per_time = _union_per_time(stack)
     monkeypatch.setattr(generator, "OPERAND_BUDGET",
                         10**9 if times_per_block is None
                         else times_per_block * per_time)
@@ -215,9 +225,10 @@ def test_stage_generators_read_each_segment_at_its_start():
 @pytest.mark.parametrize("dims", ["117-1", "20-129"])
 def test_operand_sub_blocks_stay_in_budget(dims):
     # the data array that a sub-block's generators share holds at most
-    # OPERAND_BUDGET entries, or one stage time's if that alone is more,
-    # for one member at dim 117 and the 129 members of the shipped
-    # dpo_homodyne sweep at dim 20; each generator's data is a row view
+    # OPERAND_BUDGET entries, or one stage time's of the larger operator
+    # if that alone is more, for one member at dim 117 and the 129 members
+    # of the shipped dpo_homodyne sweep at dim 20, on the layout of the
+    # block's live rows; each generator's data is a row view
     if dims == "117-1":
         rng, params, model, obs, field = build_setup(n_max=12, m_max=8)
         stack = GeneratorStack(model, obs, field, [random_kappa(rng, 2.0)])
@@ -229,19 +240,205 @@ def test_operand_sub_blocks_stay_in_budget(dims):
         stack = GeneratorStack(run.model, run.obs, run.field, kappas)
     n, model = len(stack), stack.model
     assert (model.space.dim, n) == tuple(map(int, dims.split("-")))
-    per_time = n * model.operators.basis.shape[1] + len(stack.layout[0][1])
     arrays = {}
     for own in (stack, stack.dual()):
-        for g in stage_generators(own, np.linspace(0.0, 0.5, 21), 0.0):
-            for op in g.ops:
+        gens = list(stage_generators(own, np.linspace(0.0, 0.5, 21), 0.0))
+        layout, = own.model.operators.layouts.values()
+        sizes = (n * len(layout.left) + len(layout.fixed),
+                 n * len(layout.right))
+        assert max(sizes) <= _union_per_time(stack)
+        for g in gens:
+            for op, size in zip(g.ops, sizes, strict=True):
                 data = op[-1]
                 assert data.base is not None and data.base.ndim == 2
-                assert data.base.shape[1] == data.size == per_time
+                assert data.base.shape[1] == data.size == size
                 arrays[id(data.base)] = data.base
-    sizes = [a.size for a in arrays.values()]
-    assert all(size <= max(generator.OPERAND_BUDGET, per_time)
-               for size in sizes)
+    assert all(a.size <= max(generator.OPERAND_BUDGET, a.shape[1])
+               for a in arrays.values())
     assert sum(len(a) for a in arrays.values()) == 2 * 2 * 21
+
+
+def _workload_members(name):
+    """The benchmark workload `name` at seed 7: its model, observables
+    and field, its test functions (the propagated half of the homodyne
+    grid, which starts at kappa = 0, or the workload's own test function
+    and a zero one on the same segments, whose weights are those of the
+    plain run), and its end time."""
+    run = Run(helpers.workload_config(name, 7))
+    if name == "homodyne_dpo20":
+        samples = diffusive_axis(run.run["kappa_max"], run.run["n_points"])
+        kappas = on_interval(run.obs.m, run.observable(), run.t_end(),
+                             samples[len(samples) // 2:])
+    else:
+        kappa = run.kappa
+        kappas = [kappa, TestFunction(kappa.breaks,
+                                      np.zeros_like(kappa.values))]
+    return run.model, run.obs, run.field, kappas, run.t_end()
+
+
+def _union_layouts(monkeypatch):
+    """Lay every stack's kernel operators on the whole union layout, every
+    entry of `pattern` and `right_pattern` kept, tiled directly, without
+    the live rows' selection of `_OperatorCache.stacked`."""
+    def union(self, n, live_left, live_right):
+        dim, ops = self.pattern[0], (self.pattern, *self.sandwich)
+        first, fixed = _tiled(ops, n, [0] * len(ops), n * dim)
+        plane = self.right_pattern[3] // dim
+        second, _ = _tiled((self.right_pattern,), n, [plane * (n - 1)],
+                           n * self.right_pattern[1])
+        return _Layout(first, fixed, second,
+                       np.arange(self.basis.shape[1]),
+                       np.arange(self.right_basis.shape[1]))
+
+    monkeypatch.setattr(_OperatorCache, "stacked", union)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+LIVE_BUILDS = {
+    "dim9": lambda: _workload_members("oracle_dpo9"),
+    "dim20": lambda: _workload_members("homodyne_dpo20"),
+    "dim117": lambda: _workload_members("charfunc_dpo117"),
+    "dpo": lambda: _dpo_members()[:4] + (2.0,),
+    "hand-built": lambda: _hand_built_members()[:4] + (1.0,),
+}
+
+
+@pytest.mark.parametrize("build", LIVE_BUILDS.values(), ids=LIVE_BUILDS)
+def test_live_application_equals_union_application(monkeypatch, build):
+    # on every segment, at both ends and inside, each stack, each of its
+    # one-member stacks and their dual stacks apply their generators on
+    # the entries their live rows reach with the bits, signed zeros
+    # included, of the whole union layout; a zero X stays +0
+    model, obs, field, kappas, t_end = build()
+    whole = GeneratorStack(model, obs, field, kappas)
+    stacks = [whole] + [GeneratorStack(model, obs, field, [k])
+                        for k in kappas[:3]]
+    stacks += [stack.dual() for stack in stacks]
+    rng = np.random.default_rng(47)
+    dim = model.space.dim
+    smaller = 0
+    for stack in stacks:
+        n = len(stack)
+        X = (rng.standard_normal((n, dim, dim))
+             + 1j * rng.standard_normal((n, dim, dim)))
+        for lo, hi in stack.segments(t_end):
+            times = np.concatenate(([lo], rng.uniform(lo, hi, 2), [hi]))
+            live = list(stage_generators(stack, times, lo))
+            with monkeypatch.context() as patch:
+                _union_layouts(patch)
+                union = list(stage_generators(stack, times, lo))
+            for g, ref in zip(live, union, strict=True):
+                smaller += g.ops[1][-1].size < ref.ops[1][-1].size
+                for Y in (X, np.zeros_like(X)):
+                    assert np.array_equal(_bits(g.apply(Y)),
+                                          _bits(ref.apply(Y)))
+                zero = np.ascontiguousarray(g.apply(np.zeros_like(X)))
+                assert not np.signbit(zero.view(float)).any()
+    assert smaller > 0
+
+
+@pytest.mark.parametrize("name", ["oracle_dpo9", "homodyne_dpo20",
+                                  "charfunc_dpo117"])
+def test_mixed_stack_members_equal_their_own_runs(monkeypatch, name):
+    # a stack mixing a kappa = 0 member with kappa != 0 members lays its
+    # operators on the union of their live rows; each member still ends
+    # in the bits of its own one-member run, on the smaller layout of its
+    # own live rows for the kappa = 0 member
+    model, obs, field, kappas, t_end = _workload_members(name)
+    kappas = kappas[:4]
+    zero = next(j for j, k in enumerate(kappas) if k.is_zero)
+    entries = {}
+    operands = generator._operands
+
+    def recorded(stack, layout, left, right):
+        entries.setdefault(id(stack), set()).add(
+            len(layout.left) + len(layout.right))
+        return operands(stack, layout, left, right)
+
+    monkeypatch.setattr(generator, "_operands", recorded)
+    config = EvolutionConfig(dt=helpers.workload_config(name, 7)
+                             ["evolution"]["dt"])
+    rho0 = np.zeros((model.space.dim,) * 2, dtype=complex)
+    rho0[0, 0] = 1.0
+    stack = GeneratorStack(model, obs, field, kappas)
+    together = evolve(stack, rho0, t_end, config)
+    for j, kappa in enumerate(kappas):
+        own = GeneratorStack(model, obs, field, [kappa])
+        alone = evolve(own, rho0, t_end, config)
+        for name in ("final", "trace", "max_abs_trace"):
+            assert np.array_equal(_bits(getattr(together, name)[j]),
+                                  _bits(getattr(alone, name)[0])), name
+        if j == zero:
+            assert max(entries[id(own)]) < min(entries[id(stack)])
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_state_fails_as_on_the_union_layout(monkeypatch, bad):
+    # a state holding inf or nan, even at an entry that no live row
+    # reaches, fails the finiteness check at the same segment end, with
+    # the same message, as on the whole union layout
+    model, obs, field, kappas, t_end = _workload_members("oracle_dpo9")
+    config = EvolutionConfig(dt=0.02, contractivity_check="off")
+    rho0 = np.zeros((model.space.dim,) * 2, dtype=complex)
+    rho0[0, 0], rho0[-1, 2] = 1.0, bad
+    errors = []
+    for union in (False, True):
+        with monkeypatch.context() as patch:
+            if union:
+                _union_layouts(patch)
+            for kappa in kappas:
+                stack = GeneratorStack(model, obs, field, [kappa])
+                first_end = stack.segments(t_end)[0][1]
+                with pytest.raises(IntegrationError,
+                                   match=f"t = {first_end:.6g};") as err:
+                    evolve(stack, rho0, t_end, config)
+                errors.append(str(err.value))
+    assert errors[:len(kappas)] == errors[len(kappas):]
+
+
+def test_live_entry_counts():
+    # entries per member of the two kernel operators, left / right, on
+    # the layout of the live rows of every segment, forward and dual:
+    # few of the eight channels carry a field or an observable, so most
+    # drift weights are zero over a whole segment.  With every row live
+    # the layout is the union one, less the right-hand operator's entries
+    # that no row reaches (the DPO's (0, 0), where K is zero and only the
+    # left-hand identity has an entry); layouts are memoized on the
+    # model's cache
+    pinned = {("charfunc_dpo117", False): (821, 820),
+              ("charfunc_dpo117", True): (712, 712),
+              ("homodyne_dpo20", False): (115, 114),
+              ("oracle_dpo9", False): (43, 42),
+              ("oracle_dpo9", True): (36, 36)}
+    full = {"charfunc_dpo117": 929, "homodyne_dpo20": 131, "oracle_dpo9": 49}
+    for (name, plain), want in pinned.items():
+        model, obs, field, kappas, t_end = _workload_members(name)
+        if name != "homodyne_dpo20":
+            kappas = kappas[1:] if plain else kappas[:1]
+        stack = GeneratorStack(model, obs, field, kappas)
+        n = len(stack)
+        for own in (stack, stack.dual()):
+            c = own.model.operators
+            counts = set()
+            for lo, hi in own.segments(t_end):
+                for _, left, right in stage_rows(own, np.linspace(lo, hi, 9),
+                                                 lo):
+                    live = (left.any(axis=(0, 1)), right.any(axis=(0, 1)))
+                    layout = c.stacked(n, *live)
+                    assert c.stacked(n, *map(np.copy, live)) is layout
+                    counts.add((len(layout.left) + len(layout.fixed) // n,
+                                len(layout.right)))
+            assert counts == {want}, (name, plain)
+            union = c.stacked(n, np.ones(c.basis.shape[0], bool),
+                              np.ones(c.right_basis.shape[0], bool))
+            assert np.array_equal(union.left, np.arange(c.basis.shape[1]))
+            assert np.array_equal(union.right,
+                                  np.flatnonzero(c.right_basis.any(axis=0)))
+            assert len(union.left) + len(union.fixed) // n == full[name]
+            assert len(union.right) == full[name] - 1
 
 
 @pytest.mark.parametrize("build", [_dpo_members, _hand_built_members],

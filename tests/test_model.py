@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,8 @@ import helpers
 from contmeas import (DpoParams, ModelSpec, SystemOperator, TruncatedSpace,
                       ValidationError, check_dissipativity, check_S_unitary,
                       dpo_laser_field, dpo_model, trivial_model)
+from contmeas.cli import Run
+from contmeas.model import _dissipation
 
 
 def default_params(**over):
@@ -121,6 +126,42 @@ def test_dissipativity_is_exact_off_basis():
     rep = check_dissipativity(model, guard=0)
     assert rep.max_residual == pytest.approx(0.5, abs=1e-15)
     assert rep.interior_dim == 2
+
+
+def _dense_dissipation(model):
+    """K + K^dag + sum_k R_k^dag R_k with dense products throughout."""
+    K = model.K.to_dense()
+    D = K + K.conj().T
+    for op in model.R:
+        R = op.to_dense()
+        D += R.conj().T @ R
+    return D
+
+
+def test_dissipation_kernel_products_match_dense():
+    # the CSR kernel's R_k^dag R_k give the dense D bit for bit on the
+    # shipped configs, whose channels have one entry per column, and to
+    # 1e-14 on a complex model whose products sum several terms an entry
+    configs = pathlib.Path(__file__).parent.parent / "configs"
+    dims = set()
+    for path in sorted(configs.glob("*.json")):
+        model = Run(json.loads(path.read_text())).model
+        dims.add(model.space.dim)
+        assert np.array_equal(_dissipation(model), _dense_dissipation(model))
+    assert dims == {1, 9, 20, 117}
+    rng = np.random.default_rng(3)
+    space = TruncatedSpace(3, 2)
+
+    def random_op(density):
+        shape = (space.dim, space.dim)
+        M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return SystemOperator(space, M * (rng.random(shape) < density))
+
+    model = ModelSpec(space=space, d=3, K=random_op(0.5),
+                      R=tuple(random_op(0.4) for _ in range(3)), S=np.eye(3))
+    D, ref = _dissipation(model), _dense_dissipation(model)
+    assert np.max(np.abs(D - ref)) <= 1e-14
+    assert np.max(np.abs(ref)) > 1.0
 
 
 def test_dissipativity_overflow_raises():

@@ -1,5 +1,3 @@
-import importlib.util
-import pathlib
 
 import numpy as np
 import pytest
@@ -108,19 +106,15 @@ def test_duality_backward_walk_forms_only_adjoint_operators(monkeypatch):
     # on the oracle_dpo9 benchmark config (seed 7), the forward propagation
     # forms operators only on the context and the backward walk only on
     # its one dual stack, whose generators are the adjoint's, a sub-block
-    # of stage times at a time
+    # of stage times at a time, as many as OPERAND_BUDGET entries of the
+    # larger operator of the block's live layout hold
     from contmeas import oracle
     from contmeas.cli import Run
-    root = pathlib.Path(__file__).parent.parent
-    spec = importlib.util.spec_from_file_location(
-        "workloads", root / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    run = Run(workloads.make_config("oracle_dpo9", 7))
+    run = Run(helpers.workload_config("oracle_dpo9", 7))
     ctx = run.context()
 
     walk, operands = oracle._walk, generator._operands
-    backward, formed = [False], []
+    backward, formed, per_time = [False], [], set()
 
     def backward_walk(*args):
         backward[0] = True
@@ -129,9 +123,11 @@ def test_duality_backward_walk_forms_only_adjoint_operators(monkeypatch):
         finally:
             backward[0] = False
 
-    def counted_operands(stack, left, right):
+    def counted_operands(stack, layout, left, right):
         formed.append((backward[0], stack, len(left)))
-        return operands(stack, left, right)
+        per_time.add(max(len(stack) * len(layout.left) + len(layout.fixed),
+                         len(stack) * len(layout.right)))
+        return operands(stack, layout, left, right)
 
     monkeypatch.setattr(oracle, "_walk", backward_walk)
     monkeypatch.setattr(generator, "_operands", counted_operands)
@@ -145,8 +141,7 @@ def test_duality_backward_walk_forms_only_adjoint_operators(monkeypatch):
     stages = [sum(k for back, _, k in formed if back == side)
               for side in (False, True)]
     assert stages == [402, 402]      # 2 segments of 100 steps, each way
-    per_time = (run.model.operators.basis.shape[1]
-                + len(ctx.layout[0][1]))
+    (per_time,) = per_time        # one live layout on both sides
     step = generator.OPERAND_BUDGET // per_time
     blocks = sum(back for back, _, _ in formed)
     assert step > 1 and blocks == 2 * -(-201 // step)

@@ -296,14 +296,31 @@ def test_stacked_sweep_equals_per_point_evolve(monkeypatch, build, stacks):
                                      field=field, kappa=k),
                     rho0, 1.0, config) for k in kappas]
     sizes = count_members(monkeypatch)
-    finals = []
+    finals = dict.fromkeys(range(len(kappas)))
     phi = joint_charfunc(model, obs, field, rho0, kappas, 1.0, config,
                          finals)
     assert sizes == stacks
     assert phi.shape == (len(kappas),)
     assert np.array_equal(phi, [res.trace[0] for res in alone])
-    assert all(np.array_equal(f, res.final[0])
-               for f, res in zip(finals, alone))
+    assert all(np.array_equal(finals[j], res.final[0])
+               for j, res in enumerate(alone))
+
+
+def test_sweep_keeps_only_the_named_final_states():
+    # the keys of `finals` name the members whose final states are kept,
+    # each a copy that holds no other member's state, with the bits of
+    # the member's own run
+    model, obs, field, rho0, kappas = _kappa_grid()
+    config = EvolutionConfig(dt=0.04)
+    finals = {0: None, 5: None}
+    joint_charfunc(model, obs, field, rho0, kappas, 1.0, config, finals)
+    assert sorted(finals) == [0, 5]
+    for j, final in finals.items():
+        alone = evolve(GeneratorContext(model=model, observables=obs,
+                                        field=field, kappa=kappas[j]),
+                       rho0, 1.0, config)
+        assert final.base is None and final.shape == rho0.shape
+        assert np.array_equal(final, alone.final[0])
 
 
 @pytest.mark.parametrize("members, sizes", [(4, [4, 4, 4, 1]),
@@ -314,21 +331,22 @@ def test_stacked_sweep_parts_stay_in_budget(monkeypatch, members, sizes):
     # the bits of the one-stack run
     model, obs, field, rho0, kappas = _kappa_grid()
     config = EvolutionConfig(dt=0.04)
-    whole_finals = []
+    whole_finals = dict.fromkeys(range(len(kappas)))
     whole = joint_charfunc(model, obs, field, rho0, kappas, 1.0, config,
                            whole_finals)
     entries = model.space.dim ** 2
     propagated = count_members(monkeypatch)
     monkeypatch.setattr(statistics, "STACK_BUDGET",
                         (members + 1) * entries - 1)
-    finals = []
+    finals = dict.fromkeys(range(len(kappas)))
     phi = joint_charfunc(model, obs, field, rho0, kappas, 1.0, config,
                          finals)
     assert propagated == sizes
     assert all(n * entries <= max(entries, statistics.STACK_BUDGET)
                for n in propagated)
     assert np.array_equal(phi, whole)
-    assert all(np.array_equal(f, g) for f, g in zip(finals, whole_finals))
+    assert all(np.array_equal(finals[j], whole_finals[j])
+               for j in range(len(kappas)))
 
 
 def test_shipped_sweeps_are_one_stack():
@@ -436,14 +454,14 @@ def test_frozen_sweep_assembles_once_per_group(monkeypatch, build):
 
     monkeypatch.setattr(generator, "stage_rows", counting)
     sizes = count_members(monkeypatch)
-    finals = []
+    finals = dict.fromkeys(range(len(kappas)))
     phi = joint_charfunc(model, obs, field, rho0, kappas, 1.0, config,
                          finals)
     assert sizes == [1] * len(kappas)
     assert assembled == assemblies
     assert np.array_equal(phi, [res.trace[0] for res in alone])
-    assert all(np.array_equal(f, res.final[0])
-               for f, res in zip(finals, alone))
+    assert all(np.array_equal(finals[j], res.final[0])
+               for j, res in enumerate(alone))
 
 
 def test_frozen_sweep_drops_each_member_before_the_next(monkeypatch):
