@@ -43,11 +43,7 @@ from .statistics import (counting_distribution, diffusive_axis,
 
 
 def _fmt(x) -> str:
-    if isinstance(x, complex):
-        return f"{x.real:.17g}{x.imag:+.17g}j"
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def _json_value(obj):
@@ -155,7 +151,7 @@ def _flatten(d: dict, prefix: str = ""):
         if isinstance(v, dict):
             yield from _flatten(v, key + ".")
         else:
-            yield key, _fmt(v) if isinstance(v, (float, complex)) else v
+            yield key, _fmt(v)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -173,33 +169,26 @@ def cmd_validate(run: Run, out):
     _emit(report, out)
 
 
-def cmd_evolve(run: Run, out):
+def _propagate(run: Run, out, fields):
+    """Propagate under the configured test function to t_end and report
+    `fields(result)` between t_end and the plain run's leakage."""
     t_end = run.t_end()
     res = evolve(run.context(), run.rho0, t_end, run.evo)
-    report = dict(run.header())
-    report.update({
-        "t_end": t_end,
-        "n_steps": res.n_steps,
-        "trace": res.trace[0],
-        "max_abs_trace": res.max_abs_trace[0],
-        "leakage": run.leakage(t_end,
-                               res.final[0] if run.kappa.is_zero else None),
-    })
+    report = dict(run.header(), t_end=t_end, **fields(res))
+    report["leakage"] = run.leakage(
+        t_end, res.final[0] if run.kappa.is_zero else None)
     _emit(report, out)
+
+
+def cmd_evolve(run: Run, out):
+    _propagate(run, out, lambda res: {
+        "n_steps": res.n_steps, "trace": res.trace[0],
+        "max_abs_trace": res.max_abs_trace[0]})
 
 
 def cmd_charfunc(run: Run, out):
-    t_end = run.t_end()
-    res = evolve(run.context(), run.rho0, t_end, run.evo)
-    report = dict(run.header())
-    report.update({
-        "t_end": t_end,
-        "charfunc": res.trace[0],
-        "abs": abs(res.trace[0]),
-        "leakage": run.leakage(t_end,
-                               res.final[0] if run.kappa.is_zero else None),
-    })
-    _emit(report, out)
+    _propagate(run, out, lambda res: {
+        "charfunc": res.trace[0], "abs": abs(res.trace[0])})
 
 
 def cmd_counts(run: Run, out):

@@ -1,40 +1,13 @@
 """Integration of the reduced evolution equation  d tau / dt = A_t[tau]
-over [t_start, t_end], in absolute time.
+over [t_start, t_end], in absolute time, by classical RK4 on the smooth
+segments between breakpoints (`signals.segments`), so propagation to s
+and then on to t splits where the one-shot run does.
 
-The coefficients are smooth except at finitely many breakpoints (edges of
-the field window, steps of the test function).  The stepper never
-straddles a breakpoint: the interval is split into smooth segments and
-each segment is covered by whole steps.  On a segment the test functions
-and the field window are constant, so every stage of its steps, both ends
-included, reads them once at the segment's start; inside it everything is
-smooth, so classical fourth-order Runge-Kutta keeps its full order.
-Because times are absolute, propagation to s, then from s to t, splits at
-the same breakpoints as the one-shot run.
-
-`evolve` is the one propagation function.  Its state is an
-(n, dim, dim) stack, one matrix per member of a `generator.GeneratorStack`
-(n = 1 for a `GeneratorContext`), run through one segment walk (`_walk`),
-RK4 step, step budget and per-member finiteness and contractivity check.
-A one-member system-free run (1x1, a model without operators) holds its
-state as a Python complex instead, since on one-element arrays numpy's
-per-call cost was most of its time; the generator's product stays
-numpy's, whose fused multiply-adds Python's product lacks, so the bits
-are the same (see `evolve`).
-The backward run of `oracle.duality_check` takes the same walk, on the
-stage generators of the dual stack (`GeneratorStack.dual`).
-Each member's arithmetic is that of its own run, so a member whose
-segments are the stack's gets exactly the state of its one-member run.
-
-The stage generators of a segment's steps are assembled together
-(`rk4_stages`, through `generator.stage_generators`), at the times
-lo + k h / 2 with the last one hi itself; the generator at the end of
-one step is the start generator of the next, so a segment of `count`
-steps assembles 2 count + 1 generators.
-
-When every coefficient is constant between breakpoints, or when
-`EvolutionConfig.freeze` asks for it, each segment instead uses one
-generator frozen at the segment midpoint (`generator.generator_at`),
-whose `apply` is bound once for all the segment's steps.
+- `evolve`: the one propagation function, for a stack of any size.
+- `rk4_stages`, `rk4_step`, `_walk`: the stages, the step and the
+  segment walk, which `oracle.duality_check`'s backward pass shares.
+- `contractivity`: where an "auto" contractivity check is decided.
+- `composition_check`: the composition law, as a diagnostic.
 """
 
 from __future__ import annotations
@@ -69,9 +42,8 @@ class EvolutionConfig:
 
 @dataclass
 class EvolutionResult:
-    """Final states, step count, traces and peak |trace|s of a propagation
-    of a stack of n members: final has shape (n, dim, dim), trace and
-    max_abs_trace shape (n,).  A one-member run reads entry 0 of each."""
+    """Final states (n, dim, dim), step count, traces and peak |trace|s
+    (n,) of a propagation of a stack of n members."""
 
     final: np.ndarray
     n_steps: int
@@ -93,7 +65,10 @@ def is_state(rho: np.ndarray, tol: float = 1e-9) -> bool:
 
 def contractivity(config: EvolutionConfig, rho0: np.ndarray) -> str:
     """`config.contractivity_check` with "auto" decided: "on" when the
-    complex array rho0 is a state, else "off"."""
+    complex array rho0 is a state, else "off".  A rho0 that is not finite
+    raises IntegrationError, whatever the check."""
+    if not np.isfinite(rho0).all():
+        raise IntegrationError("initial matrix is not finite")
     if config.contractivity_check != "auto":
         return config.contractivity_check
     return "on" if is_state(rho0) else "off"
@@ -110,17 +85,11 @@ def step_count(start: float, stop: float, dt: float) -> int:
 
 def rk4_stages(stack: GeneratorStack, start: float, stop: float,
                count: int):
-    """Stage generators (start, middle, end) of the members of `stack` for
-    each of `count` equal RK4 steps from `start` to `stop`, in either
-    direction, from `generator.stage_generators`.
-
-    The stage times are start + k (stop - start) / (2 count), the last
-    one exactly `stop`.  [start, stop] is one segment, read at its lower
-    end min(start, stop), so the backward run reads the same test
-    functions and field window as the forward one.  The end generator of
-    one step is the start generator of the next, so a segment assembles
-    2 count + 1 generators.
-    """
+    """Stage generators (start, middle, end) of `stack` for each of
+    `count` equal RK4 steps from `start` to `stop`, in either direction;
+    the end of one step is the start of the next.  The segment is read
+    at its lower end, so the backward run reads the test functions and
+    field window of the forward one."""
     times = start + np.arange(2 * count + 1) * (0.5 * (stop - start) / count)
     times[-1] = stop
     stages = stage_generators(stack, times, min(start, stop))
@@ -133,11 +102,7 @@ def rk4_stages(stack: GeneratorStack, start: float, stop: float,
 
 def step_constants(h: float, scalar: bool = False) -> tuple:
     """h/2, h, h/6 and 2 as `rk4_step` takes them: complex (1, 1, 1)
-    arrays, or Python complex numbers for the Python complex state of a
-    one-member system-free run (`evolve`).  Each is real, so its
-    products with the state have the same bits either way; only the
-    generator's product, a complex one, must stay numpy's
-    (`FrozenGenerator.apply`)."""
+    arrays, or, for a Python complex state, Python complex numbers."""
     values = (0.5 * h, h, h / 6.0, 2.0)
     if scalar:
         return tuple(map(complex, values))
@@ -151,11 +116,10 @@ def rk4_step(a0, a_mid, a1, constants, tau):
 
     k1 + 2 k2 + 2 k3 + k4 is summed left to right, as the textbook
     expression is, but as each stage finishes, so that k1 and k2 are
-    freed as soon as the sum and the next stage are done with them.
-    numpy takes a Python float factor as the complex h + 0j; a complex
-    (1, 1, 1) array gives the same bits in about 0.45 us a product on a
-    1x1 stack, not 0.85-0.9 us (numpy 2.4; numpy scalars: 0.74-1.4 us).
-    `2 k` stays a product: `k + k` ran 1.7x slower from dim 20 up."""
+    freed early.  numpy takes a Python float factor as the complex
+    h + 0j; a complex (1, 1, 1) array gives the same bits in about half
+    the time on a 1x1 stack.  `2 k` stays a product: `k + k` ran 1.7x
+    slower from dim 20 up."""
     half, h, sixth, two = constants
     k1 = a0(tau)
     k2 = a_mid(tau + half * k1)
@@ -169,25 +133,18 @@ def rk4_step(a0, a_mid, a1, constants, tau):
 
 
 def _traces(tau) -> np.ndarray:
-    """Trace of each member of a stack, each taken as `np.trace` of that
-    matrix alone; a state held as a Python complex is its own trace."""
+    """Trace of each member of a stack, or of a Python complex state."""
     if isinstance(tau, complex):
         return np.array([tau])
     return np.array([np.trace(x) for x in tau])
 
 
 def _walk(segs, tau, config: EvolutionConfig, check: bool, steps):
-    """RK4 over the segments `segs`, each a (start, stop) pair walked from
-    start to stop in either direction, for an (n, dim, dim) stack tau, or
-    the Python complex state of a one-member system-free run, whose maps
-    keep numpy's complex product (see `evolve`);
-    `steps(start, stop, count)` gives the (start, middle, end) maps of
-    each step of a segment, whose length is |stop - start| / count.
-    Returns the final tau, the number of steps and the peak |trace| of
-    each member, as an array either way.  Each segment builds its
-    `step_constants` once, of tau's kind; as arrays they halve a
-    product's interpreter cost and keep its bits (`rk4_step`).  The
-    checks below read a complex tau through the same numpy calls.
+    """RK4 over the segments `segs`, each a (start, stop) pair walked in
+    either direction, from the state tau; `steps(start, stop, count)`
+    gives the (start, middle, end) maps of each step of a segment.
+    Returns the final tau, the number of steps and each member's peak
+    |trace|.
 
     A segment whose steps would exceed `max_steps` raises IntegrationError
     before `steps` is asked for its generators.  At the end of each
@@ -224,25 +181,20 @@ def evolve(stack: GeneratorStack, rho0: np.ndarray, t_end: float,
            config: EvolutionConfig | None = None,
            t_start: float = 0.0) -> EvolutionResult:
     """Propagate tau(t_start) = rho0 to time t_end under every member of
-    `stack` at once, on the members' common segments.
+    `stack` at once, on the members' common segments, with the checks of
+    `_walk`; numpy's overflow warnings are silenced in their favour.  A
+    member whose own segments are the stack's gets exactly the final
+    state of its one-member run.
 
-    The result holds one final state, trace and peak |trace| per member.
-    A member whose own segments are those of the stack gets exactly the
-    final state of its one-member run.  A segment whose steps would
-    exceed `max_steps` raises IntegrationError before any of its
-    generators is assembled.  A member that is no longer finite at the
-    end of a segment raises IntegrationError whatever
-    `contractivity_check` says; numpy's overflow warnings on the way there
-    are silenced in its favour.
+    Each segment runs on its own generators (RK4 route), or, when the
+    stack is piecewise static or `config.freeze` asks for it, on the one
+    generator at its midpoint (frozen route).
 
-    A one-member stack on a 1x1 space whose model has no operators (a
-    system-free run, `FrozenGenerator.ops` None) holds its state as a
-    Python complex, not an array: each step is then about 17 numpy calls
-    on one-element arrays, whose interpreter cost was most of the run.
-    The arithmetic is the same bits: the step's products are with real
-    constants, where Python and numpy agree, and the generator's product
-    stays numpy's (`FrozenGenerator.apply`).  The result holds arrays of
-    the usual shapes either way.
+    A one-member system-free run (1x1, no operators) holds its state as
+    a Python complex, since numpy's per-call cost on one-element arrays
+    was most of its time.  The bits are the same: the step's products
+    are with real constants, where Python and numpy agree, and the
+    generator's stays numpy's (`FrozenGenerator.apply`).
     """
     if config is None:
         config = EvolutionConfig()
@@ -254,8 +206,6 @@ def evolve(stack: GeneratorStack, rho0: np.ndarray, t_end: float,
     if not t_start <= t_end:
         raise IntegrationError("t_end must not precede t_start")
 
-    # a step's maps are the generators' bound `apply`; the frozen route
-    # binds its one generator's once per segment
     if config.freeze or context_is_piecewise_static(stack):
         def steps(lo, hi, count):
             return itertools.repeat(

@@ -2,10 +2,9 @@
 
 Basis vectors are e_{n,m} with 0 <= n <= n_max (first mode) and
 0 <= m <= m_max (second mode), flattened as idx = n*(m_max+1) + m.
-Operators are stored sparse (they are banded), as the arguments of
-scipy's CSR kernel (rows, cols, indptr, indices, data), like every
-sparse operator of the program; states and density matrices are dense
-numpy arrays.  Only the kernel module is loaded, not `scipy.sparse`.
+Every sparse operator of the program is held as the arguments of
+scipy's CSR kernel, (rows, cols, indptr, indices, data), and
+`csr_product` is its one kernel call; states are dense arrays.
 """
 
 from __future__ import annotations
@@ -24,11 +23,10 @@ _SPARSETOOLS = "scipy.sparse._sparsetools"
 
 
 class _BindKernel:
-    """Meta path finder that, when `scipy.sparse` is imported after the
-    kernel module was loaded on its own, binds the kernel to the package
-    as `_sparsetools` before the package's `__init__` runs: Python binds
-    a submodule to its package only when it loads the submodule, and
-    this one is already in `sys.modules`.  It removes itself on use."""
+    """Meta path finder that binds the already loaded kernel module to
+    `scipy.sparse`, imported later, as `_sparsetools` before the
+    package's `__init__` runs: Python binds a submodule to its package
+    only when it loads the submodule.  It removes itself on use."""
 
     @classmethod
     def find_spec(cls, name, path=None, target=None):
@@ -47,11 +45,10 @@ class _BindKernel:
 
 
 def _load_sparsetools():
-    """scipy's compiled sparse kernel module, without importing the
-    `scipy.sparse` package: its `__init__` loads about 300 modules, the
-    kernel nothing but numpy.  The module is registered under its own
-    name, so `scipy.sparse`, imported before or after, shares it, and
-    has it as its `_sparsetools` either way (`_BindKernel`)."""
+    """scipy's compiled sparse kernel module, without the `scipy.sparse`
+    package, whose `__init__` loads about 300 modules; the kernel needs
+    only numpy.  Registered under its own name, so `scipy.sparse`,
+    imported before or after, shares it (`_BindKernel`)."""
     if _SPARSETOOLS not in sys.modules:
         scipy = importlib.util.find_spec("scipy")
         spec = scipy and importlib.machinery.PathFinder.find_spec(
@@ -70,6 +67,18 @@ def _load_sparsetools():
 
 _sparsetools = _load_sparsetools()
 csr_matvecs = _sparsetools.csr_matvecs
+
+
+def csr_product(op: tuple, X: np.ndarray, out: np.ndarray | None = None):
+    """op X for op = (rows, cols, indptr, indices, data) and X of `cols`
+    rows, 2-D or flat: scipy's kernel call for `op * X` after its checks,
+    into `out` if given, a zeroed C-contiguous array of the result's size."""
+    rows, cols, indptr, indices, data = op
+    if out is None:
+        out = np.zeros((rows, X.size // cols), dtype=complex)
+    csr_matvecs(rows, cols, X.size // cols, indptr, indices, data,
+                X.ravel(), out.ravel())
+    return out
 
 
 def csr_pattern(rows: np.ndarray, cols: np.ndarray, dim: int) -> tuple:
@@ -113,13 +122,9 @@ class TruncatedSpace:
 
 
 class SystemOperator:
-    """Immutable sparse complex matrix bound to a TruncatedSpace.
-
-    `csr` holds it as the arguments of scipy's CSR kernel,
-    (dim, dim, indptr, indices, data), in canonical form: rows in order,
-    sorted column indices in each row, exact zeros dropped.  Every entry
-    produced by a formula is kept as-is.
-    """
+    """Immutable sparse complex matrix bound to a TruncatedSpace, as
+    `csr` in canonical form: rows in order, sorted column indices in each
+    row, exact zeros dropped."""
 
     __slots__ = ("space", "csr")
 
@@ -224,13 +229,10 @@ def ladder_b_dag(space: TruncatedSpace) -> SystemOperator:
 
 def guard_band_leakage(space: TruncatedSpace, rho: np.ndarray,
                        guard: int = 2) -> float:
-    """Occupation pushed against the truncation edge.
-
-    Sum of |rho_{(n,m),(n,m)}| over the guard band, the basis vectors
-    outside `space.interior(guard)`, added one at a time in index order.
-    Meaningful on a density matrix (a plain propagation with the test
-    function switched off); a large value means the cutoff is interfering
-    with the dynamics.
+    """Occupation pushed against the truncation edge: the sum of
+    |rho_{(n,m),(n,m)}| over the basis vectors outside
+    `space.interior(guard)`, in index order.  Meaningful on a density
+    matrix; a large value means the cutoff interferes with the dynamics.
     """
     if rho.shape != (space.dim, space.dim):
         raise DimensionMismatchError("matrix shape does not match space")

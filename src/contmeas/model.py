@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .fock import (SystemOperator, TruncatedSpace, csr_matvecs, csr_pattern,
+from .fock import (SystemOperator, TruncatedSpace, csr_pattern, csr_product,
                    ladder_a, ladder_a_dag, ladder_b, ladder_b_dag)
 
 
@@ -27,34 +27,19 @@ _PROPORTIONAL_ULPS = 8
 
 
 class _OperatorCache:
-    """Sparse data of the model in the layout the generator applies,
-    shared by all frozen generators.
+    """The model's operators in the layout the generator applies, each,
+    like `SystemOperator.csr`, as the arguments of scipy's CSR kernel, a
+    pattern as the same without the data.
 
-    Every operator is held, like `SystemOperator.csr`, as the arguments
-    of scipy's CSR kernel, (rows, cols, indptr, indices, data), and a
-    pattern as the same without the data.  `pattern` is the union of the
-    sparsity patterns of K, R_1..R_d, R_1^dag..R_d^dag and the identity;
-    row j of `basis` holds the entries of the j-th of them on it, so a
-    weighted sum of these operators, the scalar rate included, costs one
-    vector-matrix product.  A model without operators keeps an empty
-    pattern: its generator is its scalar rate.
-
-    The nonzero channel operators are grouped as R_i = c_i P_g, P_g the
-    operator of the group's first channel `channels[g]`;
-    `group_weights[i, g]` is |c_i|^2 (zero off the group) and
-    `sandwich[g]` is P_g (`_channel_groups`).  The right-hand operator
-    of one member, [K_R^T | w_1 conj P_1 | ... | w_G conj P_G], has
-    `right_pattern`, dim rows and (1 + G) dim columns, the columns of
-    conj P_g moved right by g + 1 blocks.  Each row holds the entries of
-    `pattern` there, then those of each conj P_g.  Row j of
-    `right_basis` holds, in that order, the entries of conj K, conj
-    R_1..conj R_d, conj R_1^dag..conj R_d^dag (K_R^T is their weighted
-    sum) and then of each conj P_g, so the operator's data is one
-    vector-matrix product too.  `stacked` tiles both operators for n
-    members, each on only the entries that its live basis rows reach,
-    and keeps every layout it builds in `layouts`, for all the stacks of
-    the model.  The adjoint's operators are those of the dual model's
-    cache (`ModelSpec.dual`), which finds the same groups and weights.
+    `pattern` is the union of the patterns of K, R_1..R_d,
+    R_1^dag..R_d^dag and the identity, and row j of `basis` the j-th of
+    them on it, so a weighted sum of them is one vector-matrix product;
+    it is empty for a model without operators.  The nonzero channel
+    operators are grouped as R_i = c_i P_g (`_channel_groups`), P_g =
+    `sandwich[g]`.  `right_pattern` is that of one member's right-hand
+    operator [K_R^T | w_1 conj P_1 | ... | w_G conj P_G], and row j of
+    `right_basis` is conj K, conj R_1..conj R_d, conj R_1^dag..conj
+    R_d^dag and then each conj P_g on it.
     """
 
     __slots__ = ("pattern", "basis", "channels", "group_weights",
@@ -84,25 +69,14 @@ class _OperatorCache:
         self.layouts = {}
 
     def stacked(self, n: int, live_left, live_right) -> _Layout:
-        """The two kernel operators of one application to n members (see
-        `generator._act`) whose weights are zero outside the rows
-        `live_left` of `basis` and `live_right` of `right_basis` (boolean
-        masks): each keeps only the entries of its pattern that a live
-        row reaches, the columns `left` of `basis` and `right` of
-        `right_basis`.  Every other entry is zero in each such generator.
-        With every row live this is the whole union layout, less the
-        right-hand entries that no row of `right_basis` reaches (the
-        diagonal of the identity, which only the left-hand basis has,
-        where K has no entry).
-
-        The first operator is held as (pattern, sandwich data), the drift
-        data, first in its data, being every generator's own; the second
-        as a pattern, all of its data every generator's own.  The first
-        holds the drift and each P_g one below the other, each as n
-        diagonal blocks, ((1 + G) n dim, n dim); the second is n copies
-        of the kept `right_pattern`, (n dim, (1 + G) n dim), that of
-        member k reading block k of each group of n column blocks.  Built
-        once per (n, live rows) and kept in `layouts`."""
+        """The layout of the two kernel operators of `generator._act` for
+        n members whose weights are zero outside the rows `live_left` of
+        `basis` and `live_right` of `right_basis` (boolean masks), on
+        only the entries a live row reaches.  The first holds the drift
+        and each P_g one below the other, each as n diagonal blocks; the
+        second is n copies of `right_pattern`, member k reading block k
+        of each group of n column blocks.  Built once per (n, live rows)
+        for all the model's stacks."""
         key = (n, live_left.tobytes(), live_right.tobytes())
         layout = self.layouts.get(key)
         if layout is None:
@@ -120,11 +94,9 @@ class _OperatorCache:
 
 
 class _Layout(NamedTuple):
-    """The kernel operators of one application to n members, from
-    `_OperatorCache.stacked`: the patterns `first` and `second`, the
-    sandwich data `fixed` of the first, and the columns `left` of
-    `basis` and `right` of `right_basis` whose weighted sums give the
-    rest of their data."""
+    """The patterns `first` and `second` of `_OperatorCache.stacked`,
+    the sandwich data `fixed` that ends the first's data, and the kept
+    columns `left` of `basis` and `right` of `right_basis`."""
 
     first: tuple
     fixed: np.ndarray
@@ -146,10 +118,7 @@ def _restricted(pattern, entries) -> tuple:
 def _right_operator(pattern, drift, sandwich) -> tuple:
     """`right_pattern` and `right_basis` of `_OperatorCache`, from the
     drift `pattern`, the basis rows `drift` of K, R_i and R_i^dag on it,
-    and the P_g (`sandwich`): the entries of each operator, in turn, put
-    into row-major order, the columns of the g-th moved right by g
-    blocks, and each operator's conjugated data placed where its entries
-    went."""
+    and the P_g (`sandwich`), the g-th moved right by g blocks."""
     dim = pattern[0]
     ops = [pattern + (drift,)] + [p[:4] + (p[4][None],) for p in sandwich]
     rows = np.concatenate([np.repeat(np.arange(dim), np.diff(op[2]))
@@ -171,10 +140,9 @@ def _right_operator(pattern, drift, sandwich) -> tuple:
 
 def _tiled(ops, n: int, shift, cols: int) -> tuple:
     """(pattern, data) of the operators `ops` one below the other, each
-    repeated as n diagonal blocks of dim rows, the entries of ops[j]
-    moved right by shift[j] blocks (a number, or one per entry); the
-    data is that of all but the first, a bare pattern, tiled once per
-    block."""
+    as n diagonal blocks, ops[j] moved right by shift[j] blocks (a number
+    or one per entry); the data is that of all but the first, a bare
+    pattern."""
     dim, member = ops[0][0], np.arange(n)[:, None]
     indptr, indices, start = [[0]], [], 0
     for (_, _, ptr, idx, *_), s in zip(ops, shift):
@@ -231,7 +199,6 @@ class ModelSpec:
     K: SystemOperator
     R: tuple
     S: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         if len(self.R) != self.d:
@@ -258,19 +225,17 @@ class ModelSpec:
 
     @functools.cached_property
     def dual(self) -> ModelSpec:
-        """The model with K^dag and every R_i^dag, each built in one pass,
-        and S.  Under Tr(X tau) the dual of s tau + K_L tau + tau K_R +
-        sum_g w_g P_g tau P_g^dag is s X + K_R X + X K_L + sum_g w_g
-        P_g^dag X P_g, so with the drift weights exchanged
-        (`generator.stage_rows`) its generator is this model's adjoint.
-        Its operator cache finds this model's channel groups and their
-        weights itself, bit for bit (`_channel_groups`)."""
+        """The model with K^dag, every R_i^dag and S.  Under Tr(X tau) the
+        dual of s tau + K_L tau + tau K_R + sum_g w_g P_g tau P_g^dag is
+        s X + K_R X + X K_L + sum_g w_g P_g^dag X P_g, so with the drift
+        weights exchanged (`generator.stage_rows`) its generator is this
+        model's adjoint."""
         def adjoint(op):
             rows, cols, data = op.coo()
             return SystemOperator._from_coo(self.space, cols, rows,
                                             data.conj())
         return ModelSpec(self.space, self.d, adjoint(self.K),
-                         tuple(map(adjoint, self.R)), self.S, self.label)
+                         tuple(map(adjoint, self.R)), self.S)
 
 
 @dataclass(frozen=True)
@@ -399,8 +364,7 @@ def dpo_model(params: DpoParams, space: TruncatedSpace) -> ModelSpec:
     R = (be[0] * b, al[0] * a, al[1] * a, be[1] * b,
          be[2] * b, al[2] * a, be[3] * bdag, al[3] * adag)
     K = _dpo_drift(params, space)
-    return ModelSpec(space=space, d=8, K=K, R=R, S=np.eye(8, dtype=complex),
-                     label="dpo")
+    return ModelSpec(space=space, d=8, K=K, R=R, S=np.eye(8, dtype=complex))
 
 
 def trivial_model(d: int) -> ModelSpec:
@@ -408,7 +372,7 @@ def trivial_model(d: int) -> ModelSpec:
     space = TruncatedSpace(0, 0)
     zero = SystemOperator.zero(space)
     return ModelSpec(space=space, d=d, K=zero, R=(zero,) * d,
-                     S=np.eye(d, dtype=complex), label="trivial")
+                     S=np.eye(d, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -443,18 +407,12 @@ def check_dissipativity(model: ModelSpec, guard: int = 2) -> DissipativityReport
 
 
 def _dissipation(model: ModelSpec) -> np.ndarray:
-    """D = K + K^dag + sum_k R_k^dag R_k, dense.  Each R_k^dag R_k is one
-    call of the CSR kernel, R_k^dag (of `ModelSpec.dual`) on the dense
-    R_k: nnz(R_k) dim multiply-adds, where a dense product takes dim^3."""
+    """D = K + K^dag + sum_k R_k^dag R_k, dense, each R_k^dag R_k a sparse
+    product with the dense R_k: nnz(R_k) dim multiply-adds, not dim^3."""
     K = model.K.to_dense()
     D = K + K.conj().T
-    product = np.empty_like(D)
     for op, adjoint in zip(model.R, model.dual.R):
-        rows, cols, indptr, indices, data = adjoint.csr
-        product.fill(0)
-        csr_matvecs(rows, cols, cols, indptr, indices, data,
-                    op.to_dense().ravel(), product.ravel())
-        D += product
+        D += csr_product(adjoint.csr, op.to_dense())
     return D
 
 

@@ -1,22 +1,14 @@
-"""Independent reference computations used to cross-check the engine.
+"""Independent reference computations used to cross-check the engine,
+each along another route than the production path.
 
-Three oracles, each built along a different route than the production
-path:
+- `system_free_charfunc`: the system-free model's closed form, by
+  adaptive quadrature.
+- `dense_expm_propagate`: the dense superoperator, built from the raw
+  model and observable data, and scipy's matrix exponential.
+- `duality_check`: the forward-backward trace pairing, on the adjoint.
 
-* `system_free_charfunc`: for the system-free model the characteristic
-  function is an explicit exponential of a scalar time integral, done
-  here with adaptive quadrature.
-* `dense_expm_propagate`: on tiny spaces the full superoperator matrix
-  fits in memory; freeze the coefficients per smooth segment and apply
-  the matrix exponential.  The superoperator is assembled from the raw
-  model and observable data, not from the production generator code.
-* `duality_check`: propagate a functional backward through the adjoint
-  generator, the production one of `ModelSpec.dual`, and compare the two
-  ways of evaluating the same pairing.
-
-`expm` and `quad` are imported inside the two oracles that call them, on
-first use, so the production commands never load `scipy.linalg` or
-`scipy.integrate` (which pulls in `scipy.optimize` and `scipy.special`).
+`expm` and `quad` are imported on first use, so the production commands
+never load `scipy.linalg` or `scipy.integrate`.
 """
 
 from __future__ import annotations
@@ -33,23 +25,26 @@ from .signals import FieldProfile, TestFunction, segments
 DENSE_DIM_LIMIT = 12
 
 
-def system_free_charfunc(obs: ObservableSpec, field: FieldProfile,
-                         kappa: TestFunction, t_end: float) -> complex:
-    """Exact characteristic function of the system-free model.
+def system_free_charfunc(S: np.ndarray, obs: ObservableSpec,
+                         field: FieldProfile, kappa: TestFunction,
+                         t_end: float) -> complex:
+    """Exact characteristic function of the system-free model with
+    scattering matrix S.
 
-    phi = exp( int_0^T [ i sum_a k_a (c^a + <h^a|f> + <f|h^a>)
+    phi = exp( int_0^T [ i sum_a k_a (c^a + <h^a|S f> + <S f|h^a>)
                          - (1/2) sum_ab k_a k_b <h^a(t), h^b(t)>
-                         + sum_i (s_i(k) - 1) |f_i + b_i|^2 ] dt )
+                         + sum_i (s_i(k) - 1) |(S f)_i + b_i|^2 ] dt )
 
     with all inner products taken pointwise over the channel index, and
-    s_i(k) = exp(i sum_a k_a B^a_i) formed here.
+    s_i(k) = exp(i sum_a k_a B^a_i).  The counted field is the output
+    dB_out = S dB_in + L dt, with L = 0 here.
     """
     from scipy.integrate import quad
 
     def integrand(t: float) -> complex:
         k = np.asarray(kappa.value(t), dtype=float)
         s = np.exp(1j * (k @ obs.eigenvalues))
-        f = field.value(t)
+        f = S @ field.value(t)
         h = np.array([[obs.h[a][i].value(t) for i in range(obs.d)]
                       for a in range(obs.m)])
         c = np.array([obs.c[a].value(t) for a in range(obs.m)])
@@ -132,14 +127,10 @@ def dense_expm_propagate(model: ModelSpec, obs: ObservableSpec,
 @np.errstate(over="ignore", invalid="ignore")
 def duality_check(ctx: GeneratorContext, rho0: np.ndarray, X: np.ndarray,
                   t: float, config: EvolutionConfig | None = None) -> dict:
-    """Forward-backward consistency of the trace pairing.
-
-    Evolve rho0 forward to time t.  Evolve X backward from t to 0 through
-    the adjoint generator, that of the dual stack `ctx.dual()`, on the
-    segment walk of `evolve`, step budget and finiteness check
-    (IntegrationError) included.  Both routes evaluate the same number:
-    Tr(X tau(t)) = Tr(Y(0) rho0).
-    """
+    """Forward-backward consistency of the trace pairing: evolve rho0
+    forward to time t, and X backward from t to 0 under the dual stack's
+    generators (`GeneratorStack.dual`) on `evolve`'s segment walk, checks
+    included.  Both give Tr(X tau(t)) = Tr(Y(0) rho0)."""
     if config is None:
         config = EvolutionConfig()
     forward = evolve(ctx, rho0, t, config).final[0]

@@ -1,13 +1,7 @@
-"""Time-dependent scalar signals, piecewise-constant test functions,
-field profiles and the smooth segments between their breakpoints.
-
-Signals are harmonics, constants among them, so they are smooth.  Only
-test functions and the edges of a field window jump, and `segments`
-splits a run at every such jump.  So between two breakpoints a test
-function and the window's on/off state are constant: the integrator reads
-them once per segment, right-continuously at its start
-(`TestFunction.value`, `FieldProfile.covers`), and evaluates only the
-field's smooth `SignalTable` at each stage.
+"""Time-dependent scalar signals (`Harmonic`, `Constant`, evaluated
+together by `SignalTable`), piecewise-constant test functions, field
+profiles, and `segments`, the smooth pieces between the breakpoints of
+the test functions and field windows, the only things that jump.
 """
 
 from __future__ import annotations
@@ -35,9 +29,8 @@ class Harmonic:
 
 
 class Constant(Harmonic):
-    """The harmonic of zero phase and frequency.  It holds nothing of its
-    own; its type marks a signal that the frozen route may evaluate once
-    per segment (see `generator.context_is_piecewise_static`)."""
+    """The harmonic of zero phase and frequency, whose type marks the
+    frozen route (`generator.context_is_piecewise_static`)."""
 
     def __init__(self, value: complex = 0.0):
         super().__init__(value)

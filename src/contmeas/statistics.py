@@ -1,37 +1,11 @@
 """From characteristic functions to measured statistics.
 
-A kappa sweep is a list of piecewise-constant test functions; the trace
-of each one's propagation to the final time is its characteristic value.
-Every propagation is one call of `evolution.evolve` on a
-`generator.GeneratorStack` of test functions, which gives each member
-exactly the value of its own one-member run.  The test functions that
-share their segments form one group, on either route.  With a
-time-dependent generator a group is one stack and one propagation, or
-several where its states would exceed STACK_BUDGET entries; on the
-frozen route of a piecewise-static generator each member is propagated
-alone, on its one-member stack from `GeneratorStack.split`, and the
-group assembles each segment's midpoint generator once for all its
-members.  For a marginal, `on_interval` builds one test function per
-kappa sample, holding it on [0, t_end] for one observable; joint
-statistics over several windows come from passing multi-interval test
-functions instead.
-
-Counting observables have integer outcomes, so their marginal is
-recovered by a discrete Fourier transform over kappa in [0, 2 pi).
-Diffusive (homodyne) observables have densities, recovered by a
-truncated continuous Fourier transform; the tail of the characteristic
-function must have decayed at the truncation edge, and the x window must
-be narrower than the period 2 pi / (kappa spacing) of the quadrature.
-A measured record is real, so phi(-kappa) = conj phi(kappa): a homodyne
-marginal propagates only the kappa >= 0 half of its grid and reads the
-other half as the conjugate.  This is exact when the initial state is
-Hermitian and the classical offsets c^alpha are real; the first is
-checked here, the second by `ObservableSpec`.
-
-Each marginal first checks that its observable is one it can invert: a
-counting observable has non-negative integer eigenvalues and no
-quadrature profile, a diffusive one zero eigenvalues and a nonzero
-profile.
+- `joint_charfunc`: the characteristic values of a list of test
+  functions; `on_interval` builds one per kappa sample for a marginal,
+  on `counting_axis` or `diffusive_axis`.
+- `counting_distribution`, `homodyne_distribution`: the marginal of one
+  observable, by a discrete Fourier transform over kappa in [0, 2 pi)
+  (`invert_counting`) or a truncated continuous one (`invert_homodyne`).
 """
 
 from __future__ import annotations
@@ -52,9 +26,8 @@ COUNTING_IMAG_TOL = 1e-6
 NEGATIVE_PROB_TOL = 1e-7
 DECAY_TOL = 1e-8
 # (dim, dim) entries of the states of one stack on the RK4 route, and at
-# least one member: the state, the RK4 temporaries and the workspace of
-# the generator grow with it, about 3 MB a member at dim 117.  Holds the
-# 129 members of the shipped homodyne grid at dim 20 in one stack
+# least one member: the RK4 temporaries and the workspace grow with it,
+# about 3 MB a member at dim 117.  Holds the shipped dim-20 homodyne grid
 STACK_BUDGET = 1 << 16
 
 
@@ -94,19 +67,14 @@ def joint_charfunc(model: ModelSpec, obs: ObservableSpec, field: FieldProfile,
     """Characteristic values at t_end of a sequence of test functions, as a
     1-D complex array in their order.  The keys of `finals`, when it is
     given, name the test functions, by index, whose final states the
-    caller needs: each gets its state, a copy, as its value, and no other
-    state is kept.
+    caller needs: each gets a copy of its state as its value.
 
-    The test functions with equal segments form one group, one stack, and
-    each gets exactly the value of its one-member run.  On the RK4 route a
-    group is one `evolve` call per part of `GeneratorStack.split` of at
-    most STACK_BUDGET (dim, dim) entries, so that the sweep's memory does
-    not grow with its number of points.  On the frozen route (a
-    piecewise-static generator, or `config.freeze`) each member of a
-    group is one `evolve` call on its one-member part, and the group
-    assembles its generator at each segment midpoint once for all of
-    them.  A `contractivity_check` of "auto" is decided once for the
-    sweep.
+    The test functions with equal segments form one group, one stack,
+    and each gets exactly the value of its one-member run.  A group runs
+    in parts of at most STACK_BUDGET (dim, dim) entries on the RK4 route
+    and of one member on the frozen route, where the parts share the
+    group's midpoint weights (`generator_at`).  An "auto"
+    `contractivity_check` is decided once for the sweep.
     """
     if config is None:
         config = EvolutionConfig()
@@ -121,9 +89,8 @@ def joint_charfunc(model: ModelSpec, obs: ObservableSpec, field: FieldProfile,
     out = np.empty(len(kappas), dtype=complex)
     for members in groups.values():
         group = GeneratorStack(model, obs, field, [kappas[j] for j in members])
-        # frozen: one run per member, which the tracer test pins until
-        # ROADMAP item 1; stacking them is then only a larger size.  A
-        # part's stack is gone before the next part's run starts
+        # frozen: one run per member, which the benchmark's tracer test
+        # pins; a part's stack is gone before the next part's run starts
         for part in group.split(size):
             res = evolve(part, rho0, t_end, config)
             rows = members[part.row:part.row + len(part)]
@@ -137,9 +104,7 @@ def joint_charfunc(model: ModelSpec, obs: ObservableSpec, field: FieldProfile,
 
 def _check_observable(obs: ObservableSpec, observable: int, counting: bool):
     """Raise ValidationError unless observable `observable` (1-based) is
-    one the inversion can read: a counting observable has non-negative
-    integer eigenvalues and no quadrature profile, a diffusive one zero
-    eigenvalues and a nonzero profile."""
+    one the inversion can read."""
     ev = obs.eigenvalues[observable - 1]
     profile = any(abs(h.amplitude) > obs.CHECK_TOL
                   for h in obs.h[observable - 1])
@@ -244,13 +209,13 @@ def homodyne_distribution(model: ModelSpec, obs: ObservableSpec,
                           x: np.ndarray, n_points: int = 257,
                           config: EvolutionConfig | None = None,
                           finals: dict | None = None) -> np.ndarray:
-    """Density of one diffusive observable over x at t_end.  Only the
-    kappa >= 0 half of `diffusive_axis(kappa_max, n_points)` is
-    propagated; phi(-kappa) is taken as conj phi(kappa), which is exact
-    for a Hermitian rho0 (checked) and real classical offsets (checked
-    by `ObservableSpec`).  `finals` names members of the propagated half
-    whose final states the caller needs, as `joint_charfunc` takes it;
-    member 0, at kappa = 0, is the plain run."""
+    """Density of one diffusive observable over x at t_end.  A measured
+    record is real, so only the kappa >= 0 half of
+    `diffusive_axis(kappa_max, n_points)` is propagated and phi(-kappa)
+    is taken as conj phi(kappa), which is exact for a Hermitian rho0
+    (checked) and real classical offsets (checked by `ObservableSpec`).
+    `finals` is `joint_charfunc`'s, on the propagated half; member 0, at
+    kappa = 0, is the plain run."""
     _check_observable(obs, observable, counting=False)
     rho0 = np.asarray(rho0)
     dev = float(np.max(np.abs(rho0 - rho0.conj().T)))

@@ -565,7 +565,6 @@ import numpy as np
 if {sparse_first}:
     import scipy.sparse
 from contmeas import fock
-from contmeas.generator import _product
 import scipy.sparse._sparsetools
 kernel = sys.modules["scipy.sparse._sparsetools"]
 rng = np.random.default_rng(4)
@@ -577,7 +576,7 @@ print(json.dumps({{
     "shared": kernel.csr_matvecs is fock.csr_matvecs,
     "bound": scipy.sparse._sparsetools is kernel,
     "equal": bool(np.array_equal(scipy.sparse.csr_matrix(A) @ X,
-                                 _product(op.csr, X)))}}))
+                                 fock.csr_product(op.csr, X)))}}))
 """
 
 

@@ -77,7 +77,7 @@ def test_contractivity_violation_detected():
     K = SystemOperator.from_entries(space, {(0, 0): 1.0})
     model = ModelSpec(space=space, d=1, K=K,
                       R=(SystemOperator.from_entries(space, {}),),
-                      S=np.eye(1, dtype=complex), label="antidissipative")
+                      S=np.eye(1, dtype=complex))
     obs = ObservableSpec.counting_only(1, 2.0, np.array([[1.0]]))
     ctx = GeneratorContext(model=model, observables=obs,
                            field=FieldProfile((ZERO,), 2.0),
@@ -180,6 +180,26 @@ def test_contractivity_decides_auto_by_the_initial_state():
         config = EvolutionConfig(contractivity_check=given)
         for x in (rho, 2.0 * rho):
             assert evolution.contractivity(config, x) == given
+
+
+@pytest.mark.parametrize("check", ["auto", "on", "off"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_initial_matrix_rejected(check, bad):
+    # both entry points refuse it through `contractivity`, before an
+    # "auto" check would take eigenvalues of it
+    from contmeas import joint_charfunc
+    from contmeas.cli import Run
+    run = Run(helpers.workload_config("oracle_dpo9", 7))
+    rho0 = np.zeros((run.model.space.dim,) * 2, dtype=complex)
+    rho0[0, 0] = 1.0
+    rho0[-1, 2] = bad
+    config = EvolutionConfig(dt=0.05, contractivity_check=check)
+    with pytest.raises(IntegrationError, match="initial matrix is not finite"):
+        evolve(run.context(), rho0, 0.5, config)
+    with pytest.raises(IntegrationError, match="initial matrix is not finite"):
+        joint_charfunc(run.model, run.obs, run.field, rho0,
+                       [run.kappa, TestFunction.zero(run.obs.m)], 0.5,
+                       config)
 
 
 def test_config_validation():
@@ -319,7 +339,7 @@ def test_evolve_from_start_time():
     ctx = system_free_context(STEP_KAPPA)
     res = evolve(ctx, np.array([[1.0 + 0j]]), 2.0, EvolutionConfig(dt=1e-3),
                  t_start=1.0)
-    exact = system_free_charfunc(ctx.observables, ctx.field,
+    exact = system_free_charfunc(ctx.model.S, ctx.observables, ctx.field,
                                  TestFunction([1.0, 2.0], [[-1.9]]), 2.0)
     assert res.n_steps == 1000
     assert abs(res.trace[0] - exact) < 1e-12

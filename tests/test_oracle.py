@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,8 +44,33 @@ def test_system_free_matches_engine():
         engine = evolve(GeneratorContext(model=model, observables=obs,
                                          field=field, kappa=kappa),
                         rho0, horizon, EvolutionConfig(dt=1e-3)).trace[0]
-        exact = system_free_charfunc(obs, field, kappa, horizon)
+        exact = system_free_charfunc(model.S, obs, field, kappa, horizon)
         assert abs(engine - exact) < 1e-9
+
+
+def test_system_free_oracle_scatters_the_field():
+    # a channel-mixing S: the counted output channel 1 carries (S f)_1,
+    # so phi = exp(|(S f)_1|^2 T (e^{i kappa} - 1)) in closed form.  The
+    # dense oracle forms S lam as the engine does, so against it a mixing
+    # S checks only the layout; this closed form checks the formula
+    theta, T, k = 0.7, 1.0, 0.9
+    S = np.array([[np.cos(theta), -np.sin(theta)],
+                  [np.sin(theta), np.cos(theta)]], dtype=complex)
+    model = dataclasses.replace(trivial_model(2), S=S)
+    f = np.array([1.2 + 0.3j, 0.0])
+    obs = ObservableSpec.counting_only(2, T, np.array([[1.0, 0.0]]))
+    field = FieldProfile((Constant(f[0]), ZERO), T)
+    kappa = TestFunction([0.0, T], [[k]])
+    engine = evolve(GeneratorContext(model=model, observables=obs,
+                                     field=field, kappa=kappa),
+                    np.array([[1.0 + 0j]]), T,
+                    EvolutionConfig(dt=1e-3)).trace[0]
+    oracle = system_free_charfunc(S, obs, field, kappa, T)
+    closed = np.exp(abs((S @ f)[0]) ** 2 * T * (np.exp(1j * k) - 1.0))
+    assert abs(engine - oracle) < 1e-12
+    assert abs(engine - closed) < 1e-12
+    assert abs(oracle - system_free_charfunc(np.eye(2), obs, field, kappa,
+                                             T)) > 0.3
 
 
 def test_dense_expm_matches_frozen_engine():

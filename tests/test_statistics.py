@@ -141,6 +141,28 @@ def test_counting_distribution_is_poisson():
     assert np.max(np.abs(p[:10] - exact)) < 1e-7
 
 
+@pytest.mark.parametrize("observable", [1, 2])
+def test_dpo_counts_match_dense_oracle(observable):
+    # the subharmonic photocounters of the dim-9 oscillator of
+    # configs/dpo_small_oracle.json: the frozen engine's counting
+    # marginal against the inverted traces of the dense exponential
+    from contmeas.cli import Run
+    from contmeas.config import load_config
+    from contmeas.oracle import dense_expm_propagate
+    run = Run(load_config(str(pathlib.Path(__file__).parent.parent
+                              / "configs" / "dpo_small_oracle.json")))
+    t_end, n_points = run.t_end(), 16
+    config = EvolutionConfig(dt=0.005, freeze=True)
+    engine = counting_distribution(run.model, run.obs, run.field, run.rho0,
+                                   observable, t_end, n_points, config)
+    kappas = on_interval(run.obs.m, observable, t_end,
+                         counting_axis(n_points))
+    oracle = invert_counting([np.trace(dense_expm_propagate(
+        run.model, run.obs, run.field, kappa, run.rho0, t_end))
+        for kappa in kappas])
+    assert np.max(np.abs(engine - oracle)) < 1e-8
+
+
 def test_moments_of_poisson_count():
     model, obs, field, rho0 = poisson_setup()
     mu = 2.0
