@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractivityError, IntegrationError
 from .generator import (GeneratorContext, GeneratorStack,
-                        context_is_piecewise_static, generator_at,
+                        context_is_piecewise_static, generator_at, relaid,
                         stage_generators)
 
 
@@ -52,8 +52,9 @@ class EvolutionResult:
 
 
 def is_state(rho: np.ndarray, tol: float = 1e-9) -> bool:
-    """Square, and Hermitian, unit-trace, positive up to tol."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    """Square, finite, and Hermitian, unit-trace, positive up to tol."""
+    if (rho.ndim != 2 or rho.shape[0] != rho.shape[1]
+            or not np.isfinite(rho).all()):
         return False
     if np.max(np.abs(rho - rho.conj().T)) > tol:
         return False
@@ -89,13 +90,18 @@ def rk4_stages(stack: GeneratorStack, start: float, stop: float,
     `count` equal RK4 steps from `start` to `stop`, in either direction;
     the end of one step is the start of the next.  The segment is read
     at its lower end, so the backward run reads the test functions and
-    field window of the forward one."""
+    field window of the forward one.  When a step's later stages leave
+    the stack's sectors, its earlier ones are `relaid` with them, so
+    that all three act on one layout."""
     times = start + np.arange(2 * count + 1) * (0.5 * (stop - start) / count)
     times[-1] = stop
     stages = stage_generators(stack, times, min(start, stop))
     g0 = next(stages)
     for _ in range(count):
+        sectored = stack.sectors is not None
         g_mid, g1 = next(stages), next(stages)
+        if sectored and stack.sectors is None:
+            g0, g_mid = relaid(g0), relaid(g_mid)
         yield g0, g_mid, g1
         g0 = g1
 
@@ -132,19 +138,28 @@ def rk4_step(a0, a_mid, a1, constants, tau):
     return tau + sixth * total
 
 
-def _traces(tau) -> np.ndarray:
-    """Trace of each member of a stack, or of a Python complex state."""
+def _traces(tau, sectors=None) -> np.ndarray:
+    """Trace of each member of a stack, held on `sectors` if given, or of
+    a Python complex state."""
     if isinstance(tau, complex):
         return np.array([tau])
+    if sectors is not None:
+        return sectors.traces(tau)
     return np.array([np.trace(x) for x in tau])
 
 
-def _walk(segs, tau, config: EvolutionConfig, check: bool, steps):
+def _walk(stack: GeneratorStack, segs, tau, config: EvolutionConfig,
+          check: bool, steps):
     """RK4 over the segments `segs`, each a (start, stop) pair walked in
-    either direction, from the state tau; `steps(start, stop, count)`
-    gives the (start, middle, end) maps of each step of a segment.
-    Returns the final tau, the number of steps and each member's peak
-    |trace|.
+    either direction, from the state tau of `stack`'s members;
+    `steps(start, stop, count)` gives the (start, middle, end) maps of
+    each step of a segment.  Returns the final tau, the number of steps
+    and each member's peak |trace|.
+
+    A tau that is exactly zero off the model's sectors is held on them
+    (`GeneratorStack.hold`) until a generator leaves them; it then goes
+    to one block, before the step that generator is in, for the rest of
+    the walk.  The final tau is the whole (n, dim, dim) stack either way.
 
     A segment whose steps would exceed `max_steps` raises IntegrationError
     before `steps` is asked for its generators.  At the end of each
@@ -154,25 +169,39 @@ def _walk(segs, tau, config: EvolutionConfig, check: bool, steps):
     """
     n_steps = 0
     scalar = isinstance(tau, complex)
-    peak = np.abs(_traces(tau))
-    for start, stop in segs:
-        count = step_count(start, stop, config.dt)
-        if n_steps + count > config.max_steps:
-            raise IntegrationError("step budget exhausted")
-        constants = step_constants(abs(stop - start) / count, scalar)
-        for a0, a_mid, a1 in steps(start, stop, count):
-            tau = rk4_step(a0, a_mid, a1, constants, tau)
-        n_steps += count
-        tr = np.abs(_traces(tau))
-        if not (np.isfinite(tr).all() and np.isfinite(tau).all()):
-            raise IntegrationError(f"non-finite state at t = {stop:.6g}; "
-                                   "the step is too large")
-        peak = np.maximum(peak, tr)
-        over = tr > 1.0 + config.contractivity_tol
-        if check and over.any():
-            raise ContractivityError(
-                f"|trace| = {tr[over][0]:.12g} exceeds 1 at t = {stop:.6g}; "
-                "the truncation is too small or the step too large")
+    sectors = None if scalar else stack.model.operators.sectors
+    if sectors is not None and sectors.holds(tau):
+        tau = sectors.pack(tau)
+    else:
+        sectors = None
+    stack.hold(sectors)
+    try:
+        peak = np.abs(_traces(tau, sectors))
+        for start, stop in segs:
+            count = step_count(start, stop, config.dt)
+            if n_steps + count > config.max_steps:
+                raise IntegrationError("step budget exhausted")
+            constants = step_constants(abs(stop - start) / count, scalar)
+            for a0, a_mid, a1 in steps(start, stop, count):
+                if sectors is not None and stack.sectors is None:
+                    tau, sectors = sectors.unpack(tau), None
+                tau = rk4_step(a0, a_mid, a1, constants, tau)
+            n_steps += count
+            tr = np.abs(_traces(tau, sectors))
+            if not (np.isfinite(tr).all() and np.isfinite(tau).all()):
+                raise IntegrationError(f"non-finite state at t = {stop:.6g}; "
+                                       "the step is too large")
+            peak = np.maximum(peak, tr)
+            over = tr > 1.0 + config.contractivity_tol
+            if check and over.any():
+                raise ContractivityError(
+                    f"|trace| = {tr[over][0]:.12g} exceeds 1 at "
+                    f"t = {stop:.6g}; the truncation is too small or the "
+                    "step too large")
+    finally:
+        stack.hold(None)
+    if sectors is not None:
+        tau = sectors.unpack(tau)
     return tau, n_steps, peak
 
 
@@ -221,8 +250,8 @@ def evolve(stack: GeneratorStack, rho0: np.ndarray, t_end: float,
         tau = complex(tau[0, 0])
     else:
         tau = np.repeat(tau[None], len(stack), axis=0)
-    tau, n_steps, peak = _walk(stack.segments(t_end, start=t_start), tau,
-                               config, check, steps)
+    tau, n_steps, peak = _walk(stack, stack.segments(t_end, start=t_start),
+                               tau, config, check, steps)
     final = np.full((1, 1, 1), tau) if isinstance(tau, complex) else tau
     return EvolutionResult(final=final, n_steps=n_steps, trace=_traces(tau),
                            max_abs_trace=peak)

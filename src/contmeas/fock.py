@@ -72,12 +72,17 @@ csr_matvecs = _sparsetools.csr_matvecs
 def csr_product(op: tuple, X: np.ndarray, out: np.ndarray | None = None):
     """op X for op = (rows, cols, indptr, indices, data) and X of `cols`
     rows, 2-D or flat: scipy's kernel call for `op * X` after its checks,
-    into `out` if given, a zeroed C-contiguous array of the result's size."""
+    into `out` if given, a zeroed C-contiguous array of the result's size.
+    The kernel checks no size, so a mismatch raises ValueError here."""
     rows, cols, indptr, indices, data = op
+    vectors = X.size // cols
     if out is None:
-        out = np.zeros((rows, X.size // cols), dtype=complex)
-    csr_matvecs(rows, cols, X.size // cols, indptr, indices, data,
-                X.ravel(), out.ravel())
+        out = np.zeros((rows, vectors), dtype=complex)
+    if X.size != cols * vectors or out.size != rows * vectors:
+        raise ValueError(f"a {rows}x{cols} operator cannot take a "
+                         f"{X.shape} operand into {out.shape}")
+    csr_matvecs(rows, cols, vectors, indptr, indices, data, X.ravel(),
+                out.ravel())
     return out
 
 

@@ -12,7 +12,8 @@ a Lindblad master equation in the interaction picture at kappa = 0.
 - `FrozenGenerator`: a stack's generators at one time, and their
   application (`_act`).
 - `stage_rows`, `stage_generators`: the generators at many times of one
-  segment; `generator_at`: at one time.
+  segment; `generator_at`: at one time; `relaid`: one formed again on
+  its stack's current layout.
 - `context_is_piecewise_static`: whether the frozen route is exact.
 """
 
@@ -31,7 +32,9 @@ from .signals import Constant, FieldProfile, TestFunction, segments
 
 
 class _Workspace:
-    """`_act`'s scratch arrays of one stack, flat, and their views."""
+    """`_act`'s scratch arrays of one stack, flat, and their views: `shape`
+    is (1 + G, n) and the shape of a member, (dim, dim) or, on the
+    sectors, (2, D, D)."""
 
     __slots__ = ("products", "operands", "right", "product0", "sandwich_t",
                  "operand0", "operand_rest", "right_t")
@@ -43,27 +46,31 @@ class _Workspace:
         self.products, self.operands = products.ravel(), operands.ravel()
         self.right = right.ravel()
         self.product0 = products[0]
-        self.sandwich_t = products[1:].transpose(0, 1, 3, 2)
+        self.sandwich_t = products[1:].swapaxes(-1, -2)
         self.operand0, self.operand_rest = operands[0], operands[1:]
-        self.right_t = right.transpose(0, 2, 1)
+        self.right_t = right.swapaxes(-1, -2)
 
 
 def _act(X, ops, ws: _Workspace) -> np.ndarray:
     """(K_L,k + s_k) X_k + X_k K_R,k + sum_g w_kg P_g X_k P_g^dag on each
-    member X_k of an (n, dim, dim) stack, in two kernel calls on `ops`
-    in the workspace `ws`: [K_L + s I; P_1; ...; P_G] on the members,
-    then [K_R^T | w_1 conj P_1 | ... | w_G conj P_G], tiled once per
-    member, on X_k^T and every (P_g X_k)^T, which gives
-    (X_k K_R + sum_g w_kg P_g X_k P_g^dag)^T; one add ends it.
+    member X_k of an (n, dim, dim) stack, or of an (n, 2, D, D) stack of
+    its sector blocks (`model._OperatorCache.laid`), in two kernel calls
+    on `ops` in the workspace `ws`: [K_L + s I; P_1; ...; P_G] on the
+    members, then [K_R^T | w_1 conj P_1 | ... | w_G conj P_G], tiled once
+    per member, on each block's X_k^T and (P_g X_k)^T, which gives
+    (X_k K_R + sum_g w_kg P_g X_k P_g^dag)^T block by block; one add ends
+    it.
 
     Member k's entries get the same operations in the same order
-    whatever n is and whatever entries the operators leave out beyond
-    those its own live weight rows reach: a left-out entry is zero, and
-    the kernel, which starts each sum at +0, adds its zero product to a
-    finite X without changing a bit."""
+    whatever n is, whatever entries the operators leave out beyond those
+    its own live weight rows reach, and whether it is held on the
+    sectors or on one block: a left-out entry is zero, and the kernel,
+    which starts each sum at +0, adds its zero product to a finite X
+    without changing a bit, and the sectors keep the order of each row's
+    terms."""
     ws.products.fill(0)
     csr_product(ops[0], X, ws.products)
-    ws.operand0[...] = X.transpose(0, 2, 1)
+    ws.operand0[...] = X.swapaxes(-1, -2)
     ws.operand_rest[...] = ws.sandwich_t
     ws.right.fill(0)
     csr_product(ops[1], ws.operands, ws.right)
@@ -84,28 +91,32 @@ class FrozenGenerator:
     w_left_dag, scalar), the weights of the rows of the model's `basis`;
     row k of `right` is (1, w_right_dag, w_right, w_1..w_G), those of
     its `right_basis`; `scalar` is (n, 1, 1).  `ops` are the two kernel
-    operators of `_act`, None for a model without operators.
+    operators of `_act` and `workspace` its scratch arrays, both None for
+    a model without operators.
     """
 
-    __slots__ = ("stack", "scalar", "left", "right", "ops")
+    __slots__ = ("stack", "scalar", "left", "right", "ops", "workspace")
 
-    def __init__(self, stack: GeneratorStack, scalar, left, right, ops):
+    def __init__(self, stack: GeneratorStack, scalar, left, right, ops,
+                 workspace):
         self.stack = stack
         self.scalar = scalar
         self.left = left
         self.right = right
         self.ops = ops
+        self.workspace = workspace
 
     def apply(self, X):
-        """A_k[X_k] for each member X_k of an (n, dim, dim) stack X, or of
-        the Python complex state of a one-member system-free run, which
-        gets a Python complex back.  That product is still numpy's:
-        numpy's complex product uses fused multiply-adds and Python's
-        does not, so about 4 in 10 of Python's differ in the last bit."""
+        """A_k[X_k] for each member X_k of an (n, dim, dim) stack X or of
+        its sector blocks (`_act`), or of the Python complex state of a
+        one-member system-free run, which gets a Python complex back.
+        That product is still numpy's: numpy's complex product uses fused
+        multiply-adds and Python's does not, so about 4 in 10 of Python's
+        differ in the last bit."""
         if self.ops is None:
             product = self.scalar * X
             return product.item() if isinstance(X, complex) else product
-        return _act(X, self.ops, self.stack.workspace)
+        return _act(X, self.ops, self.workspace)
 
     # the name the backward run of `oracle.duality_check` applies by, so
     # that a tracer counts its applications apart
@@ -120,11 +131,14 @@ class GeneratorStack:
     there of its first member; `generator_at` reads the weights of the
     group, or of a stack without one, kept in its `frozen_rows` by time.
     A stack from `dual` has `primal`, the stack it is the dual of.
+    `sectors` is the model's `_Sectors` while a walk holds the members
+    on them (`hold`), else None.
     """
 
     group: GeneratorStack | None = None
     row = 0
     primal: GeneratorStack | None = None
+    sectors = None
 
     def __init__(self, model: ModelSpec, observables: ObservableSpec,
                  field: FieldProfile, kappas):
@@ -147,10 +161,19 @@ class GeneratorStack:
 
     @functools.cached_property
     def workspace(self) -> _Workspace:
-        """`_act`'s scratch arrays, built once per stack."""
+        """`_act`'s scratch arrays for the stack's layout, built once per
+        stack and layout."""
         dim = self.model.space.dim
-        return _Workspace((1 + len(self.model.operators.sandwich), len(self),
-                           dim, dim))
+        member = (dim, dim) if self.sectors is None else self.sectors.member
+        return _Workspace((1 + len(self.model.operators.sandwich), len(self))
+                          + member)
+
+    def hold(self, sectors) -> None:
+        """Lay the generators built from now on on `sectors`, or on one
+        block for None, and drop the workspace of the layout left."""
+        if sectors is not self.sectors:
+            self.sectors = sectors
+            self.__dict__.pop("workspace", None)
 
     def split(self, size: int = 1):
         """Yield the members, in order, as stacks of `size` members (the
@@ -212,6 +235,13 @@ def stage_rows(stack: GeneratorStack, times, start: float):
     stack's K_L is the primal's K_R on the basis K^dag, R_i^dag, R_i, so
     its drift weights go into the other array; its scalar rate and w_g
     stay, as the dual model finds the same channel groups.
+
+    Sectors: an odd R_i's drift weights are nonzero only where mu_i or
+    r_pm_i is, that is where the field (through S), a reference offset
+    b_i or a quadrature profile h reaches channel i.  A block without
+    any has only even drift rows live, and its generators map a tau that
+    is zero off the grading's sectors to one that is too
+    (`_block_generators`).
     """
     times = np.asarray(times, dtype=float)
     model, obs, field = stack.model, stack.observables, stack.field
@@ -273,14 +303,23 @@ def _block_generators(stack: GeneratorStack, rows):
     nonzero at some time and member of the block, their operators formed
     as many times at once as OPERAND_BUDGET entries hold.  A state that
     is not finite, where a left-out entry would matter, still fails
-    `evolution._walk`'s check at the same segment end."""
+    `evolution._walk`'s check at the same segment end.
+
+    The block stays on the stack's sectors if it keeps them
+    (`_OperatorCache.keeps_sectors`); the first that does not puts the
+    stack on one block for the rest of its walk."""
     scalar, left, right = rows
     scalar = scalar[:, :, None, None]
     c, n = stack.model.operators, len(stack)
     nnz = c.basis.shape[1]
     step = len(scalar)
+    workspace = None
     if nnz:
-        layout = c.stacked(n, left.any(axis=(0, 1)), right.any(axis=(0, 1)))
+        live = left.any(axis=(0, 1)), right.any(axis=(0, 1))
+        if stack.sectors is not None and not c.keeps_sectors(*live):
+            stack.hold(None)
+        layout = c.stacked(n, *live, stack.sectors is not None)
+        workspace = stack.workspace
         per_time = max(n * len(layout.left) + len(layout.fixed),
                        n * len(layout.right))
         step = max(1, OPERAND_BUDGET // per_time)
@@ -290,7 +329,16 @@ def _block_generators(stack: GeneratorStack, rows):
                else itertools.repeat(None))
         for scalar_k, left_k, right_k, ops_k in zip(
                 scalar[sub], left[sub], right[sub], ops):
-            yield FrozenGenerator(stack, scalar_k, left_k, right_k, ops_k)
+            yield FrozenGenerator(stack, scalar_k, left_k, right_k, ops_k,
+                                  workspace)
+
+
+def relaid(g: FrozenGenerator) -> FrozenGenerator:
+    """g, formed again from its own weight rows on its stack's layout
+    now: the earlier stages of the RK4 step in which the stack left its
+    sectors follow it onto one block."""
+    rows = (g.scalar[None, :, 0, 0], g.left[None], g.right[None])
+    return next(_block_generators(g.stack, rows))
 
 
 def stage_generators(stack: GeneratorStack, times, start: float):

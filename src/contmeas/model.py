@@ -1,5 +1,6 @@
-"""Model data: the drift operator K, channel operators R_i and the scalar
-scattering matrix S, plus the degenerate-parametric-oscillator builder.
+"""Model data: the drift operator K, channel operators R_i, the scalar
+scattering matrix S and an optional Z2 grading of the basis, plus the
+degenerate-parametric-oscillator builder.
 
 The DPO couples two cavity modes through a chi^(2) crystal: subharmonic
 mode (a, frequency omega_c) and pump mode (b, frequency 2*omega_c), with
@@ -40,10 +41,16 @@ class _OperatorCache:
     operator [K_R^T | w_1 conj P_1 | ... | w_G conj P_G], and row j of
     `right_basis` is conj K, conj R_1..conj R_d, conj R_1^dag..conj
     R_d^dag and then each conj P_g on it.
+
+    For a model with a grading of two nonempty sectors, `sectors` is its
+    index map (`_Sectors`) and `odd` marks the rows of `basis` and of
+    `right_basis` that belong to an odd R_i or R_i^dag; else both are
+    None.
     """
 
     __slots__ = ("pattern", "basis", "channels", "group_weights",
-                 "sandwich", "right_pattern", "right_basis", "layouts")
+                 "sandwich", "right_pattern", "right_basis", "layouts",
+                 "sectors", "odd")
 
     def __init__(self, model: "ModelSpec"):
         dim, d = model.space.dim, model.d
@@ -67,52 +74,163 @@ class _OperatorCache:
         self.right_pattern, self.right_basis = _right_operator(
             self.pattern, self.basis[:1 + 2 * d], self.sandwich)
         self.layouts = {}
+        grading = model.grading
+        self.sectors = self.odd = None
+        if grading is not None and grading.any() and not grading.all():
+            self.sectors = _sectors(grading)
+            odd = [len(r) > 0 and grading[r[0]] != grading[c[0]]
+                   for r, c, _ in coos[1:]]
+            self.odd = (np.array([False, *odd, *odd, False]),
+                        np.array([False, *odd, *odd]
+                                 + [False] * len(self.sandwich)))
 
-    def stacked(self, n: int, live_left, live_right) -> _Layout:
-        """The layout of the two kernel operators of `generator._act` for
-        n members whose weights are zero outside the rows `live_left` of
-        `basis` and `live_right` of `right_basis` (boolean masks), on
-        only the entries a live row reaches.  The first holds the drift
-        and each P_g one below the other, each as n diagonal blocks; the
-        second is n copies of `right_pattern`, member k reading block k
-        of each group of n column blocks.  Built once per (n, live rows)
-        for all the model's stacks."""
-        key = (n, live_left.tobytes(), live_right.tobytes())
+    def keeps_sectors(self, live_left, live_right) -> bool:
+        """Whether generators whose live rows of `basis` and `right_basis`
+        are `live_left` and `live_right` keep tau on the sectors: no live
+        drift row belongs to an odd operator, so odd operators enter only
+        through sandwiches P_g tau P_g^dag, which map sector to sector."""
+        return not ((self.odd[0] & live_left).any()
+                    or (self.odd[1] & live_right).any())
+
+    def stacked(self, n: int, live_left, live_right,
+                sectored: bool = False) -> _Layout:
+        """The `laid` layout for n members whose weights are zero outside
+        the rows `live_left` of `basis` and `live_right` of `right_basis`
+        (boolean masks), on only the entries a live row reaches.  Built
+        once per (n, live rows, sectored) for all the model's stacks."""
+        key = (n, live_left.tobytes(), live_right.tobytes(), sectored)
         layout = self.layouts.get(key)
         if layout is None:
-            left = np.flatnonzero(self.basis[live_left].any(axis=0))
-            right = np.flatnonzero(self.right_basis[live_right].any(axis=0))
-            drift = _restricted(self.pattern, left)
-            kept = _restricted(self.right_pattern, right)
-            dim, ops = self.pattern[0], (drift, *self.sandwich)
-            first, fixed = _tiled(ops, n, [0] * len(ops), n * dim)
-            second, _ = _tiled((kept,), n, [kept[3] // dim * (n - 1)],
-                               n * kept[1])
-            layout = self.layouts[key] = _Layout(first, fixed, second, left,
-                                                right)
+            layout = self.layouts[key] = self.laid(
+                n, np.flatnonzero(self.basis[live_left].any(axis=0)),
+                np.flatnonzero(self.right_basis[live_right].any(axis=0)),
+                sectored)
         return layout
+
+    def laid(self, n: int, left, right, sectored: bool) -> _Layout:
+        """The layout of the two kernel operators of `generator._act` for
+        n members on the entries `left` of `pattern` and `right` of
+        `right_pattern`.  Each member is held on the grading's sectors
+        (`sectored`), as a (2, D, D) array of its two diagonal blocks
+        (`_Sectors`), or as one (dim, dim) block; either way as s blocks
+        of D states one below the other.  The first operator holds the
+        drift and each P_g one
+        below the other, each entry moved into the block of its column,
+        so an odd P_g maps a block to the other; each as n diagonal
+        member blocks.  The second is n copies of `right_pattern` on the
+        blocks, member k reading block k of each group of n column
+        blocks."""
+        dim = self.pattern[0]
+        position, member = ((self.sectors.position, self.sectors.member)
+                            if sectored else (np.arange(dim), (dim, dim)))
+        width, size = member[-1], int(np.prod(member[:-1]))
+
+        def folded(r, c):
+            return position[c] // width * width + position[r] % width, \
+                position[c]
+
+        drift, left = _moved(self.pattern, left, folded, (size, size))
+        sandwich = []
+        for p in self.sandwich:
+            pattern, order = _moved(p, np.arange(len(p[3])), folded,
+                                    (size, size))
+            sandwich.append(pattern + (p[4][order],))
+        kept, right = _moved(
+            self.right_pattern, right,
+            lambda r, c: (position[r], c // dim * size + position[c % dim]),
+            (size, self.right_pattern[1] // dim * size))
+        first, fixed = _tiled((drift, *sandwich), n,
+                              [0] * (1 + len(sandwich)), n * size)
+        second, _ = _tiled((kept,), n, [kept[3] // size * (n - 1)],
+                           n * kept[1])
+        return _Layout(first, fixed, second, left, right, member)
 
 
 class _Layout(NamedTuple):
     """The patterns `first` and `second` of `_OperatorCache.stacked`,
-    the sandwich data `fixed` that ends the first's data, and the kept
-    columns `left` of `basis` and `right` of `right_basis`."""
+    the sandwich data `fixed` that ends the first's data, the kept
+    columns `left` of `basis` and `right` of `right_basis` in the order
+    of the patterns' entries, and the shape `member` of a member."""
 
     first: tuple
     fixed: np.ndarray
     second: tuple
     left: np.ndarray
     right: np.ndarray
+    member: tuple
 
 
-def _restricted(pattern, entries) -> tuple:
-    """The CSR pattern of the entries `entries` (indices, in order) of
-    `pattern`."""
-    rows, cols, indptr, indices = pattern
-    kept = np.zeros(len(indices) + 1, dtype=np.int32)
-    kept[entries + 1] = 1
-    return (rows, cols, np.cumsum(kept, dtype=np.int32)[indptr],
-            indices[entries])
+class _Sectors(NamedTuple):
+    """The index map of a grading's two sectors.  A member tau that is
+    zero off the sectors is held as its two diagonal blocks, each padded
+    to the larger sector's D states, a (2, D, D) array of shape
+    `member`: basis state r is row `position[r]` = D * sector + its rank
+    in its sector of the blocks one below the other, so the basis order
+    holds inside a sector.  `entries` are the flat indices of the
+    in-sector entries of a (dim, dim) matrix, `packed` theirs in a
+    member, and `diagonal` those of the diagonal there, in basis
+    order."""
+
+    member: tuple
+    position: np.ndarray
+    entries: np.ndarray
+    packed: np.ndarray
+    diagonal: np.ndarray
+
+    def holds(self, tau) -> bool:
+        """Whether every member of the (n, dim, dim) stack tau is exactly
+        zero off the sectors."""
+        flat = tau.reshape(len(tau), -1)
+        return np.count_nonzero(flat[:, self.entries]) == np.count_nonzero(
+            flat)
+
+    def pack(self, tau) -> np.ndarray:
+        """The (n, 2, D, D) blocks of the (n, dim, dim) stack tau."""
+        out = np.zeros((len(tau),) + self.member, dtype=complex)
+        out.reshape(len(tau), -1)[:, self.packed] = \
+            tau.reshape(len(tau), -1)[:, self.entries]
+        return out
+
+    def unpack(self, tau) -> np.ndarray:
+        """The (n, dim, dim) stack of the blocks tau."""
+        dim = len(self.position)
+        out = np.zeros((len(tau), dim, dim), dtype=complex)
+        out.reshape(len(tau), -1)[:, self.entries] = \
+            tau.reshape(len(tau), -1)[:, self.packed]
+        return out
+
+    def traces(self, tau) -> np.ndarray:
+        """The trace of each member of the blocks tau, its diagonal summed
+        in basis order, as `np.trace` sums it."""
+        return np.array([x.sum() for x in
+                         tau.reshape(len(tau), -1)[:, self.diagonal]])
+
+
+def _sectors(odd) -> _Sectors:
+    """The `_Sectors` of the grading `odd`, True on the odd sector."""
+    odd = odd.astype(np.intp)
+    sizes = np.bincount(odd, minlength=2)
+    width = int(sizes.max())
+    rank = np.empty(len(odd), dtype=np.intp)
+    for label, size in enumerate(sizes):
+        rank[odd == label] = np.arange(size)
+    position = odd * width + rank
+    rows, cols = np.nonzero(odd[:, None] == odd)
+    return _Sectors((2, width, width), position, rows * len(odd) + cols,
+                    position[rows] * width + rank[cols],
+                    position * width + rank)
+
+
+def _moved(pattern, entries, move, shape) -> tuple:
+    """The CSR pattern, of `shape`, of the entries `entries` (indices) of
+    `pattern`, entry (r, c) moved to move(r, c), and those entries in
+    its order.  A move that keeps the order of each row's columns keeps
+    the order of its terms."""
+    rows = np.repeat(np.arange(pattern[0]), np.diff(pattern[2]))[entries]
+    rows, cols = move(rows, pattern[3][entries])
+    order = np.lexsort((cols, rows))
+    return (shape + csr_pattern(rows[order], cols[order], shape[0])[2:],
+            entries[order])
 
 
 def _right_operator(pattern, drift, sandwich) -> tuple:
@@ -192,13 +310,17 @@ def _proportional(key, val, rkey, rval) -> bool:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Finite-dimensional model data (K, R_1..R_d, scalar S matrix)."""
+    """Finite-dimensional model data (K, R_1..R_d, scalar S matrix), and
+    an optional Z2 `grading` of the basis, True on the odd sector, under
+    which K must be even and every nonzero R_i even or odd (checked).
+    A model without one has one sector."""
 
     space: TruncatedSpace
     d: int
     K: SystemOperator
     R: tuple
     S: np.ndarray
+    grading: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.R) != self.d:
@@ -216,6 +338,18 @@ class ModelSpec:
         entries = [S] + [op.csr[-1] for op in (self.K, *self.R)]
         if not all(np.isfinite(x).all() for x in entries):
             raise ValidationError("K, the R_i and S must be finite")
+        if self.grading is not None:
+            odd = np.asarray(self.grading, dtype=bool)
+            if odd.shape != (self.space.dim,):
+                raise ValidationError("the grading needs one entry per "
+                                      "basis state")
+            object.__setattr__(self, "grading", odd)
+            for j, op in enumerate((self.K, *self.R)):
+                rows, cols, _ = op.coo()
+                flips = odd[rows] != odd[cols]
+                if flips.any() and (j == 0 or not flips.all()):
+                    raise ValidationError("the grading must leave K even "
+                                          "and each R_i even or odd")
 
     @functools.cached_property
     def operators(self) -> _OperatorCache:
@@ -235,7 +369,7 @@ class ModelSpec:
             return SystemOperator._from_coo(self.space, cols, rows,
                                             data.conj())
         return ModelSpec(self.space, self.d, adjoint(self.K),
-                         tuple(map(adjoint, self.R)), self.S)
+                         tuple(map(adjoint, self.R)), self.S, self.grading)
 
 
 @dataclass(frozen=True)
@@ -350,7 +484,9 @@ def _dpo_drift(params: DpoParams, space: TruncatedSpace) -> SystemOperator:
 
 
 def dpo_model(params: DpoParams, space: TruncatedSpace) -> ModelSpec:
-    """Degenerate parametric oscillator on a truncated space, d = 8.
+    """Degenerate parametric oscillator on a truncated space, d = 8,
+    graded by the parity of the subharmonic photon number n: K and the
+    pump's operators are even under a -> -a, the a-channel ones odd.
 
     Channel order: 1, 2 photocounters; 3 homodyne; 4 laser injection;
     5-8 losses and thermal noise.  No scattering between channels.
@@ -364,7 +500,13 @@ def dpo_model(params: DpoParams, space: TruncatedSpace) -> ModelSpec:
     R = (be[0] * b, al[0] * a, al[1] * a, be[1] * b,
          be[2] * b, al[2] * a, be[3] * bdag, al[3] * adag)
     K = _dpo_drift(params, space)
-    return ModelSpec(space=space, d=8, K=K, R=R, S=np.eye(8, dtype=complex))
+    return ModelSpec(space=space, d=8, K=K, R=R, S=np.eye(8, dtype=complex),
+                     grading=_a_parity(space))
+
+
+def _a_parity(space: TruncatedSpace) -> np.ndarray:
+    """True on the basis states of odd subharmonic photon number n."""
+    return np.arange(space.dim) // (space.m_max + 1) % 2 == 1
 
 
 def trivial_model(d: int) -> ModelSpec:

@@ -145,7 +145,7 @@ def duality_check(ctx: GeneratorContext, rho0: np.ndarray, X: np.ndarray,
                 for g0, g_mid, g1 in rk4_stages(dual, hi, lo, count))
 
     backward = [(hi, lo) for lo, hi in reversed(ctx.segments(t))]
-    Y, _, _ = _walk(backward, np.array(X, dtype=complex)[None], config,
-                    False, steps)
+    Y, _, _ = _walk(dual, backward, np.array(X, dtype=complex)[None],
+                    config, False, steps)
     rhs = complex(np.trace(Y[0] @ np.array(rho0, dtype=complex)))
     return {"forward": lhs, "backward": rhs, "residual": abs(lhs - rhs)}

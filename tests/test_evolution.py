@@ -169,6 +169,16 @@ def test_is_state():
     assert not is_state(bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_is_state_refuses_a_non_finite_matrix(bad):
+    # a NaN off the diagonal passes the Hermitian and trace comparisons
+    # (nan > tol is False) and made eigvalsh raise numpy's LinAlgError
+    r = np.zeros((9, 9))
+    r[0, 0] = 1
+    r[-1, 2] = bad
+    assert not is_state(r)
+
+
 def test_contractivity_decides_auto_by_the_initial_state():
     rng = np.random.default_rng(6)
     rho = helpers.random_density(5, rng)

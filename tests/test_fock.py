@@ -125,6 +125,18 @@ def test_space_mismatch_raises():
         SystemOperator(a1.space, a2.to_dense())
 
 
+def test_kernel_call_refuses_mismatched_sizes():
+    # scipy's kernel reads and writes without a bound check, so an operand
+    # or output of the wrong size raises before it is called
+    op = ladder_a(TruncatedSpace(2, 1)).csr
+    X = np.ones((6, 4), dtype=complex)
+    assert csr_product(op, X).shape == (6, 4)
+    for bad, out in ((np.ones((5, 4), complex), None),
+                     (X, np.zeros((6, 3), complex))):
+        with pytest.raises(ValueError, match="cannot take"):
+            csr_product(op, bad, out)
+
+
 def test_from_entries_and_entry():
     sp = TruncatedSpace(2, 1)
     op = SystemOperator.from_entries(sp, {(0, 1): 2.5j, (3, 3): -1.0})

@@ -18,7 +18,7 @@ from contmeas.fock import csr_product
 from contmeas.generator import (BLOCK, GeneratorStack,
                                 context_is_piecewise_static, stage_generators,
                                 stage_rows)
-from contmeas.model import _Layout, _OperatorCache, _tiled
+from contmeas.model import _OperatorCache
 from contmeas.statistics import diffusive_axis, on_interval
 from contmeas.oracle import _dense_superoperator
 
@@ -279,17 +279,11 @@ def _workload_members(name):
 
 def _union_layouts(monkeypatch):
     """Lay every stack's kernel operators on the whole union layout, every
-    entry of `pattern` and `right_pattern` kept, tiled directly, without
-    the live rows' selection of `_OperatorCache.stacked`."""
-    def union(self, n, live_left, live_right):
-        dim, ops = self.pattern[0], (self.pattern, *self.sandwich)
-        first, fixed = _tiled(ops, n, [0] * len(ops), n * dim)
-        plane = self.right_pattern[3] // dim
-        second, _ = _tiled((self.right_pattern,), n, [plane * (n - 1)],
-                           n * self.right_pattern[1])
-        return _Layout(first, fixed, second,
-                       np.arange(self.basis.shape[1]),
-                       np.arange(self.right_basis.shape[1]))
+    entry of `pattern` and `right_pattern` kept, without the live rows'
+    selection of `_OperatorCache.stacked`."""
+    def union(self, n, live_left, live_right, sectored=False):
+        return self.laid(n, np.arange(self.basis.shape[1]),
+                         np.arange(self.right_basis.shape[1]), sectored)
 
     monkeypatch.setattr(_OperatorCache, "stacked", union)
 
